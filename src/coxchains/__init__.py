@@ -30,7 +30,6 @@ from .lattice import (
     ChainOrbitCount,
     GroupActionTable,
     IntersectionLattice,
-    build_lattice,
     build_lattice_with_action,
     count_chain_orbits,
     count_chain_orbits_unionfind,

@@ -11,7 +11,9 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
+from math import prod
 
 from . import __version__
 from .graphs import (
@@ -69,29 +71,54 @@ def brute_force_count(spec: str, workers: int = 1):
 
 class DiskCache:
     """JSON value cache keyed by canonical spec, stamped with the engine
-    version so stale files are ignored rather than trusted."""
+    version so stale files are ignored rather than trusted.
+
+    A file that cannot be read as a cache is ignored, and an entry that is
+    ill-typed or whose value contradicts its own terms is dropped, each with
+    a one-line warning on stderr. `rejected` keeps what was ignored. The file
+    is rewritten only when the memo holds entries it lacks.
+    """
 
     def __init__(self, path: str):
         self.path = path
+        self.rejected = []
+        self.synced = None  # memo size whose entries all match the file
 
     def load_into(self, calc: KCalculator) -> int:
         if not os.path.exists(self.path):
             return 0
-        with open(self.path) as fh:
-            data = json.load(fh)
+        try:
+            with open(self.path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            return self._ignore_file(f"unreadable ({exc})")
+        if not isinstance(data, dict):
+            return self._ignore_file("the top level is not an object")
         if data.get("engine_version") != ENGINE_VERSION:
             return 0
-        loaded = 0
-        for spec, entry in data.get("results", {}).items():
-            calc.memo[spec] = KResult(
-                value=int(entry["value"]),
-                method=entry["method"],
-                terms=[(d, int(v)) for d, v in entry["terms"]],
-            )
-            loaded += 1
-        return loaded
+        results = data.get("results", {})
+        if not isinstance(results, dict):
+            return self._ignore_file('"results" is not an object')
+        for spec, entry in results.items():
+            try:
+                calc.memo[spec] = _cached_result(entry)
+            except (KeyError, TypeError, ValueError) as exc:
+                self.rejected.append(f"{spec} ({type(exc).__name__}: {exc})")
+        if self.rejected:
+            _warn(f"dropped bad entries from cache file {self.path}: "
+                  + "; ".join(self.rejected))
+        else:
+            self.synced = len(calc.memo)
+        return len(results) - len(self.rejected)
+
+    def _ignore_file(self, why: str) -> int:
+        self.rejected.append(f"the whole file ({why})")
+        _warn(f"ignoring cache file {self.path}: {why}")
+        return 0
 
     def save_from(self, calc: KCalculator):
+        if len(calc.memo) == self.synced:
+            return
         data = {
             "engine_version": ENGINE_VERSION,
             "results": {
@@ -101,10 +128,47 @@ class DiskCache:
         }
         for entry in data["results"].values():
             entry.pop("group", None)
-        tmp = self.path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(data, fh, indent=1, sort_keys=True)
-        os.replace(tmp, self.path)
+        umask = os.umask(0)
+        os.umask(umask)
+        tmp = None
+        try:
+            fd, tmp = tempfile.mkstemp(
+                dir=os.path.dirname(os.path.abspath(self.path)),
+                prefix=os.path.basename(self.path) + ".", suffix=".tmp")
+            with os.fdopen(fd, "w") as fh:
+                json.dump(data, fh, indent=1, sort_keys=True)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, self.path)
+            self.synced = len(calc.memo)
+        except OSError as exc:
+            _warn(f"could not write cache file {self.path}: {exc}")
+        finally:
+            if tmp is not None and os.path.exists(tmp):
+                os.unlink(tmp)
+
+
+def _cached_result(entry) -> KResult:
+    """The KResult of a cache entry; raises if the entry is ill-typed or its
+    value contradicts its own terms."""
+    kr = KResult(value=int(entry["value"]), method=entry["method"],
+                 terms=[(d, int(v)) for d, v in entry["terms"]])
+    values = [v for _, v in kr.terms]
+    if kr.method == "product":
+        expected = prod(values)
+    elif kr.method in ("summ1", "summ2"):
+        expected = sum(values)
+    elif kr.method == "base-case":
+        expected = 1
+    else:
+        raise ValueError(f"unknown method {kr.method!r}")
+    if kr.value != expected:
+        raise ValueError(f"value {kr.value} contradicts its {kr.method} "
+                         f"terms, which give {expected}")
+    return kr
+
+
+def _warn(message: str):
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _cache_path(args) -> str | None:
@@ -277,10 +341,14 @@ def _verify_checks(args):
     def cache_consistency():
         if not cache or not os.path.exists(cache.path):
             return True, "no cache file"
+        bad = [f"ignored {r}" for r in cache.rejected]
         for spec, kr in list(calc.memo.items()):
-            if fresh.k_value(spec) != kr.value:
-                return False, f"cached K({spec}) = {kr.value} disagrees with recomputation"
-        return True, ""
+            try:
+                if fresh.k_value(spec) != kr.value:
+                    bad.append(f"cached K({spec}) = {kr.value} disagrees with recomputation")
+            except GroupSpecError as exc:
+                bad.append(f"cached key {spec!r} is not a group spec ({exc})")
+        return not bad, "; ".join(bad)
 
     checks = [
         ("egf-identities", egf_identities),
@@ -336,6 +404,19 @@ def cmd_export_lattice(args) -> int:
     return EXIT_OK
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, else a usage error (exit 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coxchains",
@@ -349,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["recursion", "bruteforce", "closed", "all"],
                    default="all")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_int_at_least(1), default=1,
                    help="brute-force chain scan workers; results are "
                         "worker-count independent")
     p.add_argument("--cache", help="path to the recursion value cache "
@@ -357,14 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("table", help="closed-form value table")
-    p.add_argument("--max-rank", type=int, default=12)
+    p.add_argument("--max-rank", type=_int_at_least(0), default=12)
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("verify", help="run the cross-validation suite")
     p.add_argument("--deep", action="store_true",
                    help="include the rank-5 and F4 brute-force tier")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--cache")
     p.set_defaults(fn=cmd_verify)
 

@@ -328,7 +328,3 @@ def apply_matrix(m, s: Subspace) -> Subspace:
 
 def scalar_to_string(x: FieldScalar) -> str:
     return str(x)
-
-
-def subspace_to_rows_of_strings(s: Subspace):
-    return [[scalar_to_string(x) for x in row] for row in s.basis]

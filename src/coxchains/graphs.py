@@ -79,9 +79,6 @@ def make_graph(vertices, edges) -> CoxeterGraph:
     return CoxeterGraph(tuple(vertices), norm)
 
 
-EMPTY_GRAPH = make_graph((), ())
-
-
 @dataclass(frozen=True)
 class TypeLabel:
     family: str  # one of A, B, D, E, F, H, I2
@@ -188,18 +185,26 @@ def _parse_term(term: str) -> TypeLabel:
         raise GroupSpecError(f"rank out of range for finite type: {term}")
 
 
-def parse_group_spec(text: str) -> CoxeterGraph:
-    """Parse a spec like "D5xA2" or "I2(7)xB3" into its Coxeter graph."""
+def parse_labels(text: str) -> list:
+    """Parse a spec like "D5xA2" into its type labels, in the order written.
+
+    Aliases keep their own label here (D3 stays D3, I2(3) stays I2(3)); the
+    classified form of a group comes from component_labels of its graph.
+    """
     text = text.strip()
     if text == "1":
-        return EMPTY_GRAPH
+        return []
     if not text:
         raise GroupSpecError("empty group specification")
+    return [_parse_term(term.strip()) for term in text.split("x")]
+
+
+def parse_group_spec(text: str) -> CoxeterGraph:
+    """Parse a spec like "D5xA2" or "I2(7)xB3" into its Coxeter graph."""
     vertices = []
     edges = []
     offset = 0
-    for term in text.split("x"):
-        label = _parse_term(term.strip())
+    for label in parse_labels(text):
         g = standard_graph(label, offset=offset)
         vertices.extend(g.vertices)
         edges.extend(g.edges)
@@ -390,10 +395,14 @@ def component_labels(g: CoxeterGraph):
     return [classify_irreducible(c)[0] for c, _ in connected_components(g)]
 
 
-def canonical_spec(g: CoxeterGraph) -> str:
-    """Canonical serialization: component names sorted by family then rank."""
-    labels = component_labels(g)
+def spec_of_labels(labels) -> str:
+    """Canonical spec of a product of classified types: names sorted by
+    family then rank, joined by x; "1" for the trivial group."""
     if not labels:
         return "1"
-    labels.sort(key=lambda t: (t.family, t.rank))
-    return "x".join(str(t) for t in labels)
+    return "x".join(str(t) for t in sorted(labels, key=lambda t: (t.family, t.rank)))
+
+
+def canonical_spec(g: CoxeterGraph) -> str:
+    """Canonical serialization of a graph: see spec_of_labels."""
+    return spec_of_labels(component_labels(g))

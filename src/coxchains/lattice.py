@@ -248,10 +248,6 @@ def build_lattice_with_action(model):
     raise TypeError(f"not a reflection model: {model!r}")
 
 
-def build_lattice(model) -> IntersectionLattice:
-    return build_lattice_with_action(model)[0]
-
-
 def count_maximal_chains(l: IntersectionLattice) -> int:
     ways = [0] * len(l.elements)
     ways[l.bottom] = 1
@@ -329,8 +325,7 @@ def count_chain_orbits(l: IntersectionLattice, table: GroupActionTable,
     if workers == 1 or len(atoms) <= 1:
         merged = _scan_atoms(l.covers, table.rows, atoms)
     else:
-        chunks = [atoms[i::workers] for i in range(workers)]
-        chunks = [c for c in chunks if c]
+        chunks = [atoms[i::workers] for i in range(min(workers, len(atoms)))]
         jobs = [(l.covers, table.rows, c) for c in chunks]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             for part in pool.map(_scan_atoms_job, jobs):

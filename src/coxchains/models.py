@@ -87,9 +87,6 @@ class GroupElement:
 
     perm: tuple
 
-    def __len__(self):
-        return len(self.perm)
-
 
 def compose_perms(g: tuple, h: tuple) -> tuple:
     """Signed-permutation product g.h (apply h first, then g)."""

@@ -12,17 +12,19 @@ element cannot realize the induced graph swap).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .graphs import (
     CoxeterGraph,
     TypeLabel,
-    canonical_spec,
     classify_irreducible,
+    component_labels,
     connected_components,
     delete_vertex,
     longest_element_automorphism,
     parse_group_spec,
+    spec_of_labels,
+    standard_graph,
 )
 
 ENGINE_VERSION = 1
@@ -51,147 +53,119 @@ def multinomial(parts) -> int:
     return out
 
 
-def _as_graph(g) -> CoxeterGraph:
-    if isinstance(g, str):
-        return parse_group_spec(g)
-    return g
-
-
 class KCalculator:
-    """Memoized K(W) computation; safe to reuse across many queries."""
+    """Memoized K(W) computation; safe to reuse across many queries.
+
+    The recursion runs on lists of classified type labels. Graph code runs
+    only where a spec string or a user graph enters (k, k_bar,
+    fixed_vertex_term) and once per (type, vertex) on the type's standard
+    graph, to read off the parabolic subgroup left by deleting the vertex.
+    """
 
     def __init__(self):
         self.memo = {}
         self.bar_memo = {}
 
     def k(self, g) -> KResult:
-        g = _as_graph(g)
-        key = canonical_spec(g)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        comps = connected_components(g)
-        if len(comps) == 0:
-            result = KResult(1, "base-case", [("trivial group", 1)])
-        elif len(comps) > 1:
-            result = self.k_product([(c, self.k(c)) for c, _ in comps])
-        else:
-            result = self._k_irreducible(g)
-        self.memo[key] = result
-        return result
+        """K(W) for a spec string or a Coxeter graph with any vertex ids."""
+        if isinstance(g, str):
+            g = parse_group_spec(g)
+        return self._k(component_labels(g))
 
     def k_value(self, g) -> int:
         return self.k(g).value
 
-    def k_product(self, components) -> KResult:
-        """Multinomial shuffle product over already-computed components."""
-        ranks = [c.rank for c, _ in components]
+    def _k(self, labels) -> KResult:
+        """K of the product of classified labels, given in component order."""
+        key = spec_of_labels(labels)
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
+        if not labels:
+            result = KResult(1, "base-case", [("trivial group", 1)])
+        elif len(labels) > 1:
+            result = self._k_product(labels)
+        else:
+            result = self._k_irreducible(labels[0])
+        self.memo[key] = result
+        return result
+
+    def _k_product(self, labels) -> KResult:
+        """Multinomial shuffle of the factors' counts."""
+        ranks = [t.coxeter_rank for t in labels]
         coeff = multinomial(ranks)
         value = coeff
         terms = [(f"multinomial({sum(ranks)}; {','.join(map(str, ranks))})", coeff)]
-        for c, kr in components:
-            value *= kr.value
-            terms.append((f"K({canonical_spec(c)})", kr.value))
+        for t in labels:
+            kt = self._k([t]).value
+            value *= kt
+            terms.append((f"K({t})", kt))
         return KResult(value, "product", terms)
 
-    def _k_irreducible(self, g: CoxeterGraph) -> KResult:
-        label, iso = classify_irreducible(g)
-        if g.rank == 1:
-            return KResult(1, "base-case", [(str(label), 1)])
-        sigma_std = longest_element_automorphism(label)
-        inv = {i: v for v, i in iso.items()}
-        sigma = {v: inv[sigma_std(iso[v])] for v in g.vertices}
-        if all(sigma[v] == v for v in g.vertices):
-            # longest element central: one full parabolic term per vertex
-            terms = []
-            value = 0
-            for v in sorted(g.vertices):
-                sub = delete_vertex(g, v)
-                t = self.k(sub).value
-                terms.append((f"vertex {iso[v]}: K({canonical_spec(sub)})", t))
-                value += t
-            return KResult(value, "summ1", terms)
+    def _k_irreducible(self, t: TypeLabel) -> KResult:
+        if t.coxeter_rank == 1:
+            return KResult(1, "base-case", [(str(t), 1)])
+        g = standard_graph(t)
+        sigma = longest_element_automorphism(t).permutation
+        central = all(v == w for v, w in sigma.items())
         terms = []
-        value = 0
-        done = set()
-        for v in sorted(g.vertices):
-            if v in done:
-                continue
+        for v in g.vertices:
             w = sigma[v]
-            if w != v:
-                done.update((v, w))
-                sub = delete_vertex(g, v)
-                t = self.k(sub).value
-                terms.append(
-                    (f"orbit {{{iso[v]},{iso[w]}}}: K({canonical_spec(sub)})", t)
-                )
+            if w < v:
+                continue  # the orbit {w, v} was counted at w
+            parts = _deleted_parts(g, v)
+            if w == v and not central:
+                value, desc = self._fixed_vertex_term(parts, sigma)
             else:
-                done.add(v)
-                t, desc = self._fixed_vertex_term(g, v, sigma)
-                terms.append((f"vertex {iso[v]}: {desc}", t))
-            value += t
-        return KResult(value, "summ2", terms)
+                labels = [label for label, _ in parts]
+                value, desc = self._k(labels).value, f"K({spec_of_labels(labels)})"
+            name = f"vertex {v}" if w == v else f"orbit {{{v},{w}}}"
+            terms.append((f"{name}: {desc}", value))
+        method = "summ1" if central else "summ2"
+        return KResult(sum(value for _, value in terms), method, terms)
 
     def fixed_vertex_term(self, g: CoxeterGraph, v, sigma) -> int:
         """Contribution of a sigma-fixed vertex; sigma maps vertex to vertex."""
-        if isinstance(sigma, dict):
-            perm = sigma
-        else:
-            perm = sigma.permutation
+        perm = sigma if isinstance(sigma, dict) else sigma.permutation
         if perm[v] != v:
             raise ValueError(f"vertex {v!r} is not fixed by the automorphism")
-        return self._fixed_vertex_term(g, v, perm)[0]
+        return self._fixed_vertex_term(_deleted_parts(g, v), perm)[0]
 
-    def _fixed_vertex_term(self, g, v, sigma):
-        h = delete_vertex(g, v)
-        if h.rank == 0:
-            return 1, "K(1)"
-        comps = connected_components(h)
-        comp_of = {}
-        for idx, (c, _) in enumerate(comps):
-            for x in c.vertices:
-                comp_of[x] = idx
-        if any(comp_of[x] != comp_of[sigma[x]] for x in h.vertices):
+    def _fixed_vertex_term(self, parts, sigma):
+        """Term of a fixed vertex from the (label, iso) components left by
+        deleting it; sigma and every iso use the same vertex ids."""
+        labels = [label for label, _ in parts]
+        comp_of = {x: idx for idx, (_, iso) in enumerate(parts) for x in iso}
+        if any(comp_of[sigma[x]] != idx for x, idx in comp_of.items()):
             # the involution shuffles whole components: halved count
-            kh = self.k(h).value
+            kh = self._k(labels).value
             if kh % 2 != 0:
                 raise AssertionError(
-                    f"component-swapping case met odd K({canonical_spec(h)})"
+                    f"component-swapping case met odd K({spec_of_labels(labels)})"
                 )
-            return kh // 2, f"1/2 K({canonical_spec(h)})"
+            return kh // 2, f"1/2 K({spec_of_labels(labels)})"
         factors = []
         descs = []
-        for c, _ in comps:
-            gamma = {x: sigma[x] for x in c.vertices}
-            label, iso = classify_irreducible(c)
-            if all(gamma[x] == x for x in c.vertices):
-                factors.append(self.k(c).value)
-                descs.append(f"K({label})")
-                continue
-            own = longest_element_automorphism(label)
-            if not own.is_identity():
-                mapped = {iso[x]: iso[gamma[x]] for x in c.vertices}
-                if mapped != own.permutation:
-                    raise AssertionError(
-                        f"restricted automorphism on {label} is neither trivial "
-                        f"nor the longest-element automorphism"
-                    )
-                factors.append(self.k(c).value)
+        for label, iso in parts:
+            gamma = {iso[x]: iso[sigma[x]] for x in iso}
+            own = longest_element_automorphism(label).permutation
+            if gamma == own or all(x == y for x, y in gamma.items()):
+                factors.append(self._k([label]).value)
                 descs.append(f"K({label})")
             elif label.family == "D" and label.rank % 2 == 0:
                 factors.append(self.k_bar(label.rank))
                 descs.append(f"Kbar(D{label.rank})")
             else:
                 raise AssertionError(
-                    f"unresolvable fixed-vertex case on component {label}; "
-                    f"only D_even admits the augmented substitution"
+                    f"restricted automorphism on {label} is neither trivial "
+                    f"nor the longest-element automorphism, and only D_even "
+                    f"admits the augmented substitution"
                 )
-        coeff = multinomial([c.rank for c, _ in comps])
-        value = coeff
-        for f_ in factors:
-            value *= f_
-        desc = f"{coeff} * " + " * ".join(descs) if len(comps) > 1 else descs[0]
-        return value, desc
+        coeff = multinomial([t.coxeter_rank for t in labels])
+        value = coeff * prod(factors)
+        if len(parts) > 1:
+            return value, f"{coeff} * " + " * ".join(descs)
+        return value, "".join(descs) or "K(1)"
 
     def k_bar(self, n) -> int:
         """Augmented count for D_n: chain orbits under the group extended by
@@ -204,11 +178,11 @@ class KCalculator:
         if n < 2:
             raise ValueError("k_bar is defined for n >= 2")
         if n % 2 == 1:
-            return self._k_of_d(n)
+            return self._k([TypeLabel("A", 3) if n == 3 else TypeLabel("D", n)]).value
         hit = self.bar_memo.get(n)
         if hit is not None:
             return hit.value
-        a = lambda i: self.k_value(f"A{i}") if i >= 1 else 1
+        a = lambda i: self._k([TypeLabel("A", i)]).value if i >= 1 else 1
         value = a(n - 1)
         terms = [(f"K(A{n - 1})", a(n - 1))]
         for i in range(2, n):
@@ -224,12 +198,10 @@ class KCalculator:
         self.bar_memo[n] = result
         return value
 
-    def _k_of_d(self, n) -> int:
-        if n == 2:
-            return self.k_value("A1xA1")
-        if n == 3:
-            return self.k_value("A3")
-        return self.k_value(f"D{n}")
+
+def _deleted_parts(g: CoxeterGraph, v):
+    """(label, iso) per component of g minus v, ordered by smallest vertex id."""
+    return [classify_irreducible(c) for c, _ in connected_components(delete_vertex(g, v))]
 
 
 _default = KCalculator()
@@ -242,11 +214,3 @@ def k_recursive(g) -> KResult:
 
 def k_bar(g) -> int:
     return _default.k_bar(g)
-
-
-def fixed_vertex_term(g, v, sigma) -> int:
-    return _default.fixed_vertex_term(g, v, sigma)
-
-
-def k_product(components) -> KResult:
-    return _default.k_product(components)

@@ -1,4 +1,8 @@
 import json
+import os
+import stat
+
+import pytest
 
 from coxchains import cli
 
@@ -147,3 +151,127 @@ def test_export_lattice_unsupported(capsys, tmp_path):
     code = cli.main(["export-lattice", "E8", str(tmp_path / "x.json")])
     capsys.readouterr()
     assert code == cli.EXIT_UNSUPPORTED
+
+
+def write_cache(path, results, version=None):
+    data = {"engine_version": cli.ENGINE_VERSION if version is None else version,
+            "results": results}
+    path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize("content, reason", [
+    ('{"engine_version": 1, "results": {"A3": {"val', "unreadable"),
+    ('{"engine_version": 1, "results": []}', '"results" is not an object'),
+    ("[1, 2]", "the top level is not an object"),
+], ids=["truncated", "results-list", "top-level-array"])
+def test_unreadable_cache_file_is_ignored_with_warning(capsys, tmp_path, content, reason):
+    cache = tmp_path / "c.json"
+    cache.write_text(content)
+    code, out, err = run(capsys, "compute", "A3", "--method", "recursion",
+                         "--cache", str(cache))
+    assert code == cli.EXIT_OK
+    assert out.strip() == "2"
+    assert len(err.splitlines()) == 1
+    assert err.startswith("warning: ignoring cache file") and reason in err
+
+
+def test_ill_typed_cache_entry_is_dropped(capsys, tmp_path):
+    cache = tmp_path / "c.json"
+    write_cache(cache, {"A3": {"value": "x", "method": "summ2", "terms": []},
+                        "A1": {"value": "1", "method": "base-case",
+                               "terms": [["A1", "1"]]}})
+    code, out, err = run(capsys, "compute", "A3", "--method", "recursion",
+                         "--cache", str(cache))
+    assert code == cli.EXIT_OK
+    assert out.strip() == "2"
+    assert len(err.splitlines()) == 1 and "A3" in err and "A1" not in err
+
+
+def test_poisoned_cache_entry_is_not_printed(capsys, tmp_path):
+    cache = tmp_path / "c.json"
+    write_cache(cache, {"A3": {"value": "7", "terms": []}})
+    code, out, err = run(capsys, "compute", "A3", "--method", "recursion",
+                         "--cache", str(cache))
+    assert code == cli.EXIT_OK
+    assert out.strip() == "2"
+    assert "A3" in err
+    assert json.loads(cache.read_text())["results"]["A3"]["value"] == "2"
+
+
+@pytest.mark.parametrize("entry", [
+    {"value": "7", "method": "summ1", "terms": [["a", "3"], ["b", "3"]]},
+    {"value": "7", "method": "product", "terms": [["a", "2"], ["b", "3"]]},
+    {"value": "7", "method": "base-case", "terms": [["A1", "7"]]},
+    {"value": "7", "method": "guess", "terms": [["a", "7"]]},
+], ids=["summ", "product", "base-case", "unknown-method"])
+def test_cache_entry_contradicting_its_terms_is_dropped(capsys, tmp_path, entry):
+    cache = tmp_path / "c.json"
+    write_cache(cache, {"A3": entry})
+    calc = cli.KCalculator()
+    disk = cli.DiskCache(str(cache))
+    assert disk.load_into(calc) == 0
+    assert calc.memo == {}
+    assert [r.split(" ")[0] for r in disk.rejected] == ["A3"]
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_verify_names_every_bad_cache_entry(capsys, tmp_path):
+    cache = tmp_path / "c.json"
+    write_cache(cache, {"A3": {"value": "7", "terms": []},
+                        "B3": {"value": "y", "method": "summ1", "terms": []},
+                        "Q9": {"value": "1", "method": "base-case", "terms": []}})
+    args = cli.build_parser().parse_args(["verify", "--cache", str(cache)])
+    check = dict(cli._verify_checks(args))["cache-consistency"]
+    ok, detail = check()
+    assert not ok
+    assert "A3" in detail and "B3" in detail and "Q9" in detail
+
+
+def test_cache_write_uses_private_temp_file(capsys, tmp_path):
+    cache = tmp_path / "c.json"
+    # a leftover at the old shared temp name must not stop the write
+    (tmp_path / "c.json.tmp").mkdir()
+    umask = os.umask(0o022)
+    try:
+        code, out, err = run(capsys, "compute", "A3", "--method", "recursion",
+                             "--cache", str(cache))
+    finally:
+        os.umask(umask)
+    assert code == cli.EXIT_OK and err == ""
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o644
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "c.json.tmp"]
+
+
+def test_unwritable_cache_path_warns(capsys, tmp_path):
+    cache = tmp_path / "missing-dir" / "c.json"
+    code, out, err = run(capsys, "compute", "A3", "--method", "recursion",
+                         "--cache", str(cache))
+    assert code == cli.EXIT_OK
+    assert out.strip() == "2"
+    assert err.startswith("warning: could not write cache file")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "A3", "--workers", "0"],
+    ["verify", "--workers", "0"],
+    ["table", "--max-rank", "-5"],
+])
+def test_out_of_range_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "must be >=" in err and "Traceback" not in err
+
+
+def test_warm_request_leaves_cache_file_untouched(capsys, tmp_path):
+    cache = tmp_path / "c.json"
+    run(capsys, "compute", "E6", "--method", "recursion", "--cache", str(cache))
+    before = cache.stat().st_ino  # a rewrite replaces the file
+    # D5 is a parabolic subgroup of E6, so its value is already cached
+    code, out, _ = run(capsys, "compute", "D5", "--method", "recursion",
+                       "--cache", str(cache))
+    assert code == cli.EXIT_OK and out.strip() == "26"
+    assert cache.stat().st_ino == before
+    run(capsys, "compute", "E7", "--method", "recursion", "--cache", str(cache))
+    assert "E7" in json.loads(cache.read_text())["results"]

@@ -6,12 +6,15 @@ from coxchains.graphs import (
     TypeLabel,
     canonical_spec,
     classify_irreducible,
+    component_labels,
     connected_components,
     delete_vertex,
     graph_automorphism,
     longest_element_automorphism,
     make_graph,
     parse_group_spec,
+    parse_labels,
+    spec_of_labels,
     standard_graph,
 )
 
@@ -165,3 +168,42 @@ def test_graph_automorphism_transport():
 def test_canonical_spec_sorted():
     assert canonical_spec(parse_group_spec("D5xA2xB3")) == "A2xB3xD5"
     assert canonical_spec(parse_group_spec("I2(7)xA1")) == "A1xI2(7)"
+
+
+def test_spec_round_trip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    labels = st.one_of(
+        st.builds(TypeLabel, st.just("A"), st.integers(1, 12)),
+        st.builds(TypeLabel, st.just("B"), st.integers(2, 12)),
+        st.builds(TypeLabel, st.just("D"), st.integers(4, 12)),
+        st.sampled_from([TypeLabel("E", 6), TypeLabel("E", 7), TypeLabel("E", 8),
+                         TypeLabel("F", 4), TypeLabel("H", 3), TypeLabel("H", 4)]),
+        st.builds(TypeLabel, st.just("I2"), st.integers(5, 40)),
+    )
+
+    def spellings(t):
+        names = {str(t)}
+        if t.family == "B":
+            names.add(f"C{t.rank}")
+        if t == TypeLabel("I2", 6):
+            names.add("G2")
+        return st.sampled_from(sorted(names)).flatmap(
+            lambda name: st.sampled_from([name, name.lower()]))
+
+    @hypothesis.given(st.lists(labels, max_size=5).flatmap(
+        lambda ts: st.tuples(st.just(ts), st.tuples(*map(spellings, ts)))))
+    @hypothesis.settings(max_examples=200, deadline=None)
+    def check(case):
+        ts, names = case
+        spec = "x".join(names) or "1"
+        g = parse_group_spec(spec)
+        assert parse_labels(spec) == ts
+        assert component_labels(g) == ts
+        canon = canonical_spec(g)
+        assert canon == spec_of_labels(ts)
+        assert canonical_spec(parse_group_spec(canon)) == canon
+        assert sorted(parse_labels(canon), key=str) == sorted(ts, key=str)
+
+    check()

@@ -1,8 +1,12 @@
+import random
+from collections import Counter
+
 import pytest
 
-from coxchains.graphs import graph_automorphism, parse_group_spec
+from coxchains import graphs, recursion
+from coxchains.graphs import graph_automorphism, make_graph, parse_group_spec
 from coxchains.recursion import KCalculator, k_recursive, multinomial
-from coxchains.series import euler_numbers
+from coxchains.series import d_closed_form, euler_numbers
 
 D_VALUES = {2: 2, 3: 2, 4: 12, 5: 26, 6: 178, 7: 594, 8: 4792, 9: 21682,
              10: 202374, 11: 1160026, 12: 12303332}
@@ -24,14 +28,14 @@ def test_rank_at_most_one_is_trivial():
 
 
 def test_a_type_equals_euler_zigzag():
-    t = euler_numbers(12)
-    for n in range(1, 13):
+    t = euler_numbers(40)
+    for n in range(1, 41):
         assert k_recursive(f"A{n}").value == t[n]
 
 
 def test_b_type_equals_shifted_zigzag():
-    t = euler_numbers(13)
-    for n in range(2, 13):
+    t = euler_numbers(41)
+    for n in range(2, 41):
         assert k_recursive(f"B{n}").value == t[n + 1]
 
 
@@ -39,6 +43,8 @@ def test_d_type_values():
     for n, v in D_VALUES.items():
         spec = {2: "A1xA1", 3: "A3"}.get(n, f"D{n}")
         assert k_recursive(spec).value == v
+    for n in range(2, 41):
+        assert k_recursive(f"D{n}").value == d_closed_form(n)
 
 
 def test_bar_d_values():
@@ -160,3 +166,43 @@ def test_summ2_for_noncentral_longest_element():
     assert result.method == "summ2"
     assert len(result.terms) == 2
     assert result.value == 5
+
+
+def _relabelled(spec, ids):
+    """The graph of spec with vertex v renamed ids[v]."""
+    g = parse_group_spec(spec)
+    return make_graph([ids[v] for v in g.vertices],
+                      [(ids[v], ids[w], m) for v, w, m in g.edges])
+
+
+@pytest.mark.parametrize("spec, ids", [
+    ("E6", dict(zip(range(1, 7), random.Random(7).sample(range(1, 7), 6)))),
+    ("D5xA2", {v: v + 100 for v in range(1, 8)}),
+])
+def test_relabelled_graph_matches_spec(spec, ids):
+    want = KCalculator().k(spec)
+    got = KCalculator().k(_relabelled(spec, ids))
+    assert got.value == want.value
+    assert got.method == want.method
+    assert Counter(got.terms) == Counter(want.terms)
+
+
+def test_memo_hits_and_products_classify_only_at_entry(monkeypatch):
+    calc = KCalculator()
+    a5, b4 = calc.k_value("A5"), calc.k_value("B4")
+    calls = Counter()
+
+    def counting(module):
+        original = module.classify_irreducible
+
+        def classify(g):
+            calls[module.__name__] += 1
+            return original(g)
+        return classify
+
+    for module in (graphs, recursion):
+        monkeypatch.setattr(module, "classify_irreducible", counting(module))
+    result = calc.k("B4xA5")
+    assert result.value == multinomial([4, 5]) * b4 * a5
+    # one classification per component of the argument, none in the recursion
+    assert calls == Counter({"coxchains.graphs": 2})
