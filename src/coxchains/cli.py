@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Commands: compute, table, verify, export-lattice. Exit codes are part of
-the contract: 0 success, 2 parse error, 3 brute force unsupported for the
-requested type, 4 method disagreement, 1 verification failure.
+the contract: 0 success, 2 parse or usage error (an invalid flag, an
+unwritable export path), 3 brute force unsupported for the requested type,
+4 method disagreement, 1 verification failure.
 """
 
 from __future__ import annotations
@@ -398,8 +399,12 @@ def cmd_export_lattice(args) -> int:
     payload = {"group": canonical_spec(graph), "lattice": lattice_to_json(lattice)}
     if args.include_model:
         payload["model"] = model_to_json(model)
-    with open(args.output, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+    try:
+        with open(args.output, "w") as fh:
+            json.dump(payload, fh, indent=1, sort_keys=True)
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+        return EXIT_PARSE
     print(f"wrote {args.output}")
     return EXIT_OK
 

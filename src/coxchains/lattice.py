@@ -5,8 +5,8 @@ containing it, which makes deduplication and the group action cheap: a
 group element permutes root lines, hence hyperplane index sets. Maximal
 chains are counted by rank DP; chain orbits by canonical-representative
 hashing (lexicographically smallest image sequence, with the candidate
-group subset pruned rank by rank), with a union-find fallback kept as a
-second, independent implementation.
+group subset pruned rank by rank). The union-find counter is a second,
+independent implementation that the tests compare against.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .models import (
 @dataclass
 class IntersectionLattice:
     kind: str            # matrix | dihedral | product
-    elements: list       # Subspace for matrix models, opaque keys otherwise
+    elements: list       # Subspace | dihedral name | factor index tuple
     rank: list           # codimension within the essential space
     covers: list         # covers[i] = indices of elements directly above i
     bottom: int
@@ -45,7 +45,6 @@ class IntersectionLattice:
 @dataclass
 class GroupActionTable:
     rows: list            # rows[g] = tuple, image index per lattice element
-    group: list           # aligned group elements (perm tuples or pairs)
     generator_rows: list  # indices of generator rows within `rows`
 
     @property
@@ -73,48 +72,45 @@ def _containing_roots(roots, subspace):
 
 
 def _build_matrix_lattice(model: ReflectionModel) -> IntersectionLattice:
+    """Build rank by rank: a flat's covers are its closures with one more
+    root, each closed once from the flat's spanning roots and recorded as
+    found."""
     amb = model.ambient
     roots = model.roots
-    bottom_space = full_space(amb)
-    found = {frozenset(): bottom_space}
+    # hypset -> (subspace, independent root indices spanning its normals)
+    found = {frozenset(): (full_space(amb), ())}
+    ups = {}
     queue = [frozenset()]
-    while queue:
-        hypset = queue.pop()
+    for hypset in queue:  # FIFO, so rank r is done before rank r + 1
+        span = found[hypset][1]
+        seen = set(hypset)
+        ups[hypset] = []
         for a in range(len(roots)):
-            if a in hypset:
+            if a in seen:
                 continue
-            gen_rows = [list(roots[i]) for i in hypset] + [list(roots[a])]
-            sub = null_space(gen_rows, amb)
-            full_set = _containing_roots(roots, sub)
-            if full_set not in found:
-                found[full_set] = sub
-                queue.append(full_set)
-    order = sorted(found, key=lambda s: (amb - found[s].dim, tuple(sorted(s))))
-    elements = [found[s] for s in order]
-    rank = [amb - e.dim for e in elements]
+            sub = null_space([roots[i] for i in span + (a,)], amb)
+            cover = _containing_roots(roots, sub)
+            seen |= cover
+            ups[hypset].append(cover)
+            if cover not in found:
+                found[cover] = (sub, span + (a,))
+                queue.append(cover)
+    order = sorted(found, key=lambda s: (amb - found[s][0].dim, tuple(sorted(s))))
     index = {s: i for i, s in enumerate(order)}
-    n = max(rank)
-    by_rank = {}
-    for i, r in enumerate(rank):
-        by_rank.setdefault(r, []).append(i)
-    covers = [[] for _ in elements]
-    for r in range(n):
-        for i in by_rank.get(r, []):
-            for j in by_rank.get(r + 1, []):
-                if order[i] <= order[j]:
-                    covers[i].append(j)
+    elements = [found[s][0] for s in order]
+    rank = [amb - e.dim for e in elements]
     lattice = IntersectionLattice(
         kind="matrix",
         elements=elements,
         rank=rank,
-        covers=covers,
+        covers=[sorted(index[c] for c in ups[s]) for s in order],
         bottom=0,
         top=index[order[-1]],
-        essential_rank=n,
+        essential_rank=max(rank),
         hypsets=order,
     )
     _validate_graded(lattice)
-    if len(by_rank.get(1, [])) != len(roots):
+    if rank.count(1) != len(roots):
         raise AssertionError("rank-1 elements are not exactly the hyperplanes")
     return lattice
 
@@ -153,13 +149,18 @@ def _build_dihedral_lattice(model: DihedralModel) -> IntersectionLattice:
     )
 
 
+def _factor_key(lattice, i):
+    """Factor element indices of element i, flattened across products."""
+    return lattice.elements[i] if lattice.kind == "product" else (i,)
+
+
 def _product_lattice(lat1, tab1, lat2, tab2):
     pairs = sorted(
         itertools.product(range(len(lat1.elements)), range(len(lat2.elements))),
         key=lambda p: (lat1.rank[p[0]] + lat2.rank[p[1]], p[0], p[1]),
     )
     index = {p: i for i, p in enumerate(pairs)}
-    elements = [(lat1.elements[i], lat2.elements[j]) for i, j in pairs]
+    elements = [_factor_key(lat1, i) + _factor_key(lat2, j) for i, j in pairs]
     rank = [lat1.rank[i] + lat2.rank[j] for i, j in pairs]
     covers = []
     for i, j in pairs:
@@ -175,15 +176,14 @@ def _product_lattice(lat1, tab1, lat2, tab2):
         top=index[(lat1.top, lat2.top)],
         essential_rank=lat1.essential_rank + lat2.essential_rank,
     )
-    rows = []
-    group = []
-    for g1, row1 in zip(tab1.group, tab1.rows):
-        for g2, row2 in zip(tab2.group, tab2.rows):
-            rows.append(tuple(index[(row1[i], row2[j])] for i, j in pairs))
-            group.append((g1, g2))
+    rows = [
+        tuple(index[(row1[i], row2[j])] for i, j in pairs)
+        for row1 in tab1.rows
+        for row2 in tab2.rows
+    ]
     gen_rows = [g * len(tab2.rows) for g in tab1.generator_rows]
     gen_rows += list(tab2.generator_rows)
-    table = GroupActionTable(rows=rows, group=group, generator_rows=gen_rows)
+    table = GroupActionTable(rows=rows, generator_rows=gen_rows)
     return lattice, table
 
 
@@ -202,14 +202,12 @@ def _matrix_table(model: ReflectionModel, lattice: IntersectionLattice):
         rows.append(row)
         if el.perm in gen_perms:
             gen_rows.append(pos)
-    return GroupActionTable(rows=rows, group=[e.perm for e in elements],
-                            generator_rows=gen_rows)
+    return GroupActionTable(rows=rows, generator_rows=gen_rows)
 
 
 def _dihedral_table(model: DihedralModel, lattice: IntersectionLattice):
     m = model.m
     rows = []
-    group = []
     gen_rows = []
     for pos, el in enumerate(generate_group(model)):
         row = [0] * (m + 2)
@@ -217,11 +215,10 @@ def _dihedral_table(model: DihedralModel, lattice: IntersectionLattice):
         for k in range(m):
             row[1 + k] = 1 + model.line_image(el, k)
         rows.append(tuple(row))
-        group.append(el.perm)
         # the reflections across line 0 and line 1 generate I2(m)
         if el.perm in ((0, 1), (1, 1)):
             gen_rows.append(pos)
-    return GroupActionTable(rows=rows, group=group, generator_rows=gen_rows)
+    return GroupActionTable(rows=rows, generator_rows=gen_rows)
 
 
 def build_lattice_with_action(model):
@@ -236,10 +233,10 @@ def build_lattice_with_action(model):
         parts = [build_lattice_with_action(f) for f, _ in model.factors]
         if not parts:
             lattice = IntersectionLattice(
-                kind="product", elements=["V"], rank=[0], covers=[[]],
+                kind="product", elements=[()], rank=[0], covers=[[]],
                 bottom=0, top=0, essential_rank=0,
             )
-            table = GroupActionTable(rows=[(0,)], group=[()], generator_rows=[])
+            table = GroupActionTable(rows=[(0,)], generator_rows=[])
             return lattice, table
         lattice, table = parts[0]
         for lat2, tab2 in parts[1:]:
@@ -403,6 +400,8 @@ def lattice_to_json(l: IntersectionLattice) -> dict:
         entry = {"index": i, "codim": l.rank[i]}
         if l.kind == "matrix":
             entry["basis"] = [[str(x) for x in row] for row in e.basis]
+        elif l.kind == "product":
+            entry["key"] = list(e)
         else:
             entry["key"] = str(e)
         elems.append(entry)

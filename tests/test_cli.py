@@ -5,6 +5,8 @@ import stat
 import pytest
 
 from coxchains import cli
+from coxchains.lattice import build_lattice_with_action
+from coxchains.models import build_model
 
 
 def run(capsys, *argv):
@@ -151,6 +153,27 @@ def test_export_lattice_unsupported(capsys, tmp_path):
     code = cli.main(["export-lattice", "E8", str(tmp_path / "x.json")])
     capsys.readouterr()
     assert code == cli.EXIT_UNSUPPORTED
+
+
+def test_export_lattice_unwritable_path(capsys, tmp_path):
+    code = cli.main(["export-lattice", "A2", str(tmp_path / "missing" / "x.json")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_PARSE
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_export_lattice_product_keys(capsys, tmp_path):
+    out_path = tmp_path / "b2a1.json"
+    assert cli.main(["export-lattice", "B2xA1", str(out_path)]) == cli.EXIT_OK
+    elements = json.loads(out_path.read_text())["lattice"]["elements"]
+    b2, _ = build_lattice_with_action(build_model("B2"))
+    a1, _ = build_lattice_with_action(build_model("A1"))
+    keys = [tuple(e["key"]) for e in elements]
+    assert all(len(k) == 2 and all(type(i) is int for i in k) for k in keys)
+    assert len(set(keys)) == len(keys) == len(b2.elements) * len(a1.elements)
+    for e in elements:
+        i, j = e["key"]
+        assert e["codim"] == b2.rank[i] + a1.rank[j]
 
 
 def write_cache(path, results, version=None):

@@ -1,9 +1,15 @@
+import functools
 import itertools
 import json
 import random
 
-from coxchains.field import apply_matrix
+import pytest
+
+from coxchains.field import apply_matrix, full_space, null_space
 from coxchains.lattice import (
+    IntersectionLattice,
+    _containing_roots,
+    _validate_graded,
     build_lattice_with_action,
     count_chain_orbits,
     count_chain_orbits_unionfind,
@@ -62,8 +68,73 @@ def chain_count_formula(n):
     return math.factorial(n) * math.factorial(n - 1) // 2 ** (n - 1)
 
 
+@functools.cache
+def built(spec):
+    """(model, lattice, table) per spec, built once per test session."""
+    model = build_model(spec)
+    return (model, *build_lattice_with_action(model))
+
+
 def lattice_of(spec):
-    return build_lattice_with_action(build_model(spec))
+    return built(spec)[1:]
+
+
+def bfs_matrix_lattice(model):
+    """Oracle: the original builder, which closes every flat with every root
+    outside it and then finds covers by a subset test between ranks."""
+    amb = model.ambient
+    roots = model.roots
+    bottom_space = full_space(amb)
+    found = {frozenset(): bottom_space}
+    queue = [frozenset()]
+    while queue:
+        hypset = queue.pop()
+        for a in range(len(roots)):
+            if a in hypset:
+                continue
+            gen_rows = [list(roots[i]) for i in hypset] + [list(roots[a])]
+            sub = null_space(gen_rows, amb)
+            full_set = _containing_roots(roots, sub)
+            if full_set not in found:
+                found[full_set] = sub
+                queue.append(full_set)
+    order = sorted(found, key=lambda s: (amb - found[s].dim, tuple(sorted(s))))
+    elements = [found[s] for s in order]
+    rank = [amb - e.dim for e in elements]
+    index = {s: i for i, s in enumerate(order)}
+    n = max(rank)
+    by_rank = {}
+    for i, r in enumerate(rank):
+        by_rank.setdefault(r, []).append(i)
+    covers = [[] for _ in elements]
+    for r in range(n):
+        for i in by_rank.get(r, []):
+            for j in by_rank.get(r + 1, []):
+                if order[i] <= order[j]:
+                    covers[i].append(j)
+    lattice = IntersectionLattice(
+        kind="matrix",
+        elements=elements,
+        rank=rank,
+        covers=covers,
+        bottom=0,
+        top=index[order[-1]],
+        essential_rank=n,
+        hypsets=order,
+    )
+    _validate_graded(lattice)
+    if len(by_rank.get(1, [])) != len(roots):
+        raise AssertionError("rank-1 elements are not exactly the hyperplanes")
+    return lattice
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "B2", "B3", "D4", "H3"])
+def test_rank_by_rank_build_equals_bfs_oracle(spec):
+    model, lattice, _ = built(spec)
+    oracle = bfs_matrix_lattice(model)
+    for field in ("hypsets", "elements", "rank", "covers", "bottom", "top",
+                  "essential_rank"):
+        assert getattr(lattice, field) == getattr(oracle, field), field
 
 
 def root_pair(root):
@@ -98,8 +169,7 @@ def test_a3_rank_sizes_match_stirling():
 
 def test_a_type_lattice_is_partition_lattice():
     for n in (2, 3, 4, 5):
-        model = build_model(f"A{n}")
-        lattice, _ = build_lattice_with_action(model)
+        model, lattice, _ = built(f"A{n}")
         pairs = [root_pair(r) for r in model.roots]
         images = {
             partition_from_hypset(n + 1, pairs, hs) for hs in lattice.hypsets
@@ -165,8 +235,7 @@ def test_all_maximal_chains_have_full_length():
 
 def test_action_table_matches_matrix_action():
     for spec in ("A3", "B3"):
-        model = build_model(spec)
-        lattice, table = build_lattice_with_action(model)
+        model, lattice, table = built(spec)
         elements = generate_group(model)
         for _ in range(50):
             g = rng.randrange(len(elements))
@@ -208,6 +277,15 @@ def test_product_lattice_shape():
     assert count_chain_orbits(lattice, table).orbit_count == 2
 
 
+def test_nested_product_elements_are_flat_factor_indices():
+    lattice, _ = lattice_of("A1xB2xA2")
+    factors = [built(spec)[1] for spec in ("A1", "B2", "A2")]
+    assert len(set(lattice.elements)) == len(lattice.elements) == 2 * 6 * 5
+    for key, codim in zip(lattice.elements, lattice.rank):
+        assert len(key) == 3
+        assert codim == sum(f.rank[i] for f, i in zip(factors, key))
+
+
 def test_rank_zero_lattice():
     lattice, table = lattice_of("1")
     assert lattice.essential_rank == 0
@@ -216,8 +294,11 @@ def test_rank_zero_lattice():
 
 
 def test_lattice_json_is_deterministic():
-    a = json.dumps(lattice_to_json(lattice_of("B3")[0]), sort_keys=True)
-    b = json.dumps(lattice_to_json(lattice_of("B3")[0]), sort_keys=True)
+    def fresh(spec):
+        return build_lattice_with_action(build_model(spec))[0]
+
+    a = json.dumps(lattice_to_json(fresh("B3")), sort_keys=True)
+    b = json.dumps(lattice_to_json(fresh("B3")), sort_keys=True)
     assert a == b
     payload = lattice_to_json(lattice_of("A3")[0])
     assert payload["rank_sizes"] == [1, 6, 7, 1]
