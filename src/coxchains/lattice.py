@@ -3,15 +3,21 @@
 A lattice element is identified with the set of reflecting hyperplanes
 containing it, which makes deduplication and the group action cheap: a
 group element permutes root lines, hence hyperplane index sets. Maximal
-chains are counted by rank DP; chain orbits by canonical-representative
-hashing (lexicographically smallest image sequence, with the candidate
-group subset pruned rank by rank). The union-find counter is a second,
-independent implementation that the tests compare against.
+chains are counted by rank DP. Chain orbits are counted by visiting one
+chain per orbit: the canonical chain, which equals its own lexicographically
+smallest image. A depth-first scan extends a canonical prefix only by a
+cover that no element of the prefix's stabiliser moves lower, narrowing the
+stabiliser as it goes; each canonical maximal chain then contributes the
+orbit size |W| / |Stab|. The orbit sizes must sum to the maximal-chain
+count, which certifies the scan and the action table together. The
+union-find counter is a second, independent implementation that the tests
+compare against.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -155,32 +161,47 @@ def _factor_key(lattice, i):
 
 
 def _product_lattice(lat1, tab1, lat2, tab2):
+    n2 = len(lat2.elements)
     pairs = sorted(
-        itertools.product(range(len(lat1.elements)), range(len(lat2.elements))),
+        itertools.product(range(len(lat1.elements)), range(n2)),
         key=lambda p: (lat1.rank[p[0]] + lat2.rank[p[1]], p[0], p[1]),
     )
-    index = {p: i for i, p in enumerate(pairs)}
+    # flat[i * n2 + j] is the position of the pair (i, j)
+    flat = [0] * (len(lat1.elements) * n2)
+    for pos, (i, j) in enumerate(pairs):
+        flat[i * n2 + j] = pos
     elements = [_factor_key(lat1, i) + _factor_key(lat2, j) for i, j in pairs]
     rank = [lat1.rank[i] + lat2.rank[j] for i, j in pairs]
-    covers = []
-    for i, j in pairs:
-        ups = [index[(i2, j)] for i2 in lat1.covers[i]]
-        ups += [index[(i, j2)] for j2 in lat2.covers[j]]
-        covers.append(ups)
+    covers = [
+        [flat[i2 * n2 + j] for i2 in lat1.covers[i]]
+        + [flat[i * n2 + j2] for j2 in lat2.covers[j]]
+        for i, j in pairs
+    ]
     lattice = IntersectionLattice(
         kind="product",
         elements=elements,
         rank=rank,
         covers=covers,
-        bottom=index[(lat1.bottom, lat2.bottom)],
-        top=index[(lat1.top, lat2.top)],
+        bottom=flat[lat1.bottom * n2 + lat2.bottom],
+        top=flat[lat1.top * n2 + lat2.top],
         essential_rank=lat1.essential_rank + lat2.essential_rank,
     )
-    rows = [
-        tuple(index[(row1[i], row2[j])] for i, j in pairs)
-        for row1 in tab1.rows
+
+    # blocks[i][j] is the position of (i, j); `order` reads an (i, j)-major
+    # list in pair order. (g1, g2) acts as (g1, 1) after (1, g2), and one
+    # itemgetter per g2 composes the two in C. Factors have rank >= 1, so
+    # every itemgetter here takes at least two items and returns a tuple.
+    blocks = [flat[n2 * i:n2 * (i + 1)] for i in range(len(lat1.elements))]
+    order = operator.itemgetter(*(n2 * i + j for i, j in pairs))
+    chain = itertools.chain.from_iterable
+    acts2 = [
+        operator.itemgetter(*order(list(chain(map(operator.itemgetter(*row2), blocks)))))
         for row2 in tab2.rows
     ]
+    rows = []
+    for row1 in tab1.rows:
+        act1 = order(list(chain(map(blocks.__getitem__, row1))))
+        rows += [act2(act1) for act2 in acts2]
     gen_rows = [g * len(tab2.rows) for g in tab1.generator_rows]
     gen_rows += list(tab2.generator_rows)
     table = GroupActionTable(rows=rows, generator_rows=gen_rows)
@@ -273,32 +294,30 @@ def maximal_chains(l: IntersectionLattice):
 
 
 def _scan_atoms(covers, rows, atoms):
-    """Canonical-key counts for all chains passing through the given atoms."""
-    out = {}
-    group = range(len(rows))
+    """Orbit sizes of the canonical maximal chains through the given atoms;
+    `rows` is the whole action table."""
+    order = len(rows)
+    sizes = []
 
-    def dfs(elem, cands, key):
-        ups = covers[elem]
-        if not ups:
-            out[key] = out.get(key, 0) + 1
+    def extend(d, stab):
+        # stab holds the rows that fix the canonical chain below d
+        # elementwise; the chain through d is canonical iff none maps d lower
+        ims = list(map(operator.itemgetter(d), stab))
+        if min(ims) != d:
             return
-        for d in ups:
-            best = None
-            kept = []
-            for g in cands:
-                im = rows[g][d]
-                if best is None or im < best:
-                    best = im
-                    kept = [g]
-                elif im == best:
-                    kept.append(g)
-            dfs(d, kept, key + (best,))
+        stab = list(itertools.compress(stab, map(d.__eq__, ims)))
+        if not covers[d]:
+            if order % len(stab):
+                raise AssertionError(
+                    f"chain stabiliser of order {len(stab)} does not divide "
+                    f"|W| = {order}")
+            sizes.append(order // len(stab))
+        for up in covers[d]:
+            extend(up, stab)
 
     for atom in atoms:
-        best = min(rows[g][atom] for g in group)
-        cands = [g for g in group if rows[g][atom] == best]
-        dfs(atom, cands, (best,))
-    return out
+        extend(atom, rows)
+    return sizes
 
 
 def _scan_atoms_job(args):
@@ -309,36 +328,37 @@ def count_chain_orbits(l: IntersectionLattice, table: GroupActionTable,
                        workers: int = 1) -> ChainOrbitCount:
     """Orbit count of the group action on maximal chains.
 
-    A chain's orbit key is the lexicographically smallest image sequence
-    over all group elements, computed incrementally: at each rank the
-    candidate set shrinks to the subgroup coset realizing the minimum so
-    far. Partitioning the chain space by atom makes the result identical
-    for any worker count.
+    Each orbit is visited once, at its canonical chain: the chain that
+    equals its own lexicographically smallest image. A prefix of a
+    canonical chain is canonical, and a canonical prefix p extends by a
+    cover d to a canonical prefix exactly when no element of Stab(p) maps
+    d below d; the stabiliser of the longer prefix is the part of Stab(p)
+    that fixes d. A canonical maximal chain c contributes the orbit size
+    |W| / |Stab(c)|. Two checks certify the result: every chain stabiliser
+    order divides |W| (Lagrange), and the orbit sizes sum to the number of
+    maximal chains. A table with a row missing fails them.
+    The canonical atoms are found first and dealt round-robin to the
+    workers, so the result is identical for any worker count.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    atoms = sorted(l.covers[l.bottom])
-    merged = {}
+    rows = table.rows
+    atoms = [a for a in l.covers[l.bottom]
+             if min(map(operator.itemgetter(a), rows)) == a]
+    if not l.covers[l.bottom]:
+        atoms = [l.bottom]  # rank-0 lattice: the bottom is the only chain
     if workers == 1 or len(atoms) <= 1:
-        merged = _scan_atoms(l.covers, table.rows, atoms)
+        sizes = _scan_atoms(l.covers, rows, atoms)
     else:
         chunks = [atoms[i::workers] for i in range(min(workers, len(atoms)))]
-        jobs = [(l.covers, table.rows, c) for c in chunks]
+        jobs = [(l.covers, rows, c) for c in chunks]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            for part in pool.map(_scan_atoms_job, jobs):
-                for key, cnt in part.items():
-                    merged[key] = merged.get(key, 0) + cnt
-    if not atoms:  # rank-0 lattice: the empty chain is the single orbit
-        merged = {(): 1}
-    sizes = tuple(sorted(merged.values()))
+            sizes = [s for part in pool.map(_scan_atoms_job, jobs) for s in part]
+    sizes = tuple(sorted(sizes))
     total = sum(sizes)
     if total != count_maximal_chains(l):
         raise AssertionError("orbit sizes do not sum to the chain count")
-    order = table.group_order
-    for s in sizes:
-        if order % s != 0:
-            raise AssertionError(f"orbit size {s} does not divide |W| = {order}")
-    return ChainOrbitCount(total_chains=total, orbit_count=len(merged),
+    return ChainOrbitCount(total_chains=total, orbit_count=len(sizes),
                            orbit_sizes=sizes)
 
 

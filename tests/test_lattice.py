@@ -7,8 +7,10 @@ import pytest
 
 from coxchains.field import apply_matrix, full_space, null_space
 from coxchains.lattice import (
+    GroupActionTable,
     IntersectionLattice,
     _containing_roots,
+    _product_lattice,
     _validate_graded,
     build_lattice_with_action,
     count_chain_orbits,
@@ -254,13 +256,24 @@ def test_action_rows_are_lattice_automorphisms():
 
 
 def test_unionfind_agrees_with_canonical():
-    for spec in ("A3", "B3", "D4", "I2(6)", "A2xA1"):
+    for spec in ("A3", "B3", "D4", "I2(6)", "A2xA1",
+                 "A2xA2xA1", "B2xA1xA1", "I2(5)xA2", "A1xA1xA1"):
         lattice, table = lattice_of(spec)
         fast = count_chain_orbits(lattice, table)
         slow = count_chain_orbits_unionfind(lattice, table)
-        assert fast.orbit_count == slow.orbit_count
-        assert fast.orbit_sizes == slow.orbit_sizes
-        assert fast.total_chains == slow.total_chains
+        assert fast.orbit_count == slow.orbit_count, spec
+        assert fast.orbit_sizes == slow.orbit_sizes, spec
+        assert fast.total_chains == slow.total_chains, spec
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "A2xA1"])
+def test_table_missing_a_row_fails_the_certificate(spec, workers):
+    lattice, table = lattice_of(spec)
+    partial = GroupActionTable(rows=table.rows[:-1],
+                               generator_rows=table.generator_rows)
+    with pytest.raises(AssertionError):
+        count_chain_orbits(lattice, partial, workers=workers)
 
 
 def test_worker_count_does_not_change_result():
@@ -275,6 +288,31 @@ def test_product_lattice_shape():
     assert lattice.rank_sizes() == (1, 2, 1)
     assert count_maximal_chains(lattice) == 2
     assert count_chain_orbits(lattice, table).orbit_count == 2
+
+
+def tuple_keyed_product_rows(lat1, tab1, lat2, tab2):
+    """Oracle: product action rows through a dict keyed by element pairs."""
+    pairs = sorted(
+        itertools.product(range(len(lat1.elements)), range(len(lat2.elements))),
+        key=lambda p: (lat1.rank[p[0]] + lat2.rank[p[1]], p[0], p[1]),
+    )
+    index = {p: i for i, p in enumerate(pairs)}
+    return [
+        tuple(index[(row1[i], row2[j])] for i, j in pairs)
+        for row1 in tab1.rows
+        for row2 in tab2.rows
+    ]
+
+
+@pytest.mark.parametrize("spec", ["A1xB2xA2", "B2xI2(5)", "A2xA1xA1"])
+def test_product_rows_equal_tuple_keyed_oracle(spec):
+    factors = [lattice_of(f) for f in spec.split("x")]
+    lattice, table = factors[0]
+    for lat2, tab2 in factors[1:]:
+        expected = tuple_keyed_product_rows(lattice, table, lat2, tab2)
+        lattice, table = _product_lattice(lattice, table, lat2, tab2)
+        assert table.rows == expected
+    assert table.rows == lattice_of(spec)[1].rows
 
 
 def test_nested_product_elements_are_flat_factor_indices():
