@@ -18,6 +18,9 @@ class SingularMatrixError(ValueError):
     pass
 
 
+_FRAC_ZERO = Fraction(0)
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -38,7 +41,7 @@ class FieldScalar:
     def of(x, field: str = FIELD_Q) -> "FieldScalar":
         if isinstance(x, FieldScalar):
             return x
-        return FieldScalar(_frac(x), Fraction(0), field)
+        return FieldScalar(_frac(x), _FRAC_ZERO, field)
 
     @staticmethod
     def sqrt5_part(a, b) -> "FieldScalar":
@@ -57,6 +60,8 @@ class FieldScalar:
 
     def __add__(self, other):
         other = FieldScalar.of(other, self.field)
+        if not (self.b or other.b):  # rational operands: skip the sqrt5 terms
+            return FieldScalar(self.a + other.a, _FRAC_ZERO, self._join(other))
         return FieldScalar(self.a + other.a, self.b + other.b, self._join(other))
 
     __radd__ = __add__
@@ -72,6 +77,8 @@ class FieldScalar:
 
     def __mul__(self, other):
         other = FieldScalar.of(other, self.field)
+        if not (self.b or other.b):
+            return FieldScalar(self.a * other.a, _FRAC_ZERO, self._join(other))
         return FieldScalar(
             self.a * other.a + 5 * self.b * other.b,
             self.a * other.b + self.b * other.a,

@@ -2,31 +2,40 @@
 
 A lattice element is identified with the set of reflecting hyperplanes
 containing it, which makes deduplication and the group action cheap: a
-group element permutes root lines, hence hyperplane index sets. Maximal
-chains are counted by rank DP. Chain orbits are counted by visiting one
-chain per orbit: the canonical chain, which equals its own lexicographically
-smallest image. A depth-first scan extends a canonical prefix only by a
-cover that no element of the prefix's stabiliser moves lower, narrowing the
-stabiliser as it goes; each canonical maximal chain then contributes the
-orbit size |W| / |Stab|. The orbit sizes must sum to the maximal-chain
-count, which certifies the scan and the action table together. The
-union-find counter is a second, independent implementation that the tests
-compare against.
+group element permutes root lines, hence hyperplane index sets. The closure
+that finds the flats runs on plain integers: roots become primitive integer
+rows (over Q(sqrt5) in coordinates over Q(phi), at twice the width), and
+membership in a span is a zero test of integer dot products with
+fraction-free null vectors. Exact `FieldScalar` arithmetic remains for
+model construction and for each flat's basis, which is computed once after
+the closure and written by the export. The action table is computed from
+hypset images for the generators only; every other row is composed from its
+parent's row along the group's breadth-first closure. Maximal chains are
+counted by rank DP. Chain orbits are counted by visiting one chain per
+orbit: the canonical chain, which equals its own lexicographically smallest
+image. A depth-first scan extends a canonical prefix only by a cover that
+no element of the prefix's stabiliser moves lower, narrowing the stabiliser
+as it goes; each canonical maximal chain then contributes the orbit size
+|W| / |Stab|. The orbit sizes must sum to the maximal-chain count, which
+certifies the scan and the action table together. The union-find counter is
+a second, independent implementation that the tests compare against.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .field import ZERO, full_space, null_space
+from .field import FIELD_QSQRT5, Subspace, null_space
 from .models import (
     DihedralModel,
     ProductModel,
     ReflectionModel,
     generate_group,
+    group_bfs,
 )
 
 
@@ -65,60 +74,160 @@ class ChainOrbitCount:
     orbit_sizes: tuple
 
 
-def _dot_zero(u, v) -> bool:
-    return sum((a * b for a, b in zip(u, v)), ZERO).is_zero()
+def _primitive(row):
+    g = math.gcd(*row)
+    return [x // g for x in row]
 
 
-def _containing_roots(roots, subspace):
+def _integer_lines(model: ReflectionModel):
+    """Each root as a primitive integer vector, and integer rows whose
+    Q-span is the root's line.
+
+    Over Q a root is its own line. Over Q(sqrt5) a coordinate a + b*sqrt5
+    is written (a - b) + 2b*phi with phi = (1 + sqrt5)/2, giving two
+    rational coordinates, and the line through r is the Q-span of r and
+    phi*r, where phi*(x0, x1) = (x1, x0 + x1). So the K-span of a set of
+    roots is the Q-span of their rows, and one integer kernel serves both
+    fields, at twice the width over Q(sqrt5).
+    """
+    realify = model.field == FIELD_QSQRT5
+    vecs, lines = [], []
+    for root in model.roots:
+        if realify:
+            coords = [q for x in root for q in (x.a - x.b, 2 * x.b)]
+        else:
+            coords = [x.a for x in root]
+        scale = math.lcm(*(q.denominator for q in coords))
+        vec = _primitive([int(q * scale) for q in coords])
+        vecs.append(vec)
+        if realify:
+            pairs = zip(vec[::2], vec[1::2])
+            lines.append([vec, [y for x0, x1 in pairs for y in (x1, x0 + x1)]])
+        else:
+            lines.append([vec])
+    return vecs, lines
+
+
+def _echelon(rows, pivots, new):
+    """Add integer rows to a fraction-free reduced echelon form, in which
+    every row is primitive and each pivot column is zero outside its pivot
+    row. Returns new lists (rows, pivots); the arguments are not changed."""
+    rows, pivots = list(rows), list(pivots)
+    for row in new:
+        for prow, p in zip(rows, pivots):
+            x = row[p]
+            if x:
+                d = prow[p]
+                row = [d * u - x * w for u, w in zip(row, prow)]
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is None:
+            continue
+        row = _primitive(row)
+        d = row[p]
+        for k, prow in enumerate(rows):
+            x = prow[p]
+            if x:
+                rows[k] = _primitive([d * u - x * w for u, w in zip(prow, row)])
+        rows.append(row)
+        pivots.append(p)
+    return rows, pivots
+
+
+def _null_vectors(rows, pivots, width):
+    """Integer basis of the vectors v with row . v = 0 for every row of a
+    reduced echelon form, built without division: a free column f gets
+    v[f] = the product of the pivot entries and, for each row, v[pivot] =
+    -row[f] times the product of the other pivot entries."""
+    heads = [row[p] for row, p in zip(rows, pivots)]
+    before = list(itertools.accumulate(heads, operator.mul, initial=1))
+    after = list(itertools.accumulate(reversed(heads), operator.mul, initial=1))
+    others = [before[i] * after[-2 - i] for i in range(len(heads))]
     out = []
-    for i, r in enumerate(roots):
-        if all(_dot_zero(r, row) for row in subspace.basis):
-            out.append(i)
-    return frozenset(out)
+    for f in range(width):
+        if f in pivots:
+            continue
+        v = [0] * width
+        v[f] = before[-1]
+        for row, p, o in zip(rows, pivots, others):
+            v[p] = -row[f] * o
+        out.append(v)
+    return out
 
 
 def _build_matrix_lattice(model: ReflectionModel) -> IntersectionLattice:
     """Build rank by rank: a flat's covers are its closures with one more
     root, each closed once from the flat's spanning roots and recorded as
-    found."""
-    amb = model.ambient
-    roots = model.roots
-    # hypset -> (subspace, independent root indices spanning its normals)
-    found = {frozenset(): (full_space(amb), ())}
-    ups = {}
-    queue = [frozenset()]
-    for hypset in queue:  # FIFO, so rank r is done before rank r + 1
-        span = found[hypset][1]
-        seen = set(hypset)
-        ups[hypset] = []
-        for a in range(len(roots)):
-            if a in seen:
+    found.
+
+    The closure runs on integers only (`_integer_lines`): the spanning rows
+    plus the new root are brought to a fraction-free echelon form, and the
+    cover is every root orthogonal to all of its null vectors. Flats are
+    root-index bitmasks while building; each flat's exact `Subspace` is
+    computed once at the end, from its spanning roots.
+    """
+    vecs, lines = _integer_lines(model)
+    width = len(vecs[0])
+    n = len(vecs)
+    masks = [0]        # flat id -> bitmask of the roots containing the flat
+    spans = [()]       # flat id -> independent roots spanning its normals
+    ids = {0: 0}
+    ups = []           # flat id -> ids of the flats covering it
+    for mask, span in zip(masks, spans):  # FIFO: rank r before rank r + 1
+        base = _echelon((), (), [row for i in span for row in lines[i]])
+        seen = mask
+        flat_ups = []
+        for a in range(n):
+            if seen >> a & 1:
                 continue
-            sub = null_space([roots[i] for i in span + (a,)], amb)
-            cover = _containing_roots(roots, sub)
+            nulls = _null_vectors(*_echelon(*base, lines[a]), width)
+            # every root below a is in `seen`, and a root already in another
+            # cover of this flat lies in no other cover
+            cover = mask | 1 << a
+            for c in range(a + 1, n):
+                if not seen >> c & 1 and not any(
+                        sum(map(operator.mul, vecs[c], v)) for v in nulls):
+                    cover |= 1 << c
             seen |= cover
-            ups[hypset].append(cover)
-            if cover not in found:
-                found[cover] = (sub, span + (a,))
-                queue.append(cover)
-    order = sorted(found, key=lambda s: (amb - found[s][0].dim, tuple(sorted(s))))
-    index = {s: i for i, s in enumerate(order)}
-    elements = [found[s][0] for s in order]
-    rank = [amb - e.dim for e in elements]
+            if cover not in ids:
+                ids[cover] = len(masks)
+                masks.append(cover)
+                spans.append(span + (a,))
+            flat_ups.append(ids[cover])
+        ups.append(flat_ups)
+    hyps = [tuple(i for i in range(n) if m >> i & 1) for m in masks]
+    order = sorted(range(len(masks)), key=lambda f: (len(spans[f]), hyps[f]))
+    position = [0] * len(order)
+    for i, f in enumerate(order):
+        position[f] = i
+    rank = [len(spans[f]) for f in order]
     lattice = IntersectionLattice(
         kind="matrix",
-        elements=elements,
+        elements=_flat_bases(model, [spans[f] for f in order]),
         rank=rank,
-        covers=[sorted(index[c] for c in ups[s]) for s in order],
+        covers=[sorted(position[c] for c in ups[f]) for f in order],
         bottom=0,
-        top=index[order[-1]],
-        essential_rank=max(rank),
-        hypsets=order,
+        top=len(order) - 1,
+        essential_rank=rank[-1],
+        hypsets=[frozenset(hyps[f]) for f in order],
     )
     _validate_graded(lattice)
-    if rank.count(1) != len(roots):
+    if rank.count(1) != n:
         raise AssertionError("rank-1 elements are not exactly the hyperplanes")
     return lattice
+
+
+def _flat_bases(model: ReflectionModel, spans):
+    """Each flat's exact `Subspace`, from its spanning roots. Equal scalars
+    are stored once: E6's 4598 bases hold 161k entries but few values."""
+    scalars = {}
+    bases = []
+    for span in spans:
+        sub = null_space([model.roots[i] for i in span], model.ambient)
+        basis = tuple(
+            tuple(scalars.setdefault((x.a, x.b, x.field), x) for x in row)
+            for row in sub.basis)
+        bases.append(Subspace(sub.ambient, basis))
+    return bases
 
 
 def _validate_graded(l: IntersectionLattice):
@@ -209,21 +318,23 @@ def _product_lattice(lat1, tab1, lat2, tab2):
 
 
 def _matrix_table(model: ReflectionModel, lattice: IntersectionLattice):
+    """Generator rows from hypset images; every other row composed along
+    the group's BFS: g = gen . h acts as gen's row read at h's row."""
     index = {s: i for i, s in enumerate(lattice.hypsets)}
-    elements = generate_group(model)
-    rows = []
     gen_rows = []
-    gen_perms = set(model.gen_perms)
-    for pos, el in enumerate(elements):
-        line_map = [abs(x) - 1 for x in el.perm]
-        row = tuple(
+    for perm in model.gen_perms:
+        line_map = [abs(x) - 1 for x in perm]
+        gen_rows.append(tuple(
             index[frozenset(line_map[i] for i in hypset)]
             for hypset in lattice.hypsets
-        )
-        rows.append(row)
-        if el.perm in gen_perms:
-            gen_rows.append(pos)
-    return GroupActionTable(rows=rows, generator_rows=gen_rows)
+        ))
+    _, steps = group_bfs(model)
+    rows = [tuple(range(len(lattice.hypsets)))]
+    for parent, g in steps[1:]:
+        rows.append(operator.itemgetter(*rows[parent])(gen_rows[g]))
+    # the BFS reaches each generator first, from the identity
+    return GroupActionTable(rows=rows,
+                            generator_rows=list(range(1, len(gen_rows) + 1)))
 
 
 def _dihedral_table(model: DihedralModel, lattice: IntersectionLattice):

@@ -373,27 +373,41 @@ def generate_group(model, element_cap: int = DEFAULT_ELEMENT_CAP):
         factor_lists = [generate_group(f, element_cap) for f, _ in model.factors]
         return [GroupElement(tuple(e.perm for e in combo))
                 for combo in itertools.product(*factor_lists)]
+    perms, _ = group_bfs(model, element_cap)
+    return [GroupElement(p) for p in perms]
+
+
+def group_bfs(model: ReflectionModel, element_cap: int = DEFAULT_ELEMENT_CAP):
+    """Breadth-first closure of a matrix model's generators.
+
+    Returns (perms, steps): the signed root permutations, identity first,
+    in the order `generate_group` lists them, and for each element after
+    the identity the pair (parent position, generator index) it was first
+    reached by, so perms[k] = gen_perms[g] . perms[parent].
+    """
     nroots = len(model.roots)
     identity = tuple(i + 1 for i in range(nroots))
     seen = {identity}
-    elements = [identity]
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for gen in model.gen_perms:
+    perms = [identity]
+    steps = [None]
+    start = 0
+    while start < len(perms):
+        end = len(perms)
+        for parent in range(start, end):
+            h = perms[parent]
+            for g, gen in enumerate(model.gen_perms):
                 prod = compose_perms(gen, h)
                 if prod not in seen:
                     seen.add(prod)
-                    elements.append(prod)
-                    nxt.append(prod)
-                    if len(elements) > element_cap:
+                    perms.append(prod)
+                    steps.append((parent, g))
+                    if len(perms) > element_cap:
                         raise UnsupportedModelError(
                             f"group closure exceeded the cap of {element_cap} "
                             f"elements; this type is too large for brute force"
                         )
-        frontier = nxt
-    return [GroupElement(p) for p in elements]
+        start = end
+    return perms, steps
 
 
 def reflecting_hyperplanes(model: ReflectionModel):

@@ -48,6 +48,21 @@ def test_field_axioms_randomized():
                 assert (y / x) * x == y
 
 
+def test_rational_operands_keep_the_sqrt5_tag():
+    # __eq__ ignores tags, so compare the tag itself
+    tagged = FieldScalar.of(Fraction(3, 2), FIELD_QSQRT5)
+    plain = FieldScalar.of(Fraction(-1, 3))
+    for x, y in ((tagged, plain), (plain, tagged)):
+        for result in (x + y, x - y, x * y):
+            assert result.field == FIELD_QSQRT5
+            assert result.b == 0
+    assert (tagged + plain).a == Fraction(7, 6)
+    assert (tagged - plain).a == Fraction(11, 6)
+    assert (plain - tagged).a == Fraction(-11, 6)
+    assert (tagged * plain).a == Fraction(-1, 2)
+    assert (plain * plain).field == FIELD_Q
+
+
 def test_scalar_sign_exact():
     # sqrt5 is between 2 and 3, so 2 - sqrt5 < 0 < 3 - sqrt5
     assert FieldScalar.sqrt5_part(2, -1).sign() == -1

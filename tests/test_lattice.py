@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from coxchains.field import apply_matrix, full_space, null_space
+from coxchains.field import ZERO, apply_matrix, canonical_subspace, full_space, null_space
 from coxchains.lattice import (
     GroupActionTable,
     IntersectionLattice,
-    _containing_roots,
+    _echelon,
+    _null_vectors,
     _product_lattice,
     _validate_graded,
     build_lattice_with_action,
@@ -81,6 +82,18 @@ def lattice_of(spec):
     return built(spec)[1:]
 
 
+def _dot_zero(u, v) -> bool:
+    return sum((a * b for a, b in zip(u, v)), ZERO).is_zero()
+
+
+def _containing_roots(roots, subspace):
+    out = []
+    for i, r in enumerate(roots):
+        if all(_dot_zero(r, row) for row in subspace.basis):
+            out.append(i)
+    return frozenset(out)
+
+
 def bfs_matrix_lattice(model):
     """Oracle: the original builder, which closes every flat with every root
     outside it and then finds covers by a subset test between ranks."""
@@ -130,13 +143,64 @@ def bfs_matrix_lattice(model):
     return lattice
 
 
-@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "B2", "B3", "D4", "H3"])
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4",
+                                  "H3"])
 def test_rank_by_rank_build_equals_bfs_oracle(spec):
     model, lattice, _ = built(spec)
     oracle = bfs_matrix_lattice(model)
     for field in ("hypsets", "elements", "rank", "covers", "bottom", "top",
                   "essential_rank"):
         assert getattr(lattice, field) == getattr(oracle, field), field
+
+
+def hypset_image_table(model, lattice):
+    """Oracle: every row of the action table from the image of each hypset."""
+    index = {s: i for i, s in enumerate(lattice.hypsets)}
+    rows = []
+    gen_rows = []
+    gen_perms = set(model.gen_perms)
+    for pos, el in enumerate(generate_group(model)):
+        line_map = [abs(x) - 1 for x in el.perm]
+        rows.append(tuple(
+            index[frozenset(line_map[i] for i in hypset)]
+            for hypset in lattice.hypsets
+        ))
+        if el.perm in gen_perms:
+            gen_rows.append(pos)
+    return GroupActionTable(rows=rows, generator_rows=gen_rows)
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4",
+                                  "H3", "F4"])
+def test_composed_table_equals_hypset_image_oracle(spec):
+    model, lattice, table = built(spec)
+    oracle = hypset_image_table(model, lattice)
+    assert table.rows == oracle.rows
+    assert table.generator_rows == oracle.generator_rows
+
+
+def test_integer_null_vectors_match_field_null_space():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    matrices = st.integers(1, 6).flatmap(lambda width: st.lists(
+        st.lists(st.integers(-4, 4), min_size=width, max_size=width),
+        min_size=1, max_size=6))
+
+    @hypothesis.given(matrices)
+    @hypothesis.settings(max_examples=200, deadline=None)
+    def check(rows):
+        width = len(rows[0])
+        reduced, pivots = _echelon((), (), rows)
+        nulls = _null_vectors(reduced, pivots, width)
+        expected = null_space(rows, width)
+        assert len(pivots) == width - expected.dim
+        assert len(nulls) == expected.dim
+        for v in nulls:
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+        assert canonical_subspace(nulls, width) == expected
+
+    check()
 
 
 def root_pair(root):
