@@ -4,17 +4,9 @@ recursion, and closed forms / generating series."""
 
 __version__ = "0.1.0"
 
-from .field import (
-    FieldScalar,
-    Subspace,
-    apply_matrix,
-    canonical_subspace,
-    intersect,
-    null_space,
-)
+from .field import FieldScalar, Subspace, canonical_subspace, null_space
 from .graphs import (
     CoxeterGraph,
-    DiagramAutomorphism,
     GroupSpecError,
     ClassificationError,
     TypeLabel,
@@ -30,21 +22,13 @@ from .lattice import (
     ChainOrbitCount,
     GroupActionTable,
     IntersectionLattice,
+    build_lattice,
     build_lattice_with_action,
     count_chain_orbits,
-    count_chain_orbits_unionfind,
     count_maximal_chains,
     orbit_count_of_lines,
 )
-from .models import (
-    GroupElement,
-    ReflectionModel,
-    UnsupportedModelError,
-    build_model,
-    fixed_space,
-    generate_group,
-    reflecting_hyperplanes,
-)
+from .models import ReflectionModel, UnsupportedModelError, build_model, group_bfs
 from .recursion import KCalculator, KResult, k_bar, k_recursive
 from .series import (
     EgfSeries,

@@ -25,6 +25,7 @@ from .graphs import (
     parse_group_spec,
 )
 from .lattice import (
+    build_lattice,
     build_lattice_with_action,
     count_chain_orbits,
     lattice_to_json,
@@ -392,7 +393,7 @@ def cmd_export_lattice(args) -> int:
         return EXIT_PARSE
     try:
         model = build_model(graph)
-        lattice, _ = build_lattice_with_action(model)
+        lattice = build_lattice(model)
     except UnsupportedModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

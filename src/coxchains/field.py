@@ -14,10 +14,6 @@ FIELD_Q = "Q"
 FIELD_QSQRT5 = "Q(sqrt5)"
 
 
-class SingularMatrixError(ValueError):
-    pass
-
-
 _FRAC_ZERO = Fraction(0)
 
 
@@ -204,19 +200,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def codim(self) -> int:
-        return self.ambient - len(self.basis)
-
-    def contains_vector(self, v) -> bool:
-        rows = [list(row) for row in self.basis]
-        return len(rref(rows + [list(v)])) == len(self.basis)
-
-    def __le__(self, other: "Subspace") -> bool:
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimension mismatch")
-        return all(other.contains_vector(row) for row in self.basis)
-
 
 def canonical_subspace(vectors, ambient: int) -> Subspace:
     """Canonical form (RREF basis) of the span of the given row vectors."""
@@ -227,14 +210,6 @@ def canonical_subspace(vectors, ambient: int) -> Subspace:
             )
     basis = rref([list(row) for row in vectors])
     return Subspace(ambient, tuple(tuple(row) for row in basis))
-
-
-def full_space(ambient: int, field: str = FIELD_Q) -> Subspace:
-    rows = [
-        [ONE if i == j else FieldScalar.of(0, field) for j in range(ambient)]
-        for i in range(ambient)
-    ]
-    return canonical_subspace(rows, ambient)
 
 
 def null_space(rows, ambient: int) -> Subspace:
@@ -258,80 +233,5 @@ def null_space(rows, ambient: int) -> Subspace:
     return canonical_subspace(basis, ambient)
 
 
-def orthogonal_rows(s: Subspace):
-    """Rows spanning the space of linear forms vanishing on s."""
-    if s.dim == 0:
-        return [
-            [ONE if i == j else ZERO for j in range(s.ambient)]
-            for i in range(s.ambient)
-        ]
-    return [list(row) for row in null_space(s.basis, s.ambient).basis]
-
-
-def intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    """Canonical form of the set intersection of two row-span subspaces."""
-    if s1.ambient != s2.ambient:
-        raise ValueError("ambient dimension mismatch")
-    normals = orthogonal_rows(s1) + orthogonal_rows(s2)
-    if not normals:
-        return s1
-    return null_space(normals, s1.ambient)
-
-
 def mat_vec(m, v):
     return [sum((m[i][j] * v[j] for j in range(len(v))), ZERO) for i in range(len(m))]
-
-
-def mat_mul(m1, m2):
-    n = len(m2)
-    cols = len(m2[0])
-    return [
-        [sum((m1[i][k] * m2[k][j] for k in range(n)), ZERO) for j in range(cols)]
-        for i in range(len(m1))
-    ]
-
-
-def identity_matrix(n, field: str = FIELD_Q):
-    return [
-        [ONE if i == j else FieldScalar.of(0, field) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def mat_inverse(m):
-    n = len(m)
-    field = scalar_field(m)
-    aug = [
-        [FieldScalar.of(x, field) for x in row]
-        + [ONE if i == j else ZERO for j in range(n)]
-        for i, row in enumerate(m)
-    ]
-    reduced = rref(aug)
-    if len(reduced) < n or any(
-        reduced[i][i] != ONE or any(not reduced[i][j].is_zero() for j in range(n) if j != i)
-        for i in range(n)
-    ):
-        raise SingularMatrixError("matrix is not invertible")
-    return [row[n:] for row in reduced]
-
-
-def is_invertible(m) -> bool:
-    try:
-        mat_inverse(m)
-        return True
-    except SingularMatrixError:
-        return False
-
-
-def apply_matrix(m, s: Subspace) -> Subspace:
-    """Canonical form of { m.x : x in s }; raises on singular m."""
-    if len(m) != s.ambient:
-        raise ValueError("matrix size does not match ambient dimension")
-    if not is_invertible(m):
-        raise SingularMatrixError("apply_matrix requires an invertible matrix")
-    rows = [mat_vec(m, list(row)) for row in s.basis]
-    return canonical_subspace(rows, s.ambient)
-
-
-def scalar_to_string(x: FieldScalar) -> str:
-    return str(x)

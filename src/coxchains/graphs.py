@@ -14,7 +14,7 @@ terms and the diagram automorphism depend on them):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class GroupSpecError(ValueError):
@@ -106,18 +106,6 @@ class TypeLabel:
         if self.family == "I2":
             return f"I2({self.rank})"
         return f"{self.family}{self.rank}"
-
-
-@dataclass
-class DiagramAutomorphism:
-    source: TypeLabel
-    permutation: dict = field(default_factory=dict)
-
-    def is_identity(self) -> bool:
-        return all(v == w for v, w in self.permutation.items())
-
-    def __call__(self, v):
-        return self.permutation[v]
 
 
 _TERM_RE = re.compile(r"^([A-Za-z]+)(\d+)?(?:\((\d+)\))?$")
@@ -213,12 +201,8 @@ def parse_group_spec(text: str) -> CoxeterGraph:
 
 
 def connected_components(g: CoxeterGraph):
-    """Components as (subgraph, embedding), ordered by smallest original id.
-
-    Subgraphs keep the original vertex ids; the embedding maps subgraph
-    vertex ids to original ids (here the identity map, kept explicit so
-    callers can reconstruct ids without assumptions).
-    """
+    """Component subgraphs, which keep the original vertex ids, ordered by
+    smallest vertex id."""
     remaining = set(g.vertices)
     components = []
     for start in sorted(g.vertices):
@@ -235,7 +219,7 @@ def connected_components(g: CoxeterGraph):
         remaining -= seen
         verts = tuple(sorted(seen))
         edges = frozenset((v, w, m) for v, w, m in g.edges if v in seen)
-        components.append((CoxeterGraph(verts, edges), {v: v for v in verts}))
+        components.append(CoxeterGraph(verts, edges))
     return components
 
 
@@ -364,8 +348,9 @@ def classify_irreducible(g: CoxeterGraph):
     return label, iso
 
 
-def longest_element_automorphism(t: TypeLabel) -> DiagramAutomorphism:
-    """The diagram automorphism s -> w0 s w0, on standard numbering.
+def longest_element_automorphism(t: TypeLabel) -> dict:
+    """The diagram automorphism s -> w0 s w0 as a vertex dict, on standard
+    numbering.
 
     Identity exactly for the types whose longest element is central:
     I2(m even), B_n, D_n (n even), H3, H4, E7, E8.
@@ -380,19 +365,11 @@ def longest_element_automorphism(t: TypeLabel) -> DiagramAutomorphism:
         perm = {1: 6, 6: 1, 3: 5, 5: 3, 2: 2, 4: 4}
     elif t.family == "I2" and t.rank % 2 == 1:
         perm = {1: 2, 2: 1}
-    return DiagramAutomorphism(t, perm)
-
-
-def graph_automorphism(g: CoxeterGraph) -> dict:
-    """The longest-element automorphism transported onto g's own vertex ids."""
-    label, iso = classify_irreducible(g)
-    inv = {i: v for v, i in iso.items()}
-    sigma = longest_element_automorphism(label)
-    return {v: inv[sigma(iso[v])] for v in g.vertices}
+    return perm
 
 
 def component_labels(g: CoxeterGraph):
-    return [classify_irreducible(c)[0] for c, _ in connected_components(g)]
+    return [classify_irreducible(c)[0] for c in connected_components(g)]
 
 
 def spec_of_labels(labels) -> str:

@@ -8,17 +8,19 @@ rows (over Q(sqrt5) in coordinates over Q(phi), at twice the width), and
 membership in a span is a zero test of integer dot products with
 fraction-free null vectors. Exact `FieldScalar` arithmetic remains for
 model construction and for each flat's basis, which is computed once after
-the closure and written by the export. The action table is computed from
-hypset images for the generators only; every other row is composed from its
-parent's row along the group's breadth-first closure. Maximal chains are
-counted by rank DP. Chain orbits are counted by visiting one chain per
-orbit: the canonical chain, which equals its own lexicographically smallest
-image. A depth-first scan extends a canonical prefix only by a cover that
-no element of the prefix's stabiliser moves lower, narrowing the stabiliser
-as it goes; each canonical maximal chain then contributes the orbit size
-|W| / |Stab|. The orbit sizes must sum to the maximal-chain count, which
-certifies the scan and the action table together. The union-find counter is
-a second, independent implementation that the tests compare against.
+the closure and written by the export, which builds the lattice alone
+(`build_lattice`). The action table of an irreducible model, matrix or
+dihedral, is computed from hypset images for the generators only; every
+other row is composed from its parent's row along the group's
+breadth-first closure, and a product composes its factors' tables.
+Maximal chains are counted by rank DP. Chain orbits are counted by
+visiting one chain per orbit: the canonical chain, which equals its own
+lexicographically smallest image. A depth-first scan extends a canonical
+prefix only by a cover that no element of the prefix's stabiliser moves
+lower, narrowing the stabiliser as it goes; each canonical maximal chain
+then contributes the orbit size |W| / |Stab|. The orbit sizes must sum to
+the maximal-chain count, which certifies the scan and the action table
+together.
 """
 
 from __future__ import annotations
@@ -30,13 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .field import FIELD_QSQRT5, Subspace, null_space
-from .models import (
-    DihedralModel,
-    ProductModel,
-    ReflectionModel,
-    generate_group,
-    group_bfs,
-)
+from .models import DihedralModel, ProductModel, ReflectionModel, group_bfs
 
 
 @dataclass
@@ -48,7 +44,7 @@ class IntersectionLattice:
     bottom: int
     top: int
     essential_rank: int
-    hypsets: list | None = None  # matrix models: containing-hyperplane sets
+    hypsets: list | None = None  # irreducible models: containing-root sets
 
     def rank_sizes(self):
         sizes = [0] * (self.essential_rank + 1)
@@ -261,47 +257,53 @@ def _build_dihedral_lattice(model: DihedralModel) -> IntersectionLattice:
         bottom=0,
         top=m + 1,
         essential_rank=2,
+        hypsets=[frozenset()] + [frozenset({k}) for k in range(m)]
+        + [frozenset(range(m))],
     )
 
 
-def _factor_key(lattice, i):
-    """Factor element indices of element i, flattened across products."""
-    return lattice.elements[i] if lattice.kind == "product" else (i,)
-
-
-def _product_lattice(lat1, tab1, lat2, tab2):
+def _product_lattice(lat1, lat2):
+    """The product of a product lattice and an irreducible one, and `flat`,
+    with flat[i * n2 + j] the position of the pair (i, j). Elements are
+    ordered by rank, then factor indices, and an element is the tuple of
+    its irreducible factors' element indices."""
     n2 = len(lat2.elements)
     pairs = sorted(
         itertools.product(range(len(lat1.elements)), range(n2)),
         key=lambda p: (lat1.rank[p[0]] + lat2.rank[p[1]], p[0], p[1]),
     )
-    # flat[i * n2 + j] is the position of the pair (i, j)
     flat = [0] * (len(lat1.elements) * n2)
     for pos, (i, j) in enumerate(pairs):
         flat[i * n2 + j] = pos
-    elements = [_factor_key(lat1, i) + _factor_key(lat2, j) for i, j in pairs]
-    rank = [lat1.rank[i] + lat2.rank[j] for i, j in pairs]
-    covers = [
-        [flat[i2 * n2 + j] for i2 in lat1.covers[i]]
-        + [flat[i * n2 + j2] for j2 in lat2.covers[j]]
-        for i, j in pairs
-    ]
     lattice = IntersectionLattice(
         kind="product",
-        elements=elements,
-        rank=rank,
-        covers=covers,
+        elements=[lat1.elements[i] + (j,) for i, j in pairs],
+        rank=[lat1.rank[i] + lat2.rank[j] for i, j in pairs],
+        covers=[
+            [flat[i2 * n2 + j] for i2 in lat1.covers[i]]
+            + [flat[i * n2 + j2] for j2 in lat2.covers[j]]
+            for i, j in pairs
+        ],
         bottom=flat[lat1.bottom * n2 + lat2.bottom],
         top=flat[lat1.top * n2 + lat2.top],
         essential_rank=lat1.essential_rank + lat2.essential_rank,
     )
+    return lattice, flat
 
-    # blocks[i][j] is the position of (i, j); `order` reads an (i, j)-major
-    # list in pair order. (g1, g2) acts as (g1, 1) after (1, g2), and one
-    # itemgetter per g2 composes the two in C. Factors have rank >= 1, so
-    # every itemgetter here takes at least two items and returns a tuple.
-    blocks = [flat[n2 * i:n2 * (i + 1)] for i in range(len(lat1.elements))]
-    order = operator.itemgetter(*(n2 * i + j for i, j in pairs))
+
+def _product_table(flat, tab1, tab2):
+    """Action table of the product of two factors, in the element order
+    that `flat` from `_product_lattice` gives.
+
+    blocks[i][j] is the position of (i, j); `order` reads an (i, j)-major
+    list in position order. (g1, g2) acts as (g1, 1) after (1, g2), and one
+    itemgetter per g2 composes the two in C. The second factor has rank
+    >= 1, so every itemgetter here takes at least two items and returns a
+    tuple.
+    """
+    n2 = len(tab2.rows[0])
+    blocks = [flat[n2 * i:n2 * (i + 1)] for i in range(len(tab1.rows[0]))]
+    order = operator.itemgetter(*sorted(range(len(flat)), key=flat.__getitem__))
     chain = itertools.chain.from_iterable
     acts2 = [
         operator.itemgetter(*order(list(chain(map(operator.itemgetter(*row2), blocks)))))
@@ -313,13 +315,13 @@ def _product_lattice(lat1, tab1, lat2, tab2):
         rows += [act2(act1) for act2 in acts2]
     gen_rows = [g * len(tab2.rows) for g in tab1.generator_rows]
     gen_rows += list(tab2.generator_rows)
-    table = GroupActionTable(rows=rows, generator_rows=gen_rows)
-    return lattice, table
+    return GroupActionTable(rows=rows, generator_rows=gen_rows)
 
 
-def _matrix_table(model: ReflectionModel, lattice: IntersectionLattice):
-    """Generator rows from hypset images; every other row composed along
-    the group's BFS: g = gen . h acts as gen's row read at h's row."""
+def _action_table(model, lattice: IntersectionLattice):
+    """Action table of an irreducible model: generator rows from hypset
+    images; every other row composed along the group's BFS, since
+    g = gen . h acts as gen's row read at h's row."""
     index = {s: i for i, s in enumerate(lattice.hypsets)}
     gen_rows = []
     for perm in model.gen_perms:
@@ -337,44 +339,41 @@ def _matrix_table(model: ReflectionModel, lattice: IntersectionLattice):
                             generator_rows=list(range(1, len(gen_rows) + 1)))
 
 
-def _dihedral_table(model: DihedralModel, lattice: IntersectionLattice):
-    m = model.m
-    rows = []
-    gen_rows = []
-    for pos, el in enumerate(generate_group(model)):
-        row = [0] * (m + 2)
-        row[m + 1] = m + 1
-        for k in range(m):
-            row[1 + k] = 1 + model.line_image(el, k)
-        rows.append(tuple(row))
-        # the reflections across line 0 and line 1 generate I2(m)
-        if el.perm in ((0, 1), (1, 1)):
-            gen_rows.append(pos)
-    return GroupActionTable(rows=rows, generator_rows=gen_rows)
+def _point():
+    """The lattice and action table of the trivial group, which every
+    product fold starts from."""
+    lattice = IntersectionLattice(
+        kind="product", elements=[()], rank=[0], covers=[[]],
+        bottom=0, top=0, essential_rank=0,
+    )
+    return lattice, GroupActionTable(rows=[(0,)], generator_rows=[])
+
+
+def build_lattice(model) -> IntersectionLattice:
+    """Build the intersection lattice alone, without the action table."""
+    if isinstance(model, ReflectionModel):
+        return _build_matrix_lattice(model)
+    if isinstance(model, DihedralModel):
+        return _build_dihedral_lattice(model)
+    if isinstance(model, ProductModel):
+        lattice = _point()[0]
+        for f, _ in model.factors:
+            lattice, _ = _product_lattice(lattice, build_lattice(f))
+        return lattice
+    raise TypeError(f"not a reflection model: {model!r}")
 
 
 def build_lattice_with_action(model):
     """Build the intersection lattice and the full group action table."""
-    if isinstance(model, ReflectionModel):
-        lattice = _build_matrix_lattice(model)
-        return lattice, _matrix_table(model, lattice)
-    if isinstance(model, DihedralModel):
-        lattice = _build_dihedral_lattice(model)
-        return lattice, _dihedral_table(model, lattice)
-    if isinstance(model, ProductModel):
-        parts = [build_lattice_with_action(f) for f, _ in model.factors]
-        if not parts:
-            lattice = IntersectionLattice(
-                kind="product", elements=[()], rank=[0], covers=[[]],
-                bottom=0, top=0, essential_rank=0,
-            )
-            table = GroupActionTable(rows=[(0,)], generator_rows=[])
-            return lattice, table
-        lattice, table = parts[0]
-        for lat2, tab2 in parts[1:]:
-            lattice, table = _product_lattice(lattice, table, lat2, tab2)
-        return lattice, table
-    raise TypeError(f"not a reflection model: {model!r}")
+    if not isinstance(model, ProductModel):
+        lattice = build_lattice(model)
+        return lattice, _action_table(model, lattice)
+    lattice, table = _point()
+    for f, _ in model.factors:
+        lat2, tab2 = build_lattice_with_action(f)
+        lattice, flat = _product_lattice(lattice, lat2)
+        table = _product_table(flat, table, tab2)
+    return lattice, table
 
 
 def count_maximal_chains(l: IntersectionLattice) -> int:
@@ -386,22 +385,6 @@ def count_maximal_chains(l: IntersectionLattice) -> int:
             for j in l.covers[i]:
                 ways[j] += w
     return ways[l.top]
-
-
-def maximal_chains(l: IntersectionLattice):
-    """All maximal chains as tuples of element indices, bottom excluded."""
-    out = []
-
-    def walk(elem, prefix):
-        ups = l.covers[elem]
-        if not ups:
-            out.append(prefix)
-            return
-        for d in ups:
-            walk(d, prefix + (d,))
-
-    walk(l.bottom, ())
-    return out
 
 
 def _scan_atoms(covers, rows, atoms):
@@ -470,35 +453,6 @@ def count_chain_orbits(l: IntersectionLattice, table: GroupActionTable,
     if total != count_maximal_chains(l):
         raise AssertionError("orbit sizes do not sum to the chain count")
     return ChainOrbitCount(total_chains=total, orbit_count=len(sizes),
-                           orbit_sizes=sizes)
-
-
-def count_chain_orbits_unionfind(l: IntersectionLattice,
-                                 table: GroupActionTable) -> ChainOrbitCount:
-    """Independent oracle: union-find over the full chain set."""
-    chains = maximal_chains(l)
-    index = {c: i for i, c in enumerate(chains)}
-    parent = list(range(len(chains)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in table.generator_rows:
-        row = table.rows[g]
-        for c, i in index.items():
-            j = index[tuple(row[e] for e in c)]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    buckets = {}
-    for i in range(len(chains)):
-        r = find(i)
-        buckets[r] = buckets.get(r, 0) + 1
-    sizes = tuple(sorted(buckets.values()))
-    return ChainOrbitCount(total_chains=len(chains), orbit_count=len(buckets),
                            orbit_sizes=sizes)
 
 

@@ -1,17 +1,19 @@
 """Concrete realizations of the finite reflection groups.
 
-Matrix models carry exact root coordinates and generator matrices; group
-elements are stored as signed permutations of the root-line indices and
-their matrices are rebuilt on demand from the action on a root basis.
-Dihedral groups I2(m) get a combinatorial model (m lines indexed 0..m-1,
-rotations and reflections acting by index arithmetic) so we never need
-the field Q(cos pi/m).
+Every model acts on its roots, one representative per root pair, and lists
+its generators as signed permutations of the root indices: p[i] = s * (j + 1)
+maps root i to s * root j. One breadth-first closure (`group_bfs`) serves
+every irreducible type. Matrix models carry exact root coordinates and
+generator matrices. Dihedral groups I2(m) get m roots indexed 0..m-1 and
+reflections acting by index arithmetic, so we never need the field
+Q(cos pi/m).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .field import (
     FIELD_Q,
@@ -19,17 +21,10 @@ from .field import (
     ONE,
     ZERO,
     FieldScalar,
-    Subspace,
-    canonical_subspace,
-    identity_matrix,
-    mat_inverse,
-    mat_mul,
     mat_vec,
-    null_space,
-    scalar_to_string,
+    null_space,  # noqa: F401  (re-exported: perfbench counts calls here)
 )
 from .graphs import (
-    CoxeterGraph,
     TypeLabel,
     classify_irreducible,
     connected_components,
@@ -39,9 +34,9 @@ from .graphs import (
 DEFAULT_ELEMENT_CAP = 100_000
 
 GROUP_ORDERS = {
-    "A": lambda n: _factorial(n + 1),
-    "B": lambda n: 2**n * _factorial(n),
-    "D": lambda n: 2 ** (n - 1) * _factorial(n),
+    "A": lambda n: factorial(n + 1),
+    "B": lambda n: 2**n * factorial(n),
+    "D": lambda n: 2 ** (n - 1) * factorial(n),
     "F": lambda n: 1152,
     "H": lambda n: 120 if n == 3 else 14400,
     "E": lambda n: {6: 51840, 7: 2903040, 8: 696729600}[n],
@@ -63,29 +58,12 @@ class UnsupportedModelError(ValueError):
     """Raised when a type has no brute-force realization here."""
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def group_order(t: TypeLabel) -> int:
     return GROUP_ORDERS[t.family](t.rank)
 
 
 def reflection_count(t: TypeLabel) -> int:
     return REFLECTION_COUNTS[t.family](t.rank)
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """A group element as a signed permutation of root-line indices.
-
-    perm[i] = s * (j + 1) means the element maps root i to s * root j.
-    """
-
-    perm: tuple
 
 
 def compose_perms(g: tuple, h: tuple) -> tuple:
@@ -204,73 +182,29 @@ class ReflectionModel:
     generators: list     # reflection matrices, one per graph vertex
     gen_perms: list      # signed root permutations of the generators
 
-    @property
-    def essential_rank(self) -> int:
-        return self.ambient - self.fixed_space_of_group().dim
-
-    def fixed_space_of_group(self) -> Subspace:
-        return null_space([list(r) for r in self.roots], self.ambient)
-
-    def _root_frame(self):
-        """Invertible column matrix [independent roots | group-fixed vectors]."""
-        rows = []
-        picked = []
-        for idx, r in enumerate(self.roots):
-            from .field import rref
-
-            if len(rref(rows + [list(r)])) > len(rows):
-                rows.append(list(r))
-                picked.append(idx)
-            if len(rows) == self.essential_rank:
-                break
-        fixed = [list(v) for v in self.fixed_space_of_group().basis]
-        cols = rows + fixed
-        frame = [[cols[j][i] for j in range(self.ambient)] for i in range(self.ambient)]
-        return picked, fixed, frame
-
-    def matrix_of(self, g: GroupElement):
-        """Rebuild the matrix of g from its signed root permutation."""
-        if not hasattr(self, "_frame_cache"):
-            picked, fixed, frame = self._root_frame()
-            self._frame_cache = (picked, fixed, mat_inverse(frame))
-        picked, fixed, frame_inv = self._frame_cache
-        img_cols = []
-        for idx in picked:
-            x = g.perm[idx]
-            j = abs(x) - 1
-            root = self.roots[j]
-            img_cols.append([r if x > 0 else -r for r in root])
-        img_cols.extend(fixed)
-        img = [
-            [img_cols[j][i] for j in range(self.ambient)]
-            for i in range(self.ambient)
-        ]
-        return mat_mul(img, frame_inv)
-
 
 @dataclass
 class DihedralModel:
-    """Index-arithmetic model of I2(m): lines L_0..L_{m-1} at angles k*pi/m."""
+    """Index-arithmetic model of I2(m): root k is the normal of the line L_k
+    at angle k*pi/m, and the generators are the reflections across L_0 and
+    L_1."""
 
     label: TypeLabel
     kind: str  # "dihedral"
     m: int
+    gen_perms: list      # signed root permutations of the generators
 
-    @property
-    def essential_rank(self) -> int:
-        return 2
 
-    def elements(self):
-        """All 2m elements as (j, eps): rotation by 2*pi*j/m, then optional
-        reflection across the angle-0 axis is folded into the line action."""
-        m = self.m
-        return [GroupElement((j, eps)) for eps in (0, 1) for j in range(m)]
+def _dihedral_reflection(m: int, a: int) -> tuple:
+    """The reflection across L_a as a signed permutation of the m roots.
 
-    def line_image(self, element: GroupElement, k: int) -> int:
-        j, eps = element.perm
-        if eps == 0:
-            return (k + 2 * j) % self.m
-        return (2 * j - k) % self.m
+    Root k points at angle k*pi/m + pi/2, and its mirror image at
+    (2a - k)*pi/m - pi/2. With 2a - k = q*m + r, that is root r turned by
+    (q - 1)*pi, so the sign is (-1)^(q + 1). The signs matter: for even m
+    the rotation by pi fixes every line and negates every root.
+    """
+    return tuple((-1) ** (q + 1) * (r + 1)
+                 for q, r in (divmod(2 * a - k, m) for k in range(m)))
 
 
 @dataclass
@@ -279,10 +213,6 @@ class ProductModel:
 
     kind: str  # "product"
     factors: list  # of (ReflectionModel | DihedralModel, vertex ids tuple)
-
-    @property
-    def essential_rank(self) -> int:
-        return sum(f.essential_rank for f, _ in self.factors)
 
 
 _MATRIX_RANK_LIMITS = {"A": 6, "B": 5, "D": 5, "F": 4, "H": 3, "E": 6}
@@ -294,7 +224,8 @@ def _build_irreducible(t: TypeLabel):
             raise UnsupportedModelError(
                 f"I2({t.rank}) exceeds the supported dihedral range (m <= 30)"
             )
-        return DihedralModel(t, "dihedral", t.rank)
+        return DihedralModel(t, "dihedral", t.rank,
+                             [_dihedral_reflection(t.rank, a) for a in (0, 1)])
     limit = _MATRIX_RANK_LIMITS.get(t.family)
     if limit is None or t.rank > limit:
         raise UnsupportedModelError(
@@ -349,7 +280,7 @@ def build_model(g, element_cap: int = DEFAULT_ELEMENT_CAP):
     comps = connected_components(g)
     order = 1
     factors = []
-    for comp, _ in comps:
+    for comp in comps:
         label, _ = classify_irreducible(comp)
         factors.append((_build_irreducible(label), comp.vertices))
         order *= group_order(label)
@@ -363,30 +294,15 @@ def build_model(g, element_cap: int = DEFAULT_ELEMENT_CAP):
     return ProductModel("product", factors)
 
 
-def generate_group(model, element_cap: int = DEFAULT_ELEMENT_CAP):
-    """All group elements, identity first, by breadth-first closure."""
-    if isinstance(model, DihedralModel):
-        return model.elements()
-    if isinstance(model, ProductModel):
-        import itertools
-
-        factor_lists = [generate_group(f, element_cap) for f, _ in model.factors]
-        return [GroupElement(tuple(e.perm for e in combo))
-                for combo in itertools.product(*factor_lists)]
-    perms, _ = group_bfs(model, element_cap)
-    return [GroupElement(p) for p in perms]
-
-
-def group_bfs(model: ReflectionModel, element_cap: int = DEFAULT_ELEMENT_CAP):
-    """Breadth-first closure of a matrix model's generators.
+def group_bfs(model, element_cap: int = DEFAULT_ELEMENT_CAP):
+    """Breadth-first closure of an irreducible model's generators.
 
     Returns (perms, steps): the signed root permutations, identity first,
-    in the order `generate_group` lists them, and for each element after
-    the identity the pair (parent position, generator index) it was first
-    reached by, so perms[k] = gen_perms[g] . perms[parent].
+    and for each element after the identity the pair (parent position,
+    generator index) it was first reached by, so
+    perms[k] = gen_perms[g] . perms[parent].
     """
-    nroots = len(model.roots)
-    identity = tuple(i + 1 for i in range(nroots))
+    identity = tuple(range(1, len(model.gen_perms[0]) + 1))
     seen = {identity}
     perms = [identity]
     steps = [None]
@@ -410,33 +326,6 @@ def group_bfs(model: ReflectionModel, element_cap: int = DEFAULT_ELEMENT_CAP):
     return perms, steps
 
 
-def reflecting_hyperplanes(model: ReflectionModel):
-    """One canonical hyperplane (the solution set of <root, x> = 0) per root."""
-    if model.kind != "matrix":
-        raise ValueError("reflecting_hyperplanes needs a matrix model")
-    out = []
-    seen = set()
-    for r in model.roots:
-        h = null_space([list(r)], model.ambient)
-        if h not in seen:
-            seen.add(h)
-            out.append(h)
-    return out
-
-
-def fixed_space(model: ReflectionModel, g: GroupElement) -> Subspace:
-    """Canonical kernel of (matrix(g) - identity)."""
-    if model.kind != "matrix":
-        raise ValueError("fixed_space needs a matrix model")
-    mat = model.matrix_of(g)
-    ident = identity_matrix(model.ambient, model.field)
-    rows = [
-        [mat[i][j] - ident[i][j] for j in range(model.ambient)]
-        for i in range(model.ambient)
-    ]
-    return null_space(rows, model.ambient)
-
-
 def model_to_json(model) -> dict:
     """Documented JSON export of roots and generators for external checking."""
     if isinstance(model, DihedralModel):
@@ -455,9 +344,9 @@ def model_to_json(model) -> dict:
         "type": str(model.label),
         "ambient": model.ambient,
         "field": model.field,
-        "roots": [[scalar_to_string(x) for x in r] for r in model.roots],
+        "roots": [[str(x) for x in r] for r in model.roots],
         "generators": [
-            [[scalar_to_string(x) for x in row] for row in gen]
+            [[str(x) for x in row] for row in gen]
             for gen in model.generators
         ],
     }

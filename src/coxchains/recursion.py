@@ -106,7 +106,7 @@ class KCalculator:
         if t.coxeter_rank == 1:
             return KResult(1, "base-case", [(str(t), 1)])
         g = standard_graph(t)
-        sigma = longest_element_automorphism(t).permutation
+        sigma = longest_element_automorphism(t)
         central = all(v == w for v, w in sigma.items())
         terms = []
         for v in g.vertices:
@@ -124,12 +124,11 @@ class KCalculator:
         method = "summ1" if central else "summ2"
         return KResult(sum(value for _, value in terms), method, terms)
 
-    def fixed_vertex_term(self, g: CoxeterGraph, v, sigma) -> int:
+    def fixed_vertex_term(self, g: CoxeterGraph, v, sigma: dict) -> int:
         """Contribution of a sigma-fixed vertex; sigma maps vertex to vertex."""
-        perm = sigma if isinstance(sigma, dict) else sigma.permutation
-        if perm[v] != v:
+        if sigma[v] != v:
             raise ValueError(f"vertex {v!r} is not fixed by the automorphism")
-        return self._fixed_vertex_term(_deleted_parts(g, v), perm)[0]
+        return self._fixed_vertex_term(_deleted_parts(g, v), sigma)[0]
 
     def _fixed_vertex_term(self, parts, sigma):
         """Term of a fixed vertex from the (label, iso) components left by
@@ -148,7 +147,7 @@ class KCalculator:
         descs = []
         for label, iso in parts:
             gamma = {iso[x]: iso[sigma[x]] for x in iso}
-            own = longest_element_automorphism(label).permutation
+            own = longest_element_automorphism(label)
             if gamma == own or all(x == y for x, y in gamma.items()):
                 factors.append(self._k([label]).value)
                 descs.append(f"K({label})")
@@ -201,7 +200,7 @@ class KCalculator:
 
 def _deleted_parts(g: CoxeterGraph, v):
     """(label, iso) per component of g minus v, ordered by smallest vertex id."""
-    return [classify_irreducible(c) for c, _ in connected_components(delete_vertex(g, v))]
+    return [classify_irreducible(c) for c in connected_components(delete_vertex(g, v))]
 
 
 _default = KCalculator()

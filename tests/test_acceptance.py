@@ -28,6 +28,7 @@ from coxchains.series import (
     z,
     constant,
 )
+from oracles import set_partitions
 
 REQUIRED_TIER = (
     ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "H3"]
@@ -165,21 +166,6 @@ def test_criterion_4_bruteforce_equals_recursion(required_tier_runs):
 def test_criterion_5_a3_lattice_structure(required_tier_runs):
     runs, _ = required_tier_runs
     problems = []
-
-    def set_partitions(n):
-        parts = [frozenset()]
-        for x in range(n):
-            nxt = []
-            for p in parts:
-                blocks = sorted(p, key=min)
-                for i in range(len(blocks)):
-                    nxt.append(frozenset(
-                        (b | {x}) if j == i else b for j, b in enumerate(blocks)
-                    ))
-                nxt.append(p | {frozenset({x})})
-            parts = nxt
-        return parts
-
     lattice, table, brute, _ = runs["A3"]
     partitions = set_partitions(4)
     oracle_sizes = [

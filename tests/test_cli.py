@@ -1,11 +1,12 @@
+import hashlib
 import json
 import os
 import stat
 
 import pytest
 
-from coxchains import cli
-from coxchains.lattice import build_lattice_with_action
+from coxchains import cli, lattice
+from coxchains.lattice import build_lattice
 from coxchains.models import build_model
 
 
@@ -166,14 +167,33 @@ def test_export_lattice_product_keys(capsys, tmp_path):
     out_path = tmp_path / "b2a1.json"
     assert cli.main(["export-lattice", "B2xA1", str(out_path)]) == cli.EXIT_OK
     elements = json.loads(out_path.read_text())["lattice"]["elements"]
-    b2, _ = build_lattice_with_action(build_model("B2"))
-    a1, _ = build_lattice_with_action(build_model("A1"))
+    b2 = build_lattice(build_model("B2"))
+    a1 = build_lattice(build_model("A1"))
     keys = [tuple(e["key"]) for e in elements]
     assert all(len(k) == 2 and all(type(i) is int for i in k) for k in keys)
     assert len(set(keys)) == len(keys) == len(b2.elements) * len(a1.elements)
     for e in elements:
         i, j = e["key"]
         assert e["codim"] == b2.rank[i] + a1.rank[j]
+
+
+@pytest.mark.parametrize("spec, digest", [
+    ("A3", "aefee1a558fa56d3b11259c26880e73e4dfdf2f13ac6e0eeb44c2fa8efc170d4"),
+    ("H3", "a72820cbc225a91065f52eaad6e2b4a2e8776a8885f1c9de257c1ce450f020f5"),
+    ("I2(5)", "179cdad4712350406012049ff53dc3c940ad18debd9d339a8dd207a8f697e7f2"),
+    ("B2xA1", "34f54efdeae59f99903b9c3c0321ac08345ec1b010adbbdccf3042ca4d0ab82f"),
+])
+def test_export_lattice_builds_no_action_table(spec, digest, capsys, tmp_path,
+                                               monkeypatch):
+    def no_table(*args):
+        raise AssertionError("export-lattice built an action table")
+
+    monkeypatch.setattr(lattice, "_action_table", no_table)
+    monkeypatch.setattr(lattice, "_product_table", no_table)
+    out_path = tmp_path / "out.json"
+    assert cli.main(["export-lattice", spec, str(out_path),
+                     "--include-model"]) == cli.EXIT_OK
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 def write_cache(path, results, version=None):

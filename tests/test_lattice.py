@@ -1,44 +1,39 @@
 import functools
 import itertools
 import json
+import math
 import random
 
 import pytest
 
-from coxchains.field import ZERO, apply_matrix, canonical_subspace, full_space, null_space
+from coxchains.field import ZERO, canonical_subspace, null_space
 from coxchains.lattice import (
     GroupActionTable,
     IntersectionLattice,
     _echelon,
     _null_vectors,
+    _point,
     _product_lattice,
+    _product_table,
     _validate_graded,
     build_lattice_with_action,
     count_chain_orbits,
-    count_chain_orbits_unionfind,
     count_maximal_chains,
     lattice_to_json,
-    maximal_chains,
     orbit_count_of_lines,
 )
-from coxchains.models import build_model, generate_group
+from coxchains.models import build_model, group_bfs
+from oracles import (
+    apply_matrix,
+    count_chain_orbits_unionfind,
+    dihedral_table,
+    full_space,
+    matrix_of,
+    maximal_chains,
+    set_partitions,
+)
 
 rng = random.Random(8128)
-
-
-def set_partitions(n):
-    """All partitions of {0, .., n-1} as frozensets of frozensets."""
-    if n == 0:
-        return [frozenset()]
-    out = []
-    for smaller in set_partitions(n - 1):
-        blocks = sorted(smaller, key=min)
-        for i in range(len(blocks)):
-            out.append(frozenset(
-                (b | {n - 1}) if j == i else b for j, b in enumerate(blocks)
-            ))
-        out.append(smaller | {frozenset({n - 1})})
-    return out
 
 
 def partition_chain_count(n):
@@ -66,8 +61,6 @@ def partition_chain_count(n):
 
 def chain_count_formula(n):
     """n! (n-1)! / 2^(n-1), the chain count of the partition lattice of [n]."""
-    import math
-
     return math.factorial(n) * math.factorial(n - 1) // 2 ** (n - 1)
 
 
@@ -82,16 +75,9 @@ def lattice_of(spec):
     return built(spec)[1:]
 
 
-def _dot_zero(u, v) -> bool:
-    return sum((a * b for a, b in zip(u, v)), ZERO).is_zero()
-
-
 def _containing_roots(roots, subspace):
-    out = []
-    for i, r in enumerate(roots):
-        if all(_dot_zero(r, row) for row in subspace.basis):
-            out.append(i)
-    return frozenset(out)
+    return frozenset(i for i, r in enumerate(roots) if all(
+        sum((a * b for a, b in zip(r, row)), ZERO).is_zero() for row in subspace.basis))
 
 
 def bfs_matrix_lattice(model):
@@ -159,13 +145,13 @@ def hypset_image_table(model, lattice):
     rows = []
     gen_rows = []
     gen_perms = set(model.gen_perms)
-    for pos, el in enumerate(generate_group(model)):
-        line_map = [abs(x) - 1 for x in el.perm]
+    for pos, el in enumerate(group_bfs(model)[0]):
+        line_map = [abs(x) - 1 for x in el]
         rows.append(tuple(
             index[frozenset(line_map[i] for i in hypset)]
             for hypset in lattice.hypsets
         ))
-        if el.perm in gen_perms:
+        if el in gen_perms:
             gen_rows.append(pos)
     return GroupActionTable(rows=rows, generator_rows=gen_rows)
 
@@ -177,6 +163,28 @@ def test_composed_table_equals_hypset_image_oracle(spec):
     oracle = hypset_image_table(model, lattice)
     assert table.rows == oracle.rows
     assert table.generator_rows == oracle.generator_rows
+
+
+@pytest.mark.parametrize("m", range(5, 31))
+def test_dihedral_root_permutations_equal_index_arithmetic(m):
+    model, lattice, table = built(f"I2({m})")
+    oracle = dihedral_table(m)
+    assert len(group_bfs(model)[0]) == table.group_order == 2 * m
+    assert sorted(table.rows) == sorted(oracle.rows)
+    assert count_chain_orbits(lattice, table) == count_chain_orbits(lattice, oracle)
+    assert orbit_count_of_lines(lattice, table) == orbit_count_of_lines(lattice, oracle)
+
+
+@pytest.mark.parametrize("spec", ["I2(6)xI2(5)xA2xA1", "I2(7)xA3xA1xA1"])
+def test_dihedral_factor_products_equal_index_arithmetic(spec):
+    lattice, table = _point()
+    for f in spec.split("x"):
+        lat2, tab2 = lattice_of(f)
+        if lat2.kind == "dihedral":
+            tab2 = dihedral_table(len(lat2.elements) - 2)
+        lattice, flat = _product_lattice(lattice, lat2)
+        table = _product_table(flat, table, tab2)
+    assert count_chain_orbits(lattice, table) == count_chain_orbits(*lattice_of(spec))
 
 
 def test_integer_null_vectors_match_field_null_space():
@@ -302,11 +310,11 @@ def test_all_maximal_chains_have_full_length():
 def test_action_table_matches_matrix_action():
     for spec in ("A3", "B3"):
         model, lattice, table = built(spec)
-        elements = generate_group(model)
+        elements, _ = group_bfs(model)
         for _ in range(50):
             g = rng.randrange(len(elements))
             e = rng.randrange(len(lattice.elements))
-            image = apply_matrix(model.matrix_of(elements[g]), lattice.elements[e])
+            image = apply_matrix(matrix_of(model, elements[g]), lattice.elements[e])
             assert image == lattice.elements[table.rows[g][e]]
 
 
@@ -370,11 +378,11 @@ def tuple_keyed_product_rows(lat1, tab1, lat2, tab2):
 
 @pytest.mark.parametrize("spec", ["A1xB2xA2", "B2xI2(5)", "A2xA1xA1"])
 def test_product_rows_equal_tuple_keyed_oracle(spec):
-    factors = [lattice_of(f) for f in spec.split("x")]
-    lattice, table = factors[0]
-    for lat2, tab2 in factors[1:]:
+    lattice, table = _point()
+    for lat2, tab2 in map(lattice_of, spec.split("x")):
         expected = tuple_keyed_product_rows(lattice, table, lat2, tab2)
-        lattice, table = _product_lattice(lattice, table, lat2, tab2)
+        lattice, flat = _product_lattice(lattice, lat2)
+        table = _product_table(flat, table, tab2)
         assert table.rows == expected
     assert table.rows == lattice_of(spec)[1].rows
 

@@ -4,9 +4,10 @@ from collections import Counter
 import pytest
 
 from coxchains import graphs, recursion
-from coxchains.graphs import graph_automorphism, make_graph, parse_group_spec
+from coxchains.graphs import make_graph, parse_group_spec
 from coxchains.recursion import KCalculator, k_recursive, multinomial
 from coxchains.series import d_closed_form, euler_numbers
+from oracles import graph_automorphism
 
 D_VALUES = {2: 2, 3: 2, 4: 12, 5: 26, 6: 178, 7: 594, 8: 4792, 9: 21682,
              10: 202374, 11: 1160026, 12: 12303332}
