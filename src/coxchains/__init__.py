@@ -29,10 +29,9 @@ from .lattice import (
     orbit_count_of_lines,
 )
 from .models import ReflectionModel, UnsupportedModelError, build_model, group_bfs
-from .recursion import KCalculator, KResult, k_bar, k_recursive
+from .recursion import KCalculator, KResult
 from .series import (
     EgfSeries,
-    SequenceTable,
     bar_d_closed_form,
     euler_numbers,
     k_closed_form,

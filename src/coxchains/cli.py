@@ -282,7 +282,7 @@ def _verify_checks(args):
         )
 
     def seidel_vs_series():
-        t = euler_numbers(40).values
+        t = euler_numbers(40)
         s = euler_numbers_from_series(40)
         return t == s, f"seidel {t[:8]}... vs series {s[:8]}..."
 

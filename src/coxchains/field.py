@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+# the values of ReflectionModel.field
 FIELD_Q = "Q"
 FIELD_QSQRT5 = "Q(sqrt5)"
 
@@ -27,79 +28,53 @@ def _frac(x) -> Fraction:
 
 @dataclass(frozen=True, slots=True)
 class FieldScalar:
-    """An exact number a + b*sqrt(5), with b forced to 0 over Q."""
+    """An exact number a + b*sqrt(5); rational numbers have b = 0."""
 
     a: Fraction
     b: Fraction
-    field: str
 
     @staticmethod
-    def of(x, field: str = FIELD_Q) -> "FieldScalar":
+    def of(x) -> "FieldScalar":
         if isinstance(x, FieldScalar):
             return x
-        return FieldScalar(_frac(x), _FRAC_ZERO, field)
+        return FieldScalar(_frac(x), _FRAC_ZERO)
 
     @staticmethod
     def sqrt5_part(a, b) -> "FieldScalar":
-        return FieldScalar(_frac(a), _frac(b), FIELD_QSQRT5)
-
-    def __post_init__(self):
-        if self.field not in (FIELD_Q, FIELD_QSQRT5):
-            raise ValueError(f"unknown field tag {self.field!r}")
-        if self.field == FIELD_Q and self.b != 0:
-            raise ValueError("rational scalar with nonzero sqrt5 part")
-
-    def _join(self, other: "FieldScalar") -> str:
-        if self.field == FIELD_QSQRT5 or other.field == FIELD_QSQRT5:
-            return FIELD_QSQRT5
-        return FIELD_Q
+        return FieldScalar(_frac(a), _frac(b))
 
     def __add__(self, other):
-        other = FieldScalar.of(other, self.field)
+        other = FieldScalar.of(other)
         if not (self.b or other.b):  # rational operands: skip the sqrt5 terms
-            return FieldScalar(self.a + other.a, _FRAC_ZERO, self._join(other))
-        return FieldScalar(self.a + other.a, self.b + other.b, self._join(other))
-
-    __radd__ = __add__
+            return FieldScalar(self.a + other.a, _FRAC_ZERO)
+        return FieldScalar(self.a + other.a, self.b + other.b)
 
     def __neg__(self):
-        return FieldScalar(-self.a, -self.b, self.field)
+        return FieldScalar(-self.a, -self.b)
 
     def __sub__(self, other):
-        return self + (-FieldScalar.of(other, self.field))
-
-    def __rsub__(self, other):
-        return FieldScalar.of(other, self.field) - self
+        return self + (-FieldScalar.of(other))
 
     def __mul__(self, other):
-        other = FieldScalar.of(other, self.field)
+        other = FieldScalar.of(other)
         if not (self.b or other.b):
-            return FieldScalar(self.a * other.a, _FRAC_ZERO, self._join(other))
+            return FieldScalar(self.a * other.a, _FRAC_ZERO)
         return FieldScalar(
             self.a * other.a + 5 * self.b * other.b,
             self.a * other.b + self.b * other.a,
-            self._join(other),
         )
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "FieldScalar":
         norm = self.a * self.a - 5 * self.b * self.b
         if norm == 0:
             raise ZeroDivisionError("division by zero scalar")
-        return FieldScalar(self.a / norm, -self.b / norm, self.field)
+        return FieldScalar(self.a / norm, -self.b / norm)
 
     def __truediv__(self, other):
-        return self * FieldScalar.of(other, self.field).inverse()
-
-    def __rtruediv__(self, other):
-        return FieldScalar.of(other, self.field) * self.inverse()
+        return self * FieldScalar.of(other).inverse()
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
-
-    def __bool__(self):
-        return not self.is_zero()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -141,26 +116,13 @@ ZERO = FieldScalar.of(0)
 ONE = FieldScalar.of(1)
 
 
-def scalar_field(rows) -> str:
-    for row in rows:
-        for x in row:
-            if isinstance(x, FieldScalar) and x.field == FIELD_QSQRT5:
-                return FIELD_QSQRT5
-    return FIELD_Q
-
-
-def _as_scalar_rows(rows, field):
-    return [[FieldScalar.of(x, field) for x in row] for row in rows]
-
-
 def rref(rows):
     """Strict reduced row echelon form; zero rows dropped.
 
     Pivot choice is leftmost column, first nonzero row, so the result is
     deterministic. Input rows are lists of FieldScalar (or ints/Fractions).
     """
-    field = scalar_field(rows)
-    m = _as_scalar_rows(rows, field)
+    m = [[FieldScalar.of(x) for x in row] for row in rows]
     if not m:
         return []
     ncols = len(m[0])
@@ -231,7 +193,3 @@ def null_space(rows, ambient: int) -> Subspace:
             vec[p] = -row[f]
         basis.append(vec)
     return canonical_subspace(basis, ambient)
-
-
-def mat_vec(m, v):
-    return [sum((m[i][j] * v[j] for j in range(len(v))), ZERO) for i in range(len(m))]

@@ -220,7 +220,7 @@ def _flat_bases(model: ReflectionModel, spans):
     for span in spans:
         sub = null_space([model.roots[i] for i in span], model.ambient)
         basis = tuple(
-            tuple(scalars.setdefault((x.a, x.b, x.field), x) for x in row)
+            tuple(scalars.setdefault(x, x) for x in row)
             for row in sub.basis)
         bases.append(Subspace(sub.ambient, basis))
     return bases

@@ -3,8 +3,9 @@
 Every model acts on its roots, one representative per root pair, and lists
 its generators as signed permutations of the root indices: p[i] = s * (j + 1)
 maps root i to s * root j. One breadth-first closure (`group_bfs`) serves
-every irreducible type. Matrix models carry exact root coordinates and
-generator matrices. Dihedral groups I2(m) get m roots indexed 0..m-1 and
+every irreducible type. Matrix models carry exact root coordinates, found
+with the generator permutations in one pass of reflections, and the
+generator matrices for the export. Dihedral groups I2(m) get m roots indexed 0..m-1 and
 reflections acting by index arithmetic, so we never need the field
 Q(cos pi/m).
 """
@@ -21,7 +22,6 @@ from .field import (
     ONE,
     ZERO,
     FieldScalar,
-    mat_vec,
     null_space,  # noqa: F401  (re-exported: perfbench counts calls here)
 )
 from .graphs import (
@@ -122,13 +122,11 @@ def _simple_roots(t: TypeLabel):
         amb = 3
         tau_half = FieldScalar.sqrt5_part(Fraction(1, 4), Fraction(1, 4))
         inv_2tau = FieldScalar.sqrt5_part(Fraction(-1, 4), Fraction(1, 4))
-        z = FieldScalar.of(0, FIELD_QSQRT5)
-        one = FieldScalar.of(1, FIELD_QSQRT5)
-        half = FieldScalar.of(Fraction(1, 2), FIELD_QSQRT5)
+        half = _q(Fraction(1, 2))
         return [
-            [z, one, z],
+            [ZERO, ONE, ZERO],
             [half, tau_half, inv_2tau],
-            [one, z, z],
+            [ONE, ZERO, ZERO],
         ], amb
     raise UnsupportedModelError(
         f"no matrix model for {t}; the recursion method supports this type"
@@ -175,11 +173,10 @@ class ReflectionModel:
     """Matrix model of an irreducible finite reflection group."""
 
     label: TypeLabel
-    kind: str  # "matrix"
     ambient: int
     field: str
     roots: list          # one canonical-signed representative per root pair
-    generators: list     # reflection matrices, one per graph vertex
+    generators: list     # reflection matrices, one per graph vertex (export)
     gen_perms: list      # signed root permutations of the generators
 
 
@@ -190,7 +187,6 @@ class DihedralModel:
     L_1."""
 
     label: TypeLabel
-    kind: str  # "dihedral"
     m: int
     gen_perms: list      # signed root permutations of the generators
 
@@ -211,7 +207,6 @@ def _dihedral_reflection(m: int, a: int) -> tuple:
 class ProductModel:
     """Direct product of irreducible factor models."""
 
-    kind: str  # "product"
     factors: list  # of (ReflectionModel | DihedralModel, vertex ids tuple)
 
 
@@ -224,7 +219,7 @@ def _build_irreducible(t: TypeLabel):
             raise UnsupportedModelError(
                 f"I2({t.rank}) exceeds the supported dihedral range (m <= 30)"
             )
-        return DihedralModel(t, "dihedral", t.rank,
+        return DihedralModel(t, t.rank,
                              [_dihedral_reflection(t.rank, a) for a in (0, 1)])
     limit = _MATRIX_RANK_LIMITS.get(t.family)
     if limit is None or t.rank > limit:
@@ -234,42 +229,43 @@ def _build_irreducible(t: TypeLabel):
         )
     simple, amb = _simple_roots(t)
     field = FIELD_QSQRT5 if t.family == "H" else FIELD_Q
-    generators = [_reflection_matrix(r, amb) for r in simple]
-    # close the simple roots under the generators, one representative per pair
+    # close the simple roots under their reflections
+    # s_a(v) = v - (2<v,a>/<a,a>) a, one canonical-signed root per pair;
+    # a popped root's signed images are its entries in the gen_perms
+    mirrors = [(a, _q(2) / _dot(a, a)) for a in simple]
     roots = []
     index = {}
     queue = []
-    for r in simple:
-        canon, _ = _canonical_sign(list(r))
+
+    def find(vec):
+        canon, sign = _canonical_sign(vec)
         if canon not in index:
             index[canon] = len(roots)
             roots.append(list(canon))
-            queue.append(list(canon))
+            queue.append(len(roots) - 1)
+        return sign * (index[canon] + 1)
+
+    for r in simple:
+        find(r)
+    images = {}
     while queue:
-        r = queue.pop()
-        for gen in generators:
-            img = mat_vec(gen, r)
-            canon, _ = _canonical_sign(img)
-            if canon not in index:
-                index[canon] = len(roots)
-                roots.append(list(canon))
-                queue.append(list(canon))
+        i = queue.pop()
+        r = roots[i]
+        images[i] = []
+        for a, c in mirrors:
+            k = _dot(r, a) * c
+            images[i].append(find([x - k * y for x, y in zip(r, a)]))
     expected = reflection_count(t)
     if len(roots) != expected:
         raise AssertionError(
             f"{t}: root closure found {len(roots)} lines, expected {expected}"
         )
-    gen_perms = []
-    for gen in generators:
-        perm = []
-        for r in roots:
-            canon, sign = _canonical_sign(mat_vec(gen, r))
-            perm.append(sign * (index[canon] + 1))
-        gen_perms.append(tuple(perm))
-    return ReflectionModel(t, "matrix", amb, field, roots, generators, gen_perms)
+    gen_perms = list(zip(*(images[i] for i in range(len(roots)))))
+    generators = [_reflection_matrix(r, amb) for r in simple]
+    return ReflectionModel(t, amb, field, roots, generators, gen_perms)
 
 
-def build_model(g, element_cap: int = DEFAULT_ELEMENT_CAP):
+def build_model(g):
     """Build a reflection model for a graph or spec string.
 
     Irreducible types get a matrix or dihedral model; reducible groups get
@@ -284,17 +280,17 @@ def build_model(g, element_cap: int = DEFAULT_ELEMENT_CAP):
         label, _ = classify_irreducible(comp)
         factors.append((_build_irreducible(label), comp.vertices))
         order *= group_order(label)
-    if order > element_cap:
+    if order > DEFAULT_ELEMENT_CAP:
         raise UnsupportedModelError(
-            f"group order {order} exceeds the element cap {element_cap}; "
+            f"group order {order} exceeds the element cap {DEFAULT_ELEMENT_CAP}; "
             f"use the recursion method instead"
         )
     if len(factors) == 1:
         return factors[0][0]
-    return ProductModel("product", factors)
+    return ProductModel(factors)
 
 
-def group_bfs(model, element_cap: int = DEFAULT_ELEMENT_CAP):
+def group_bfs(model):
     """Breadth-first closure of an irreducible model's generators.
 
     Returns (perms, steps): the signed root permutations, identity first,
@@ -317,9 +313,9 @@ def group_bfs(model, element_cap: int = DEFAULT_ELEMENT_CAP):
                     seen.add(prod)
                     perms.append(prod)
                     steps.append((parent, g))
-                    if len(perms) > element_cap:
+                    if len(perms) > DEFAULT_ELEMENT_CAP:
                         raise UnsupportedModelError(
-                            f"group closure exceeded the cap of {element_cap} "
+                            f"group closure exceeded the cap of {DEFAULT_ELEMENT_CAP} "
                             f"elements; this type is too large for brute force"
                         )
         start = end

@@ -57,9 +57,9 @@ class KCalculator:
     """Memoized K(W) computation; safe to reuse across many queries.
 
     The recursion runs on lists of classified type labels. Graph code runs
-    only where a spec string or a user graph enters (k, k_bar,
-    fixed_vertex_term) and once per (type, vertex) on the type's standard
-    graph, to read off the parabolic subgroup left by deleting the vertex.
+    only where a spec string or a user graph enters (k) and once per
+    (type, vertex) on the type's standard graph, to read off the parabolic
+    subgroup left by deleting the vertex.
     """
 
     def __init__(self):
@@ -124,12 +124,6 @@ class KCalculator:
         method = "summ1" if central else "summ2"
         return KResult(sum(value for _, value in terms), method, terms)
 
-    def fixed_vertex_term(self, g: CoxeterGraph, v, sigma: dict) -> int:
-        """Contribution of a sigma-fixed vertex; sigma maps vertex to vertex."""
-        if sigma[v] != v:
-            raise ValueError(f"vertex {v!r} is not fixed by the automorphism")
-        return self._fixed_vertex_term(_deleted_parts(g, v), sigma)[0]
-
     def _fixed_vertex_term(self, parts, sigma):
         """Term of a fixed vertex from the (label, iso) components left by
         deleting it; sigma and every iso use the same vertex ids."""
@@ -166,14 +160,9 @@ class KCalculator:
             return value, f"{coeff} * " + " * ".join(descs)
         return value, "".join(descs) or "K(1)"
 
-    def k_bar(self, n) -> int:
+    def k_bar(self, n: int) -> int:
         """Augmented count for D_n: chain orbits under the group extended by
         the fork-swap graph automorphism. Equals d_n for odd n."""
-        if isinstance(n, CoxeterGraph):
-            label, _ = classify_irreducible(n)
-            if label.family != "D":
-                raise ValueError(f"k_bar needs a D-type graph, got {label}")
-            n = label.rank
         if n < 2:
             raise ValueError("k_bar is defined for n >= 2")
         if n % 2 == 1:
@@ -201,15 +190,3 @@ class KCalculator:
 def _deleted_parts(g: CoxeterGraph, v):
     """(label, iso) per component of g minus v, ordered by smallest vertex id."""
     return [classify_irreducible(c) for c in connected_components(delete_vertex(g, v))]
-
-
-_default = KCalculator()
-
-
-def k_recursive(g) -> KResult:
-    """K(W) for any finite Coxeter graph or spec string, with memoization."""
-    return _default.k(g)
-
-
-def k_bar(g) -> int:
-    return _default.k_bar(g)

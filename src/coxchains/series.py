@@ -42,16 +42,11 @@ class EgfSeries:
             self.coefficients[k] + other.coefficients[k] for k in range(n + 1)
         ))
 
-    __radd__ = __add__
-
     def __neg__(self):
         return EgfSeries(tuple(-c for c in self.coefficients))
 
     def __sub__(self, other):
         return self + (-_coerce(other, self.order))
-
-    def __rsub__(self, other):
-        return _coerce(other, self.order) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -64,8 +59,6 @@ class EgfSeries:
             for j in range(n + 1 - i):
                 out[i + j] += a * other.coefficients[j]
         return EgfSeries(tuple(out))
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _coerce(other, self.order)
@@ -81,24 +74,12 @@ class EgfSeries:
             out.append(acc * inv0)
         return EgfSeries(tuple(out))
 
-    def __rtruediv__(self, other):
-        return _coerce(other, self.order) / self
-
     def derivative(self) -> "EgfSeries":
         if self.order == 0:
             return EgfSeries((Fraction(0),))
         return EgfSeries(tuple(
             (k + 1) * self.coefficients[k + 1] for k in range(self.order)
         ))
-
-    def compose(self, inner: "EgfSeries") -> "EgfSeries":
-        if inner.coefficients[0] != 0:
-            raise ValueError("composition needs zero constant term in the inner series")
-        n = min(self.order, inner.order)
-        result = constant(self.coefficients[n], n)
-        for k in range(n - 1, -1, -1):
-            result = result * inner + constant(self.coefficients[k], n)
-        return result
 
     def truncate(self, n: int) -> "EgfSeries":
         return EgfSeries(self.coefficients[: n + 1])
@@ -156,17 +137,7 @@ def egf_tan(order: int) -> EgfSeries:
     return egf_sin(order) / egf_cos(order)
 
 
-@dataclass
-class SequenceTable:
-    name: str     # T, a, b, d, bar_d
-    start: int    # index of values[0]
-    values: list  # big naturals
-
-    def __getitem__(self, n: int) -> int:
-        return self.values[n - self.start]
-
-
-def euler_numbers(n_max: int) -> SequenceTable:
+def euler_numbers(n_max: int) -> list:
     """T_0..T_N by the boustrophedon (Seidel triangle) recurrence."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -178,7 +149,7 @@ def euler_numbers(n_max: int) -> SequenceTable:
             new.append(new[k - 1] + row[n - k])
         values.append(new[n])
         row = new
-    return SequenceTable("T", 0, values)
+    return values
 
 
 def euler_numbers_from_series(n_max: int) -> list:

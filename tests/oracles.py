@@ -5,16 +5,13 @@ against these slower, more direct computations.
 """
 
 from coxchains.field import (
-    FIELD_Q,
     ONE,
     ZERO,
     FieldScalar,
     Subspace,
     canonical_subspace,
-    mat_vec,
     null_space,
     rref,
-    scalar_field,
 )
 from coxchains.graphs import classify_irreducible, longest_element_automorphism
 from coxchains.lattice import ChainOrbitCount, GroupActionTable
@@ -24,8 +21,8 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def full_space(ambient: int, field: str = FIELD_Q) -> Subspace:
-    return canonical_subspace(identity_matrix(ambient, field), ambient)
+def full_space(ambient: int) -> Subspace:
+    return canonical_subspace(identity_matrix(ambient), ambient)
 
 
 def contains_vector(s: Subspace, v) -> bool:
@@ -57,6 +54,10 @@ def intersect(s1: Subspace, s2: Subspace) -> Subspace:
     return null_space(normals, s1.ambient)
 
 
+def mat_vec(m, v):
+    return [sum((m[i][j] * v[j] for j in range(len(v))), ZERO) for i in range(len(m))]
+
+
 def mat_mul(m1, m2):
     n = len(m2)
     cols = len(m2[0])
@@ -66,18 +67,14 @@ def mat_mul(m1, m2):
     ]
 
 
-def identity_matrix(n, field: str = FIELD_Q):
-    return [
-        [ONE if i == j else FieldScalar.of(0, field) for j in range(n)]
-        for i in range(n)
-    ]
+def identity_matrix(n):
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def mat_inverse(m):
     n = len(m)
-    field = scalar_field(m)
     aug = [
-        [FieldScalar.of(x, field) for x in row]
+        [FieldScalar.of(x) for x in row]
         + [ONE if i == j else ZERO for j in range(n)]
         for i, row in enumerate(m)
     ]
@@ -153,7 +150,7 @@ def matrix_of(model, perm):
 def fixed_space(model, perm) -> Subspace:
     """Canonical kernel of (matrix(perm) - identity)."""
     mat = matrix_of(model, perm)
-    ident = identity_matrix(model.ambient, model.field)
+    ident = identity_matrix(model.ambient)
     rows = [
         [mat[i][j] - ident[i][j] for j in range(model.ambient)]
         for i in range(model.ambient)

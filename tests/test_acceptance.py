@@ -132,7 +132,7 @@ def test_criterion_3_zigzag_identification():
     problems = []
     t = euler_numbers(21)
     t_series = euler_numbers_from_series(21)
-    if t.values != t_series:
+    if t != t_series:
         problems.append("Seidel triangle disagrees with series division")
     for n in range(1, 21):
         a_n = calc.k_value(f"A{n}")

@@ -52,19 +52,16 @@ def test_field_axioms_randomized():
                 assert (y / x) * x == y
 
 
-def test_rational_operands_keep_the_sqrt5_tag():
-    # __eq__ ignores tags, so compare the tag itself
-    tagged = FieldScalar.of(Fraction(3, 2), FIELD_QSQRT5)
-    plain = FieldScalar.of(Fraction(-1, 3))
-    for x, y in ((tagged, plain), (plain, tagged)):
-        for result in (x + y, x - y, x * y):
-            assert result.field == FIELD_QSQRT5
+def test_rational_operands_stay_rational():
+    x = FieldScalar.sqrt5_part(Fraction(3, 2), 0)
+    y = FieldScalar.of(Fraction(-1, 3))
+    for u, v in ((x, y), (y, x)):
+        for result in (u + v, u - v, u * v):
             assert result.b == 0
-    assert (tagged + plain).a == Fraction(7, 6)
-    assert (tagged - plain).a == Fraction(11, 6)
-    assert (plain - tagged).a == Fraction(-11, 6)
-    assert (tagged * plain).a == Fraction(-1, 2)
-    assert (plain * plain).field == FIELD_Q
+    assert (x + y).a == Fraction(7, 6)
+    assert (x - y).a == Fraction(11, 6)
+    assert (y - x).a == Fraction(-11, 6)
+    assert (x * y).a == Fraction(-1, 2)
 
 
 def test_scalar_sign_exact():

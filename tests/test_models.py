@@ -1,8 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from coxchains.field import ZERO, mat_vec, null_space
+from coxchains.field import ZERO, null_space
 from coxchains.graphs import parse_group_spec
 from coxchains.lattice import build_lattice_with_action
 from coxchains.models import (
@@ -12,6 +14,7 @@ from coxchains.models import (
     build_model,
     group_bfs,
     group_order,
+    model_to_json,
     reflection_count,
 )
 from oracles import (
@@ -21,6 +24,7 @@ from oracles import (
     full_space,
     identity_matrix,
     mat_mul,
+    mat_vec,
     matrix_of,
     reflecting_hyperplanes,
 )
@@ -69,7 +73,7 @@ def test_generators_are_involutions():
     for spec in ("A3", "B3", "D4", "H3", "F4"):
         model = build_model(spec)
         for gen in model.generators:
-            assert mat_mul(gen, gen) == identity_matrix(model.ambient, model.field)
+            assert mat_mul(gen, gen) == identity_matrix(model.ambient)
 
 
 def test_roots_closed_under_generators():
@@ -146,8 +150,9 @@ def test_unsupported_models_raise(spec):
 
 
 def test_element_cap_enforced():
+    # |B5 x B3| = 3840 * 48 = 184,320 exceeds DEFAULT_ELEMENT_CAP
     with pytest.raises(UnsupportedModelError):
-        build_model("B4", element_cap=100)
+        build_model("B5xB3")
 
 
 def test_h3_roots_live_over_qsqrt5():
@@ -162,3 +167,31 @@ def test_roots_canonically_signed():
         for r in model.roots:
             lead = next(x for x in r if not (x == ZERO))
             assert lead.sign() > 0
+
+
+# sha256 of the JSON of [model_to_json(model), model.gen_perms], so that the
+# root closure can change only in ways that move no root index or sign
+MODEL_DIGESTS = {
+    "A1": "14bd26f494718fb8c1616e7518ec332b7d695126a7c7fb65f7064bff19faf0a3",
+    "A2": "9cf04f4852383bde9ca1f976fa20f079937636b8d8fbceb7ce5682f907b59636",
+    "A3": "604ba96a0e40b6587700d39a5e253bb386a8072865b68f2b313ba27a84d195f1",
+    "A4": "875aad0ca2223c6a081952ea83dd07d21d3da4760f9e18e255b5e1024d6aeb71",
+    "A5": "4fa618868880719f9342f03a9c1a9afbecd996344a77ab789fef8b29b8dc2ad8",
+    "A6": "eb64c00af57daca8da108a8a12c42d5e0bb476fddffeee9142a07f7a01d31217",
+    "B2": "70be3954981adb16819b2fa4c6fc510d67b5509908b6dda983242c141b71afa7",
+    "B3": "1009100e3ef6c5696d92a6261dba7d7520cccf240c36a691e1fd269e91fd81b6",
+    "B4": "b45218394227f84375e72432a57b616b04f8772ca0d0e1aefc5b68b4000d16e5",
+    "B5": "8430624ed0d804b31387c5d98262bb2d148413acfdde9207ef31a33929c5027a",
+    "D4": "2c27dfa955410b2da36caaf6f241932ea2b745470101ed4148068f2aae876119",
+    "D5": "c0e72b0b935c8a0c2c1b3d341a63fd2cf8da4045c4f4675cc1ccadbd456bb3a4",
+    "F4": "94b87be894e42c33d8aee2f27ca6f41e767c9085b6ec0c78a73e369fcd579d4f",
+    "H3": "5f93202dfbf7e054bafcf29534aba83116c5e85f0fc9c0a0c3fb67d5c76c11ac",
+    "E6": "e7a5ebf3ed3ca528c02640cf150c01b3593141a9bdec4e79d26741e0aa409dd8",
+}
+
+
+@pytest.mark.parametrize("spec", list(MODEL_DIGESTS))
+def test_model_and_generator_permutations_pinned(spec):
+    model = build_model(spec)
+    payload = json.dumps([model_to_json(model), model.gen_perms], sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == MODEL_DIGESTS[spec]

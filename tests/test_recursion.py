@@ -5,7 +5,7 @@ import pytest
 
 from coxchains import graphs, recursion
 from coxchains.graphs import make_graph, parse_group_spec
-from coxchains.recursion import KCalculator, k_recursive, multinomial
+from coxchains.recursion import KCalculator, multinomial
 from coxchains.series import d_closed_form, euler_numbers
 from oracles import graph_automorphism
 
@@ -24,28 +24,31 @@ def test_multinomial():
 
 
 def test_rank_at_most_one_is_trivial():
-    assert k_recursive("1").value == 1
-    assert k_recursive("A1").value == 1
+    assert KCalculator().k("1").value == 1
+    assert KCalculator().k("A1").value == 1
 
 
 def test_a_type_equals_euler_zigzag():
+    calc = KCalculator()
     t = euler_numbers(40)
     for n in range(1, 41):
-        assert k_recursive(f"A{n}").value == t[n]
+        assert calc.k(f"A{n}").value == t[n]
 
 
 def test_b_type_equals_shifted_zigzag():
+    calc = KCalculator()
     t = euler_numbers(41)
     for n in range(2, 41):
-        assert k_recursive(f"B{n}").value == t[n + 1]
+        assert calc.k(f"B{n}").value == t[n + 1]
 
 
 def test_d_type_values():
+    calc = KCalculator()
     for n, v in D_VALUES.items():
         spec = {2: "A1xA1", 3: "A3"}.get(n, f"D{n}")
-        assert k_recursive(spec).value == v
+        assert calc.k(spec).value == v
     for n in range(2, 41):
-        assert k_recursive(f"D{n}").value == d_closed_form(n)
+        assert calc.k(f"D{n}").value == d_closed_form(n)
 
 
 def test_bar_d_values():
@@ -58,19 +61,20 @@ def test_bar_d_values():
 
 
 def test_exceptional_values():
+    calc = KCalculator()
     for spec, v in EXCEPTIONAL.items():
-        assert k_recursive(spec).value == v
+        assert calc.k(spec).value == v
 
 
 def test_e6_term_breakdown():
-    result = k_recursive("E6")
+    result = KCalculator().k("E6")
     assert result.method == "summ2"
     assert sorted(v for _, v in result.terms) == [15, 16, 25, 26]
     assert sum(v for _, v in result.terms) == 82
 
 
 def test_e7_term_breakdown():
-    result = k_recursive("E7")
+    result = KCalculator().k("E7")
     assert result.method == "summ1"
     assert sorted(v for _, v in result.terms) == sorted(
         [82, 156, 75, 120, 96, 178, 61]
@@ -78,7 +82,7 @@ def test_e7_term_breakdown():
 
 
 def test_e8_term_breakdown():
-    result = k_recursive("E8")
+    result = KCalculator().k("E8")
     assert result.method == "summ1"
     assert sorted(v for _, v in result.terms) == sorted(
         [768, 574, 546, 350, 525, 427, 594, 272]
@@ -86,21 +90,23 @@ def test_e8_term_breakdown():
 
 
 def test_dihedral_parity():
+    calc = KCalculator()
     for m in range(3, 31):
         want = 2 if m % 2 == 0 else 1
-        assert k_recursive(f"I2({m})").value == want
+        assert calc.k(f"I2({m})").value == want
 
 
 def test_product_examples():
-    assert k_recursive("A1xA1").value == 2
-    assert k_recursive("A2xA1").value == 3
-    assert k_recursive("B2xA1").value == 6
-    assert k_recursive("D5xA1").value == 6 * 26
-    assert k_recursive("A2xA1xA2").value == 30
+    calc = KCalculator()
+    assert calc.k("A1xA1").value == 2
+    assert calc.k("A2xA1").value == 3
+    assert calc.k("B2xA1").value == 6
+    assert calc.k("D5xA1").value == 6 * 26
+    assert calc.k("A2xA1xA2").value == 30
 
 
 def test_product_term_structure():
-    result = k_recursive("B2xA1")
+    result = KCalculator().k("B2xA1")
     assert result.method == "product"
     descs = [d for d, _ in result.terms]
     assert any("multinomial" in d for d in descs)
@@ -113,36 +119,28 @@ def test_product_term_structure():
 
 def test_fixed_vertex_term_a5_middle():
     calc = KCalculator()
-    g = parse_group_spec("A5")
-    sigma = graph_automorphism(g)
+    sigma = graph_automorphism(parse_group_spec("A5"))
     assert sigma[3] == 3
     # deleting the middle vertex leaves A2 x A2, swapped by the involution
-    assert calc.fixed_vertex_term(g, 3, sigma) == calc.k_value("A2xA2") // 2 == 3
+    terms = dict(calc.k("A5").terms)
+    assert terms["vertex 3: 1/2 K(A2xA2)"] == calc.k_value("A2xA2") // 2 == 3
 
 
 def test_fixed_vertex_term_d7():
     calc = KCalculator()
-    g = parse_group_spec("D7")
-    sigma = graph_automorphism(g)  # the fork swap, since the rank is odd
+    sigma = graph_automorphism(parse_group_spec("D7"))
+    assert sigma[3] == 3  # the fork swap, since the rank is odd
     # deleting path vertex 3 leaves A2 x D4 with a trivial induced involution
     # on A2 and the fork swap on D4, so the D4 factor is the augmented count
-    term = calc.fixed_vertex_term(g, 3, sigma)
+    terms = dict(calc.k("D7").terms)
+    term = terms["vertex 3: 15 * K(A2) * Kbar(D4)"]
     assert term == multinomial([2, 4]) * 1 * 7 == 105
-
-
-def test_fixed_vertex_term_rejects_moved_vertex():
-    calc = KCalculator()
-    g = parse_group_spec("A5")
-    with pytest.raises(ValueError):
-        calc.fixed_vertex_term(g, 1, graph_automorphism(g))
 
 
 def test_k_bar_input_validation():
     calc = KCalculator()
     with pytest.raises(ValueError):
         calc.k_bar(1)
-    with pytest.raises(ValueError):
-        calc.k_bar(parse_group_spec("A3"))
 
 
 def test_memoization_is_order_independent():
@@ -156,14 +154,14 @@ def test_memoization_is_order_independent():
 
 
 def test_summ1_for_central_longest_element():
-    result = k_recursive("B4")
+    result = KCalculator().k("B4")
     assert result.method == "summ1"
     assert len(result.terms) == 4
     assert result.value == sum(v for _, v in result.terms)
 
 
 def test_summ2_for_noncentral_longest_element():
-    result = k_recursive("A4")
+    result = KCalculator().k("A4")
     assert result.method == "summ2"
     assert len(result.terms) == 2
     assert result.value == 5
