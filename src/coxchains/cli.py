@@ -287,9 +287,9 @@ def _verify_checks(args):
         return t == s, f"seidel {t[:8]}... vs series {s[:8]}..."
 
     def closed_vs_recursion():
-        labels = [TypeLabel("A", n) for n in range(1, 13)]
-        labels += [TypeLabel("B", n) for n in range(2, 13)]
-        labels += [TypeLabel("D", n) for n in range(4, 13)]
+        labels = [TypeLabel("A", n) for n in range(1, 41)]
+        labels += [TypeLabel("B", n) for n in range(2, 41)]
+        labels += [TypeLabel("D", n) for n in range(4, 41)]
         labels += [TypeLabel("I2", m) for m in range(3, 31)]
         labels += [TypeLabel(f[0], int(f[1])) for f in ("E6", "E7", "E8", "F4", "H3", "H4")]
         for t in labels:
@@ -300,7 +300,7 @@ def _verify_checks(args):
         return True, ""
 
     def bar_d_check():
-        for n in range(2, 13):
+        for n in range(2, 41):
             rec = fresh.k_bar(n)  # cross-checks the closed form internally
             if rec != bar_d_closed_form(n):
                 return False, f"bar d_{n} mismatch"

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 
 
 class GroupSpecError(ValueError):
@@ -375,9 +376,9 @@ def component_labels(g: CoxeterGraph):
 def spec_of_labels(labels) -> str:
     """Canonical spec of a product of classified types: names sorted by
     family then rank, joined by x; "1" for the trivial group."""
-    if not labels:
-        return "1"
-    return "x".join(str(t) for t in sorted(labels, key=lambda t: (t.family, t.rank)))
+    if len(labels) < 2:
+        return str(labels[0]) if labels else "1"
+    return "x".join(map(str, sorted(labels, key=attrgetter("family", "rank"))))
 
 
 def canonical_spec(g: CoxeterGraph) -> str:

@@ -7,15 +7,19 @@ contributes the plain parabolic count, and each fixed vertex contributes
 a term resolved by a three-way case split (full count, halved count, or
 the augmented D-type count "bar d" when the component's own longest
 element cannot realize the induced graph swap).
+
+The A, B and D families read what deleting a vertex leaves, and how the
+involution acts on it, off per-family rules on type labels. The
+exceptional and dihedral types delete the vertex from their standard
+graph and classify the components that remain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial, prod
+from math import comb, prod
 
 from .graphs import (
-    CoxeterGraph,
     TypeLabel,
     classify_irreducible,
     component_labels,
@@ -28,6 +32,9 @@ from .graphs import (
 )
 
 ENGINE_VERSION = 1
+
+# The fold of a fixed vertex whose involution swaps whole components.
+SWAP = "swap"
 
 
 @dataclass
@@ -46,10 +53,10 @@ class KResult:
 
 
 def multinomial(parts) -> int:
-    total = sum(parts)
-    out = factorial(total)
+    out, total = 1, 0
     for p in parts:
-        out //= factorial(p)
+        total += p
+        out *= comb(total, p)
     return out
 
 
@@ -57,9 +64,10 @@ class KCalculator:
     """Memoized K(W) computation; safe to reuse across many queries.
 
     The recursion runs on lists of classified type labels. Graph code runs
-    only where a spec string or a user graph enters (k) and once per
-    (type, vertex) on the type's standard graph, to read off the parabolic
-    subgroup left by deleting the vertex.
+    only where a spec string or a user graph enters (k), and once per
+    vertex of an exceptional or dihedral type. The memo is filled lowest
+    rank first along the chains a cold A or even D type would descend, so
+    the stack depth does not grow with the rank.
     """
 
     def __init__(self):
@@ -86,9 +94,33 @@ class KCalculator:
         elif len(labels) > 1:
             result = self._k_product(labels)
         else:
+            self._fill_below(labels[0])
             result = self._k_irreducible(labels[0])
         self.memo[key] = result
         return result
+
+    def _fill_below(self, t: TypeLabel):
+        """Compute, lowest rank first, the types that t's first deletion
+        would otherwise reach by a chain of cold calls: A_{n-1}, .., A1
+        under A_n, and D_{n-1}, then the even D_{n-2}, .., D4, under an even
+        D_n. Each arrives with its lower ranks in the memo, so the order of
+        computation, and hence every entry, is that of the plain top-down
+        recursion. B and odd D need no fill: B_n meets B_{v-1} in rising v,
+        and k_bar runs its ranks upward."""
+        if t.family == "A":
+            step, lowest = 1, 1
+        elif t.family == "D" and t.rank % 2 == 0:
+            self._k(_d_part(t.rank - 1))
+            step, lowest = 2, 4
+        else:
+            return
+        ranks = []
+        r = t.rank - step
+        while r >= lowest and f"{t.family}{r}" not in self.memo:
+            ranks.append(r)
+            r -= step
+        for r in reversed(ranks):
+            self._k([TypeLabel(t.family, r)])
 
     def _k_product(self, labels) -> KResult:
         """Multinomial shuffle of the factors' counts."""
@@ -102,34 +134,34 @@ class KCalculator:
             terms.append((f"K({t})", kt))
         return KResult(value, "product", terms)
 
+    def _deleted(self, t: TypeLabel, v):
+        """(labels, fold) of deleting vertex v of t: see _DELETION_RULES."""
+        rule = _DELETION_RULES.get(t.family)
+        return rule(t.rank, v) if rule else _graph_deletion(t, v)
+
     def _k_irreducible(self, t: TypeLabel) -> KResult:
         if t.coxeter_rank == 1:
             return KResult(1, "base-case", [(str(t), 1)])
-        g = standard_graph(t)
         sigma = longest_element_automorphism(t)
-        central = all(v == w for v, w in sigma.items())
         terms = []
-        for v in g.vertices:
-            w = sigma[v]
+        for v, w in sorted(sigma.items()):
             if w < v:
                 continue  # the orbit {w, v} was counted at w
-            parts = _deleted_parts(g, v)
-            if w == v and not central:
-                value, desc = self._fixed_vertex_term(parts, sigma)
-            else:
-                labels = [label for label, _ in parts]
+            labels, fold = self._deleted(t, v)
+            if fold is None:
                 value, desc = self._k(labels).value, f"K({spec_of_labels(labels)})"
+            else:
+                value, desc = self._fixed_vertex_term(labels, fold)
             name = f"vertex {v}" if w == v else f"orbit {{{v},{w}}}"
             terms.append((f"{name}: {desc}", value))
+        central = all(v == w for v, w in sigma.items())
         method = "summ1" if central else "summ2"
         return KResult(sum(value for _, value in terms), method, terms)
 
-    def _fixed_vertex_term(self, parts, sigma):
-        """Term of a fixed vertex from the (label, iso) components left by
-        deleting it; sigma and every iso use the same vertex ids."""
-        labels = [label for label, _ in parts]
-        comp_of = {x: idx for idx, (_, iso) in enumerate(parts) for x in iso}
-        if any(comp_of[sigma[x]] != idx for x, idx in comp_of.items()):
+    def _fixed_vertex_term(self, labels, fold):
+        """Term of a vertex fixed by a non-trivial involution, from the
+        labels left by deleting it and the involution's fold on them."""
+        if fold == SWAP:
             # the involution shuffles whole components: halved count
             kh = self._k(labels).value
             if kh % 2 != 0:
@@ -139,10 +171,8 @@ class KCalculator:
             return kh // 2, f"1/2 K({spec_of_labels(labels)})"
         factors = []
         descs = []
-        for label, iso in parts:
-            gamma = {iso[x]: iso[sigma[x]] for x in iso}
-            own = longest_element_automorphism(label)
-            if gamma == own or all(x == y for x, y in gamma.items()):
+        for label, twisted in zip(labels, fold):
+            if not twisted:
                 factors.append(self._k([label]).value)
                 descs.append(f"K({label})")
             elif label.family == "D" and label.rank % 2 == 0:
@@ -156,7 +186,7 @@ class KCalculator:
                 )
         coeff = multinomial([t.coxeter_rank for t in labels])
         value = coeff * prod(factors)
-        if len(parts) > 1:
+        if len(labels) > 1:
             return value, f"{coeff} * " + " * ".join(descs)
         return value, "".join(descs) or "K(1)"
 
@@ -166,7 +196,7 @@ class KCalculator:
         if n < 2:
             raise ValueError("k_bar is defined for n >= 2")
         if n % 2 == 1:
-            return self._k([TypeLabel("A", 3) if n == 3 else TypeLabel("D", n)]).value
+            return self._k(_d_part(n)).value
         hit = self.bar_memo.get(n)
         if hit is not None:
             return hit.value
@@ -187,6 +217,81 @@ class KCalculator:
         return value
 
 
-def _deleted_parts(g: CoxeterGraph, v):
-    """(label, iso) per component of g minus v, ordered by smallest vertex id."""
-    return [classify_irreducible(c) for c in connected_components(delete_vertex(g, v))]
+# Deletion rules, one per family: (labels, fold) of deleting vertex v of the
+# rank-n type, in standard numbering. labels are the classified components
+# left, ordered by smallest vertex id. fold is None for a plain K term: a
+# vertex in a two-element orbit of the involution s -> w0 s w0, or any
+# vertex when the involution is trivial. A vertex fixed by a non-trivial
+# involution has fold SWAP when the involution swaps whole components, and
+# otherwise one flag per component: whether the involution restricts to an
+# automorphism that is neither trivial nor the component's own.
+
+
+def _a_run(n: int) -> list:
+    """The path A_n as a component list; empty for n = 0."""
+    return [TypeLabel("A", n)] if n else []
+
+
+def _d_part(n: int) -> list:
+    """The classified components of the D_n diagram, n >= 2: D3 is A3 and
+    D2 is A1 x A1."""
+    if n >= 4:
+        return [TypeLabel("D", n)]
+    return [TypeLabel("A", 3)] if n == 3 else [TypeLabel("A", 1)] * 2
+
+
+def _a_deleted(n: int, v: int):
+    """A_n minus v is A_{v-1} x A_{n-v}. The involution reverses the path,
+    so the middle vertex of an odd path, A1 aside, swaps the two halves."""
+    return _a_run(v - 1) + _a_run(n - v), SWAP if 1 < n == 2 * v - 1 else None
+
+
+def _b_deleted(n: int, v: int):
+    """B_n minus 1 is A_{n-1}, minus 2 is A1 x A_{n-2}, and minus v >= 3 is
+    B_{v-1} x A_{n-v}. The involution is trivial."""
+    head = [] if v == 1 else _a_run(1) if v == 2 else [TypeLabel("B", v - 1)]
+    return head + _a_run(n - v), None
+
+
+def _d_deleted(n: int, v: int):
+    """D_n minus a path vertex v <= n-2 is A_{v-1} x D_{n-v}, minus a fork
+    vertex A_{n-1}. For odd n the involution swaps the forks and fixes the
+    path: it swaps the two forks left as A1 x A1, acts on A3 and on an odd D
+    as their own involution, and twists an even D."""
+    if v >= n - 1:
+        return _a_run(n - 1), None
+    r = n - v
+    labels = _a_run(v - 1) + _d_part(r)
+    if n % 2 == 0:
+        return labels, None
+    if r == 2:
+        return labels, SWAP
+    return labels, (False,) * (v > 1) + (r % 2 == 0,)
+
+
+_DELETION_RULES = {"A": _a_deleted, "B": _b_deleted, "D": _d_deleted}
+
+
+def _graph_deletion(t: TypeLabel, v: int):
+    """(labels, fold) of deleting vertex v of any type, read off its
+    standard graph by classifying the components that remain."""
+    sigma = longest_element_automorphism(t)
+    graph = delete_vertex(standard_graph(t), v)
+    parts = [classify_irreducible(c) for c in connected_components(graph)]
+    central = all(x == y for x, y in sigma.items())
+    fold = None if sigma[v] != v or central else _fold(parts, sigma)
+    return [label for label, _ in parts], fold
+
+
+def _fold(parts, sigma):
+    """The fold of sigma on the (label, iso) components left by deleting a
+    vertex it fixes; sigma and every iso use the same vertex ids."""
+    comp_of = {x: idx for idx, (_, iso) in enumerate(parts) for x in iso}
+    if any(comp_of[sigma[x]] != idx for x, idx in comp_of.items()):
+        return SWAP
+    flags = []
+    for label, iso in parts:
+        gamma = {iso[x]: iso[sigma[x]] for x in iso}
+        trivial = all(x == y for x, y in gamma.items())
+        flags.append(not trivial and gamma != longest_element_automorphism(label))
+    return tuple(flags)

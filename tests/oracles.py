@@ -1,8 +1,11 @@
 """Test oracles: exact-matrix helpers and independent counters that the
 package itself does not need. The tests check the package's combinatorial
-paths (root permutations, hyperplane-index sets, the canonical-chain scan)
-against these slower, more direct computations.
+paths (root permutations, hyperplane-index sets, the canonical-chain scan,
+the recursion's deletion rules) against these slower, more direct
+computations.
 """
+
+from functools import lru_cache
 
 from coxchains.field import (
     ONE,
@@ -13,8 +16,15 @@ from coxchains.field import (
     null_space,
     rref,
 )
-from coxchains.graphs import classify_irreducible, longest_element_automorphism
+from coxchains.graphs import (
+    classify_irreducible,
+    connected_components,
+    delete_vertex,
+    longest_element_automorphism,
+    standard_graph,
+)
 from coxchains.lattice import ChainOrbitCount, GroupActionTable
+from coxchains.recursion import KCalculator, _graph_deletion
 
 
 class SingularMatrixError(ValueError):
@@ -258,3 +268,23 @@ def count_chain_orbits_unionfind(l, table) -> ChainOrbitCount:
     sizes = tuple(sorted(buckets.values()))
     return ChainOrbitCount(total_chains=len(chains), orbit_count=len(buckets),
                            orbit_sizes=sizes)
+
+
+def graph_deleted_labels(t, v):
+    """The classified components left by deleting vertex v from the
+    standard graph of t, ordered by smallest vertex id."""
+    graph = delete_vertex(standard_graph(t), v)
+    return [classify_irreducible(c)[0] for c in connected_components(graph)]
+
+
+class GraphDeletionCalculator(KCalculator):
+    """The recursion with every deletion, A, B and D included, read off the
+    type's standard graph instead of the per-family rules, and with no
+    bottom-up fill: each type recurses top-down, so the stack grows with the
+    rank. Deletions are shared across instances, so fresh calculators repeat
+    only arithmetic."""
+
+    _deleted = staticmethod(lru_cache(maxsize=None)(_graph_deletion))
+
+    def _fill_below(self, t):
+        pass

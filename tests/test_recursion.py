@@ -1,13 +1,14 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
 
 from coxchains import graphs, recursion
-from coxchains.graphs import make_graph, parse_group_spec
+from coxchains.graphs import TypeLabel, make_graph, parse_group_spec
 from coxchains.recursion import KCalculator, multinomial
 from coxchains.series import d_closed_form, euler_numbers
-from oracles import graph_automorphism
+from oracles import GraphDeletionCalculator, graph_automorphism, graph_deleted_labels
 
 D_VALUES = {2: 2, 3: 2, 4: 12, 5: 26, 6: 178, 7: 594, 8: 4792, 9: 21682,
              10: 202374, 11: 1160026, 12: 12303332}
@@ -205,3 +206,77 @@ def test_memo_hits_and_products_classify_only_at_entry(monkeypatch):
     assert result.value == multinomial([4, 5]) * b4 * a5
     # one classification per component of the argument, none in the recursion
     assert calls == Counter({"coxchains.graphs": 2})
+    for spec in ("A40", "B40", "D41"):
+        calls.clear()
+        KCalculator().k(spec)
+        assert calls == Counter({"coxchains.graphs": 1}), spec
+
+
+RULE_TYPES = (
+    [TypeLabel("A", n) for n in range(1, 13)]
+    + [TypeLabel("B", n) for n in range(2, 13)]
+    + [TypeLabel("D", n) for n in range(4, 13)]
+)
+
+
+@pytest.mark.parametrize("t", RULE_TYPES, ids=str)
+def test_deletion_rules_match_graph_deletion(t):
+    calc, oracle = KCalculator(), GraphDeletionCalculator()
+    for v in range(1, t.rank + 1):
+        labels, fold = calc._deleted(t, v)
+        assert labels == graph_deleted_labels(t, v), v
+        assert (labels, fold) == oracle._deleted(t, v), v
+
+
+EQUALITY_SPECS = (
+    [f"A{n}" for n in range(1, 41)]
+    + [f"B{n}" for n in range(2, 41)]
+    + [f"D{n}" for n in range(4, 41)]
+    + ["E6", "E7", "E8", "F4", "H3", "H4"]
+    + [f"I2({m})" for m in range(3, 40)]
+    + ["D12xB9xA7", "E6xA2"]
+)
+
+
+def _assert_same_memo(calc, oracle, spec=None):
+    # in insertion order too: a product's terms follow its first caller's
+    # label order, so filling in another order than the top-down recursion
+    # would change entries
+    assert list(calc.memo.items()) == list(oracle.memo.items()), spec
+    assert list(calc.bar_memo.items()) == list(oracle.bar_memo.items()), spec
+
+
+def test_memo_equals_graph_deletion_oracle_in_one_calculator():
+    calc, oracle = KCalculator(), GraphDeletionCalculator()
+    for spec in EQUALITY_SPECS:
+        calc.k(spec)
+        oracle.k(spec)
+    _assert_same_memo(calc, oracle)
+
+
+def test_memo_equals_graph_deletion_oracle_per_query():
+    for spec in EQUALITY_SPECS:
+        calc, oracle = KCalculator(), GraphDeletionCalculator()
+        calc.k(spec)
+        oracle.k(spec)
+        _assert_same_memo(calc, oracle, spec)
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_deep_ranks_need_no_deep_stack():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        d150 = KCalculator().k("D150").value
+        b150 = KCalculator().k("B150").value
+    finally:
+        sys.setrecursionlimit(limit)
+    assert d150 == d_closed_form(150)
+    assert b150 == euler_numbers(151)[151]
