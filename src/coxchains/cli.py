@@ -14,7 +14,6 @@ import os
 import sys
 import tempfile
 import time
-from math import prod
 
 from . import __version__
 from .graphs import (
@@ -72,8 +71,9 @@ def brute_force_count(spec: str, workers: int = 1):
 
 
 class DiskCache:
-    """JSON value cache keyed by canonical spec, stamped with the engine
-    version so stale files are ignored rather than trusted.
+    """JSON cache of the recursion memo, one entry per irreducible type
+    keyed by its name, stamped with the engine version so stale files are
+    ignored rather than trusted.
 
     A file that cannot be read as a cache is ignored, and an entry that is
     ill-typed or whose value contradicts its own terms is dropped, each with
@@ -154,11 +154,8 @@ def _cached_result(entry) -> KResult:
     value contradicts its own terms."""
     kr = KResult(value=int(entry["value"]), method=entry["method"],
                  terms=[(d, int(v)) for d, v in entry["terms"]])
-    values = [v for _, v in kr.terms]
-    if kr.method == "product":
-        expected = prod(values)
-    elif kr.method in ("summ1", "summ2"):
-        expected = sum(values)
+    if kr.method in ("summ1", "summ2"):
+        expected = sum(v for _, v in kr.terms)
     elif kr.method == "base-case":
         expected = 1
     else:
@@ -464,6 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # K(A_n) passes 4,300 digits, Python's default limit for converting an
+    # int to or from a string, near n = 1,660
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     return args.fn(args)
 

@@ -31,7 +31,7 @@ from .graphs import (
     standard_graph,
 )
 
-ENGINE_VERSION = 1
+ENGINE_VERSION = 2
 
 # The fold of a fixed vertex whose involution swaps whole components.
 SWAP = "swap"
@@ -65,9 +65,11 @@ class KCalculator:
 
     The recursion runs on lists of classified type labels. Graph code runs
     only where a spec string or a user graph enters (k), and once per
-    vertex of an exceptional or dihedral type. The memo is filled lowest
-    rank first along the chains a cold A or even D type would descend, so
-    the stack depth does not grow with the rank.
+    vertex of an exceptional or dihedral type. The memo holds irreducible
+    types only, keyed by name: the trivial group and every product are one
+    multinomial over memoized counts, recomputed on each call, so their
+    term lists follow the caller's factor order and no entry depends on
+    the order of computation.
     """
 
     def __init__(self):
@@ -85,42 +87,31 @@ class KCalculator:
 
     def _k(self, labels) -> KResult:
         """K of the product of classified labels, given in component order."""
-        key = spec_of_labels(labels)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
+        if len(labels) == 1:
+            return self._k_type(labels[0])
         if not labels:
-            result = KResult(1, "base-case", [("trivial group", 1)])
-        elif len(labels) > 1:
-            result = self._k_product(labels)
-        else:
-            self._fill_below(labels[0])
-            result = self._k_irreducible(labels[0])
-        self.memo[key] = result
-        return result
+            return KResult(1, "base-case", [("trivial group", 1)])
+        return self._k_product(labels)
+
+    def _k_type(self, t: TypeLabel) -> KResult:
+        """K of an irreducible type, memoized."""
+        key = str(t)
+        hit = self.memo.get(key)
+        if hit is None:
+            self._fill_below(t)
+            hit = self.memo[key] = self._k_irreducible(t)
+        return hit
 
     def _fill_below(self, t: TypeLabel):
-        """Compute, lowest rank first, the types that t's first deletion
-        would otherwise reach by a chain of cold calls: A_{n-1}, .., A1
-        under A_n, and D_{n-1}, then the even D_{n-2}, .., D4, under an even
-        D_n. Each arrives with its lower ranks in the memo, so the order of
-        computation, and hence every entry, is that of the plain top-down
-        recursion. B and odd D need no fill: B_n meets B_{v-1} in rising v,
-        and k_bar runs its ranks upward."""
-        if t.family == "A":
-            step, lowest = 1, 1
-        elif t.family == "D" and t.rank % 2 == 0:
-            self._k(_d_part(t.rank - 1))
-            step, lowest = 2, 4
-        else:
-            return
-        ranks = []
-        r = t.rank - step
-        while r >= lowest and f"{t.family}{r}" not in self.memo:
-            ranks.append(r)
-            r -= step
-        for r in reversed(ranks):
-            self._k([TypeLabel(t.family, r)])
+        """Compute, lowest rank first, the missing lower ranks of t's family
+        that t's recursion reaches, so the stack depth does not grow with
+        the rank. An odd D needs only the odd ranks: its even D parts are
+        twisted and go to k_bar."""
+        ranks = {"A": range(1, t.rank), "B": range(2, t.rank),
+                 "D": range(5, t.rank, 2) if t.rank % 2 else range(4, t.rank)}
+        for r in ranks.get(t.family, ()):
+            if f"{t.family}{r}" not in self.memo:
+                self._k_type(TypeLabel(t.family, r))
 
     def _k_product(self, labels) -> KResult:
         """Multinomial shuffle of the factors' counts."""
@@ -129,7 +120,7 @@ class KCalculator:
         value = coeff
         terms = [(f"multinomial({sum(ranks)}; {','.join(map(str, ranks))})", coeff)]
         for t in labels:
-            kt = self._k([t]).value
+            kt = self._k_type(t).value
             value *= kt
             terms.append((f"K({t})", kt))
         return KResult(value, "product", terms)
@@ -173,7 +164,7 @@ class KCalculator:
         descs = []
         for label, twisted in zip(labels, fold):
             if not twisted:
-                factors.append(self._k([label]).value)
+                factors.append(self._k_type(label).value)
                 descs.append(f"K({label})")
             elif label.family == "D" and label.rank % 2 == 0:
                 factors.append(self.k_bar(label.rank))
@@ -200,7 +191,7 @@ class KCalculator:
         hit = self.bar_memo.get(n)
         if hit is not None:
             return hit.value
-        a = lambda i: self._k([TypeLabel("A", i)]).value if i >= 1 else 1
+        a = lambda i: self._k_type(TypeLabel("A", i)).value if i >= 1 else 1
         value = a(n - 1)
         terms = [(f"K(A{n - 1})", a(n - 1))]
         for i in range(2, n):

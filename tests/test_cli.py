@@ -2,12 +2,15 @@ import hashlib
 import json
 import os
 import stat
+import sys
 
 import pytest
 
 from coxchains import cli, lattice
+from coxchains.graphs import component_labels, parse_group_spec
 from coxchains.lattice import build_lattice
 from coxchains.models import build_model
+from coxchains.series import euler_numbers
 
 
 def run(capsys, *argv):
@@ -203,8 +206,10 @@ def write_cache(path, results, version=None):
 
 
 @pytest.mark.parametrize("content, reason", [
-    ('{"engine_version": 1, "results": {"A3": {"val', "unreadable"),
-    ('{"engine_version": 1, "results": []}', '"results" is not an object'),
+    (f'{{"engine_version": {cli.ENGINE_VERSION}, "results": {{"A3": {{"val',
+     "unreadable"),
+    (f'{{"engine_version": {cli.ENGINE_VERSION}, "results": []}}',
+     '"results" is not an object'),
     ("[1, 2]", "the top level is not an object"),
 ], ids=["truncated", "results-list", "top-level-array"])
 def test_unreadable_cache_file_is_ignored_with_warning(capsys, tmp_path, content, reason):
@@ -318,3 +323,53 @@ def test_warm_request_leaves_cache_file_untouched(capsys, tmp_path):
     assert cache.stat().st_ino == before
     run(capsys, "compute", "E7", "--method", "recursion", "--cache", str(cache))
     assert "E7" in json.loads(cache.read_text())["results"]
+
+
+@pytest.mark.parametrize("spec", ["A3xA6", "A6xA3"])
+def test_product_breakdown_does_not_depend_on_cache_history(capsys, tmp_path, spec):
+    argv = ["compute", spec, "--method", "recursion", "--format", "json"]
+    _, want, _ = run(capsys, *argv)
+    for earlier in (None, "D10", "A10"):
+        cache = str(tmp_path / f"after-{earlier}.json")
+        if earlier:
+            run(capsys, "compute", earlier, "--method", "recursion",
+                "--cache", cache)
+        code, out, err = run(capsys, *argv, "--cache", cache)
+        assert code == cli.EXIT_OK and err == ""
+        assert out == want, earlier
+
+
+def test_cache_holds_irreducible_types_only(capsys, tmp_path):
+    cache = tmp_path / "c.json"
+    for spec in ("A30", "B30", "D30"):
+        run(capsys, "compute", spec, "--method", "recursion", "--cache", str(cache))
+    keys = json.loads(cache.read_text())["results"]
+    # A1-A30, B2-B30 and D4-D30
+    assert len(keys) == 86
+    assert all(len(component_labels(parse_group_spec(k))) == 1 for k in keys)
+    before = cache.read_bytes()
+    code, out, _ = run(capsys, "compute", "A5xB7xD6", "--method", "recursion",
+                       "--cache", str(cache))
+    assert code == cli.EXIT_OK
+    assert out.strip() == str(cli.closed_form_value("A5xB7xD6"))
+    assert cache.read_bytes() == before
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no integer string-conversion limit")
+def test_values_past_the_int_string_digit_limit(capsys, tmp_path):
+    want = str(euler_numbers(400)[400])  # 791 digits
+    cache = str(tmp_path / "c.json")
+    limit = sys.get_int_max_str_digits()
+    try:
+        for argv in (["compute", "A400", "--method", "closed"],
+                     ["compute", "A400", "--method", "recursion", "--cache", cache],
+                     ["compute", "A400", "--method", "recursion", "--cache", cache],
+                     ["table", "--max-rank", "400", "--format", "csv"]):
+            sys.set_int_max_str_digits(640)
+            code, out, err = run(capsys, *argv)
+            assert code == cli.EXIT_OK and err == "", argv
+            lines = out.splitlines()
+            assert want in lines or f"A,400,closed,{want}" in lines, argv
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -154,6 +154,18 @@ def test_memoization_is_order_independent():
     assert calc1.memo.keys() >= {"E6", "E7", "E8"}
 
 
+def test_product_breakdown_does_not_depend_on_history():
+    # D10 minus vertex 7 is A6 x D3 = A6 x A3, and A10 minus vertex 4 and 7
+    # is A3 x A6 and A6 x A3
+    for spec in ("A3xA6", "A6xA3"):
+        want = KCalculator().k(spec)
+        for earlier in ("D10", "A10"):
+            calc = KCalculator()
+            calc.k(earlier)
+            assert calc.k(spec) == want, (spec, earlier)
+            assert all("x" not in key for key in calc.memo)
+
+
 def test_summ1_for_central_longest_element():
     result = KCalculator().k("B4")
     assert result.method == "summ1"
@@ -239,11 +251,9 @@ EQUALITY_SPECS = (
 
 
 def _assert_same_memo(calc, oracle, spec=None):
-    # in insertion order too: a product's terms follow its first caller's
-    # label order, so filling in another order than the top-down recursion
-    # would change entries
-    assert list(calc.memo.items()) == list(oracle.memo.items()), spec
-    assert list(calc.bar_memo.items()) == list(oracle.bar_memo.items()), spec
+    # equal key sets: the fill computes no type the top-down recursion skips
+    assert calc.memo == oracle.memo, spec
+    assert calc.bar_memo == oracle.bar_memo, spec
 
 
 def test_memo_equals_graph_deletion_oracle_in_one_calculator():
@@ -274,9 +284,14 @@ def test_deep_ranks_need_no_deep_stack():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
-        d150 = KCalculator().k("D150").value
+        a150 = KCalculator().k("A150").value
         b150 = KCalculator().k("B150").value
+        d150 = KCalculator().k("D150").value
+        d151 = KCalculator().k("D151").value
     finally:
         sys.setrecursionlimit(limit)
+    euler = euler_numbers(151)
+    assert a150 == euler[150]
+    assert b150 == euler[151]
     assert d150 == d_closed_form(150)
-    assert b150 == euler_numbers(151)[151]
+    assert d151 == d_closed_form(151)
