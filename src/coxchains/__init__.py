@@ -20,7 +20,7 @@ from .graphs import (
 )
 from .lattice import (
     ChainOrbitCount,
-    GroupActionTable,
+    GeneratorAction,
     IntersectionLattice,
     build_lattice,
     build_lattice_with_action,
@@ -28,7 +28,7 @@ from .lattice import (
     count_maximal_chains,
     orbit_count_of_lines,
 )
-from .models import ReflectionModel, UnsupportedModelError, build_model, group_bfs
+from .models import ReflectionModel, UnsupportedModelError, build_model
 from .recursion import KCalculator, KResult
 from .series import (
     EgfSeries,

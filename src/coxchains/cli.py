@@ -3,7 +3,9 @@
 Commands: compute, table, verify, export-lattice. Exit codes are part of
 the contract: 0 success, 2 parse or usage error (an invalid flag, an
 unwritable export path), 3 brute force unsupported for the requested type,
-4 method disagreement, 1 verification failure.
+4 method disagreement, 1 verification failure, 141 (128 + SIGPIPE, what a
+shell reports for a filter) when the reader of standard output closed it
+early.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .lattice import (
 from .models import UnsupportedModelError, build_model, model_to_json
 from .recursion import ENGINE_VERSION, KCalculator, KResult, multinomial
 from .series import (
+    _d_closed_forms,
     bar_d_closed_form,
     euler_numbers,
     euler_numbers_from_series,
@@ -45,13 +48,14 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_DISAGREE = 4
+EXIT_BROKEN_PIPE = 141
 
 REQUIRED_BRUTE_TIER = (
     ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "H3"]
     + [f"I2({m})" for m in range(3, 13)]
     + ["A1xA1", "A2xA1", "B2xA1"]
 )
-DEEP_BRUTE_TIER = ["A5", "B5", "D5", "F4"]
+DEEP_BRUTE_TIER = ["A5", "B5", "D5", "F4", "E6"]
 
 
 def closed_form_value(spec: str) -> int:
@@ -238,10 +242,9 @@ def _table_rows(max_rank: int):
         rows.append(("A", n, t[n]))
     for n in range(2, max_rank + 1):
         rows.append(("B", n, t[n + 1]))
-    for n in range(2, max_rank + 1):
-        rows.append(("D", n, k_closed_form(TypeLabel("D", n))))
-    for n in range(2, max_rank + 1):
-        rows.append(("barD", n, bar_d_closed_form(n)))
+    ds = [_d_closed_forms(t, n) for n in range(2, max_rank + 1)]
+    rows += [("D", n, d) for n, (d, _) in enumerate(ds, 2)]
+    rows += [("barD", n, bar) for n, (_, bar) in enumerate(ds, 2)]
     for name in ("E6", "E7", "E8", "F4", "H3", "H4"):
         rows.append((name[0], int(name[1]), k_closed_form(TypeLabel(name[0], int(name[1])))))
     for m in range(3, max_rank + 1):
@@ -447,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the cross-validation suite")
     p.add_argument("--deep", action="store_true",
-                   help="include the rank-5 and F4 brute-force tier")
+                   help="include the rank-5, F4 and E6 brute-force tier")
     p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--cache")
     p.set_defaults(fn=cmd_verify)
@@ -466,7 +469,13 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except BrokenPipeError:
+        # the reader left, as `head` does: send what is still buffered to
+        # devnull so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

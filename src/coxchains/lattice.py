@@ -1,26 +1,17 @@
 """Intersection lattices and brute-force orbit counting of maximal chains.
 
 A lattice element is identified with the set of reflecting hyperplanes
-containing it, which makes deduplication and the group action cheap: a
-group element permutes root lines, hence hyperplane index sets. The closure
-that finds the flats runs on plain integers: roots become primitive integer
-rows (over Q(sqrt5) in coordinates over Q(phi), at twice the width), and
-membership in a span is a zero test of integer dot products with
-fraction-free null vectors. Exact `FieldScalar` arithmetic remains for
-model construction and for each flat's basis, which is computed once after
-the closure and written by the export, which builds the lattice alone
-(`build_lattice`). The action table of an irreducible model, matrix or
-dihedral, is computed from hypset images for the generators only; every
-other row is composed from its parent's row along the group's
-breadth-first closure, and a product composes its factors' tables.
-Maximal chains are counted by rank DP. Chain orbits are counted by
-visiting one chain per orbit: the canonical chain, which equals its own
-lexicographically smallest image. A depth-first scan extends a canonical
-prefix only by a cover that no element of the prefix's stabiliser moves
-lower, narrowing the stabiliser as it goes; each canonical maximal chain
-then contributes the orbit size |W| / |Stab|. The orbit sizes must sum to
-the maximal-chain count, which certifies the scan and the action table
-together.
+containing it, kept as a bitmask of root indices (`hypsets`); a group
+element permutes root lines, hence hypsets. The closure that finds the
+flats runs on plain integers: roots become primitive integer rows (over
+Q(sqrt5) in coordinates over Q(phi), at twice the width), and membership in
+a span is a zero test of integer dot products with fraction-free null
+vectors. Exact `FieldScalar` arithmetic remains for model construction and
+for the flats' bases, which only the export's `build_lattice` computes. A
+product's roots are its factors' roots in factor order. The group acts
+through its generators alone (`GeneratorAction`), and chain orbits are
+counted from atom stabilisers closed from Schreier generators, so no
+element outside an atom's stabiliser is ever listed.
 """
 
 from __future__ import annotations
@@ -32,19 +23,19 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .field import FIELD_QSQRT5, Subspace, null_space
-from .models import DihedralModel, ProductModel, ReflectionModel, group_bfs
+from .models import DihedralModel, ProductModel, ReflectionModel
 
 
 @dataclass
 class IntersectionLattice:
     kind: str            # matrix | dihedral | product
-    elements: list       # Subspace | dihedral name | factor index tuple
+    elements: list       # spanning roots or Subspace | name | factor indices
     rank: list           # codimension within the essential space
     covers: list         # covers[i] = indices of elements directly above i
     bottom: int
     top: int
     essential_rank: int
-    hypsets: list | None = None  # irreducible models: containing-root sets
+    hypsets: list        # bitmask of the roots whose hyperplanes contain it
 
     def rank_sizes(self):
         sizes = [0] * (self.essential_rank + 1)
@@ -54,13 +45,13 @@ class IntersectionLattice:
 
 
 @dataclass
-class GroupActionTable:
-    rows: list            # rows[g] = tuple, image index per lattice element
-    generator_rows: list  # indices of generator rows within `rows`
+class GeneratorAction:
+    """Generators as permutations p of the 2n signed roots, p[i] the image
+    of point i: point i is root i and point i + n is -root i. The action is
+    faithful, so `group_order` is |W|."""
 
-    @property
-    def group_order(self) -> int:
-        return len(self.rows)
+    generators: list
+    group_order: int
 
 
 @dataclass
@@ -157,9 +148,10 @@ def _build_matrix_lattice(model: ReflectionModel) -> IntersectionLattice:
 
     The closure runs on integers only (`_integer_lines`): the spanning rows
     plus the new root are brought to a fraction-free echelon form, and the
-    cover is every root orthogonal to all of its null vectors. Flats are
-    root-index bitmasks while building; each flat's exact `Subspace` is
-    computed once at the end, from its spanning roots.
+    cover is every root orthogonal to all of its null vectors. A flat's
+    hypset is the bitmask of the roots containing it, and its element is
+    the tuple of its spanning roots; only `build_lattice` replaces that by
+    the flat's exact `Subspace`.
     """
     vecs, lines = _integer_lines(model)
     width = len(vecs[0])
@@ -198,13 +190,13 @@ def _build_matrix_lattice(model: ReflectionModel) -> IntersectionLattice:
     rank = [len(spans[f]) for f in order]
     lattice = IntersectionLattice(
         kind="matrix",
-        elements=_flat_bases(model, [spans[f] for f in order]),
+        elements=[spans[f] for f in order],
         rank=rank,
         covers=[sorted(position[c] for c in ups[f]) for f in order],
         bottom=0,
         top=len(order) - 1,
         essential_rank=rank[-1],
-        hypsets=[frozenset(hyps[f]) for f in order],
+        hypsets=[masks[f] for f in order],
     )
     _validate_graded(lattice)
     if rank.count(1) != n:
@@ -257,8 +249,7 @@ def _build_dihedral_lattice(model: DihedralModel) -> IntersectionLattice:
         bottom=0,
         top=m + 1,
         essential_rank=2,
-        hypsets=[frozenset()] + [frozenset({k}) for k in range(m)]
-        + [frozenset(range(m))],
+        hypsets=[0] + [1 << k for k in range(m)] + [(1 << m) - 1],
     )
 
 
@@ -266,8 +257,10 @@ def _product_lattice(lat1, lat2):
     """The product of a product lattice and an irreducible one, and `flat`,
     with flat[i * n2 + j] the position of the pair (i, j). Elements are
     ordered by rank, then factor indices, and an element is the tuple of
-    its irreducible factors' element indices."""
+    its irreducible factors' element indices. The second factor's roots
+    follow the first's, so its hypsets are shifted past them."""
     n2 = len(lat2.elements)
+    shift = lat1.hypsets[lat1.top].bit_length()
     pairs = sorted(
         itertools.product(range(len(lat1.elements)), range(n2)),
         key=lambda p: (lat1.rank[p[0]] + lat2.rank[p[1]], p[0], p[1]),
@@ -287,93 +280,105 @@ def _product_lattice(lat1, lat2):
         bottom=flat[lat1.bottom * n2 + lat2.bottom],
         top=flat[lat1.top * n2 + lat2.top],
         essential_rank=lat1.essential_rank + lat2.essential_rank,
+        hypsets=[lat1.hypsets[i] | lat2.hypsets[j] << shift for i, j in pairs],
     )
     return lattice, flat
 
 
-def _product_table(flat, tab1, tab2):
-    """Action table of the product of two factors, in the element order
-    that `flat` from `_product_lattice` gives.
-
-    blocks[i][j] is the position of (i, j); `order` reads an (i, j)-major
-    list in position order. (g1, g2) acts as (g1, 1) after (1, g2), and one
-    itemgetter per g2 composes the two in C. The second factor has rank
-    >= 1, so every itemgetter here takes at least two items and returns a
-    tuple.
-    """
-    n2 = len(tab2.rows[0])
-    blocks = [flat[n2 * i:n2 * (i + 1)] for i in range(len(tab1.rows[0]))]
-    order = operator.itemgetter(*sorted(range(len(flat)), key=flat.__getitem__))
-    chain = itertools.chain.from_iterable
-    acts2 = [
-        operator.itemgetter(*order(list(chain(map(operator.itemgetter(*row2), blocks)))))
-        for row2 in tab2.rows
-    ]
-    rows = []
-    for row1 in tab1.rows:
-        act1 = order(list(chain(map(blocks.__getitem__, row1))))
-        rows += [act2(act1) for act2 in acts2]
-    gen_rows = [g * len(tab2.rows) for g in tab1.generator_rows]
-    gen_rows += list(tab2.generator_rows)
-    return GroupActionTable(rows=rows, generator_rows=gen_rows)
-
-
-def _action_table(model, lattice: IntersectionLattice):
-    """Action table of an irreducible model: generator rows from hypset
-    images; every other row composed along the group's BFS, since
-    g = gen . h acts as gen's row read at h's row."""
-    index = {s: i for i, s in enumerate(lattice.hypsets)}
-    gen_rows = []
-    for perm in model.gen_perms:
-        line_map = [abs(x) - 1 for x in perm]
-        gen_rows.append(tuple(
-            index[frozenset(line_map[i] for i in hypset)]
-            for hypset in lattice.hypsets
-        ))
-    _, steps = group_bfs(model)
-    rows = [tuple(range(len(lattice.hypsets)))]
-    for parent, g in steps[1:]:
-        rows.append(operator.itemgetter(*rows[parent])(gen_rows[g]))
-    # the BFS reaches each generator first, from the identity
-    return GroupActionTable(rows=rows,
-                            generator_rows=list(range(1, len(gen_rows) + 1)))
-
-
-def _point():
-    """The lattice and action table of the trivial group, which every
-    product fold starts from."""
-    lattice = IntersectionLattice(
-        kind="product", elements=[()], rank=[0], covers=[[]],
-        bottom=0, top=0, essential_rank=0,
-    )
-    return lattice, GroupActionTable(rows=[(0,)], generator_rows=[])
-
-
-def build_lattice(model) -> IntersectionLattice:
-    """Build the intersection lattice alone, without the action table."""
+def _lattice(model) -> IntersectionLattice:
     if isinstance(model, ReflectionModel):
         return _build_matrix_lattice(model)
     if isinstance(model, DihedralModel):
         return _build_dihedral_lattice(model)
-    if isinstance(model, ProductModel):
-        lattice = _point()[0]
+    if isinstance(model, ProductModel):  # folded from the trivial group
+        lattice = IntersectionLattice("product", [()], [0], [[]], 0, 0, 0, [0])
         for f, _ in model.factors:
-            lattice, _ = _product_lattice(lattice, build_lattice(f))
+            lattice, _ = _product_lattice(lattice, _lattice(f))
         return lattice
     raise TypeError(f"not a reflection model: {model!r}")
 
 
+def build_lattice(model) -> IntersectionLattice:
+    """Build the intersection lattice alone, with each matrix flat's exact
+    basis, as the export writes it."""
+    lattice = _lattice(model)
+    if isinstance(model, ReflectionModel):
+        lattice.elements = _flat_bases(model, lattice.elements)
+    return lattice
+
+
+def _generators(model) -> list:
+    """The generators as permutations of the 2n signed roots. A product's
+    roots are its factors' roots in factor order, and each factor's
+    generators move that factor's roots only."""
+    factors = ([f for f, _ in model.factors] if isinstance(model, ProductModel)
+               else [model])
+    sizes = [len(f.gen_perms[0]) for f in factors]
+    total = sum(sizes)
+    out = []
+    for offset, f in zip(itertools.accumulate(sizes, initial=0), factors):
+        for perm in f.gen_perms:
+            p = list(range(2 * total))
+            for i, x in enumerate(perm, offset):
+                j = abs(x) - 1 + offset
+                p[i], p[i + total] = (j, j + total) if x > 0 else (j + total, j)
+            out.append(tuple(p))
+    return out
+
+
+def _stabiliser(generators, line):
+    """|orbit| |Stab| of the line, and every element of its stabiliser.
+
+    A transversal t, with t[b] taking the line to line b, is grown along
+    the orbit. By Schreier's lemma the stabiliser is generated by
+    t[c]^-1 . g . t[b] over orbit lines b and generators g, where c is the
+    line of g(t[b](line)) (Seress, Permutation Group Algorithms, 2003).
+    The elements are closed from these Schreier generators, keeping one
+    only when it is not yet a member; e extends by a kept s to e . s.
+    """
+    size = len(generators[0])
+    identity = tuple(range(size))
+    transversal = {line: identity}
+    orbit = [line]
+    elements, members = [identity], {identity}
+    kept, closed = [], 0  # every kept generator extends elements[:closed]
+
+    def add(p):
+        if p not in members:
+            members.add(p)
+            elements.append(p)
+
+    for b in orbit:
+        for g in generators:
+            gu = operator.itemgetter(*transversal[b])(g)
+            c = gu[line] % (size // 2)
+            if c not in transversal:
+                transversal[c] = gu
+                orbit.append(c)
+                continue
+            inverse = sorted(range(size), key=transversal[c].__getitem__)
+            s = operator.itemgetter(*gu)(inverse)
+            if s in members:
+                continue
+            kept.append(operator.itemgetter(*s))
+            for e in elements[:closed]:
+                add(kept[-1](e))
+            while closed < len(elements):
+                closed += 1
+                for act in kept:
+                    add(act(elements[closed - 1]))
+    return len(orbit) * len(elements), elements
+
+
 def build_lattice_with_action(model):
-    """Build the intersection lattice and the full group action table."""
-    if not isinstance(model, ProductModel):
-        lattice = build_lattice(model)
-        return lattice, _action_table(model, lattice)
-    lattice, table = _point()
-    for f, _ in model.factors:
-        lat2, tab2 = build_lattice_with_action(f)
-        lattice, flat = _product_lattice(lattice, lat2)
-        table = _product_table(flat, table, tab2)
-    return lattice, table
+    """Build the intersection lattice and the group's generator action."""
+    generators = _generators(model)
+    order = _stabiliser(generators, 0)[0] if generators else 1
+    return _lattice(model), GeneratorAction(generators, order)
+
+
+def _lines(mask) -> list:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def count_maximal_chains(l: IntersectionLattice) -> int:
@@ -387,68 +392,101 @@ def count_maximal_chains(l: IntersectionLattice) -> int:
     return ways[l.top]
 
 
-def _scan_atoms(covers, rows, atoms):
-    """Orbit sizes of the canonical maximal chains through the given atoms;
-    `rows` is the whole action table."""
-    order = len(rows)
-    sizes = []
+def _scan_atoms(covers, masks, generators, atoms):
+    """Per atom: the atom, |orbit| |Stab| of its line, and the orbit sizes
+    of the canonical maximal chains through it. At a flat x, the stabiliser
+    of the chain up to x fixes x, so it maps a cover d = x v a of x to the
+    cover of x that contains the image of a (`cover_of`)."""
+    n = len(generators[0]) // 2
 
-    def extend(d, stab):
-        # stab holds the rows that fix the canonical chain below d
-        # elementwise; the chain through d is canonical iff none maps d lower
-        ims = list(map(operator.itemgetter(d), stab))
-        if min(ims) != d:
-            return
-        stab = list(itertools.compress(stab, map(d.__eq__, ims)))
-        if not covers[d]:
+    def extend(x, stab):  # `order` and `sizes` belong to the atom scanned
+        ups = covers[x]
+        if not ups:
             if order % len(stab):
                 raise AssertionError(
                     f"chain stabiliser of order {len(stab)} does not divide "
                     f"|W| = {order}")
             sizes.append(order // len(stab))
-        for up in covers[d]:
-            extend(up, stab)
+            return
+        if len(ups) == 1:  # whatever fixes x fixes its only cover
+            return extend(ups[0], stab)
+        cover_of = [0] * (2 * n)
+        news = [_lines(masks[d] & ~masks[x]) for d in ups]
+        for d, new in zip(ups, news):
+            for i in new:
+                cover_of[i] = cover_of[i + n] = d
+        for d, new in zip(ups, news):
+            ims = list(map(cover_of.__getitem__, map(operator.itemgetter(new[0]), stab)))
+            if min(ims) == d:
+                extend(d, list(itertools.compress(stab, map(d.__eq__, ims))))
 
+    out = []
     for atom in atoms:
-        extend(atom, rows)
-    return sizes
+        order, stab = _stabiliser(generators, masks[atom].bit_length() - 1)
+        sizes = []
+        extend(atom, stab)
+        out.append((atom, order, sizes))
+    return out
 
 
-def _scan_atoms_job(args):
-    return _scan_atoms(*args)
+def _orbits(l: IntersectionLattice, generators, elements) -> list:
+    """The group's orbits on the given elements of one rank, each in the
+    order found: a generator maps an element to the element whose hypset is
+    the image of its own."""
+    index = {l.hypsets[e]: e for e in elements}
+    moves = [{e: index[sum(1 << g[i] % (len(g) // 2) for i in _lines(l.hypsets[e]))]
+              for e in elements} for g in generators]
+    seen, orbits = set(), []
+    for e in elements:
+        if e not in seen:
+            seen.add(e)
+            orbit = [e]
+            for x in orbit:
+                for move in moves:
+                    if move[x] not in seen:
+                        seen.add(move[x])
+                        orbit.append(move[x])
+            orbits.append(orbit)
+    return orbits
 
 
-def count_chain_orbits(l: IntersectionLattice, table: GroupActionTable,
+def count_chain_orbits(l: IntersectionLattice, action: GeneratorAction,
                        workers: int = 1) -> ChainOrbitCount:
     """Orbit count of the group action on maximal chains.
 
     Each orbit is visited once, at its canonical chain: the chain that
-    equals its own lexicographically smallest image. A prefix of a
-    canonical chain is canonical, and a canonical prefix p extends by a
-    cover d to a canonical prefix exactly when no element of Stab(p) maps
-    d below d; the stabiliser of the longer prefix is the part of Stab(p)
-    that fixes d. A canonical maximal chain c contributes the orbit size
-    |W| / |Stab(c)|. Two checks certify the result: every chain stabiliser
-    order divides |W| (Lagrange), and the orbit sizes sum to the number of
-    maximal chains. A table with a row missing fails them.
-    The canonical atoms are found first and dealt round-robin to the
-    workers, so the result is identical for any worker count.
+    equals its own lexicographically smallest image. It starts at the
+    smallest atom a of an orbit of atoms, and a canonical prefix p extends
+    by a cover d to a canonical prefix exactly when no element of Stab(p)
+    maps d below d. A canonical maximal chain c contributes the orbit size
+    |orbit(a)| |Stab(a)| / |Stab(c)|. Three checks certify the result:
+    every atom orbit gives |orbit(a)| |Stab(a)| = |W|, every chain
+    stabiliser order divides |W| (Lagrange), and the orbit sizes sum to the
+    number of maximal chains. The canonical atoms are dealt round-robin to
+    the workers, so the result is identical for any worker count.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    rows = table.rows
-    atoms = [a for a in l.covers[l.bottom]
-             if min(map(operator.itemgetter(a), rows)) == a]
     if not l.covers[l.bottom]:
-        atoms = [l.bottom]  # rank-0 lattice: the bottom is the only chain
-    if workers == 1 or len(atoms) <= 1:
-        sizes = _scan_atoms(l.covers, rows, atoms)
+        results = [(l.bottom, 1, [1])]  # rank 0: the bottom is the only chain
     else:
-        chunks = [atoms[i::workers] for i in range(min(workers, len(atoms)))]
-        jobs = [(l.covers, rows, c) for c in chunks]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            sizes = [s for part in pool.map(_scan_atoms_job, jobs) for s in part]
-    sizes = tuple(sorted(sizes))
+        atoms = sorted(min(o) for o in _orbits(l, action.generators,
+                                               l.covers[l.bottom]))
+        if workers == 1 or len(atoms) <= 1:
+            results = _scan_atoms(l.covers, l.hypsets, action.generators, atoms)
+        else:
+            chunks = [atoms[i::workers] for i in range(min(workers, len(atoms)))]
+            k = len(chunks)
+            with ProcessPoolExecutor(max_workers=k) as pool:
+                parts = pool.map(_scan_atoms, [l.covers] * k, [l.hypsets] * k,
+                                 [action.generators] * k, chunks)
+                results = [r for part in parts for r in part]
+    for atom, order, _ in results:
+        if order != action.group_order:
+            raise AssertionError(
+                f"atom {atom}: |orbit| * |Stab| = {order}, but |W| = "
+                f"{action.group_order}")
+    sizes = tuple(sorted(s for _, _, part in results for s in part))
     total = sum(sizes)
     if total != count_maximal_chains(l):
         raise AssertionError("orbit sizes do not sum to the chain count")
@@ -456,25 +494,10 @@ def count_chain_orbits(l: IntersectionLattice, table: GroupActionTable,
                            orbit_sizes=sizes)
 
 
-def orbit_count_of_lines(l: IntersectionLattice, table: GroupActionTable) -> int:
+def orbit_count_of_lines(l: IntersectionLattice, action: GeneratorAction) -> int:
     """Number of group orbits among the coatoms (the lines of the lattice)."""
     coatoms = [i for i, r in enumerate(l.rank) if r == l.essential_rank - 1]
-    seen = set()
-    orbits = 0
-    for c in coatoms:
-        if c in seen:
-            continue
-        orbits += 1
-        frontier = [c]
-        seen.add(c)
-        while frontier:
-            e = frontier.pop()
-            for g in table.generator_rows:
-                im = table.rows[g][e]
-                if im not in seen:
-                    seen.add(im)
-                    frontier.append(im)
-    return orbits
+    return len(_orbits(l, action.generators, coatoms))
 
 
 def lattice_to_json(l: IntersectionLattice) -> dict:

@@ -2,12 +2,11 @@
 
 Every model acts on its roots, one representative per root pair, and lists
 its generators as signed permutations of the root indices: p[i] = s * (j + 1)
-maps root i to s * root j. One breadth-first closure (`group_bfs`) serves
-every irreducible type. Matrix models carry exact root coordinates, found
+maps root i to s * root j. Matrix models carry exact root coordinates, found
 with the generator permutations in one pass of reflections, and the
-generator matrices for the export. Dihedral groups I2(m) get m roots indexed 0..m-1 and
-reflections acting by index arithmetic, so we never need the field
-Q(cos pi/m).
+generator matrices for the export. Dihedral groups I2(m) get m roots indexed
+0..m-1 and reflections acting by index arithmetic, so we never need the
+field Q(cos pi/m).
 """
 
 from __future__ import annotations
@@ -64,16 +63,6 @@ def group_order(t: TypeLabel) -> int:
 
 def reflection_count(t: TypeLabel) -> int:
     return REFLECTION_COUNTS[t.family](t.rank)
-
-
-def compose_perms(g: tuple, h: tuple) -> tuple:
-    """Signed-permutation product g.h (apply h first, then g)."""
-    out = []
-    for x in h:
-        j = abs(x) - 1
-        y = g[j]
-        out.append(y if x > 0 else -y)
-    return tuple(out)
 
 
 def _q(x) -> FieldScalar:
@@ -288,38 +277,6 @@ def build_model(g):
     if len(factors) == 1:
         return factors[0][0]
     return ProductModel(factors)
-
-
-def group_bfs(model):
-    """Breadth-first closure of an irreducible model's generators.
-
-    Returns (perms, steps): the signed root permutations, identity first,
-    and for each element after the identity the pair (parent position,
-    generator index) it was first reached by, so
-    perms[k] = gen_perms[g] . perms[parent].
-    """
-    identity = tuple(range(1, len(model.gen_perms[0]) + 1))
-    seen = {identity}
-    perms = [identity]
-    steps = [None]
-    start = 0
-    while start < len(perms):
-        end = len(perms)
-        for parent in range(start, end):
-            h = perms[parent]
-            for g, gen in enumerate(model.gen_perms):
-                prod = compose_perms(gen, h)
-                if prod not in seen:
-                    seen.add(prod)
-                    perms.append(prod)
-                    steps.append((parent, g))
-                    if len(perms) > DEFAULT_ELEMENT_CAP:
-                        raise UnsupportedModelError(
-                            f"group closure exceeded the cap of {DEFAULT_ELEMENT_CAP} "
-                            f"elements; this type is too large for brute force"
-                        )
-        start = end
-    return perms, steps
 
 
 def model_to_json(model) -> dict:

@@ -164,21 +164,23 @@ def euler_numbers_from_series(n_max: int) -> list:
     return out
 
 
+def _d_closed_forms(t, n: int) -> tuple:
+    """d_n and bar d_n, read from zigzag numbers t that reach T_{n+1}."""
+    d = 2 * t[n + 1] - (n if n % 2 == 0 else n + 1) * t[n]
+    return d, 2 * t[n + 1] - (n + 1) * t[n]
+
+
 def bar_d_closed_form(n: int) -> int:
     """Closed form 2 T_{n+1} - (n+1) T_n for the augmented D-type count."""
     if n < 2:
         raise ValueError("bar d_n is defined for n >= 2")
-    t = euler_numbers(n + 1)
-    return 2 * t[n + 1] - (n + 1) * t[n]
+    return _d_closed_forms(euler_numbers(n + 1), n)[1]
 
 
 def d_closed_form(n: int) -> int:
     if n < 2:
         raise ValueError("d_n is defined for n >= 2")
-    t = euler_numbers(n + 1)
-    if n % 2 == 0:
-        return 2 * t[n + 1] - n * t[n]
-    return 2 * t[n + 1] - (n + 1) * t[n]
+    return _d_closed_forms(euler_numbers(n + 1), n)[0]
 
 
 def k_closed_form(t: TypeLabel) -> int:

@@ -1,10 +1,14 @@
 """Test oracles: exact-matrix helpers and independent counters that the
 package itself does not need. The tests check the package's combinatorial
-paths (root permutations, hyperplane-index sets, the canonical-chain scan,
-the recursion's deletion rules) against these slower, more direct
-computations.
+paths (root permutations, hyperplane-index sets, the canonical-chain scan
+from atom stabilisers, the recursion's deletion rules) against these
+slower, more direct computations, among them the full group action table
+composed along a breadth-first closure of the whole group.
 """
 
+import itertools
+import operator
+from dataclasses import dataclass
 from functools import lru_cache
 
 from coxchains.field import (
@@ -23,7 +27,13 @@ from coxchains.graphs import (
     longest_element_automorphism,
     standard_graph,
 )
-from coxchains.lattice import ChainOrbitCount, GroupActionTable
+from coxchains.lattice import (
+    ChainOrbitCount,
+    _product_lattice,
+    build_lattice_with_action,
+    count_maximal_chains,
+)
+from coxchains.models import DEFAULT_ELEMENT_CAP, ProductModel, UnsupportedModelError
 from coxchains.recursion import KCalculator, _graph_deletion
 
 
@@ -180,6 +190,16 @@ def reflecting_hyperplanes(model):
     return out
 
 
+@dataclass
+class GroupActionTable:
+    rows: list            # rows[g] = tuple, image index per lattice element
+    generator_rows: list  # indices of generator rows within `rows`
+
+    @property
+    def group_order(self) -> int:
+        return len(self.rows)
+
+
 def line_image(m: int, j: int, eps: int, k: int) -> int:
     """Image of line L_k of I2(m) under rotation by 2*pi*j/m, followed for
     eps = 1 by the reflection across L_0."""
@@ -288,3 +308,170 @@ class GraphDeletionCalculator(KCalculator):
 
     def _fill_below(self, t):
         pass
+
+
+def compose_perms(g: tuple, h: tuple) -> tuple:
+    """Signed-permutation product g.h (apply h first, then g)."""
+    out = []
+    for x in h:
+        j = abs(x) - 1
+        y = g[j]
+        out.append(y if x > 0 else -y)
+    return tuple(out)
+
+
+def group_bfs(model):
+    """Breadth-first closure of an irreducible model's generators.
+
+    Returns (perms, steps): the signed root permutations, identity first,
+    and for each element after the identity the pair (parent position,
+    generator index) it was first reached by, so
+    perms[k] = gen_perms[g] . perms[parent].
+    """
+    identity = tuple(range(1, len(model.gen_perms[0]) + 1))
+    seen = {identity}
+    perms = [identity]
+    steps = [None]
+    start = 0
+    while start < len(perms):
+        end = len(perms)
+        for parent in range(start, end):
+            h = perms[parent]
+            for g, gen in enumerate(model.gen_perms):
+                prod = compose_perms(gen, h)
+                if prod not in seen:
+                    seen.add(prod)
+                    perms.append(prod)
+                    steps.append((parent, g))
+                    if len(perms) > DEFAULT_ELEMENT_CAP:
+                        raise UnsupportedModelError(
+                            f"group closure exceeded the cap of {DEFAULT_ELEMENT_CAP} "
+                            f"elements; this type is too large for brute force"
+                        )
+        start = end
+    return perms, steps
+
+
+def bits(mask: int) -> list:
+    """The root indices in a hypset bitmask."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def hypset_row(perm, lattice) -> tuple:
+    """The images of every lattice element under one signed root
+    permutation, read off the permuted hypsets."""
+    index = {s: i for i, s in enumerate(lattice.hypsets)}
+    line_map = [abs(x) - 1 for x in perm]
+    return tuple(index[sum(1 << line_map[i] for i in bits(mask))]
+                 for mask in lattice.hypsets)
+
+
+def action_table(model, lattice) -> GroupActionTable:
+    """Action table of an irreducible model: generator rows from hypset
+    images; every other row composed along the group's BFS, since
+    g = gen . h acts as gen's row read at h's row."""
+    gen_rows = [hypset_row(perm, lattice) for perm in model.gen_perms]
+    _, steps = group_bfs(model)
+    rows = [tuple(range(len(lattice.hypsets)))]
+    for parent, g in steps[1:]:
+        rows.append(operator.itemgetter(*rows[parent])(gen_rows[g]))
+    # the BFS reaches each generator first, from the identity
+    return GroupActionTable(rows=rows,
+                            generator_rows=list(range(1, len(gen_rows) + 1)))
+
+
+def product_table(flat, tab1, tab2) -> GroupActionTable:
+    """Action table of the product of two factors, in the element order
+    that `flat` from `_product_lattice` gives.
+
+    blocks[i][j] is the position of (i, j); `order` reads an (i, j)-major
+    list in position order. (g1, g2) acts as (g1, 1) after (1, g2), and one
+    itemgetter per g2 composes the two in C. The second factor has rank
+    >= 1, so every itemgetter here takes at least two items and returns a
+    tuple.
+    """
+    n2 = len(tab2.rows[0])
+    blocks = [flat[n2 * i:n2 * (i + 1)] for i in range(len(tab1.rows[0]))]
+    order = operator.itemgetter(*sorted(range(len(flat)), key=flat.__getitem__))
+    chain = itertools.chain.from_iterable
+    acts2 = [
+        operator.itemgetter(*order(list(chain(map(operator.itemgetter(*row2), blocks)))))
+        for row2 in tab2.rows
+    ]
+    rows = []
+    for row1 in tab1.rows:
+        act1 = order(list(chain(map(blocks.__getitem__, row1))))
+        rows += [act2(act1) for act2 in acts2]
+    gen_rows = [g * len(tab2.rows) for g in tab1.generator_rows]
+    gen_rows += list(tab2.generator_rows)
+    return GroupActionTable(rows=rows, generator_rows=gen_rows)
+
+
+def point_table() -> GroupActionTable:
+    """The action table of the trivial group on its one-point lattice."""
+    return GroupActionTable(rows=[(0,)], generator_rows=[])
+
+
+def lattice_and_table(model):
+    """The lattice and its full action table: an irreducible model's table
+    composed along its BFS, a product's from its factors' tables."""
+    if not isinstance(model, ProductModel):
+        lattice = build_lattice_with_action(model)[0]
+        return lattice, action_table(model, lattice)
+    lattice = build_lattice_with_action(ProductModel([]))[0]
+    table = point_table()
+    for f, _ in model.factors:
+        lat2, tab2 = lattice_and_table(f)
+        lattice, flat = _product_lattice(lattice, lat2)
+        table = product_table(flat, table, tab2)
+    return lattice, table
+
+
+def count_chain_orbits_table(l, table) -> ChainOrbitCount:
+    """The canonical-chain scan over the whole action table: a canonical
+    prefix extends by a cover that no row of its stabiliser maps lower, and
+    a canonical maximal chain contributes |W| / |Stab|."""
+    rows = table.rows
+    order = len(rows)
+    sizes = []
+
+    def extend(d, stab):
+        ims = list(map(operator.itemgetter(d), stab))
+        if min(ims) != d:
+            return
+        stab = list(itertools.compress(stab, map(d.__eq__, ims)))
+        if not l.covers[d]:
+            if order % len(stab):
+                raise AssertionError("a chain stabiliser order does not divide |W|")
+            sizes.append(order // len(stab))
+        for up in l.covers[d]:
+            extend(up, stab)
+
+    for atom in l.covers[l.bottom] or [l.bottom]:
+        extend(atom, rows)
+    sizes = tuple(sorted(sizes))
+    if sum(sizes) != count_maximal_chains(l):
+        raise AssertionError("orbit sizes do not sum to the chain count")
+    return ChainOrbitCount(total_chains=sum(sizes), orbit_count=len(sizes),
+                           orbit_sizes=sizes)
+
+
+def line_orbits_table(l, table) -> int:
+    """Number of orbits among the coatoms, along the generator rows."""
+    coatoms = [i for i, r in enumerate(l.rank) if r == l.essential_rank - 1]
+    seen = set()
+    orbits = 0
+    for c in coatoms:
+        if c in seen:
+            continue
+        orbits += 1
+        frontier = [c]
+        seen.add(c)
+        while frontier:
+            e = frontier.pop()
+            for g in table.generator_rows:
+                im = table.rows[g][e]
+                if im not in seen:
+                    seen.add(im)
+                    frontier.append(im)
+    return orbits

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import stat
+import subprocess
 import sys
 
 import pytest
@@ -45,6 +46,25 @@ def test_compute_json_detail(capsys):
     assert payload["agreement"] is True
     terms = payload["recursion_detail"]["terms"]
     assert sorted(int(v) for _, v in terms) == [15, 16, 25, 26]
+
+
+def test_compute_e6_by_brute_force(capsys, monkeypatch):
+    seen = {}
+
+    def spy(name):
+        real = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            seen[name] = real(*args, **kwargs)
+            return seen[name]
+        monkeypatch.setattr(cli, name, call)
+
+    spy("build_lattice_with_action")
+    spy("count_chain_orbits")
+    code, out, _ = run(capsys, "compute", "E6", "--method", "bruteforce")
+    assert (code, out) == (cli.EXIT_OK, "82\n")
+    assert seen["count_chain_orbits"].total_chains == 583_200
+    assert seen["build_lattice_with_action"][1].group_order == 51_840
 
 
 def test_compute_parse_error_exit_code(capsys):
@@ -188,11 +208,10 @@ def test_export_lattice_product_keys(capsys, tmp_path):
 ])
 def test_export_lattice_builds_no_action_table(spec, digest, capsys, tmp_path,
                                                monkeypatch):
-    def no_table(*args):
-        raise AssertionError("export-lattice built an action table")
+    def no_stabiliser(*args):
+        raise AssertionError("export-lattice closed a stabiliser")
 
-    monkeypatch.setattr(lattice, "_action_table", no_table)
-    monkeypatch.setattr(lattice, "_product_table", no_table)
+    monkeypatch.setattr(lattice, "_stabiliser", no_stabiliser)
     out_path = tmp_path / "out.json"
     assert cli.main(["export-lattice", spec, str(out_path),
                      "--include-model"]) == cli.EXIT_OK
@@ -373,3 +392,18 @@ def test_values_past_the_int_string_digit_limit(capsys, tmp_path):
             assert want in lines or f"A,400,closed,{want}" in lines, argv
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_closed_pipe_ends_quietly_with_exit_141():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "coxchains.cli", "table", "--max-rank", "400",
+         "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"family,rank_or_m,method,value\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""

@@ -7,29 +7,38 @@ import random
 import pytest
 
 from coxchains.field import ZERO, canonical_subspace, null_space
+from coxchains import lattice as lattice_module
+from coxchains.cli import DEEP_BRUTE_TIER, REQUIRED_BRUTE_TIER
 from coxchains.lattice import (
-    GroupActionTable,
     IntersectionLattice,
     _echelon,
     _null_vectors,
-    _point,
     _product_lattice,
-    _product_table,
     _validate_graded,
+    build_lattice,
     build_lattice_with_action,
     count_chain_orbits,
     count_maximal_chains,
     lattice_to_json,
     orbit_count_of_lines,
 )
-from coxchains.models import build_model, group_bfs
+from coxchains.models import build_model
 from oracles import (
+    GroupActionTable,
     apply_matrix,
+    bits,
+    count_chain_orbits_table,
     count_chain_orbits_unionfind,
     dihedral_table,
     full_space,
+    group_bfs,
+    hypset_row,
+    lattice_and_table,
+    line_orbits_table,
     matrix_of,
     maximal_chains,
+    point_table,
+    product_table,
     set_partitions,
 )
 
@@ -66,13 +75,19 @@ def chain_count_formula(n):
 
 @functools.cache
 def built(spec):
-    """(model, lattice, table) per spec, built once per test session."""
+    """(model, lattice, action) per spec, built once per test session."""
     model = build_model(spec)
     return (model, *build_lattice_with_action(model))
 
 
 def lattice_of(spec):
     return built(spec)[1:]
+
+
+@functools.cache
+def tabled(spec):
+    """(lattice, full action table) per spec from the table oracle."""
+    return lattice_and_table(build_model(spec))
 
 
 def _containing_roots(roots, subspace):
@@ -121,7 +136,7 @@ def bfs_matrix_lattice(model):
         bottom=0,
         top=index[order[-1]],
         essential_rank=n,
-        hypsets=order,
+        hypsets=[sum(1 << i for i in s) for s in order],
     )
     _validate_graded(lattice)
     if len(by_rank.get(1, [])) != len(roots):
@@ -132,7 +147,8 @@ def bfs_matrix_lattice(model):
 @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4",
                                   "H3"])
 def test_rank_by_rank_build_equals_bfs_oracle(spec):
-    model, lattice, _ = built(spec)
+    model = build_model(spec)
+    lattice = build_lattice(model)
     oracle = bfs_matrix_lattice(model)
     for field in ("hypsets", "elements", "rank", "covers", "bottom", "top",
                   "essential_rank"):
@@ -141,16 +157,11 @@ def test_rank_by_rank_build_equals_bfs_oracle(spec):
 
 def hypset_image_table(model, lattice):
     """Oracle: every row of the action table from the image of each hypset."""
-    index = {s: i for i, s in enumerate(lattice.hypsets)}
     rows = []
     gen_rows = []
     gen_perms = set(model.gen_perms)
     for pos, el in enumerate(group_bfs(model)[0]):
-        line_map = [abs(x) - 1 for x in el]
-        rows.append(tuple(
-            index[frozenset(line_map[i] for i in hypset)]
-            for hypset in lattice.hypsets
-        ))
+        rows.append(hypset_row(el, lattice))
         if el in gen_perms:
             gen_rows.append(pos)
     return GroupActionTable(rows=rows, generator_rows=gen_rows)
@@ -159,7 +170,8 @@ def hypset_image_table(model, lattice):
 @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4",
                                   "H3", "F4"])
 def test_composed_table_equals_hypset_image_oracle(spec):
-    model, lattice, table = built(spec)
+    model = build_model(spec)
+    lattice, table = tabled(spec)
     oracle = hypset_image_table(model, lattice)
     assert table.rows == oracle.rows
     assert table.generator_rows == oracle.generator_rows
@@ -167,24 +179,46 @@ def test_composed_table_equals_hypset_image_oracle(spec):
 
 @pytest.mark.parametrize("m", range(5, 31))
 def test_dihedral_root_permutations_equal_index_arithmetic(m):
-    model, lattice, table = built(f"I2({m})")
+    model, lattice, action = built(f"I2({m})")
+    _, table = tabled(f"I2({m})")
     oracle = dihedral_table(m)
     assert len(group_bfs(model)[0]) == table.group_order == 2 * m
+    assert action.group_order == 2 * m
     assert sorted(table.rows) == sorted(oracle.rows)
-    assert count_chain_orbits(lattice, table) == count_chain_orbits(lattice, oracle)
-    assert orbit_count_of_lines(lattice, table) == orbit_count_of_lines(lattice, oracle)
+    assert (count_chain_orbits(lattice, action)
+            == count_chain_orbits_table(lattice, table)
+            == count_chain_orbits_table(lattice, oracle))
+    assert (orbit_count_of_lines(lattice, action)
+            == line_orbits_table(lattice, table)
+            == line_orbits_table(lattice, oracle))
 
 
 @pytest.mark.parametrize("spec", ["I2(6)xI2(5)xA2xA1", "I2(7)xA3xA1xA1"])
 def test_dihedral_factor_products_equal_index_arithmetic(spec):
-    lattice, table = _point()
+    lattice, table = lattice_of("1")[0], point_table()
     for f in spec.split("x"):
-        lat2, tab2 = lattice_of(f)
+        lat2, tab2 = tabled(f)
         if lat2.kind == "dihedral":
             tab2 = dihedral_table(len(lat2.elements) - 2)
         lattice, flat = _product_lattice(lattice, lat2)
-        table = _product_table(flat, table, tab2)
-    assert count_chain_orbits(lattice, table) == count_chain_orbits(*lattice_of(spec))
+        table = product_table(flat, table, tab2)
+    assert (count_chain_orbits_table(lattice, table)
+            == count_chain_orbits(*lattice_of(spec)))
+
+
+BRUTE_PRODUCTS = ["A3xA3xA1", "B3xB3", "A2xA2xA2xA2", "I2(6)xI2(5)xA2xA1",
+                  "B3xA2xA2", "A3xB2xA2", "I2(7)xA3xA1xA1"]
+
+
+@pytest.mark.parametrize("spec", REQUIRED_BRUTE_TIER
+                         + [s for s in DEEP_BRUTE_TIER if s != "E6"]
+                         + BRUTE_PRODUCTS)
+def test_stabiliser_scan_equals_table_oracle(spec):
+    lattice, action = lattice_of(spec)
+    _, table = tabled(spec)
+    assert action.group_order == table.group_order
+    assert count_chain_orbits(lattice, action) == count_chain_orbits_table(lattice, table)
+    assert orbit_count_of_lines(lattice, action) == line_orbits_table(lattice, table)
 
 
 def test_integer_null_vectors_match_field_null_space():
@@ -225,7 +259,7 @@ def partition_from_hypset(n, pairs, hypset):
             x = parent[x]
         return x
 
-    for idx in hypset:
+    for idx in bits(hypset):
         i, j = pairs[idx]
         parent[find(i)] = find(j)
     blocks = {}
@@ -309,7 +343,9 @@ def test_all_maximal_chains_have_full_length():
 
 def test_action_table_matches_matrix_action():
     for spec in ("A3", "B3"):
-        model, lattice, table = built(spec)
+        model = build_model(spec)
+        lattice = build_lattice(model)
+        _, table = tabled(spec)
         elements, _ = group_bfs(model)
         for _ in range(50):
             g = rng.randrange(len(elements))
@@ -319,7 +355,7 @@ def test_action_table_matches_matrix_action():
 
 
 def test_action_rows_are_lattice_automorphisms():
-    lattice, table = lattice_of("B3")
+    lattice, table = tabled("B3")
     for g in table.generator_rows:
         row = table.rows[g]
         assert sorted(row) == list(range(len(lattice.elements)))
@@ -330,9 +366,9 @@ def test_action_rows_are_lattice_automorphisms():
 def test_unionfind_agrees_with_canonical():
     for spec in ("A3", "B3", "D4", "I2(6)", "A2xA1",
                  "A2xA2xA1", "B2xA1xA1", "I2(5)xA2", "A1xA1xA1"):
-        lattice, table = lattice_of(spec)
-        fast = count_chain_orbits(lattice, table)
-        slow = count_chain_orbits_unionfind(lattice, table)
+        lattice, action = lattice_of(spec)
+        fast = count_chain_orbits(lattice, action)
+        slow = count_chain_orbits_unionfind(*tabled(spec))
         assert fast.orbit_count == slow.orbit_count, spec
         assert fast.orbit_sizes == slow.orbit_sizes, spec
         assert fast.total_chains == slow.total_chains, spec
@@ -340,12 +376,18 @@ def test_unionfind_agrees_with_canonical():
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("spec", ["A3", "B3", "D4", "A2xA1"])
-def test_table_missing_a_row_fails_the_certificate(spec, workers):
-    lattice, table = lattice_of(spec)
-    partial = GroupActionTable(rows=table.rows[:-1],
-                               generator_rows=table.generator_rows)
+def test_table_missing_a_row_fails_the_certificate(spec, workers, monkeypatch):
+    """A stabiliser missing one element fails a certificate."""
+    lattice, action = lattice_of(spec)
+    closure = lattice_module._stabiliser
+
+    def short(generators, line):
+        orbit, elements = closure(generators, line)
+        return orbit, elements[:-1]
+
+    monkeypatch.setattr(lattice_module, "_stabiliser", short)
     with pytest.raises(AssertionError):
-        count_chain_orbits(lattice, partial, workers=workers)
+        count_chain_orbits(lattice, action, workers=workers)
 
 
 def test_worker_count_does_not_change_result():
@@ -378,13 +420,13 @@ def tuple_keyed_product_rows(lat1, tab1, lat2, tab2):
 
 @pytest.mark.parametrize("spec", ["A1xB2xA2", "B2xI2(5)", "A2xA1xA1"])
 def test_product_rows_equal_tuple_keyed_oracle(spec):
-    lattice, table = _point()
-    for lat2, tab2 in map(lattice_of, spec.split("x")):
+    lattice, table = lattice_of("1")[0], point_table()
+    for lat2, tab2 in map(tabled, spec.split("x")):
         expected = tuple_keyed_product_rows(lattice, table, lat2, tab2)
         lattice, flat = _product_lattice(lattice, lat2)
-        table = _product_table(flat, table, tab2)
+        table = product_table(flat, table, tab2)
         assert table.rows == expected
-    assert table.rows == lattice_of(spec)[1].rows
+    assert table.rows == tabled(spec)[1].rows
 
 
 def test_nested_product_elements_are_flat_factor_indices():
@@ -405,11 +447,11 @@ def test_rank_zero_lattice():
 
 def test_lattice_json_is_deterministic():
     def fresh(spec):
-        return build_lattice_with_action(build_model(spec))[0]
+        return build_lattice(build_model(spec))
 
     a = json.dumps(lattice_to_json(fresh("B3")), sort_keys=True)
     b = json.dumps(lattice_to_json(fresh("B3")), sort_keys=True)
     assert a == b
-    payload = lattice_to_json(lattice_of("A3")[0])
+    payload = lattice_to_json(fresh("A3"))
     assert payload["rank_sizes"] == [1, 6, 7, 1]
     assert all("basis" in e for e in payload["elements"])

@@ -12,7 +12,6 @@ from coxchains.models import (
     ProductModel,
     UnsupportedModelError,
     build_model,
-    group_bfs,
     group_order,
     model_to_json,
     reflection_count,
@@ -22,6 +21,7 @@ from oracles import (
     essential_rank,
     fixed_space,
     full_space,
+    group_bfs,
     identity_matrix,
     mat_mul,
     mat_vec,
