@@ -10,8 +10,8 @@ vectors. Exact `FieldScalar` arithmetic remains for model construction and
 for the flats' bases, which only the export's `build_lattice` computes. A
 product's roots are its factors' roots in factor order. The group acts
 through its generators alone (`GeneratorAction`), and chain orbits are
-counted from atom stabilisers closed from Schreier generators, so no
-element outside an atom's stabiliser is ever listed.
+counted from atom stabilisers closed from Schreier generators and kept
+block by block, one block per irreducible factor.
 """
 
 from __future__ import annotations
@@ -392,21 +392,53 @@ def count_maximal_chains(l: IntersectionLattice) -> int:
     return ways[l.top]
 
 
-def _scan_atoms(covers, masks, generators, atoms):
-    """Per atom: the atom, |orbit| |Stab| of its line, and the orbit sizes
-    of the canonical maximal chains through it. At a flat x, the stabiliser
-    of the chain up to x fixes x, so it maps a cover d = x v a of x to the
-    cover of x that contains the image of a (`cover_of`)."""
-    n = len(generators[0]) // 2
+def _blocks(generators) -> list:
+    """The generators in blocks, joined whenever the roots they move overlap:
+    one block per irreducible factor, and the group is their direct product."""
+    blocks = []  # (moved roots, generator indices)
+    for k, g in enumerate(generators):
+        block = ({i for i in range(len(g) // 2) if g[i] != i}, [k])
+        for other in [b for b in blocks if b[0] & block[0]]:
+            blocks.remove(other)
+            block = (block[0] | other[0], other[1] + block[1])
+        blocks.append(block)
+    return [[generators[k] for k in ks] for ks in sorted(sorted(ks) for _, ks in blocks)]
 
-    def extend(x, stab):  # `order` and `sizes` belong to the atom scanned
+
+def _scan_atoms(covers, masks, blocks, atoms):
+    """Per atom: the atom, the product of the block orders (its own read as
+    |orbit| |Stab| of its line), and the orbit sizes of the canonical maximal
+    chains through it. At a flat x, the chain's stabiliser maps a cover
+    d = x v a to the cover holding the image of a (`cover_of`), and only its
+    part in a's block moves a. `stab` maps a block to its part's elements;
+    a block is absent, standing whole, until the chain enters it at a line
+    a, where its part becomes Stab(a) and d is tested over a's block orbit."""
+    n = len(blocks[0][0]) // 2
+    moved = [sorted({i for g in gens for i in range(n) if g[i] != i}) for gens in blocks]
+    block_of = {line: b for b, lines in enumerate(moved) for line in lines}
+    stabs, orbits = {}, {}  # per line: its block's |orbit| |Stab| and Stab; its orbit
+
+    def stabiliser(b, line):
+        if line not in stabs:
+            stabs[line] = _stabiliser(blocks[b], line)
+        return stabs[line]
+
+    def orbit_of(line):
+        if line not in orbits:
+            orbit = [line]
+            for c in orbit:
+                orbit += {g[c] % n for g in blocks[block_of[line]]}.difference(orbit)
+            orbits[line] = orbit
+        return orbits[line]
+
+    def extend(x, stab):  # `order` and `orders` belong to the atom scanned
         ups = covers[x]
         if not ups:
-            if order % len(stab):
+            s = math.prod(len(stab[b]) if b in stab else w for b, w in enumerate(orders))
+            if order % s:
                 raise AssertionError(
-                    f"chain stabiliser of order {len(stab)} does not divide "
-                    f"|W| = {order}")
-            sizes.append(order // len(stab))
+                    f"chain stabiliser of order {s} does not divide |W| = {order}")
+            sizes.append(order // s)
             return
         if len(ups) == 1:  # whatever fixes x fixes its only cover
             return extend(ups[0], stab)
@@ -415,17 +447,24 @@ def _scan_atoms(covers, masks, generators, atoms):
         for d, new in zip(ups, news):
             for i in new:
                 cover_of[i] = cover_of[i + n] = d
-        for d, new in zip(ups, news):
-            ims = list(map(cover_of.__getitem__, map(operator.itemgetter(new[0]), stab)))
-            if min(ims) == d:
-                extend(d, list(itertools.compress(stab, map(d.__eq__, ims))))
+        for d, a in zip(ups, map(operator.itemgetter(0), news)):
+            b = block_of[a]
+            if b in stab:
+                ims = list(map(cover_of.__getitem__, map(operator.itemgetter(a), stab[b])))
+                if min(ims) == d:
+                    extend(d, {**stab, b: [*itertools.compress(stab[b], map(d.__eq__, ims))]})
+            elif min(map(cover_of.__getitem__, orbit_of(a))) == d:
+                extend(d, {**stab, b: stabiliser(b, a)[1]})
 
     out = []
     for atom in atoms:
-        order, stab = _stabiliser(generators, masks[atom].bit_length() - 1)
-        sizes = []
-        extend(atom, stab)
+        line = masks[atom].bit_length() - 1
+        b = block_of[line]
+        orders = [stabiliser(c, line if c == b else ls[0])[0] for c, ls in enumerate(moved)]
+        order, sizes = math.prod(orders), []
+        extend(atom, {b: stabiliser(b, line)[1]})
         out.append((atom, order, sizes))
+    del extend  # break its self-reference, so the memos go with this frame
     return out
 
 
@@ -459,11 +498,11 @@ def count_chain_orbits(l: IntersectionLattice, action: GeneratorAction,
     smallest atom a of an orbit of atoms, and a canonical prefix p extends
     by a cover d to a canonical prefix exactly when no element of Stab(p)
     maps d below d. A canonical maximal chain c contributes the orbit size
-    |orbit(a)| |Stab(a)| / |Stab(c)|. Three checks certify the result:
-    every atom orbit gives |orbit(a)| |Stab(a)| = |W|, every chain
-    stabiliser order divides |W| (Lagrange), and the orbit sizes sum to the
-    number of maximal chains. The canonical atoms are dealt round-robin to
-    the workers, so the result is identical for any worker count.
+    |orbit(a)| |Stab(a)| / |Stab(c)|. Three checks certify the result: the
+    block orders of every atom orbit multiply to |W|, checking the split
+    (`_blocks`); every chain stabiliser order divides |W| (Lagrange); and
+    the orbit sizes sum to the number of maximal chains. Canonical atoms go
+    round-robin to the workers, so the result is identical for any count.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -472,14 +511,15 @@ def count_chain_orbits(l: IntersectionLattice, action: GeneratorAction,
     else:
         atoms = sorted(min(o) for o in _orbits(l, action.generators,
                                                l.covers[l.bottom]))
+        blocks = _blocks(action.generators)
         if workers == 1 or len(atoms) <= 1:
-            results = _scan_atoms(l.covers, l.hypsets, action.generators, atoms)
+            results = _scan_atoms(l.covers, l.hypsets, blocks, atoms)
         else:
             chunks = [atoms[i::workers] for i in range(min(workers, len(atoms)))]
             k = len(chunks)
             with ProcessPoolExecutor(max_workers=k) as pool:
                 parts = pool.map(_scan_atoms, [l.covers] * k, [l.hypsets] * k,
-                                 [action.generators] * k, chunks)
+                                 [blocks] * k, chunks)
                 results = [r for part in parts for r in part]
     for atom, order, _ in results:
         if order != action.group_order:

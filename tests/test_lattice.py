@@ -23,6 +23,7 @@ from coxchains.lattice import (
     orbit_count_of_lines,
 )
 from coxchains.models import build_model
+from coxchains.recursion import KCalculator
 from oracles import (
     GroupActionTable,
     apply_matrix,
@@ -212,13 +213,82 @@ BRUTE_PRODUCTS = ["A3xA3xA1", "B3xB3", "A2xA2xA2xA2", "I2(6)xI2(5)xA2xA1",
 
 @pytest.mark.parametrize("spec", REQUIRED_BRUTE_TIER
                          + [s for s in DEEP_BRUTE_TIER if s != "E6"]
-                         + BRUTE_PRODUCTS)
+                         + BRUTE_PRODUCTS
+                         + ["B2xB2xB2xA1", "I2(5)xI2(5)xI2(5)xA1"])
 def test_stabiliser_scan_equals_table_oracle(spec):
     lattice, action = lattice_of(spec)
     _, table = tabled(spec)
     assert action.group_order == table.group_order
     assert count_chain_orbits(lattice, action) == count_chain_orbits_table(lattice, table)
     assert orbit_count_of_lines(lattice, action) == line_orbits_table(lattice, table)
+
+
+# too large for the table oracle: D4xD4's table would hold 191M entries
+BIG_PRODUCTS = ["D4xD4", "D5xB3", "F4xB3", "A1xA1xA1xA1xA1xA1xA1xA1",
+                "A2xA2xA2xA2xA1"]
+
+
+@functools.cache
+def scanned(spec):
+    return count_chain_orbits(*lattice_of(spec))
+
+
+@pytest.mark.parametrize("spec", BIG_PRODUCTS)
+def test_big_products_agree_with_recursion(spec):
+    count = scanned(spec)
+    assert count.orbit_count == KCalculator().k(spec).value
+    assert count.total_chains == count_maximal_chains(lattice_of(spec)[0])
+
+
+def test_big_product_scan_is_worker_count_independent():
+    assert count_chain_orbits(*lattice_of("D4xD4"), workers=2) == scanned("D4xD4")
+
+
+def generators_of(spec):
+    return lattice_module._generators(build_model(spec))
+
+
+@pytest.mark.parametrize("spec", [s for s in REQUIRED_BRUTE_TIER if "x" not in s]
+                         + DEEP_BRUTE_TIER + [f"I2({m})" for m in range(5, 31)])
+def test_irreducible_model_is_one_block(spec):
+    generators = generators_of(spec)
+    assert lattice_module._blocks(generators) == [generators]
+
+
+@pytest.mark.parametrize("spec", BRUTE_PRODUCTS)
+def test_product_has_one_block_per_factor(spec):
+    generators = generators_of(spec)
+    sizes = [len(generators_of(f)) for f in spec.split("x")]
+    assert lattice_module._blocks(generators) == [
+        generators[i - k:i] for i, k in zip(itertools.accumulate(sizes), sizes)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("spec", ["A3", "B2xA1"])
+def test_wrong_block_split_fails_the_certificate(spec, workers, monkeypatch):
+    """Every generator its own block: the block orders no longer multiply
+    to |W|."""
+    lattice, action = lattice_of(spec)
+    monkeypatch.setattr(lattice_module, "_blocks", lambda gens: [[g] for g in gens])
+    with pytest.raises(AssertionError):
+        count_chain_orbits(lattice, action, workers=workers)
+
+
+def test_no_stabiliser_list_exceeds_the_largest_factor(monkeypatch):
+    """D5xB3 lists at most |W(D5)| = 1,920 elements at once; a stabiliser
+    holding the other factor whole would list 30,720."""
+    lattice, action = lattice_of("D5xB3")
+    closure = lattice_module._stabiliser
+    longest = [0]
+
+    def recorded(generators, line):
+        order, elements = closure(generators, line)
+        longest[0] = max(longest[0], len(elements))
+        return order, elements
+
+    monkeypatch.setattr(lattice_module, "_stabiliser", recorded)
+    assert count_chain_orbits(lattice, action) == scanned("D5xB3")
+    assert 0 < longest[0] <= 1920
 
 
 def test_integer_null_vectors_match_field_null_space():
