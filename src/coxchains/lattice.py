@@ -9,9 +9,11 @@ a span is a zero test of integer dot products with fraction-free null
 vectors. Exact `FieldScalar` arithmetic remains for model construction and
 for the flats' bases, which only the export's `build_lattice` computes. A
 product's roots are its factors' roots in factor order. The group acts
-through its generators alone (`GeneratorAction`), and chain orbits are
-counted from atom stabilisers closed from Schreier generators and kept
-block by block, one block per irreducible factor.
+through its generators alone (`GeneratorAction`), kept in one block per
+irreducible factor as the model splits it, with each factor's order. Chain
+orbits are counted from atom stabilisers closed from Schreier generators
+inside their own block; a block the chain has not entered counts as its
+factor's order.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .field import FIELD_QSQRT5, Subspace, null_space
-from .models import DihedralModel, ProductModel, ReflectionModel
+from .models import DihedralModel, ProductModel, ReflectionModel, group_order
 
 
 @dataclass
@@ -47,11 +49,17 @@ class IntersectionLattice:
 @dataclass
 class GeneratorAction:
     """Generators as permutations p of the 2n signed roots, p[i] the image
-    of point i: point i is root i and point i + n is -root i. The action is
-    faithful, so `group_order` is |W|."""
+    of point i: point i is root i and point i + n is -root i. `blocks` holds
+    one list of generators per irreducible factor, in factor order, each
+    moving its factor's roots only, and `orders` each factor's |W| from its
+    type. The group is the direct product of the blocks."""
 
-    generators: list
-    group_order: int
+    blocks: list
+    orders: list
+
+    @property
+    def group_order(self) -> int:
+        return math.prod(self.orders)
 
 
 @dataclass
@@ -307,25 +315,6 @@ def build_lattice(model) -> IntersectionLattice:
     return lattice
 
 
-def _generators(model) -> list:
-    """The generators as permutations of the 2n signed roots. A product's
-    roots are its factors' roots in factor order, and each factor's
-    generators move that factor's roots only."""
-    factors = ([f for f, _ in model.factors] if isinstance(model, ProductModel)
-               else [model])
-    sizes = [len(f.gen_perms[0]) for f in factors]
-    total = sum(sizes)
-    out = []
-    for offset, f in zip(itertools.accumulate(sizes, initial=0), factors):
-        for perm in f.gen_perms:
-            p = list(range(2 * total))
-            for i, x in enumerate(perm, offset):
-                j = abs(x) - 1 + offset
-                p[i], p[i + total] = (j, j + total) if x > 0 else (j + total, j)
-            out.append(tuple(p))
-    return out
-
-
 def _stabiliser(generators, line):
     """|orbit| |Stab| of the line, and every element of its stabiliser.
 
@@ -371,10 +360,24 @@ def _stabiliser(generators, line):
 
 
 def build_lattice_with_action(model):
-    """Build the intersection lattice and the group's generator action."""
-    generators = _generators(model)
-    order = _stabiliser(generators, 0)[0] if generators else 1
-    return _lattice(model), GeneratorAction(generators, order)
+    """Build the intersection lattice and the group's generator action: each
+    factor's generators as permutations of the product's 2n signed roots,
+    which are its factors' roots in factor order."""
+    factors = ([f for f, _ in model.factors] if isinstance(model, ProductModel)
+               else [model])
+    sizes = [len(f.gen_perms[0]) for f in factors]
+    total = sum(sizes)
+    blocks = []
+    for offset, f in zip(itertools.accumulate(sizes, initial=0), factors):
+        blocks.append([])
+        for perm in f.gen_perms:
+            p = list(range(2 * total))
+            for i, x in enumerate(perm, offset):
+                j = abs(x) - 1 + offset
+                p[i], p[i + total] = (j, j + total) if x > 0 else (j + total, j)
+            blocks[-1].append(tuple(p))
+    orders = [group_order(f.label) for f in factors]
+    return _lattice(model), GeneratorAction(blocks, orders)
 
 
 def _lines(mask) -> list:
@@ -392,35 +395,25 @@ def count_maximal_chains(l: IntersectionLattice) -> int:
     return ways[l.top]
 
 
-def _blocks(generators) -> list:
-    """The generators in blocks, joined whenever the roots they move overlap:
-    one block per irreducible factor, and the group is their direct product."""
-    blocks = []  # (moved roots, generator indices)
-    for k, g in enumerate(generators):
-        block = ({i for i in range(len(g) // 2) if g[i] != i}, [k])
-        for other in [b for b in blocks if b[0] & block[0]]:
-            blocks.remove(other)
-            block = (block[0] | other[0], other[1] + block[1])
-        blocks.append(block)
-    return [[generators[k] for k in ks] for ks in sorted(sorted(ks) for _, ks in blocks)]
-
-
-def _scan_atoms(covers, masks, blocks, atoms):
-    """Per atom: the atom, the product of the block orders (its own read as
-    |orbit| |Stab| of its line), and the orbit sizes of the canonical maximal
-    chains through it. At a flat x, the chain's stabiliser maps a cover
-    d = x v a to the cover holding the image of a (`cover_of`), and only its
-    part in a's block moves a. `stab` maps a block to its part's elements;
-    a block is absent, standing whole, until the chain enters it at a line
-    a, where its part becomes Stab(a) and d is tested over a's block orbit."""
+def _scan_atoms(covers, masks, blocks, orders, atoms):
+    """The orbit sizes of the canonical maximal chains through the atoms. At
+    a flat x, the chain's stabiliser maps a cover d = x v a to the cover
+    holding the image of a (`cover_of`), and only its part in a's block
+    moves a. `stab` maps a block to its part's elements; a block is absent,
+    standing for its whole factor of order orders[b], until the chain
+    enters it at a line a, where its part becomes Stab(a) and d is tested
+    over a's block orbit. Each atom's line certifies its factor's order:
+    |orbit| |Stab|, closed in its block, must equal orders[b]."""
     n = len(blocks[0][0]) // 2
-    moved = [sorted({i for g in gens for i in range(n) if g[i] != i}) for gens in blocks]
-    block_of = {line: b for b, lines in enumerate(moved) for line in lines}
-    stabs, orbits = {}, {}  # per line: its block's |orbit| |Stab| and Stab; its orbit
+    block_of = {i: b for b, gens in enumerate(blocks) for g in gens
+                for i in range(n) if g[i] != i}
+    order = math.prod(orders)
+    stabs, orbits = {}, {}  # per line: |orbit| |Stab| and Stab in its block; its orbit
+    out = []
 
-    def stabiliser(b, line):
+    def stabiliser(line):
         if line not in stabs:
-            stabs[line] = _stabiliser(blocks[b], line)
+            stabs[line] = _stabiliser(blocks[block_of[line]], line)
         return stabs[line]
 
     def orbit_of(line):
@@ -431,14 +424,14 @@ def _scan_atoms(covers, masks, blocks, atoms):
             orbits[line] = orbit
         return orbits[line]
 
-    def extend(x, stab):  # `order` and `orders` belong to the atom scanned
+    def extend(x, stab):
         ups = covers[x]
         if not ups:
             s = math.prod(len(stab[b]) if b in stab else w for b, w in enumerate(orders))
             if order % s:
                 raise AssertionError(
                     f"chain stabiliser of order {s} does not divide |W| = {order}")
-            sizes.append(order // s)
+            out.append(order // s)
             return
         if len(ups) == 1:  # whatever fixes x fixes its only cover
             return extend(ups[0], stab)
@@ -454,27 +447,28 @@ def _scan_atoms(covers, masks, blocks, atoms):
                 if min(ims) == d:
                     extend(d, {**stab, b: [*itertools.compress(stab[b], map(d.__eq__, ims))]})
             elif min(map(cover_of.__getitem__, orbit_of(a))) == d:
-                extend(d, {**stab, b: stabiliser(b, a)[1]})
+                extend(d, {**stab, b: stabiliser(a)[1]})
 
-    out = []
     for atom in atoms:
         line = masks[atom].bit_length() - 1
         b = block_of[line]
-        orders = [stabiliser(c, line if c == b else ls[0])[0] for c, ls in enumerate(moved)]
-        order, sizes = math.prod(orders), []
-        extend(atom, {b: stabiliser(b, line)[1]})
-        out.append((atom, order, sizes))
+        size, elements = stabiliser(line)
+        if size != orders[b]:
+            raise AssertionError(
+                f"atom {atom}: |orbit| * |Stab| = {size}, but its factor's "
+                f"|W| = {orders[b]}")
+        extend(atom, {b: elements})
     del extend  # break its self-reference, so the memos go with this frame
     return out
 
 
-def _orbits(l: IntersectionLattice, generators, elements) -> list:
+def _orbits(l: IntersectionLattice, blocks, elements) -> list:
     """The group's orbits on the given elements of one rank, each in the
     order found: a generator maps an element to the element whose hypset is
     the image of its own."""
     index = {l.hypsets[e]: e for e in elements}
     moves = [{e: index[sum(1 << g[i] % (len(g) // 2) for i in _lines(l.hypsets[e]))]
-              for e in elements} for g in generators]
+              for e in elements} for gens in blocks for g in gens]
     seen, orbits = set(), []
     for e in elements:
         if e not in seen:
@@ -498,35 +492,28 @@ def count_chain_orbits(l: IntersectionLattice, action: GeneratorAction,
     smallest atom a of an orbit of atoms, and a canonical prefix p extends
     by a cover d to a canonical prefix exactly when no element of Stab(p)
     maps d below d. A canonical maximal chain c contributes the orbit size
-    |orbit(a)| |Stab(a)| / |Stab(c)|. Three checks certify the result: the
-    block orders of every atom orbit multiply to |W|, checking the split
-    (`_blocks`); every chain stabiliser order divides |W| (Lagrange); and
-    the orbit sizes sum to the number of maximal chains. Canonical atoms go
-    round-robin to the workers, so the result is identical for any count.
+    |W| / |Stab(c)|, with |W| the product of the factor orders. Three checks
+    certify the result: the line of every canonical atom gives |orbit|
+    |Stab|, closed in its own block, equal to its factor's order; every
+    chain stabiliser order divides |W| (Lagrange); and the orbit sizes sum
+    to the number of maximal chains. Canonical atoms go round-robin to the
+    workers, so the result is identical for any count.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if not l.covers[l.bottom]:
-        results = [(l.bottom, 1, [1])]  # rank 0: the bottom is the only chain
+        sizes = [1]  # rank 0: the bottom is the only chain
     else:
-        atoms = sorted(min(o) for o in _orbits(l, action.generators,
-                                               l.covers[l.bottom]))
-        blocks = _blocks(action.generators)
+        atoms = sorted(min(o) for o in _orbits(l, action.blocks, l.covers[l.bottom]))
+        args = (l.covers, l.hypsets, action.blocks, action.orders)
         if workers == 1 or len(atoms) <= 1:
-            results = _scan_atoms(l.covers, l.hypsets, blocks, atoms)
+            sizes = _scan_atoms(*args, atoms)
         else:
             chunks = [atoms[i::workers] for i in range(min(workers, len(atoms)))]
-            k = len(chunks)
-            with ProcessPoolExecutor(max_workers=k) as pool:
-                parts = pool.map(_scan_atoms, [l.covers] * k, [l.hypsets] * k,
-                                 [blocks] * k, chunks)
-                results = [r for part in parts for r in part]
-    for atom, order, _ in results:
-        if order != action.group_order:
-            raise AssertionError(
-                f"atom {atom}: |orbit| * |Stab| = {order}, but |W| = "
-                f"{action.group_order}")
-    sizes = tuple(sorted(s for _, _, part in results for s in part))
+            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+                parts = pool.map(_scan_atoms, *([a] * len(chunks) for a in args), chunks)
+                sizes = [s for part in parts for s in part]
+    sizes = tuple(sorted(sizes))
     total = sum(sizes)
     if total != count_maximal_chains(l):
         raise AssertionError("orbit sizes do not sum to the chain count")
@@ -537,7 +524,7 @@ def count_chain_orbits(l: IntersectionLattice, action: GeneratorAction,
 def orbit_count_of_lines(l: IntersectionLattice, action: GeneratorAction) -> int:
     """Number of group orbits among the coatoms (the lines of the lattice)."""
     coatoms = [i for i, r in enumerate(l.rank) if r == l.essential_rank - 1]
-    return len(_orbits(l, action.generators, coatoms))
+    return len(_orbits(l, action.blocks, coatoms))
 
 
 def lattice_to_json(l: IntersectionLattice) -> dict:

@@ -8,8 +8,10 @@ import pytest
 
 from coxchains.field import ZERO, canonical_subspace, null_space
 from coxchains import lattice as lattice_module
+from coxchains import models
 from coxchains.cli import DEEP_BRUTE_TIER, REQUIRED_BRUTE_TIER
 from coxchains.lattice import (
+    GeneratorAction,
     IntersectionLattice,
     _echelon,
     _null_vectors,
@@ -244,40 +246,85 @@ def test_big_product_scan_is_worker_count_independent():
     assert count_chain_orbits(*lattice_of("D4xD4"), workers=2) == scanned("D4xD4")
 
 
-def generators_of(spec):
-    return lattice_module._generators(build_model(spec))
+def factors_of(spec):
+    model = build_model(spec)
+    return ([f for f, _ in model.factors] if isinstance(model, models.ProductModel)
+            else [model])
+
+
+def assert_blocks_are_the_factors(spec):
+    """One block per factor, in factor order, each holding its factor's
+    generators and moving only its factor's roots; one order per factor."""
+    _, action = lattice_of(spec)
+    factors = factors_of(spec)
+    sizes = [len(f.gen_perms[0]) for f in factors]
+    n = sum(sizes)
+    assert len(action.blocks) == len(factors)
+    assert action.orders == [models.group_order(f.label) for f in factors]
+    for block, f, offset, size in zip(action.blocks, factors,
+                                      itertools.accumulate(sizes, initial=0), sizes):
+        assert len(block) == len(f.gen_perms)
+        own = set(range(offset, offset + size))
+        for g in block:
+            assert {i % n for i in range(2 * n) if g[i] != i} <= own
 
 
 @pytest.mark.parametrize("spec", [s for s in REQUIRED_BRUTE_TIER if "x" not in s]
                          + DEEP_BRUTE_TIER + [f"I2({m})" for m in range(5, 31)])
 def test_irreducible_model_is_one_block(spec):
-    generators = generators_of(spec)
-    assert lattice_module._blocks(generators) == [generators]
+    assert_blocks_are_the_factors(spec)
 
 
 @pytest.mark.parametrize("spec", BRUTE_PRODUCTS)
 def test_product_has_one_block_per_factor(spec):
-    generators = generators_of(spec)
-    sizes = [len(generators_of(f)) for f in spec.split("x")]
-    assert lattice_module._blocks(generators) == [
-        generators[i - k:i] for i, k in zip(itertools.accumulate(sizes), sizes)]
+    assert_blocks_are_the_factors(spec)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("spec", ["A3", "B2xA1"])
-def test_wrong_block_split_fails_the_certificate(spec, workers, monkeypatch):
-    """Every generator its own block: the block orders no longer multiply
-    to |W|."""
+def test_wrong_block_split_fails_the_certificate(spec, workers):
+    """Every generator its own block of order 2: the scan no longer sees the
+    group, and its orbit sizes miss the chain count."""
     lattice, action = lattice_of(spec)
-    monkeypatch.setattr(lattice_module, "_blocks", lambda gens: [[g] for g in gens])
+    split = GeneratorAction([[g] for gens in action.blocks for g in gens],
+                            [2] * sum(map(len, action.blocks)))
     with pytest.raises(AssertionError):
-        count_chain_orbits(lattice, action, workers=workers)
+        count_chain_orbits(lattice, split, workers=workers)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B2xA1", "E6"])
+def test_wrong_factor_order_fails_the_atom_certificate(spec):
+    """A factor order doubled: the first canonical atom in that factor's
+    block closes |orbit| |Stab| to the true order, and the scan names it."""
+    lattice, action = lattice_of(spec)
+    n = len(action.blocks[0][0]) // 2
+    for b, gens in enumerate(action.blocks):
+        moved = {i for g in gens for i in range(n) if g[i] != i}
+        atom = min(a for a in lattice.covers[lattice.bottom]
+                   if lattice.hypsets[a].bit_length() - 1 in moved)
+        orders = [2 * w if c == b else w for c, w in enumerate(action.orders)]
+        with pytest.raises(AssertionError, match=rf"^atom {atom}: "):
+            count_chain_orbits(lattice, GeneratorAction(action.blocks, orders))
+
+
+@pytest.mark.parametrize("spec", ["B3xB3", "D5xB3", "E6"])
+def test_lattice_build_closes_no_stabiliser(spec, monkeypatch):
+    """|W| is the product of the factor orders the model knows; building
+    the action lists no group elements."""
+    def no_stabiliser(*args):
+        raise AssertionError("build_lattice_with_action closed a stabiliser")
+
+    monkeypatch.setattr(lattice_module, "_stabiliser", no_stabiliser)
+    _, action = build_lattice_with_action(build_model(spec))
+    assert action.group_order == math.prod(
+        models.group_order(f.label) for f in factors_of(spec))
 
 
 def test_no_stabiliser_list_exceeds_the_largest_factor(monkeypatch):
-    """D5xB3 lists at most |W(D5)| = 1,920 elements at once; a stabiliser
-    holding the other factor whole would list 30,720."""
-    lattice, action = lattice_of("D5xB3")
+    """Building D5xB3's action and scanning its chains list at most
+    |W(D5)| = 1,920 elements at once; a stabiliser holding the other factor
+    whole would list 30,720, and the whole group's stabiliser of a line
+    4,608."""
     closure = lattice_module._stabiliser
     longest = [0]
 
@@ -287,6 +334,7 @@ def test_no_stabiliser_list_exceeds_the_largest_factor(monkeypatch):
         return order, elements
 
     monkeypatch.setattr(lattice_module, "_stabiliser", recorded)
+    lattice, action = build_lattice_with_action(build_model("D5xB3"))
     assert count_chain_orbits(lattice, action) == scanned("D5xB3")
     assert 0 < longest[0] <= 1920
 
@@ -511,6 +559,7 @@ def test_nested_product_elements_are_flat_factor_indices():
 def test_rank_zero_lattice():
     lattice, table = lattice_of("1")
     assert lattice.essential_rank == 0
+    assert table.blocks == [] and table.group_order == 1
     result = count_chain_orbits(lattice, table)
     assert result.orbit_count == 1 and result.total_chains == 1
 
