@@ -24,6 +24,7 @@ from .graphs import (
     canonical_spec,
     component_labels,
     parse_group_spec,
+    parse_labels,
 )
 from .lattice import (
     build_lattice,
@@ -77,17 +78,19 @@ def brute_force_count(spec: str, workers: int = 1):
 class DiskCache:
     """JSON cache of the recursion memo, one entry per irreducible type
     keyed by its name, stamped with the engine version so stale files are
-    ignored rather than trusted.
+    ignored rather than trusted. The file holds each type's breakdown; the
+    memo holds values only, so an entry the file lacks is rebuilt from memo
+    values. The file is rewritten only when the memo holds such entries.
 
     A file that cannot be read as a cache is ignored, and an entry that is
     ill-typed or whose value contradicts its own terms is dropped, each with
-    a one-line warning on stderr. `rejected` keeps what was ignored. The file
-    is rewritten only when the memo holds entries it lacks.
+    a one-line warning on stderr. `rejected` keeps what was ignored.
     """
 
     def __init__(self, path: str):
         self.path = path
         self.rejected = []
+        self.entries = {}  # type name -> KResult, as read or written
         self.synced = None  # memo size whose entries all match the file
 
     def load_into(self, calc: KCalculator) -> int:
@@ -107,7 +110,8 @@ class DiskCache:
             return self._ignore_file('"results" is not an object')
         for spec, entry in results.items():
             try:
-                calc.memo[spec] = _cached_result(entry)
+                self.entries[spec] = _cached_result(entry)
+                calc.memo[spec] = self.entries[spec].value
             except (KeyError, TypeError, ValueError) as exc:
                 self.rejected.append(f"{spec} ({type(exc).__name__}: {exc})")
         if self.rejected:
@@ -125,15 +129,12 @@ class DiskCache:
     def save_from(self, calc: KCalculator):
         if len(calc.memo) == self.synced:
             return
-        data = {
-            "engine_version": ENGINE_VERSION,
-            "results": {
-                spec: kr.to_json_dict(spec)
-                for spec, kr in sorted(calc.memo.items())
-            },
-        }
-        for entry in data["results"].values():
-            entry.pop("group", None)
+        for spec in calc.memo.keys() - self.entries.keys():
+            self.entries[spec] = calc.k_labels(parse_labels(spec))
+        results = {spec: kr.to_json_dict(spec) for spec, kr in self.entries.items()}
+        for entry in results.values():
+            del entry["group"]
+        data = {"engine_version": ENGINE_VERSION, "results": results}
         umask = os.umask(0)
         os.umask(umask)
         tmp = None
@@ -174,15 +175,9 @@ def _warn(message: str):
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _cache_path(args) -> str | None:
-    if getattr(args, "cache", None):
-        return args.cache
-    return os.environ.get("COXETER_CACHE")
-
-
 def _make_calculator(args) -> tuple:
     calc = KCalculator()
-    path = _cache_path(args)
+    path = args.cache or os.environ.get("COXETER_CACHE")
     cache = DiskCache(path) if path else None
     if cache:
         cache.load_into(calc)
@@ -344,10 +339,10 @@ def _verify_checks(args):
         if not cache or not os.path.exists(cache.path):
             return True, "no cache file"
         bad = [f"ignored {r}" for r in cache.rejected]
-        for spec, kr in list(calc.memo.items()):
+        for spec, value in list(calc.memo.items()):
             try:
-                if fresh.k_value(spec) != kr.value:
-                    bad.append(f"cached K({spec}) = {kr.value} disagrees with recomputation")
+                if fresh.k_value(spec) != value:
+                    bad.append(f"cached K({spec}) = {value} disagrees with recomputation")
             except GroupSpecError as exc:
                 bad.append(f"cached key {spec!r} is not a group spec ({exc})")
         return not bad, "; ".join(bad)

@@ -25,7 +25,18 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .field import FIELD_QSQRT5, Subspace, null_space
-from .models import DihedralModel, ProductModel, ReflectionModel, group_order
+from .models import (
+    DihedralModel,
+    ProductModel,
+    ReflectionModel,
+    UnsupportedModelError,
+    group_order,
+)
+
+# Canonical maximal chains, one per chain orbit, that one scan may reach
+# before it gives up. Each costs a few microseconds: A1^12 has 12! =
+# 479,001,600 of them, A1^8, the largest K the tests scan, 40,320.
+MAX_SCAN_CHAINS = 500_000
 
 
 @dataclass
@@ -402,11 +413,17 @@ def _scan_atoms(covers, masks, blocks, orders, atoms):
     moves a. `stab` maps a block to its part's elements; a block is absent,
     standing for its whole factor of order orders[b], until the chain
     enters it at a line a, where its part becomes Stab(a) and d is tested
-    over a's block orbit. Each atom's line certifies its factor's order:
-    |orbit| |Stab|, closed in its block, must equal orders[b]."""
+    over a's block orbit. No root may be moved by two blocks, and each
+    atom's line certifies its factor's order: |orbit| |Stab|, closed in its
+    block, must equal orders[b]. Past MAX_SCAN_CHAINS canonical chains the
+    scan raises UnsupportedModelError."""
     n = len(blocks[0][0]) // 2
-    block_of = {i: b for b, gens in enumerate(blocks) for g in gens
-                for i in range(n) if g[i] != i}
+    block_of = {}
+    for b, gens in enumerate(blocks):
+        for i in {i for g in gens for i in range(n) if g[i] != i}:
+            if block_of.setdefault(i, b) != b:
+                raise AssertionError(
+                    f"root {i} is moved by generators of blocks {block_of[i]} and {b}")
     order = math.prod(orders)
     stabs, orbits = {}, {}  # per line: |orbit| |Stab| and Stab in its block; its orbit
     out = []
@@ -432,6 +449,10 @@ def _scan_atoms(covers, masks, blocks, orders, atoms):
                 raise AssertionError(
                     f"chain stabiliser of order {s} does not divide |W| = {order}")
             out.append(order // s)
+            if len(out) > MAX_SCAN_CHAINS:
+                raise UnsupportedModelError(
+                    f"more than {MAX_SCAN_CHAINS:,} chain orbits to scan; "
+                    f"use the recursion method instead")
             return
         if len(ups) == 1:  # whatever fixes x fixes its only cover
             return extend(ups[0], stab)
@@ -492,12 +513,14 @@ def count_chain_orbits(l: IntersectionLattice, action: GeneratorAction,
     smallest atom a of an orbit of atoms, and a canonical prefix p extends
     by a cover d to a canonical prefix exactly when no element of Stab(p)
     maps d below d. A canonical maximal chain c contributes the orbit size
-    |W| / |Stab(c)|, with |W| the product of the factor orders. Three checks
-    certify the result: the line of every canonical atom gives |orbit|
-    |Stab|, closed in its own block, equal to its factor's order; every
-    chain stabiliser order divides |W| (Lagrange); and the orbit sizes sum
-    to the number of maximal chains. Canonical atoms go round-robin to the
-    workers, so the result is identical for any count.
+    |W| / |Stab(c)|, with |W| the product of the factor orders. Four checks
+    certify the result: no root is moved by two blocks; the line of every
+    canonical atom gives |orbit| |Stab|, closed in its own block, equal to
+    its factor's order; every chain stabiliser order divides |W|
+    (Lagrange); and the orbit sizes sum to the number of maximal chains.
+    Canonical atoms go round-robin to the workers, so the result is
+    identical for any count. A scan past MAX_SCAN_CHAINS canonical chains
+    raises UnsupportedModelError.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")

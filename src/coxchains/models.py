@@ -3,10 +3,10 @@
 Every model acts on its roots, one representative per root pair, and lists
 its generators as signed permutations of the root indices: p[i] = s * (j + 1)
 maps root i to s * root j. Matrix models carry exact root coordinates, found
-with the generator permutations in one pass of reflections, and the
-generator matrices for the export. Dihedral groups I2(m) get m roots indexed
-0..m-1 and reflections acting by index arithmetic, so we never need the
-field Q(cos pi/m).
+with the generator permutations in one pass of reflections; the export
+alone derives the generator matrices from them. Dihedral groups I2(m) get
+m roots indexed 0..m-1 and reflections acting by index arithmetic, so we
+never need the field Q(cos pi/m).
 """
 
 from __future__ import annotations
@@ -135,16 +135,11 @@ def _dot(u, v) -> FieldScalar:
 
 
 def _reflection_matrix(root, amb):
+    """The matrix I - 2 r r^T / (r . r) of the reflection in root r."""
     norm = _dot(root, root)
-    cols = []
-    for j in range(amb):
-        coef = (root[j] + root[j]) / norm
-        col = [
-            (ONE if i == j else ZERO) - coef * root[i]
-            for i in range(amb)
-        ]
-        cols.append(col)
-    return [[cols[j][i] for j in range(amb)] for i in range(amb)]
+    coefs = [(x + x) / norm for x in root]
+    return [[(ONE if i == j else ZERO) - c * root[i] for j, c in enumerate(coefs)]
+            for i in range(amb)]
 
 
 def _canonical_sign(vec):
@@ -165,8 +160,14 @@ class ReflectionModel:
     ambient: int
     field: str
     roots: list          # one canonical-signed representative per root pair
-    generators: list     # reflection matrices, one per graph vertex (export)
     gen_perms: list      # signed root permutations of the generators
+
+    @property
+    def generators(self) -> list:
+        """Reflection matrices, one per graph vertex, for the export. The
+        simple roots come first in `roots`, and a root and its negative give
+        the same matrix."""
+        return [_reflection_matrix(r, self.ambient) for r in self.roots[:self.label.rank]]
 
 
 @dataclass
@@ -250,8 +251,7 @@ def _build_irreducible(t: TypeLabel):
             f"{t}: root closure found {len(roots)} lines, expected {expected}"
         )
     gen_perms = list(zip(*(images[i] for i in range(len(roots)))))
-    generators = [_reflection_matrix(r, amb) for r in simple]
-    return ReflectionModel(t, amb, field, roots, generators, gen_perms)
+    return ReflectionModel(t, amb, field, roots, gen_perms)
 
 
 def build_model(g):

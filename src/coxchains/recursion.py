@@ -39,8 +39,11 @@ SWAP = "swap"
 
 @dataclass
 class KResult:
+    """K(W) of a queried group and its breakdown, built for the query only:
+    nothing in the memo holds one."""
+
     value: int
-    method: str  # product | summ1 | summ2 | base-case | bar-d-augmented
+    method: str  # product | summ1 | summ2 | base-case
     terms: list  # (description, value) summands (summ*) or factors (product)
 
     def to_json_dict(self, group: str) -> dict:
@@ -65,11 +68,12 @@ class KCalculator:
 
     The recursion runs on lists of classified type labels. Graph code runs
     only where a spec string or a user graph enters (k), and once per
-    vertex of an exceptional or dihedral type. The memo holds irreducible
-    types only, keyed by name: the trivial group and every product are one
-    multinomial over memoized counts, recomputed on each call, so their
-    term lists follow the caller's factor order and no entry depends on
-    the order of computation.
+    vertex of an exceptional or dihedral type. `memo` maps an irreducible
+    type's name to its int K, and `bar_memo` a D rank to its Kbar. A
+    product is one multinomial over memoized counts. The breakdown is built
+    for the queried labels only, on a memo hit one level down from memo
+    values, so it follows the caller's factor order and no entry depends
+    on the order of computation.
     """
 
     def __init__(self):
@@ -80,27 +84,34 @@ class KCalculator:
         """K(W) for a spec string or a Coxeter graph with any vertex ids."""
         if isinstance(g, str):
             g = parse_group_spec(g)
-        return self._k(component_labels(g))
+        return self.k_labels(component_labels(g))
 
     def k_value(self, g) -> int:
         return self.k(g).value
 
-    def _k(self, labels) -> KResult:
-        """K of the product of classified labels, given in component order."""
-        if len(labels) == 1:
-            return self._k_type(labels[0])
-        if not labels:
-            return KResult(1, "base-case", [("trivial group", 1)])
-        return self._k_product(labels)
+    def k_labels(self, labels) -> KResult:
+        """K of the product of classified labels, given in component order,
+        with its breakdown."""
+        if len(labels) != 1:
+            return self._k_product(labels)
+        t = labels[0]
+        self._fill_below(t)
+        result = self._breakdown(t)
+        self.memo.setdefault(str(t), result.value)
+        return result
 
-    def _k_type(self, t: TypeLabel) -> KResult:
+    def _k_type(self, t: TypeLabel) -> int:
         """K of an irreducible type, memoized."""
         key = str(t)
-        hit = self.memo.get(key)
-        if hit is None:
+        value = self.memo.get(key)
+        if value is None:
             self._fill_below(t)
-            hit = self.memo[key] = self._k_irreducible(t)
-        return hit
+            value = self.memo[key] = sum(term[-1] for term in self._terms(t))
+        return value
+
+    def _value(self, labels) -> int:
+        """K of a product of labels: the multinomial times memoized values."""
+        return multinomial([t.coxeter_rank for t in labels]) * prod(map(self._k_type, labels))
 
     def _fill_below(self, t: TypeLabel):
         """Compute, lowest rank first, the missing lower ranks of t's family
@@ -115,71 +126,59 @@ class KCalculator:
 
     def _k_product(self, labels) -> KResult:
         """Multinomial shuffle of the factors' counts."""
+        if not labels:
+            return KResult(1, "base-case", [("trivial group", 1)])
         ranks = [t.coxeter_rank for t in labels]
-        coeff = multinomial(ranks)
-        value = coeff
-        terms = [(f"multinomial({sum(ranks)}; {','.join(map(str, ranks))})", coeff)]
-        for t in labels:
-            kt = self._k_type(t).value
-            value *= kt
-            terms.append((f"K({t})", kt))
-        return KResult(value, "product", terms)
+        terms = [(f"multinomial({sum(ranks)}; {','.join(map(str, ranks))})",
+                  multinomial(ranks))]
+        terms += [(f"K({t})", self._k_type(t)) for t in labels]
+        return KResult(self._value(labels), "product", terms)
 
     def _deleted(self, t: TypeLabel, v):
         """(labels, fold) of deleting vertex v of t: see _DELETION_RULES."""
         rule = _DELETION_RULES.get(t.family)
         return rule(t.rank, v) if rule else _graph_deletion(t, v)
 
-    def _k_irreducible(self, t: TypeLabel) -> KResult:
+    def _terms(self, t: TypeLabel):
+        """(name, labels, fold, value) per orbit {v, w}, v <= w, of the
+        involution: what deleting v leaves, and that term of K(t)."""
+        for v, w in sorted(longest_element_automorphism(t).items()):
+            if v <= w:
+                labels, fold = self._deleted(t, v)
+                value = (self._value(labels) if fold is None
+                         else self._fixed_vertex_value(labels, fold))
+                yield f"vertex {v}" if w == v else f"orbit {{{v},{w}}}", labels, fold, value
+
+    def _breakdown(self, t: TypeLabel) -> KResult:
+        """K of an irreducible type with one term per orbit of coatom lines."""
         if t.coxeter_rank == 1:
             return KResult(1, "base-case", [(str(t), 1)])
-        sigma = longest_element_automorphism(t)
-        terms = []
-        for v, w in sorted(sigma.items()):
-            if w < v:
-                continue  # the orbit {w, v} was counted at w
-            labels, fold = self._deleted(t, v)
-            if fold is None:
-                value, desc = self._k(labels).value, f"K({spec_of_labels(labels)})"
-            else:
-                value, desc = self._fixed_vertex_term(labels, fold)
-            name = f"vertex {v}" if w == v else f"orbit {{{v},{w}}}"
-            terms.append((f"{name}: {desc}", value))
-        central = all(v == w for v, w in sigma.items())
-        method = "summ1" if central else "summ2"
-        return KResult(sum(value for _, value in terms), method, terms)
+        terms = [(f"{name}: {_describe(labels, fold)}", value)
+                 for name, labels, fold, value in self._terms(t)]
+        central = all(v == w for v, w in longest_element_automorphism(t).items())
+        return KResult(sum(v for _, v in terms), "summ1" if central else "summ2", terms)
 
-    def _fixed_vertex_term(self, labels, fold):
+    def _fixed_vertex_value(self, labels, fold) -> int:
         """Term of a vertex fixed by a non-trivial involution, from the
         labels left by deleting it and the involution's fold on them."""
         if fold == SWAP:
             # the involution shuffles whole components: halved count
-            kh = self._k(labels).value
+            kh = self._value(labels)
             if kh % 2 != 0:
                 raise AssertionError(
                     f"component-swapping case met odd K({spec_of_labels(labels)})"
                 )
-            return kh // 2, f"1/2 K({spec_of_labels(labels)})"
-        factors = []
-        descs = []
+            return kh // 2
         for label, twisted in zip(labels, fold):
-            if not twisted:
-                factors.append(self._k_type(label).value)
-                descs.append(f"K({label})")
-            elif label.family == "D" and label.rank % 2 == 0:
-                factors.append(self.k_bar(label.rank))
-                descs.append(f"Kbar(D{label.rank})")
-            else:
+            if twisted and (label.family != "D" or label.rank % 2):
                 raise AssertionError(
                     f"restricted automorphism on {label} is neither trivial "
                     f"nor the longest-element automorphism, and only D_even "
                     f"admits the augmented substitution"
                 )
-        coeff = multinomial([t.coxeter_rank for t in labels])
-        value = coeff * prod(factors)
-        if len(labels) > 1:
-            return value, f"{coeff} * " + " * ".join(descs)
-        return value, "".join(descs) or "K(1)"
+        factors = [self.k_bar(t.rank) if twisted else self._k_type(t)
+                   for t, twisted in zip(labels, fold)]
+        return multinomial([t.coxeter_rank for t in labels]) * prod(factors)
 
     def k_bar(self, n: int) -> int:
         """Augmented count for D_n: chain orbits under the group extended by
@@ -187,25 +186,31 @@ class KCalculator:
         if n < 2:
             raise ValueError("k_bar is defined for n >= 2")
         if n % 2 == 1:
-            return self._k(_d_part(n)).value
-        hit = self.bar_memo.get(n)
-        if hit is not None:
-            return hit.value
-        a = lambda i: self._k_type(TypeLabel("A", i)).value if i >= 1 else 1
-        value = a(n - 1)
-        terms = [(f"K(A{n - 1})", a(n - 1))]
-        for i in range(2, n):
-            t = comb(n - 1, i) * self.k_bar(i) * a(n - 1 - i)
-            terms.append((f"C({n - 1},{i}) Kbar(D{i}) K(A{n - 1 - i})", t))
-            value += t
+            return self._value(_d_part(n))
+        if n in self.bar_memo:
+            return self.bar_memo[n]
+        a = lambda i: self._k_type(TypeLabel("A", i)) if i >= 1 else 1
+        value = a(n - 1) + sum(comb(n - 1, i) * self.k_bar(i) * a(n - 1 - i)
+                               for i in range(2, n))
         closed = 2 * a(n + 1) - (n + 1) * a(n)
         if value != closed:
             raise AssertionError(
                 f"bar d_{n}: recursion gives {value}, closed form gives {closed}"
             )
-        result = KResult(value, "bar-d-augmented", terms)
-        self.bar_memo[n] = result
+        self.bar_memo[n] = value
         return value
+
+
+def _describe(labels, fold) -> str:
+    """How a coatom-orbit term is computed, as the breakdown prints it."""
+    if fold is None or fold == SWAP:
+        return ("1/2 " if fold else "") + f"K({spec_of_labels(labels)})"
+    descs = [f"Kbar(D{t.rank})" if twisted else f"K({t})"
+             for t, twisted in zip(labels, fold)]
+    if len(labels) > 1:
+        coeff = multinomial([t.coxeter_rank for t in labels])
+        return f"{coeff} * " + " * ".join(descs)
+    return "".join(descs) or "K(1)"
 
 
 # Deletion rules, one per family: (labels, fold) of deleting vertex v of the

@@ -86,6 +86,20 @@ def test_compute_all_skips_unsupported_bruteforce(capsys):
     assert "recursion: 768" in out
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_chain_scan_bound_ends_in_one_error_line(capsys, monkeypatch, workers):
+    """A1^7 has 7! = 5,040 chain orbits: past a bound of 100 the scan stops
+    with exit 3 and one error line, and --method all skips brute force."""
+    monkeypatch.setattr(lattice, "MAX_SCAN_CHAINS", 100)
+    spec = "x".join(["A1"] * 7)
+    code, out, err = run(capsys, "compute", spec, "--method", "bruteforce",
+                         "--workers", workers)
+    assert (code, out) == (cli.EXIT_UNSUPPORTED, "")
+    assert err.startswith("error: more than 100 chain orbits") and err.count("\n") == 1
+    code, out, _ = run(capsys, "compute", spec, "--workers", workers)
+    assert (code, out) == (cli.EXIT_OK, "recursion: 5040\nclosed: 5040\nagreement: ok\n")
+
+
 def test_compute_disagreement_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "closed_form_value", lambda spec: 999)
     code, out, _ = run(capsys, "compute", "A3", "--method", "all")
@@ -372,6 +386,20 @@ def test_cache_holds_irreducible_types_only(capsys, tmp_path):
     assert code == cli.EXIT_OK
     assert out.strip() == str(cli.closed_form_value("A5xB7xD6"))
     assert cache.read_bytes() == before
+
+
+def test_cache_entries_are_fresh_breakdowns(capsys, tmp_path):
+    """The memo holds values only; each entry the file gets is rebuilt from
+    them and equals a fresh calculator's breakdown of its type."""
+    cache = tmp_path / "c.json"
+    for spec in ("A30", "B30", "D30", "E6", "H4"):
+        run(capsys, "compute", spec, "--method", "recursion", "--cache", str(cache))
+    results = json.loads(cache.read_text())["results"]
+    assert {"A30", "B30", "D30", "E6", "D5", "H4", "H3"} <= results.keys()
+    for key, entry in results.items():
+        want = cli.KCalculator().k(key).to_json_dict(key)
+        del want["group"]
+        assert entry == want, key
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),

@@ -281,14 +281,15 @@ def test_product_has_one_block_per_factor(spec):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("spec", ["A3", "B2xA1"])
+@pytest.mark.parametrize("spec", ["A3", "B2xA1", "B3xB3"])
 def test_wrong_block_split_fails_the_certificate(spec, workers):
-    """Every generator its own block of order 2: the scan no longer sees the
-    group, and its orbit sizes miss the chain count."""
+    """Every generator its own block of order 2: two blocks move a common
+    root, and the scan names it and both blocks before it counts."""
     lattice, action = lattice_of(spec)
     split = GeneratorAction([[g] for gens in action.blocks for g in gens],
                             [2] * sum(map(len, action.blocks)))
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError,
+                       match=r"^root \d+ is moved by generators of blocks \d+ and \d+$"):
         count_chain_orbits(lattice, split, workers=workers)
 
 

@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -152,6 +153,23 @@ def test_memoization_is_order_independent():
         calc2.k_value(spec)
     assert calc2.k_value("E8") == first_e8
     assert calc1.memo.keys() >= {"E6", "E7", "E8"}
+
+
+def test_memo_holds_values_only():
+    """A cold B200 leaves plain ints in the memo, under 1 MiB in all: no
+    type the recursion passes through keeps its term list."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        calc = KCalculator()
+        assert calc.k("B200").value == euler_numbers(201)[201]
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 2**20
+    calc.k("D41")  # A1-A199, B2-B200, odd D5-D41; its even D parts fill bar_memo
+    assert len(calc.memo) == 2 * 199 + 19 and len(calc.bar_memo) == 20
+    assert all(type(v) is int for v in [*calc.memo.values(), *calc.bar_memo.values()])
 
 
 def test_product_breakdown_does_not_depend_on_history():
