@@ -3,9 +3,9 @@
 Commands: compute, table, verify, export-lattice. Exit codes are part of
 the contract: 0 success, 2 parse or usage error (an invalid flag, an
 unwritable export path), 3 brute force unsupported for the requested type,
-4 method disagreement, 1 verification failure, 141 (128 + SIGPIPE, what a
-shell reports for a filter) when the reader of standard output closed it
-early.
+4 method disagreement, 1 verification failure or a failed certificate or
+cached value (one error line), 141 (128 + SIGPIPE, what a shell reports
+for a filter) when the reader of standard output closed it early.
 """
 
 from __future__ import annotations
@@ -471,6 +471,9 @@ def main(argv=None) -> int:
         # devnull so the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    except AssertionError as exc:  # a certificate or a cached value failed
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

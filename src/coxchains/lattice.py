@@ -2,18 +2,17 @@
 
 A lattice element is identified with the set of reflecting hyperplanes
 containing it, kept as a bitmask of root indices (`hypsets`); a group
-element permutes root lines, hence hypsets. The closure that finds the
-flats runs on plain integers: roots become primitive integer rows (over
-Q(sqrt5) in coordinates over Q(phi), at twice the width), and membership in
-a span is a zero test of integer dot products with fraction-free null
-vectors. Exact `FieldScalar` arithmetic remains for model construction and
-for the flats' bases, which only the export's `build_lattice` computes. A
-product's roots are its factors' roots in factor order. The group acts
-through its generators alone (`GeneratorAction`), kept in one block per
-irreducible factor as the model splits it, with each factor's order. Chain
-orbits are counted from atom stabilisers closed from Schreier generators
-inside their own block; a block the chain has not entered counts as its
-factor's order.
+element permutes root lines, hence hypsets. One flat per W-orbit is closed
+on plain integers (roots as primitive integer rows, over Q(sqrt5) in
+coordinates over Q(phi) at twice the width, span membership as zero dot
+products with fraction-free null vectors); the rest of its orbit, with its
+covers, is carried along the generators' line permutations and certified.
+Exact `FieldScalar` arithmetic serves the models and the export's flat
+bases. A product's roots are its factors' roots in factor order. The group
+acts through its generators alone (`GeneratorAction`), one block per
+irreducible factor with each factor's order. Chain orbits are counted from
+atom stabilisers closed from Schreier generators inside their own block; a
+block the chain has not entered counts as its factor's order.
 """
 
 from __future__ import annotations
@@ -160,52 +159,87 @@ def _null_vectors(rows, pivots, width):
     return out
 
 
-def _build_matrix_lattice(model: ReflectionModel) -> IntersectionLattice:
-    """Build rank by rank: a flat's covers are its closures with one more
-    root, each closed once from the flat's spanning roots and recorded as
-    found.
+def _closure(vecs, lines, mask, span):
+    """The covers (hypset, spanning roots) of the flat `mask` spanned by `span`."""
+    base = _echelon((), (), [row for i in span for row in lines[i]])
+    seen, out = mask, []
+    for a in range(len(vecs)):
+        if seen >> a & 1:
+            continue
+        nulls = _null_vectors(*_echelon(*base, lines[a]), len(vecs[0]))
+        # every root below a is in `seen`, and a root already in another
+        # cover of this flat lies in no other cover
+        cover = mask | 1 << a
+        for c in range(a + 1, len(vecs)):
+            if not seen >> c & 1 and not any(
+                    sum(map(operator.mul, vecs[c], v)) for v in nulls):
+                cover |= 1 << c
+        seen |= cover
+        out.append((cover, span + (a,)))
+    return out
 
-    The closure runs on integers only (`_integer_lines`): the spanning rows
-    plus the new root are brought to a fraction-free echelon form, and the
-    cover is every root orthogonal to all of its null vectors. A flat's
-    hypset is the bitmask of the roots containing it, and its element is
-    the tuple of its spanning roots; only `build_lattice` replaces that by
-    the flat's exact `Subspace`.
+
+def _build_matrix_lattice(model: ReflectionModel) -> IntersectionLattice:
+    """Build rank by rank, closing one flat per W-orbit on integers.
+
+    `_closure` brings a flat's spanning rows and one more root's to a
+    fraction-free echelon form; the cover is every root orthogonal to all
+    its null vectors. In FIFO order, a flat no earlier orbit reached is
+    closed and its orbit walked breadth-first along the generators' line
+    permutations: p gives p(y) the covers p(c) of y's covers c, and a new
+    flat the sorted image of y's span. Three checks certify that each
+    generator is a symmetry: the walk's last flat, closed again, has the
+    carried covers; each root off a flat lies in exactly one of its covers;
+    each root of a flat of rank >= 2 lies in a flat it covers. A flat's
+    element is its spanning roots; `build_lattice` makes it a `Subspace`.
     """
     vecs, lines = _integer_lines(model)
-    width = len(vecs[0])
-    n = len(vecs)
-    masks = [0]        # flat id -> bitmask of the roots containing the flat
-    spans = [()]       # flat id -> independent roots spanning its normals
-    ids = {0: 0}
-    ups = []           # flat id -> ids of the flats covering it
-    for mask, span in zip(masks, spans):  # FIFO: rank r before rank r + 1
-        base = _echelon((), (), [row for i in span for row in lines[i]])
-        seen = mask
-        flat_ups = []
-        for a in range(n):
-            if seen >> a & 1:
-                continue
-            nulls = _null_vectors(*_echelon(*base, lines[a]), width)
-            # every root below a is in `seen`, and a root already in another
-            # cover of this flat lies in no other cover
-            cover = mask | 1 << a
-            for c in range(a + 1, n):
-                if not seen >> c & 1 and not any(
-                        sum(map(operator.mul, vecs[c], v)) for v in nulls):
-                    cover |= 1 << c
-            seen |= cover
-            if cover not in ids:
-                ids[cover] = len(masks)
-                masks.append(cover)
-                spans.append(span + (a,))
-            flat_ups.append(ids[cover])
-        ups.append(flat_ups)
-    hyps = [tuple(i for i in range(n) if m >> i & 1) for m in masks]
+    gens = [[1 << abs(x) - 1 for x in p] for p in model.gen_perms]  # line i -> bit
+    masks, hyps, spans = [0], [[]], [()]  # per flat: hypset, its roots, a span
+    ups, ids = {}, {0: 0}  # flat id -> ids of the flats covering it; hypset -> id
+
+    def add(mask, span):
+        if mask not in ids:
+            ids[mask] = len(masks)
+            masks.append(mask)
+            hyps.append(_lines(mask))
+            spans.append(span)
+        return ids[mask]
+
+    def moved(bits, y):
+        image = sum(map(bits.__getitem__, hyps[y]))
+        if image in ids:
+            return ids[image]
+        return add(image, tuple(sorted(bits[i].bit_length() - 1 for i in spans[y])))
+
+    for f, mask in enumerate(masks):
+        if f in ups:
+            continue
+        ups[f] = [add(*cover) for cover in _closure(vecs, lines, mask, spans[f])]
+        orbit = [f]
+        for y in orbit:  # ends at the walk's last flat
+            for bits in gens:
+                z = moved(bits, y)
+                if z not in ups:
+                    ups[z] = [moved(bits, c) for c in ups[y]]
+                    orbit.append(z)
+        if y != f and sorted(masks[c] for c in ups[y]) != sorted(
+                c for c, _ in _closure(vecs, lines, masks[y], spans[y])):
+            raise AssertionError(f"flat {spans[y]}: carried covers differ from its closure")
+    below = [0] * len(masks)  # flat id -> union of the flats it covers
+    for f, mask in enumerate(masks):
+        union = mask
+        for c in ups[f]:
+            if union & masks[c] & ~mask:
+                raise AssertionError("a root off a flat lies in two of its covers")
+            union |= masks[c]
+            below[c] |= mask
+        if union != (1 << len(vecs)) - 1:
+            raise AssertionError("a root off a flat lies in none of its covers")
+    if any(d != m and len(s) > 1 for m, d, s in zip(masks, below, spans)):
+        raise AssertionError("a root of a flat lies in no flat it covers")
     order = sorted(range(len(masks)), key=lambda f: (len(spans[f]), hyps[f]))
-    position = [0] * len(order)
-    for i, f in enumerate(order):
-        position[f] = i
+    position = {f: i for i, f in enumerate(order)}
     rank = [len(spans[f]) for f in order]
     lattice = IntersectionLattice(
         kind="matrix",
@@ -218,7 +252,7 @@ def _build_matrix_lattice(model: ReflectionModel) -> IntersectionLattice:
         hypsets=[masks[f] for f in order],
     )
     _validate_graded(lattice)
-    if rank.count(1) != n:
+    if rank.count(1) != len(vecs):
         raise AssertionError("rank-1 elements are not exactly the hyperplanes")
     return lattice
 

@@ -91,13 +91,15 @@ class KCalculator:
 
     def k_labels(self, labels) -> KResult:
         """K of the product of classified labels, given in component order,
-        with its breakdown."""
+        with its breakdown, which a memo hit's stored value must match."""
         if len(labels) != 1:
             return self._k_product(labels)
         t = labels[0]
         self._fill_below(t)
         result = self._breakdown(t)
-        self.memo.setdefault(str(t), result.value)
+        if self.memo.setdefault(str(t), result.value) != result.value:
+            raise AssertionError(f"stored K({t}) = {self.memo[str(t)]} disagrees with its "
+                                 f"terms from the entries below it, which give {result.value}")
         return result
 
     def _k_type(self, t: TypeLabel) -> int:

@@ -1,9 +1,10 @@
 """Test oracles: exact-matrix helpers and independent counters that the
 package itself does not need. The tests check the package's combinatorial
-paths (root permutations, hyperplane-index sets, the canonical-chain scan
-from atom stabilisers, the recursion's deletion rules) against these
-slower, more direct computations, among them the full group action table
-composed along a breadth-first closure of the whole group.
+paths (root permutations, hyperplane-index sets, the lattice's orbit
+transport, the canonical-chain scan from atom stabilisers, the recursion's
+deletion rules) against these slower, more direct computations, among them
+the full group action table composed along a breadth-first closure of the
+whole group and the lattice with every flat closed on integers.
 """
 
 import itertools
@@ -29,7 +30,11 @@ from coxchains.graphs import (
 )
 from coxchains.lattice import (
     ChainOrbitCount,
+    IntersectionLattice,
+    _closure,
+    _integer_lines,
     _product_lattice,
+    _validate_graded,
     build_lattice_with_action,
     count_maximal_chains,
 )
@@ -350,6 +355,45 @@ def group_bfs(model):
                         )
         start = end
     return perms, steps
+
+
+def closure_matrix_lattice(model) -> IntersectionLattice:
+    """The matrix lattice with every flat closed on integers: rank by rank,
+    a flat's covers are its closures with one more root (`_closure`), each
+    recorded as found. No flat's covers are carried along the generators."""
+    vecs, lines = _integer_lines(model)
+    n = len(vecs)
+    masks = [0]
+    spans = [()]
+    ids = {0: 0}
+    ups = []
+    for mask, span in zip(masks, spans):  # FIFO: rank r before rank r + 1
+        flat_ups = []
+        for cover, cover_span in _closure(vecs, lines, mask, span):
+            if cover not in ids:
+                ids[cover] = len(masks)
+                masks.append(cover)
+                spans.append(cover_span)
+            flat_ups.append(ids[cover])
+        ups.append(flat_ups)
+    hyps = [tuple(i for i in range(n) if m >> i & 1) for m in masks]
+    order = sorted(range(len(masks)), key=lambda f: (len(spans[f]), hyps[f]))
+    position = [0] * len(order)
+    for i, f in enumerate(order):
+        position[f] = i
+    rank = [len(spans[f]) for f in order]
+    lattice = IntersectionLattice(
+        kind="matrix",
+        elements=[spans[f] for f in order],
+        rank=rank,
+        covers=[sorted(position[c] for c in ups[f]) for f in order],
+        bottom=0,
+        top=len(order) - 1,
+        essential_rank=rank[-1],
+        hypsets=[masks[f] for f in order],
+    )
+    _validate_graded(lattice)
+    return lattice
 
 
 def bits(mask: int) -> list:

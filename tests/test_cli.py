@@ -232,6 +232,15 @@ def test_export_lattice_builds_no_action_table(spec, digest, capsys, tmp_path,
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
+def test_failed_certificate_ends_in_one_error_line(capsys, monkeypatch):
+    """A lattice certificate that fails ends in one error line and exit 1,
+    not a traceback: here a closure that finds no covers."""
+    monkeypatch.setattr(lattice, "_closure", lambda vecs, lines, mask, span: [])
+    code, out, err = run(capsys, "compute", "A3", "--method", "bruteforce")
+    assert code == cli.EXIT_FAIL and out == ""
+    assert err == "error: a root off a flat lies in none of its covers\n"
+
+
 def write_cache(path, results, version=None):
     data = {"engine_version": cli.ENGINE_VERSION if version is None else version,
             "results": results}
@@ -277,6 +286,26 @@ def test_poisoned_cache_entry_is_not_printed(capsys, tmp_path):
     assert out.strip() == "2"
     assert "A3" in err
     assert json.loads(cache.read_text())["results"]["A3"]["value"] == "2"
+
+
+@pytest.mark.parametrize("spec, value, rebuilt", [("E6", 7, 82), ("E7", 768, 693)])
+def test_cache_entry_contradicting_the_entries_below_ends_in_one_error(
+        capsys, tmp_path, spec, value, rebuilt):
+    """E6 set to 7, with terms that sum to it, in a file written by
+    `compute E7`: a query of E6 or E7 rebuilds its breakdown from the
+    entries below, and a value that differs from the stored one ends in one
+    error line with exit 1 instead of 82 or a wrong 693."""
+    cache = tmp_path / "c.json"
+    run(capsys, "compute", "E7", "--method", "recursion", "--cache", str(cache))
+    data = json.loads(cache.read_text())
+    data["results"]["E6"] = {"value": "7", "method": "summ2", "terms": [["a", "7"]]}
+    cache.write_text(json.dumps(data))
+    code, out, err = run(capsys, "compute", spec, "--cache", str(cache))
+    assert code == cli.EXIT_FAIL
+    assert out == ""
+    assert err == (f"error: stored K({spec}) = {value} disagrees with its terms "
+                   f"from the entries below it, which give {rebuilt}\n")
+    assert json.loads(cache.read_text()) == data
 
 
 @pytest.mark.parametrize("entry", [

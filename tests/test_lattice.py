@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import json
@@ -30,6 +31,7 @@ from oracles import (
     GroupActionTable,
     apply_matrix,
     bits,
+    closure_matrix_lattice,
     count_chain_orbits_table,
     count_chain_orbits_unionfind,
     dihedral_table,
@@ -156,6 +158,72 @@ def test_rank_by_rank_build_equals_bfs_oracle(spec):
     for field in ("hypsets", "elements", "rank", "covers", "bottom", "top",
                   "essential_rank"):
         assert getattr(lattice, field) == getattr(oracle, field), field
+
+
+@pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3",
+                                  "B4", "B5", "D4", "D5", "F4", "H3"])
+def test_orbit_transport_equals_every_flat_closure(spec):
+    model = build_model(spec)
+    lattice = lattice_module._build_matrix_lattice(model)
+    oracle = closure_matrix_lattice(model)
+    for field in ("hypsets", "rank", "covers", "bottom", "top", "essential_rank"):
+        assert getattr(lattice, field) == getattr(oracle, field), field
+
+
+def test_e6_lattice_invariants():
+    """E6 without the every-flat closure: its flat count, maximal chains
+    and chain orbits."""
+    lattice, action = lattice_of("E6")
+    assert len(lattice.elements) == 4598
+    assert count_maximal_chains(lattice) == 583_200
+    assert count_chain_orbits(lattice, action).orbit_count == 82
+
+
+def swapped(model, g, i, j):
+    """A copy of the model whose generator g swaps the images of root
+    lines i and j."""
+    perm = list(model.gen_perms[g])
+    perm[i], perm[j] = perm[j], perm[i]
+    perms = list(model.gen_perms)
+    perms[g] = tuple(perm)
+    return dataclasses.replace(model, gen_perms=perms)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "H3"])
+def test_swapped_generator_lines_fail_the_build(spec):
+    """Transport along a permutation that is not a symmetry of the
+    arrangement must not pass: every swap of two lines in any one generator
+    raises."""
+    model = build_model(spec)
+    for g in range(len(model.gen_perms)):
+        for i, j in itertools.combinations(range(len(model.roots)), 2):
+            with pytest.raises(AssertionError):
+                lattice_module._build_matrix_lattice(swapped(model, g, i, j))
+
+
+@pytest.mark.parametrize("spec, orbits", [("A3", 5), ("A6", 15), ("E6", 17)])
+def test_one_closure_per_orbit_of_flats(spec, orbits, monkeypatch):
+    """The build closes one flat per W-orbit by linear algebra (p(n + 1)
+    orbits on A_n), plus one certificate closure in each orbit of more than
+    one flat; a fallback to closing every flat would show here."""
+    closure = lattice_module._closure
+    closed = []
+
+    def counted(vecs, lines, mask, span):
+        closed.append(mask)
+        return closure(vecs, lines, mask, span)
+
+    monkeypatch.setattr(lattice_module, "_closure", counted)
+    lattice, action = build_lattice_with_action(build_model(spec))
+    flat_orbits = lattice_module._orbits(lattice, action.blocks,
+                                         range(len(lattice.elements)))
+    assert len(flat_orbits) == orbits
+    orbit_of = {lattice.hypsets[e]: k for k, o in enumerate(flat_orbits) for e in o}
+    calls = [orbit_of[mask] for mask in closed]
+    firsts = {k: calls.index(k) for k in set(calls)}
+    certificates = [k for pos, k in enumerate(calls) if pos != firsts[k]]
+    assert len(firsts) == orbits
+    assert sorted(certificates) == [k for k, o in enumerate(flat_orbits) if len(o) > 1]
 
 
 def hypset_image_table(model, lattice):
