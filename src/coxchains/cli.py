@@ -25,6 +25,7 @@ from .graphs import (
     component_labels,
     parse_group_spec,
     parse_labels,
+    spec_of_labels,
 )
 from .lattice import (
     build_lattice,
@@ -59,18 +60,19 @@ REQUIRED_BRUTE_TIER = (
 DEEP_BRUTE_TIER = ["A5", "B5", "D5", "F4", "E6"]
 
 
-def closed_form_value(spec: str) -> int:
-    """Closed-form K: per-component closed forms glued by the multinomial."""
-    g = parse_group_spec(spec)
-    labels = component_labels(g)
+def closed_form_value(spec) -> int:
+    """Closed-form K of a spec string or of its component labels:
+    per-component closed forms glued by the multinomial."""
+    labels = component_labels(parse_group_spec(spec)) if isinstance(spec, str) else spec
     value = multinomial([t.coxeter_rank for t in labels])
     for t in labels:
         value *= k_closed_form(t)
     return value
 
 
-def brute_force_count(spec: str, workers: int = 1):
-    model = build_model(parse_group_spec(spec))
+def brute_force_count(spec, workers: int = 1):
+    """Brute-force chain-orbit count of a spec string or a Coxeter graph."""
+    model = build_model(spec)
     lattice, table = build_lattice_with_action(model)
     return count_chain_orbits(lattice, table, workers=workers)
 
@@ -190,25 +192,26 @@ def cmd_compute(args) -> int:
     except GroupSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    spec = canonical_spec(graph)
+    labels = component_labels(graph)
+    spec = spec_of_labels(labels)
     calc, cache = _make_calculator(args)
     results = {}
     detail = None
     if args.method in ("recursion", "all"):
-        detail = calc.k(graph)
+        detail = calc.k_labels(labels)
         results["recursion"] = detail.value
     if args.method in ("closed", "all"):
-        results["closed"] = closed_form_value(args.spec)
+        results["closed"] = closed_form_value(labels)
     if args.method in ("bruteforce", "all"):
         try:
-            results["bruteforce"] = brute_force_count(args.spec, args.workers).orbit_count
+            results["bruteforce"] = brute_force_count(graph, args.workers).orbit_count
         except UnsupportedModelError as exc:
             if args.method == "bruteforce":
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_UNSUPPORTED
-    if cache:
-        cache.save_from(calc)
     agree = len(set(results.values())) <= 1
+    if cache and agree:  # a value the methods dispute is not stored
+        cache.save_from(calc)
     if args.format == "json":
         payload = {
             "group": spec,

@@ -3,16 +3,16 @@
 A lattice element is identified with the set of reflecting hyperplanes
 containing it, kept as a bitmask of root indices (`hypsets`); a group
 element permutes root lines, hence hypsets. One flat per W-orbit is closed
-on plain integers (roots as primitive integer rows, over Q(sqrt5) in
-coordinates over Q(phi) at twice the width, span membership as zero dot
+on plain integers (the model's integer root vectors made primitive, over
+Q(sqrt5) each with its product with phi, span membership as zero dot
 products with fraction-free null vectors); the rest of its orbit, with its
 covers, is carried along the generators' line permutations and certified.
-Exact `FieldScalar` arithmetic serves the models and the export's flat
-bases. A product's roots are its factors' roots in factor order. The group
-acts through its generators alone (`GeneratorAction`), one block per
-irreducible factor with each factor's order. Chain orbits are counted from
-atom stabilisers closed from Schreier generators inside their own block; a
-block the chain has not entered counts as its factor's order.
+Exact `FieldScalar` arithmetic serves the export's flat bases only. A
+product's roots are its factors' roots in factor order. The group acts
+through its generators alone (`GeneratorAction`), one block per irreducible
+factor with each factor's order. Chain orbits are counted from atom
+stabilisers closed from Schreier generators inside their own block; a block
+the chain has not entered counts as its factor's order.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .models import (
     ReflectionModel,
     UnsupportedModelError,
     group_order,
+    phi_times,
 )
 
 # Canonical maximal chains, one per chain orbit, that one scan may reach
@@ -86,31 +87,13 @@ def _primitive(row):
 
 def _integer_lines(model: ReflectionModel):
     """Each root as a primitive integer vector, and integer rows whose
-    Q-span is the root's line.
-
-    Over Q a root is its own line. Over Q(sqrt5) a coordinate a + b*sqrt5
-    is written (a - b) + 2b*phi with phi = (1 + sqrt5)/2, giving two
-    rational coordinates, and the line through r is the Q-span of r and
-    phi*r, where phi*(x0, x1) = (x1, x0 + x1). So the K-span of a set of
-    roots is the Q-span of their rows, and one integer kernel serves both
-    fields, at twice the width over Q(sqrt5).
-    """
+    Q-span is the root's line: the vector itself and, over Q(sqrt5), its
+    product with phi. So the K-span of a set of roots is the Q-span of their
+    rows, and one integer kernel serves both fields, at twice the width over
+    Q(sqrt5) (see `ReflectionModel.vectors`)."""
+    vecs = [_primitive(v) for v in model.vectors]
     realify = model.field == FIELD_QSQRT5
-    vecs, lines = [], []
-    for root in model.roots:
-        if realify:
-            coords = [q for x in root for q in (x.a - x.b, 2 * x.b)]
-        else:
-            coords = [x.a for x in root]
-        scale = math.lcm(*(q.denominator for q in coords))
-        vec = _primitive([int(q * scale) for q in coords])
-        vecs.append(vec)
-        if realify:
-            pairs = zip(vec[::2], vec[1::2])
-            lines.append([vec, [y for x0, x1 in pairs for y in (x1, x0 + x1)]])
-        else:
-            lines.append([vec])
-    return vecs, lines
+    return vecs, [[v, phi_times(v)] if realify else [v] for v in vecs]
 
 
 def _echelon(rows, pivots, new):

@@ -2,18 +2,27 @@
 
 Every model acts on its roots, one representative per root pair, and lists
 its generators as signed permutations of the root indices: p[i] = s * (j + 1)
-maps root i to s * root j. Matrix models carry exact root coordinates, found
-with the generator permutations in one pass of reflections; the export
-alone derives the generator matrices from them. Dihedral groups I2(m) get
-m roots indexed 0..m-1 and reflections acting by index arithmetic, so we
+maps root i to s * root j. Matrix models close their simple roots under the
+simple reflections in one pass on plain integers, which finds the generator
+permutations too: a coordinate a + b*sqrt5 is written over {1, phi}, phi =
+(1 + sqrt5)/2, every root is scaled by one common denominator D, and each
+coefficient 2<v,a>/<a,a> = k + k' phi is one exact integer division whose
+remainder must be zero, a certificate that the closure stays in the root
+lattice. A model keeps these integer vectors, which the lattice uses as they
+are, and its roots as exact `FieldScalar`s converted once at the end; the
+export alone derives the generator matrices from them. Dihedral groups I2(m)
+get m roots indexed 0..m-1 and reflections acting by index arithmetic, so we
 never need the field Q(cos pi/m).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .field import (
     FIELD_Q,
@@ -134,22 +143,29 @@ def _dot(u, v) -> FieldScalar:
     return sum((a * b for a, b in zip(u, v)), ZERO)
 
 
+def _idot(u, v) -> int:
+    return sum(map(operator.mul, u, v))
+
+
+def phi_times(vec) -> list:
+    """phi * v in coordinates over {1, phi}: phi (x0 + x1 phi) = x1 + (x0 + x1) phi."""
+    return [y for x0, x1 in zip(vec[::2], vec[1::2]) for y in (x1, x0 + x1)]
+
+
+def phi_sign(p: int, q: int) -> int:
+    """Sign of the real number p + q*phi, whose double is (2p + q) + q*sqrt5."""
+    r = 2 * p + q
+    if r * q < 0 and r * r < 5 * q * q:
+        return (q > 0) - (q < 0)
+    return (r > 0) - (r < 0) or (q > 0) - (q < 0)
+
+
 def _reflection_matrix(root, amb):
     """The matrix I - 2 r r^T / (r . r) of the reflection in root r."""
     norm = _dot(root, root)
     coefs = [(x + x) / norm for x in root]
     return [[(ONE if i == j else ZERO) - c * root[i] for j, c in enumerate(coefs)]
             for i in range(amb)]
-
-
-def _canonical_sign(vec):
-    for x in vec:
-        s = x.sign()
-        if s > 0:
-            return tuple(vec), 1
-        if s < 0:
-            return tuple(-y for y in vec), -1
-    raise ValueError("zero root")
 
 
 @dataclass
@@ -161,6 +177,8 @@ class ReflectionModel:
     field: str
     roots: list          # one canonical-signed representative per root pair
     gen_perms: list      # signed root permutations of the generators
+    vectors: list        # each root times `denominator` in integer coordinates,
+    denominator: int     # over {1, phi} for Q(sqrt5), phi = (1 + sqrt5)/2
 
     @property
     def generators(self) -> list:
@@ -218,40 +236,63 @@ def _build_irreducible(t: TypeLabel):
             f"use the recursion method instead"
         )
     simple, amb = _simple_roots(t)
-    field = FIELD_QSQRT5 if t.family == "H" else FIELD_Q
-    # close the simple roots under their reflections
-    # s_a(v) = v - (2<v,a>/<a,a>) a, one canonical-signed root per pair;
-    # a popped root's signed images are its entries in the gen_perms
-    mirrors = [(a, _q(2) / _dot(a, a)) for a in simple]
-    roots = []
+    realify = t.family == "H"
+    # integer coordinates, with a + b sqrt5 = (a - b) + 2b phi over Q(sqrt5),
+    # times the simple roots' common denominator D
+    coords = [[q for x in r for q in ((x.a - x.b, 2 * x.b) if realify else (x.a,))]
+              for r in simple]
+    scale = lcm(*(q.denominator for row in coords for q in row))
+    pairs = (lambda v: zip(v[::2], v[1::2])) if realify else (lambda v: ((x, 0) for x in v))
+    # close the simple roots under their reflections s_a(v) = v - c a, one
+    # canonical-signed root per pair, with c = 2<v,a>/<a,a> = k + k' phi
+    # taken exactly from <v,a> = v.a + (v.(phi a)) phi and, for <a,a> =
+    # n0 + n1 phi, 1/<a,a> = ((n0 + n1) - n1 phi) / (n0^2 + n0 n1 - n1^2);
+    # over Q the phi parts are 0. A popped root's signed images are its
+    # entries in the gen_perms
+    mirrors = []
+    for a in ([int(q * scale) for q in row] for row in coords):
+        pa = phi_times(a) if realify else [0] * len(a)
+        n0, n1 = _idot(a, a), _idot(a, pa)
+        mirrors.append((a, pa, n0 + n1, -n1, n0 * n0 + n0 * n1 - n1 * n1))
     index = {}
     queue = []
 
     def find(vec):
-        canon, sign = _canonical_sign(vec)
+        sign = next(filter(None, itertools.starmap(phi_sign, pairs(vec))))
+        canon = tuple(vec) if sign > 0 else tuple(-x for x in vec)
         if canon not in index:
-            index[canon] = len(roots)
-            roots.append(list(canon))
-            queue.append(len(roots) - 1)
+            index[canon] = len(index)
+            queue.append(canon)
         return sign * (index[canon] + 1)
 
-    for r in simple:
-        find(r)
+    for a, *_ in mirrors:
+        find(a)
     images = {}
     while queue:
-        i = queue.pop()
-        r = roots[i]
-        images[i] = []
-        for a, c in mirrors:
-            k = _dot(r, a) * c
-            images[i].append(find([x - k * y for x, y in zip(r, a)]))
+        r = queue.pop()
+        images[r] = []
+        for j, (a, pa, m0, m1, norm) in enumerate(mirrors):
+            x, y = 2 * _idot(r, a), 2 * _idot(r, pa)
+            k, rem = divmod(x * m0 + y * m1, norm)
+            k1, rem1 = divmod(x * m1 + y * (m0 + m1), norm)
+            if rem or rem1:
+                raise AssertionError(
+                    f"{t}: 2<v,a>/<a,a> for v = root {index[r]} and a = simple "
+                    f"root {j} is not integral: the closure left the root lattice")
+            images[r].append(find([u - k * w - k1 * z for u, w, z in zip(r, a, pa)]))
     expected = reflection_count(t)
-    if len(roots) != expected:
+    if len(index) != expected:
         raise AssertionError(
-            f"{t}: root closure found {len(roots)} lines, expected {expected}"
+            f"{t}: root closure found {len(index)} lines, expected {expected}"
         )
-    gen_perms = list(zip(*(images[i] for i in range(len(roots)))))
-    return ReflectionModel(t, amb, field, roots, gen_perms)
+    vecs = list(index)
+    # p + q phi = (2p + q)/2 + (q/2) sqrt5; few distinct values
+    scalar = functools.cache(lambda p, q: FieldScalar.sqrt5_part(
+        Fraction(2 * p + q, 2 * scale), Fraction(q, 2 * scale)))
+    return ReflectionModel(t, amb, FIELD_QSQRT5 if realify else FIELD_Q,
+                           [list(itertools.starmap(scalar, pairs(v))) for v in vecs],
+                           list(zip(*map(images.__getitem__, vecs))),
+                           list(map(list, vecs)), scale)
 
 
 def build_model(g):

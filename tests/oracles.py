@@ -2,8 +2,9 @@
 package itself does not need. The tests check the package's combinatorial
 paths (root permutations, hyperplane-index sets, the lattice's orbit
 transport, the canonical-chain scan from atom stabilisers, the recursion's
-deletion rules) against these slower, more direct computations, among them
-the full group action table composed along a breadth-first closure of the
+deletion rules, the integer root closure) against these slower, more direct
+computations, among them the root closure in exact field arithmetic, the
+full group action table composed along a breadth-first closure of the
 whole group and the lattice with every flat closed on integers.
 """
 
@@ -38,7 +39,14 @@ from coxchains.lattice import (
     build_lattice_with_action,
     count_maximal_chains,
 )
-from coxchains.models import DEFAULT_ELEMENT_CAP, ProductModel, UnsupportedModelError
+from coxchains.models import (
+    DEFAULT_ELEMENT_CAP,
+    ProductModel,
+    UnsupportedModelError,
+    _dot,
+    _simple_roots,
+    reflection_count,
+)
 from coxchains.recursion import KCalculator, _graph_deletion
 
 
@@ -355,6 +363,49 @@ def group_bfs(model):
                         )
         start = end
     return perms, steps
+
+
+def _canonical_sign(vec):
+    for x in vec:
+        s = x.sign()
+        if s > 0:
+            return tuple(vec), 1
+        if s < 0:
+            return tuple(-y for y in vec), -1
+    raise ValueError("zero root")
+
+
+def field_root_closure(t):
+    """The roots and generator permutations of a matrix type, closed in exact
+    `FieldScalar` arithmetic: s_a(v) = v - (2<v,a>/<a,a>) a, one
+    canonical-signed root per pair, with the same LIFO queue as the integer
+    closure of `models`, so both give the same root order and signs."""
+    simple, _ = _simple_roots(t)
+    mirrors = [(a, FieldScalar.of(2) / _dot(a, a)) for a in simple]
+    roots = []
+    index = {}
+    queue = []
+
+    def find(vec):
+        canon, sign = _canonical_sign(vec)
+        if canon not in index:
+            index[canon] = len(roots)
+            roots.append(list(canon))
+            queue.append(len(roots) - 1)
+        return sign * (index[canon] + 1)
+
+    for r in simple:
+        find(r)
+    images = {}
+    while queue:
+        i = queue.pop()
+        r = roots[i]
+        images[i] = []
+        for a, c in mirrors:
+            k = _dot(r, a) * c
+            images[i].append(find([x - k * y for x, y in zip(r, a)]))
+    assert len(roots) == reflection_count(t)
+    return roots, list(zip(*(images[i] for i in range(len(roots)))))
 
 
 def closure_matrix_lattice(model) -> IntersectionLattice:

@@ -7,11 +7,12 @@ import sys
 
 import pytest
 
-from coxchains import cli, lattice
+from coxchains import cli, graphs, lattice, recursion
 from coxchains.graphs import component_labels, parse_group_spec
 from coxchains.lattice import build_lattice
 from coxchains.models import build_model
 from coxchains.series import euler_numbers
+from test_models import scale_b2_short_root
 
 
 def run(capsys, *argv):
@@ -105,6 +106,47 @@ def test_compute_disagreement_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "compute", "A3", "--method", "all")
     assert code == cli.EXIT_DISAGREE
     assert "MISMATCH" in out
+
+
+def test_disputed_value_is_not_cached(capsys, monkeypatch, tmp_path):
+    """A recursion value that --method all reports as MISMATCH is not
+    written: a new cache file is not created, an old one keeps its bytes."""
+    kept = tmp_path / "kept.json"
+    assert run(capsys, "compute", "A2", "--cache", str(kept))[0] == cli.EXIT_OK
+    before = kept.read_bytes()
+    monkeypatch.setattr(cli, "closed_form_value", lambda spec: 999)
+    fresh = tmp_path / "fresh.json"
+    for path in (fresh, kept):
+        code, out, _ = run(capsys, "compute", "A3", "--cache", str(path))
+        assert code == cli.EXIT_DISAGREE and "MISMATCH" in out
+    assert not fresh.exists()
+    assert kept.read_bytes() == before
+
+
+def test_compute_classifies_the_spec_once(capsys, monkeypatch):
+    calls = []
+    real = graphs.component_labels
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    for module in (graphs, cli, recursion):
+        monkeypatch.setattr(module, "component_labels", counted)
+    code, out, _ = run(capsys, "compute", "A3")
+    assert (code, out) == (cli.EXIT_OK,
+                           "recursion: 2\nbruteforce: 2\nclosed: 2\nagreement: ok\n")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("method", ["bruteforce", "all"])
+def test_closure_outside_the_root_lattice_ends_in_one_error_line(capsys, monkeypatch,
+                                                                 method):
+    scale_b2_short_root(monkeypatch)
+    code, out, err = run(capsys, "compute", "B2", "--method", method)
+    assert code == cli.EXIT_FAIL and out == ""
+    assert err.startswith("error: B2: 2<v,a>/<a,a> for v = root ")
+    assert err.endswith("left the root lattice\n") and err.count("\n") == 1
 
 
 def test_table_csv_contract_and_determinism(capsys):

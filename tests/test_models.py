@@ -1,11 +1,15 @@
 import hashlib
 import json
+import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from coxchains.field import ZERO, null_space
-from coxchains.graphs import parse_group_spec
+from coxchains import models
+from coxchains.field import ONE, ZERO, FieldScalar, null_space
+from coxchains.graphs import TypeLabel, parse_group_spec
 from coxchains.lattice import build_lattice_with_action
 from coxchains.models import (
     DihedralModel,
@@ -14,11 +18,13 @@ from coxchains.models import (
     build_model,
     group_order,
     model_to_json,
+    phi_sign,
     reflection_count,
 )
 from oracles import (
     contains_vector,
     essential_rank,
+    field_root_closure,
     fixed_space,
     full_space,
     group_bfs,
@@ -195,3 +201,80 @@ def test_model_and_generator_permutations_pinned(spec):
     model = build_model(spec)
     payload = json.dumps([model_to_json(model), model.gen_perms], sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == MODEL_DIGESTS[spec]
+
+
+MATRIX_TYPES = ([f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 6)]
+                + ["D4", "D5", "F4", "E6", "H3"])
+
+
+@pytest.mark.parametrize("spec", MATRIX_TYPES)
+def test_integer_closure_equals_field_closure(spec):
+    """The integer closure gives the roots, their order and signs, and the
+    generator permutations of the closure in exact field arithmetic."""
+    model = build_model(spec)
+    roots, gen_perms = field_root_closure(model.label)
+    assert model.roots == roots
+    assert model.gen_perms == gen_perms
+
+
+def test_phi_sign_matches_field_sign():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    def field_sign(p, q):  # p + q phi = (p + q/2) + (q/2) sqrt5
+        return FieldScalar.sqrt5_part(Fraction(2 * p + q, 2), Fraction(q, 2)).sign()
+
+    # pairs with |2p + q| within a few units of sqrt5 |q|, of either sign
+    near = st.builds(lambda q, side, d: ((side * math.isqrt(5 * q * q) + d - q) // 2, q),
+                     st.integers(-10**15, 10**15), st.sampled_from([1, -1]),
+                     st.integers(-3, 3))
+    pairs = st.one_of(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+                      near)
+
+    @hypothesis.given(pairs)
+    @hypothesis.settings(max_examples=500, deadline=None)
+    def check(pair):
+        assert phi_sign(*pair) == field_sign(*pair)
+
+    check()
+    # phi - 1 > 0 > phi - 2, and 1 - phi < 0 < 2 - phi
+    assert [phi_sign(-1, 1), phi_sign(-2, 1), phi_sign(1, -1), phi_sign(2, -1)] == [1, -1, -1, 1]
+    assert phi_sign(0, 0) == 0
+
+
+def scale_b2_short_root(monkeypatch):
+    """B2 with its short simple root e1 scaled by 3, so that reflecting the
+    long root e1 - e2 in it takes 2<v,a>/<a,a> = 2/3."""
+    real = models._simple_roots
+
+    def simple_roots(t):
+        roots, amb = real(t)
+        if t == TypeLabel("B", 2):
+            roots[0] = [x * 3 for x in roots[0]]
+        return roots, amb
+
+    monkeypatch.setattr(models, "_simple_roots", simple_roots)
+
+
+def test_closure_outside_the_root_lattice_fails(monkeypatch):
+    scale_b2_short_root(monkeypatch)
+    with pytest.raises(AssertionError, match="left the root lattice"):
+        build_model("B2")
+    build_model("B3")  # other types are unaffected
+
+
+def test_brute_path_does_no_field_arithmetic(monkeypatch):
+    """Building E6, F4 and H3 and their lattices with action adds, subtracts,
+    multiplies and divides no FieldScalar: the root closure and the lattice
+    run on integers."""
+    calls = Counter()
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
+        def counted(self, other, name=name, real=getattr(FieldScalar, name)):
+            calls[name] += 1
+            return real(self, other)
+        monkeypatch.setattr(FieldScalar, name, counted)
+    assert ONE + ONE == 2 and calls == {"__add__": 1}  # the counters count
+    calls.clear()
+    for spec in ("E6", "F4", "H3"):
+        build_lattice_with_action(build_model(spec))
+    assert calls == Counter()
