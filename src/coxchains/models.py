@@ -292,7 +292,7 @@ def _build_irreducible(t: TypeLabel):
     return ReflectionModel(t, amb, FIELD_QSQRT5 if realify else FIELD_Q,
                            [list(itertools.starmap(scalar, pairs(v))) for v in vecs],
                            list(zip(*map(images.__getitem__, vecs))),
-                           list(map(list, vecs)), scale)
+                           vecs, scale)
 
 
 def build_model(g):
