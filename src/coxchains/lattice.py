@@ -12,7 +12,10 @@ product's roots are its factors' roots in factor order. The group acts
 through its generators alone (`GeneratorAction`), one block per irreducible
 factor with each factor's order. Chain orbits are counted from atom
 stabilisers closed from Schreier generators inside their own block; a block
-the chain has not entered counts as its factor's order.
+the chain has not entered counts as its factor's order. The count above a
+flat depends on the flat and the chain stabiliser alone, kept as one
+interned part per block, so the scan is memoized on the two: a product's
+scan visits its factors' states, not their shuffles.
 """
 
 from __future__ import annotations
@@ -33,9 +36,11 @@ from .models import (
     phi_times,
 )
 
-# Canonical maximal chains, one per chain orbit, that one scan may reach
-# before it gives up. Each costs a few microseconds: A1^12 has 12! =
-# 479,001,600 of them, A1^8, the largest K the tests scan, 40,320.
+# Chain orbits one scan may count before it gives up. The scan visits
+# memoized states, not chains, so this bounds the count and the orbit-size
+# tuple built from it, checked as subtrees merge: A1^12 has 12! =
+# 479,001,600 orbits and stops after about a thousand states; A1^9, the
+# largest K the tests count, has 362,880.
 MAX_SCAN_CHAINS = 500_000
 
 
@@ -423,32 +428,57 @@ def count_maximal_chains(l: IntersectionLattice) -> int:
     return ways[l.top]
 
 
+def _merged(counts):
+    """The sum of {orbit size: multiplicity} counts. Past MAX_SCAN_CHAINS
+    orbits in all, raise UnsupportedModelError."""
+    total = {}
+    for sizes in counts:
+        for s, k in sizes.items():
+            total[s] = total.get(s, 0) + k
+    if sum(total.values()) > MAX_SCAN_CHAINS:
+        raise UnsupportedModelError(
+            f"more than {MAX_SCAN_CHAINS:,} chain orbits to scan; "
+            f"use the recursion method instead")
+    return total
+
+
 def _scan_atoms(covers, masks, blocks, orders, atoms):
-    """The orbit sizes of the canonical maximal chains through the atoms. At
-    a flat x, the chain's stabiliser maps a cover d = x v a to the cover
-    holding the image of a (`cover_of`), and only its part in a's block
-    moves a. `stab` maps a block to its part's elements; a block is absent,
-    standing for its whole factor of order orders[b], until the chain
-    enters it at a line a, where its part becomes Stab(a) and d is tested
-    over a's block orbit. No root may be moved by two blocks, and each
-    atom's line certifies its factor's order: |orbit| |Stab|, closed in its
-    block, must equal orders[b]. Past MAX_SCAN_CHAINS canonical chains the
-    scan raises UnsupportedModelError."""
+    """The orbit sizes of the canonical maximal chains through the atoms, as
+    {orbit size: multiplicity}. At a flat x, the chain's stabiliser maps a
+    cover d = x v a to the cover holding the image of a (`cover_of`), and
+    only its part in a's block moves a. A chain stabiliser is a tuple of
+    part ids, one per block: None stands for the whole factor of order
+    orders[b], until the chain enters block b at a line a, where the part
+    becomes Stab(a) and d is tested over a's block orbit. A part p narrows
+    at d to the elements fixing d, which are those fixing d's roots in
+    block b, since a generator of block b fixes every other root; so the
+    part (p, masks[d] & own[b]) is interned once. What lies above x depends
+    on x and the stabiliser alone, so `extend` is memoized on the two and
+    each state is scanned once however many canonical prefixes reach it.
+    No root may be moved by two blocks, and each atom's line certifies its
+    factor's order: |orbit| |Stab|, closed in its block, must equal
+    orders[b]. A state whose subtrees count more than MAX_SCAN_CHAINS orbits
+    in all raises UnsupportedModelError."""
     n = len(blocks[0][0]) // 2
-    block_of = {}
+    block_of, own = {}, [0] * len(blocks)  # per root its block; per block its roots
     for b, gens in enumerate(blocks):
         for i in {i for g in gens for i in range(n) if g[i] != i}:
             if block_of.setdefault(i, b) != b:
                 raise AssertionError(
                     f"root {i} is moved by generators of blocks {block_of[i]} and {b}")
+            own[b] |= 1 << i
     order = math.prod(orders)
-    stabs, orbits = {}, {}  # per line: |orbit| |Stab| and Stab in its block; its orbit
-    out = []
+    orbits = {}  # per line: its orbit in its block
+    parts, entered, narrowed = [], {}, {}  # part id -> elements; their ids by key
+    memo = {}  # (flat, part id per block) -> {orbit size: multiplicity}
 
-    def stabiliser(line):
-        if line not in stabs:
-            stabs[line] = _stabiliser(blocks[block_of[line]], line)
-        return stabs[line]
+    def enter(line):
+        """|orbit| |Stab| of the line, closed in its block, and Stab's part id."""
+        if line not in entered:
+            size, elements = _stabiliser(blocks[block_of[line]], line)
+            entered[line] = size, len(parts)
+            parts.append(elements)
+        return entered[line]
 
     def orbit_of(line):
         if line not in orbits:
@@ -459,45 +489,58 @@ def _scan_atoms(covers, masks, blocks, orders, atoms):
         return orbits[line]
 
     def extend(x, stab):
+        out = memo.get((x, stab))
+        if out is not None:
+            return out
         ups = covers[x]
         if not ups:
-            s = math.prod(len(stab[b]) if b in stab else w for b, w in enumerate(orders))
+            s = math.prod(w if p is None else len(parts[p]) for p, w in zip(stab, orders))
             if order % s:
                 raise AssertionError(
                     f"chain stabiliser of order {s} does not divide |W| = {order}")
-            out.append(order // s)
-            if len(out) > MAX_SCAN_CHAINS:
-                raise UnsupportedModelError(
-                    f"more than {MAX_SCAN_CHAINS:,} chain orbits to scan; "
-                    f"use the recursion method instead")
-            return
-        if len(ups) == 1:  # whatever fixes x fixes its only cover
-            return extend(ups[0], stab)
-        cover_of = [0] * (2 * n)
-        news = [_lines(masks[d] & ~masks[x]) for d in ups]
-        for d, new in zip(ups, news):
-            for i in new:
-                cover_of[i] = cover_of[i + n] = d
-        for d, a in zip(ups, map(operator.itemgetter(0), news)):
-            b = block_of[a]
-            if b in stab:
-                ims = list(map(cover_of.__getitem__, map(operator.itemgetter(a), stab[b])))
-                if min(ims) == d:
-                    extend(d, {**stab, b: [*itertools.compress(stab[b], map(d.__eq__, ims))]})
-            elif min(map(cover_of.__getitem__, orbit_of(a))) == d:
-                extend(d, {**stab, b: stabiliser(a)[1]})
+            out = {order // s: 1}
+        elif len(ups) == 1:  # whatever fixes x fixes its only cover
+            out = extend(ups[0], stab)
+        else:
+            nexts = []
+            cover_of = [0] * (2 * n)
+            news = [_lines(masks[d] & ~masks[x]) for d in ups]
+            for d, new in zip(ups, news):
+                for i in new:
+                    cover_of[i] = cover_of[i + n] = d
+            for d, a in zip(ups, map(operator.itemgetter(0), news)):
+                b = block_of[a]
+                p = stab[b]
+                if p is None:
+                    if min(map(cover_of.__getitem__, orbit_of(a))) != d:
+                        continue
+                    q = enter(a)[1]
+                else:
+                    ims = list(map(cover_of.__getitem__, map(operator.itemgetter(a), parts[p])))
+                    if min(ims) != d:
+                        continue
+                    key = p, masks[d] & own[b]
+                    if key not in narrowed:
+                        narrowed[key] = len(parts)
+                        parts.append([*itertools.compress(parts[p], map(d.__eq__, ims))])
+                    q = narrowed[key]
+                nexts.append((d, stab[:b] + (q,) + stab[b + 1:]))
+            out = _merged(itertools.starmap(extend, nexts))
+        memo[x, stab] = out
+        return out
 
+    counts, unentered = [], (None,) * len(blocks)
     for atom in atoms:
         line = masks[atom].bit_length() - 1
         b = block_of[line]
-        size, elements = stabiliser(line)
+        size, p = enter(line)
         if size != orders[b]:
             raise AssertionError(
                 f"atom {atom}: |orbit| * |Stab| = {size}, but its factor's "
                 f"|W| = {orders[b]}")
-        extend(atom, {b: elements})
+        counts.append(extend(atom, unentered[:b] + (p,) + unentered[b + 1:]))
     del extend  # break its self-reference, so the memos go with this frame
-    return out
+    return _merged(counts)
 
 
 def _orbits(l: IntersectionLattice, blocks, elements) -> list:
@@ -525,38 +568,44 @@ def count_chain_orbits(l: IntersectionLattice, action: GeneratorAction,
                        workers: int = 1) -> ChainOrbitCount:
     """Orbit count of the group action on maximal chains.
 
-    Each orbit is visited once, at its canonical chain: the chain that
+    Each orbit is counted once, at its canonical chain: the chain that
     equals its own lexicographically smallest image. It starts at the
     smallest atom a of an orbit of atoms, and a canonical prefix p extends
     by a cover d to a canonical prefix exactly when no element of Stab(p)
-    maps d below d. A canonical maximal chain c contributes the orbit size
-    |W| / |Stab(c)|, with |W| the product of the factor orders. Four checks
-    certify the result: no root is moved by two blocks; the line of every
-    canonical atom gives |orbit| |Stab|, closed in its own block, equal to
-    its factor's order; every chain stabiliser order divides |W|
-    (Lagrange); and the orbit sizes sum to the number of maximal chains.
-    Canonical atoms go round-robin to the workers, so the result is
-    identical for any count. A scan past MAX_SCAN_CHAINS canonical chains
-    raises UnsupportedModelError.
+    maps d below d (canonical augmentation: B. D. McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998). A canonical maximal
+    chain c contributes the orbit size |W| / |Stab(c)|, with |W| the product
+    of the factor orders. Which extensions of p are canonical, and with
+    which stabilisers, depends only on p's top flat and Stab(p), so the
+    scan counts each such state once, as {orbit size: multiplicity}, and
+    the sizes are expanded once at the end. Four checks certify the result:
+    no root is moved by two blocks; the line of every canonical atom gives
+    |orbit| |Stab|, closed in its own block, equal to its factor's order;
+    every chain stabiliser order divides |W| (Lagrange); and the orbit
+    sizes times their multiplicities sum to the number of maximal chains.
+    Canonical atoms go round-robin to the workers, each with its own memo,
+    so the result is identical for any count. A count past MAX_SCAN_CHAINS
+    orbits raises UnsupportedModelError.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if not l.covers[l.bottom]:
-        sizes = [1]  # rank 0: the bottom is the only chain
+        counts = {1: 1}  # rank 0: the bottom is the only chain
     else:
         atoms = sorted(min(o) for o in _orbits(l, action.blocks, l.covers[l.bottom]))
         args = (l.covers, l.hypsets, action.blocks, action.orders)
         if workers == 1 or len(atoms) <= 1:
-            sizes = _scan_atoms(*args, atoms)
+            counts = _scan_atoms(*args, atoms)
         else:
             chunks = [atoms[i::workers] for i in range(min(workers, len(atoms)))]
             with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                parts = pool.map(_scan_atoms, *([a] * len(chunks) for a in args), chunks)
-                sizes = [s for part in parts for s in part]
-    sizes = tuple(sorted(sizes))
-    total = sum(sizes)
+                counts = _merged(pool.map(_scan_atoms, *([a] * len(chunks) for a in args),
+                                          chunks))
+    total = sum(map(operator.mul, counts, counts.values()))
     if total != count_maximal_chains(l):
         raise AssertionError("orbit sizes do not sum to the chain count")
+    sizes = tuple(itertools.chain.from_iterable(
+        itertools.repeat(s, counts[s]) for s in sorted(counts)))
     return ChainOrbitCount(total_chains=total, orbit_count=len(sizes),
                            orbit_sizes=sizes)
 

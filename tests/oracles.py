@@ -1,14 +1,16 @@
 """Test oracles: exact-matrix helpers and independent counters that the
 package itself does not need. The tests check the package's combinatorial
 paths (root permutations, hyperplane-index sets, the lattice's orbit
-transport, the canonical-chain scan from atom stabilisers, the recursion's
-deletion rules, the integer root closure) against these slower, more direct
-computations, among them the root closure in exact field arithmetic, the
-full group action table composed along a breadth-first closure of the
-whole group and the lattice with every flat closed on integers.
+transport, the memoized canonical-chain scan from atom stabilisers, the
+recursion's deletion rules, the integer root closure) against these
+slower, more direct computations, among them the root closure in exact
+field arithmetic, the full group action table composed along a
+breadth-first closure of the whole group, the lattice with every flat
+closed on integers and the chain scan that reaches every canonical chain.
 """
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,7 +36,10 @@ from coxchains.lattice import (
     IntersectionLattice,
     _closure,
     _integer_lines,
+    _lines,
+    _orbits,
     _product_lattice,
+    _stabiliser,
     _validate_graded,
     build_lattice_with_action,
     count_maximal_chains,
@@ -570,3 +575,69 @@ def line_orbits_table(l, table) -> int:
                     seen.add(im)
                     frontier.append(im)
     return orbits
+
+
+def scan_atoms_enumerating(covers, masks, blocks, orders, atoms):
+    """The orbit sizes of the canonical maximal chains through the atoms, one
+    per chain, reached prefix by prefix without a memo. A chain stabiliser
+    maps a block to its part's elements, listed and narrowed at every
+    prefix; a block the chain has not entered stands for its whole factor."""
+    n = len(blocks[0][0]) // 2
+    block_of = {i: b for b, gens in enumerate(blocks)
+                for g in gens for i in range(n) if g[i] != i}
+    order = math.prod(orders)
+    out = []
+
+    @lru_cache(maxsize=None)
+    def stabiliser(line):
+        return _stabiliser(blocks[block_of[line]], line)
+
+    @lru_cache(maxsize=None)
+    def orbit_of(line):
+        orbit = [line]
+        for c in orbit:
+            orbit += {g[c] % n for g in blocks[block_of[line]]}.difference(orbit)
+        return orbit
+
+    def extend(x, stab):
+        ups = covers[x]
+        if not ups:
+            s = math.prod(len(stab[b]) if b in stab else w for b, w in enumerate(orders))
+            if order % s:
+                raise AssertionError("a chain stabiliser order does not divide |W|")
+            out.append(order // s)
+            return
+        if len(ups) == 1:  # whatever fixes x fixes its only cover
+            return extend(ups[0], stab)
+        cover_of = [0] * (2 * n)
+        news = [_lines(masks[d] & ~masks[x]) for d in ups]
+        for d, new in zip(ups, news):
+            for i in new:
+                cover_of[i] = cover_of[i + n] = d
+        for d, new in zip(ups, news):
+            a, b = new[0], block_of[new[0]]
+            if b in stab:
+                ims = [cover_of[g[a]] for g in stab[b]]
+                if min(ims) == d:
+                    extend(d, {**stab, b: [*itertools.compress(stab[b], map(d.__eq__, ims))]})
+            elif min(cover_of[c] for c in orbit_of(a)) == d:
+                extend(d, {**stab, b: stabiliser(a)[1]})
+
+    for atom in atoms:
+        line = masks[atom].bit_length() - 1
+        extend(atom, {block_of[line]: stabiliser(line)[1]})
+    return out
+
+
+def count_chain_orbits_enumerating(l, action) -> ChainOrbitCount:
+    """The canonical-chain scan from atom stabilisers, one chain at a time."""
+    if not l.covers[l.bottom]:
+        sizes = (1,)
+    else:
+        atoms = sorted(min(o) for o in _orbits(l, action.blocks, l.covers[l.bottom]))
+        sizes = tuple(sorted(scan_atoms_enumerating(
+            l.covers, l.hypsets, action.blocks, action.orders, atoms)))
+    if sum(sizes) != count_maximal_chains(l):
+        raise AssertionError("orbit sizes do not sum to the chain count")
+    return ChainOrbitCount(total_chains=sum(sizes), orbit_count=len(sizes),
+                           orbit_sizes=sizes)

@@ -101,6 +101,23 @@ def test_chain_scan_bound_ends_in_one_error_line(capsys, monkeypatch, workers):
     assert (code, out) == (cli.EXIT_OK, "recursion: 5040\nclosed: 5040\nagreement: ok\n")
 
 
+def test_chain_scan_bound_stops_a1_power_12(capsys):
+    """A1^12 has 12! chain orbits, past the real bound: exit 3 and one
+    error line."""
+    code, out, err = run(capsys, "compute", "x".join(["A1"] * 12), "--method", "bruteforce")
+    assert (code, out) == (cli.EXIT_UNSUPPORTED, "")
+    assert err == (f"error: more than {lattice.MAX_SCAN_CHAINS:,} chain orbits to scan; "
+                   "use the recursion method instead\n")
+
+
+def test_bruteforce_counts_a1_power_9(capsys):
+    """A1^9's 9! = 362,880 chain orbits, under the bound, counted by brute
+    force as the recursion counts them."""
+    code, out, _ = run(capsys, "compute", "x".join(["A1"] * 9), "--method", "all")
+    assert (code, out) == (cli.EXIT_OK, "recursion: 362880\nbruteforce: 362880\n"
+                                        "closed: 362880\nagreement: ok\n")
+
+
 def test_compute_disagreement_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(cli, "closed_form_value", lambda spec: 999)
     code, out, _ = run(capsys, "compute", "A3", "--method", "all")

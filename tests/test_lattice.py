@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import itertools
 import json
 import math
@@ -32,6 +33,7 @@ from oracles import (
     apply_matrix,
     bits,
     closure_matrix_lattice,
+    count_chain_orbits_enumerating,
     count_chain_orbits_table,
     count_chain_orbits_unionfind,
     dihedral_table,
@@ -312,6 +314,56 @@ def test_big_products_agree_with_recursion(spec):
 
 def test_big_product_scan_is_worker_count_independent():
     assert count_chain_orbits(*lattice_of("D4xD4"), workers=2) == scanned("D4xD4")
+
+
+A1_POWER = "x".join(["A1"] * 9)
+
+
+@functools.cache
+def enumerated(spec):
+    return count_chain_orbits_enumerating(*lattice_of(spec))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("spec", ["E6"] + BIG_PRODUCTS + [A1_POWER])
+def test_memoized_scan_equals_enumerating_oracle(spec, workers):
+    """The memoized scan counts what the scan that reaches every canonical
+    chain counts, orbit sizes included."""
+    assert count_chain_orbits(*lattice_of(spec), workers=workers) == enumerated(spec)
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "E6", "B3xB3", "D5xB3"])
+def test_memo_keyed_by_the_flat_alone_fails_the_chain_count(spec, monkeypatch):
+    """A memo that forgets the chain stabiliser reuses one prefix's count for
+    another prefix with a different stabiliser, and the orbit sizes no
+    longer sum to the chain count."""
+    source = inspect.getsource(lattice_module._scan_atoms)
+    mutant = source.replace("memo.get((x, stab))", "memo.get(x)").replace(
+        "memo[x, stab] = out", "memo[x] = out")
+    assert source.count("memo.get((x, stab))") == source.count("memo[x, stab] = out") == 1
+    namespace = dict(vars(lattice_module))
+    exec(mutant, namespace)
+    monkeypatch.setattr(lattice_module, "_scan_atoms", namespace["_scan_atoms"])
+    with pytest.raises(AssertionError, match="^orbit sizes do not sum to the chain count$"):
+        count_chain_orbits(*lattice_of(spec))
+
+
+def test_scan_visits_each_state_once():
+    """A1^8 has 8! = 40,320 chain orbits but 2^8 flats, each reached with
+    one stabiliser: the scan reads the covers of at most 2^8 * 8 states."""
+    class CountedCovers(list):
+        reads = 0
+
+        def __getitem__(self, i):
+            CountedCovers.reads += 1
+            return list.__getitem__(self, i)
+
+    lattice, action = lattice_of("x".join(["A1"] * 8))
+    atoms = lattice.covers[lattice.bottom]  # each atom is its own orbit
+    counts = lattice_module._scan_atoms(CountedCovers(lattice.covers), lattice.hypsets,
+                                        action.blocks, action.orders, atoms)
+    assert 0 < CountedCovers.reads <= 2 ** 8 * 8
+    assert counts == {1: 40320}
 
 
 def factors_of(spec):
