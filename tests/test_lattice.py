@@ -349,8 +349,9 @@ def test_memo_keyed_by_the_flat_alone_fails_the_chain_count(spec, monkeypatch):
 
 
 def test_scan_visits_each_state_once():
-    """A1^8 has 8! = 40,320 chain orbits but 2^8 flats, each reached with
-    one stabiliser: the scan reads the covers of at most 2^8 * 8 states."""
+    """A1^8 has 8! = 40,320 chain orbits but 2^8 flats: the memoized scan
+    reads the covers of at most 2^8 * 8 states, where a scan without the
+    memo reads them at every canonical prefix."""
     class CountedCovers(list):
         reads = 0
 
