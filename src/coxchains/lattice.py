@@ -8,14 +8,17 @@ Q(sqrt5) each with its product with phi, span membership as zero dot
 products with fraction-free null vectors); the rest of its orbit, with its
 covers, is carried along the generators' line permutations and certified.
 Exact `FieldScalar` arithmetic serves the export's flat bases only. A
-product's roots are its factors' roots in factor order. The group acts
-through its generators alone (`GeneratorAction`), one block per irreducible
-factor with each factor's order. Chain orbits are counted from atom
-stabilisers closed from Schreier generators inside their own block; a block
-the chain has not entered counts as its factor's order. The count above a
-flat depends on the flat and the chain stabiliser alone, kept as one
-interned part per block, so the scan is memoized on the two: a product's
-scan visits its factors' states, not their shuffles.
+product's roots are its factors' roots in factor order. The build records
+each element's W-orbit once, as its least element (`orbit`): the matrix
+build from its orbit walk, the dihedral one from its generators, a product
+from its factors'. The group acts through its generators alone
+(`GeneratorAction`), one block per irreducible factor with each factor's
+order. Chain orbits are counted from atom stabilisers closed from Schreier
+generators inside their own block; a block the chain has not entered, or
+entered at a line the whole factor fixes, counts as its factor's order. The
+count above a flat depends on the flat and the chain stabiliser alone, kept
+as one interned part per block, so the scan is memoized on the two: a
+product's scan visits its factors' states, not their shuffles.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ class IntersectionLattice:
     top: int
     essential_rank: int
     hypsets: list        # bitmask of the roots whose hyperplanes contain it
+    orbit: list          # orbit[i] = the least element index in i's W-orbit
 
     def rank_sizes(self):
         sizes = [0] * (self.essential_rank + 1)
@@ -200,17 +204,19 @@ def _build_matrix_lattice(model: ReflectionModel) -> IntersectionLattice:
             return ids[image]
         return add(image, tuple(sorted(bits[i].bit_length() - 1 for i in spans[y])))
 
+    walked = {}  # flat id -> the flat whose orbit walk reached it
     for f, mask in enumerate(masks):
         if f in ups:
             continue
         ups[f] = [add(*cover) for cover in _closure(vecs, lines, mask, spans[f])]
-        orbit = [f]
-        for y in orbit:  # ends at the walk's last flat
+        walk = [f]
+        for y in walk:  # ends at the walk's last flat
             for bits in gens:
                 z = moved(bits, y)
                 if z not in ups:
                     ups[z] = [moved(bits, c) for c in ups[y]]
-                    orbit.append(z)
+                    walk.append(z)
+        walked.update(dict.fromkeys(walk, f))
         if y != f and sorted(masks[c] for c in ups[y]) != sorted(
                 c for c, _ in _closure(vecs, lines, masks[y], spans[y])):
             raise AssertionError(f"flat {spans[y]}: carried covers differ from its closure")
@@ -229,6 +235,7 @@ def _build_matrix_lattice(model: ReflectionModel) -> IntersectionLattice:
     order = sorted(range(len(masks)), key=lambda f: (len(spans[f]), hyps[f]))
     position = {f: i for i, f in enumerate(order)}
     rank = [len(spans[f]) for f in order]
+    least = {}  # walk -> its least position, met first in position order
     lattice = IntersectionLattice(
         kind="matrix",
         elements=[spans[f] for f in order],
@@ -238,6 +245,7 @@ def _build_matrix_lattice(model: ReflectionModel) -> IntersectionLattice:
         top=len(order) - 1,
         essential_rank=rank[-1],
         hypsets=[masks[f] for f in order],
+        orbit=[least.setdefault(walked[f], i) for i, f in enumerate(order)],
     )
     _validate_graded(lattice)
     if rank.count(1) != len(vecs):
@@ -278,7 +286,14 @@ def _validate_graded(l: IntersectionLattice):
 
 
 def _build_dihedral_lattice(model: DihedralModel) -> IntersectionLattice:
+    """V, the lines L_0..L_{m-1} as elements 1..m, and 0; a line's orbit is
+    relaxed along the generators' root permutations to its least line."""
     m = model.m
+    orbit = list(range(m + 2))
+    for _ in range(m):  # m rounds carry the least line along any path
+        for p in model.gen_perms:
+            for k, x in enumerate(p, 1):  # L_{k-1} goes to element abs(x)
+                orbit[k] = orbit[abs(x)] = min(orbit[k], orbit[abs(x)])
     elements = ["V"] + [f"L{k}" for k in range(m)] + ["0"]
     rank = [0] + [1] * m + [2]
     covers = [list(range(1, m + 1))] + [[m + 1]] * m + [[]]
@@ -291,6 +306,7 @@ def _build_dihedral_lattice(model: DihedralModel) -> IntersectionLattice:
         top=m + 1,
         essential_rank=2,
         hypsets=[0] + [1 << k for k in range(m)] + [(1 << m) - 1],
+        orbit=orbit,
     )
 
 
@@ -299,7 +315,9 @@ def _product_lattice(lat1, lat2):
     with flat[i * n2 + j] the position of the pair (i, j). Elements are
     ordered by rank, then factor indices, and an element is the tuple of
     its irreducible factors' element indices. The second factor's roots
-    follow the first's, so its hypsets are shifted past them."""
+    follow the first's, so its hypsets are shifted past them. The orbit of
+    (i, j) is the product of its factors' orbits, and its least element is
+    the pair of their least elements, since rank is constant on an orbit."""
     n2 = len(lat2.elements)
     shift = lat1.hypsets[lat1.top].bit_length()
     pairs = sorted(
@@ -322,6 +340,7 @@ def _product_lattice(lat1, lat2):
         top=flat[lat1.top * n2 + lat2.top],
         essential_rank=lat1.essential_rank + lat2.essential_rank,
         hypsets=[lat1.hypsets[i] | lat2.hypsets[j] << shift for i, j in pairs],
+        orbit=[flat[lat1.orbit[i] * n2 + lat2.orbit[j]] for i, j in pairs],
     )
     return lattice, flat
 
@@ -332,7 +351,7 @@ def _lattice(model) -> IntersectionLattice:
     if isinstance(model, DihedralModel):
         return _build_dihedral_lattice(model)
     if isinstance(model, ProductModel):  # folded from the trivial group
-        lattice = IntersectionLattice("product", [()], [0], [[]], 0, 0, 0, [0])
+        lattice = IntersectionLattice("product", [()], [0], [[]], 0, 0, 0, [0], [0])
         for f, _ in model.factors:
             lattice, _ = _product_lattice(lattice, _lattice(f))
         return lattice
@@ -442,23 +461,24 @@ def _merged(counts):
     return total
 
 
-def _scan_atoms(covers, masks, blocks, orders, atoms):
+def _scan_atoms(covers, masks, orbits, blocks, orders, atoms):
     """The orbit sizes of the canonical maximal chains through the atoms, as
     {orbit size: multiplicity}. At a flat x, the chain's stabiliser maps a
     cover d = x v a to the cover holding the image of a (`cover_of`), and
     only its part in a's block moves a. A chain stabiliser is a tuple of
     part ids, one per block: None stands for the whole factor of order
-    orders[b], until the chain enters block b at a line a, where the part
-    becomes Stab(a) and d is tested over a's block orbit. A part p narrows
-    at d to the elements fixing d, which are those fixing d's roots in
-    block b, since a generator of block b fixes every other root; so the
-    part (p, masks[d] & own[b]) is interned once. What lies above x depends
-    on x and the stabiliser alone, so `extend` is memoized on the two and
-    each state is scanned once however many canonical prefixes reach it.
-    No root may be moved by two blocks, and each atom's line certifies its
-    factor's order: |orbit| |Stab|, closed in its block, must equal
-    orders[b]. A state whose subtrees count more than MAX_SCAN_CHAINS orbits
-    in all raises UnsupportedModelError."""
+    orders[b], until the chain enters block b at a line a, where d is tested
+    over the lines orbits[a] of a's orbit and the part becomes Stab(a), or
+    stays None if Stab(a) is the whole factor (an A1 block), so that one
+    stabiliser has one key. A part p narrows at d to the elements fixing d,
+    which are those fixing d's roots in block b, since a generator of block
+    b fixes every other root; so the part (p, masks[d] & own[b]) is interned
+    once. What lies above x depends on x and the stabiliser alone, so
+    `extend` is memoized on the two and each state is scanned once however
+    many canonical prefixes reach it. No root may be moved by two blocks,
+    and each atom's line certifies its factor's order: |orbit| |Stab|,
+    closed in its block, must equal orders[b]. A state whose subtrees count
+    more than MAX_SCAN_CHAINS orbits in all raises UnsupportedModelError."""
     n = len(blocks[0][0]) // 2
     block_of, own = {}, [0] * len(blocks)  # per root its block; per block its roots
     for b, gens in enumerate(blocks):
@@ -468,25 +488,17 @@ def _scan_atoms(covers, masks, blocks, orders, atoms):
                     f"root {i} is moved by generators of blocks {block_of[i]} and {b}")
             own[b] |= 1 << i
     order = math.prod(orders)
-    orbits = {}  # per line: its orbit in its block
     parts, entered, narrowed = [], {}, {}  # part id -> elements; their ids by key
     memo = {}  # (flat, part id per block) -> {orbit size: multiplicity}
 
     def enter(line):
-        """|orbit| |Stab| of the line, closed in its block, and Stab's part id."""
+        """|orbit| |Stab| of the line, closed in its block, and Stab's part
+        id, None when Stab is the whole factor (the line is its own orbit)."""
         if line not in entered:
             size, elements = _stabiliser(blocks[block_of[line]], line)
-            entered[line] = size, len(parts)
+            entered[line] = size, len(parts) if len(elements) < size else None
             parts.append(elements)
         return entered[line]
-
-    def orbit_of(line):
-        if line not in orbits:
-            orbit = [line]
-            for c in orbit:
-                orbit += {g[c] % n for g in blocks[block_of[line]]}.difference(orbit)
-            orbits[line] = orbit
-        return orbits[line]
 
     def extend(x, stab):
         out = memo.get((x, stab))
@@ -512,7 +524,7 @@ def _scan_atoms(covers, masks, blocks, orders, atoms):
                 b = block_of[a]
                 p = stab[b]
                 if p is None:
-                    if min(map(cover_of.__getitem__, orbit_of(a))) != d:
+                    if min(map(cover_of.__getitem__, orbits[a])) != d:
                         continue
                     q = enter(a)[1]
                 else:
@@ -543,46 +555,27 @@ def _scan_atoms(covers, masks, blocks, orders, atoms):
     return _merged(counts)
 
 
-def _orbits(l: IntersectionLattice, blocks, elements) -> list:
-    """The group's orbits on the given elements of one rank, each in the
-    order found: a generator maps an element to the element whose hypset is
-    the image of its own."""
-    index = {l.hypsets[e]: e for e in elements}
-    moves = [{e: index[sum(1 << g[i] % (len(g) // 2) for i in _lines(l.hypsets[e]))]
-              for e in elements} for gens in blocks for g in gens]
-    seen, orbits = set(), []
-    for e in elements:
-        if e not in seen:
-            seen.add(e)
-            orbit = [e]
-            for x in orbit:
-                for move in moves:
-                    if move[x] not in seen:
-                        seen.add(move[x])
-                        orbit.append(move[x])
-            orbits.append(orbit)
-    return orbits
-
-
 def count_chain_orbits(l: IntersectionLattice, action: GeneratorAction,
                        workers: int = 1) -> ChainOrbitCount:
     """Orbit count of the group action on maximal chains.
 
     Each orbit is counted once, at its canonical chain: the chain that
     equals its own lexicographically smallest image. It starts at the
-    smallest atom a of an orbit of atoms, and a canonical prefix p extends
-    by a cover d to a canonical prefix exactly when no element of Stab(p)
-    maps d below d (canonical augmentation: B. D. McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 26, 1998). A canonical maximal
-    chain c contributes the orbit size |W| / |Stab(c)|, with |W| the product
-    of the factor orders. Which extensions of p are canonical, and with
-    which stabilisers, depends only on p's top flat and Stab(p), so the
-    scan counts each such state once, as {orbit size: multiplicity}, and
-    the sizes are expanded once at the end. Four checks certify the result:
-    no root is moved by two blocks; the line of every canonical atom gives
-    |orbit| |Stab|, closed in its own block, equal to its factor's order;
-    every chain stabiliser order divides |W| (Lagrange); and the orbit
-    sizes times their multiplicities sum to the number of maximal chains.
+    smallest atom a of an orbit of atoms, l.orbit[a] == a, and the lines of
+    each atom's orbit, read off the same record, go to the scan. A canonical
+    prefix p extends by a cover d to a canonical prefix exactly when no
+    element of Stab(p) maps d below d (canonical augmentation: B. D. McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998). A
+    canonical maximal chain c contributes the orbit size |W| / |Stab(c)|,
+    with |W| the product of the factor orders. Which extensions of p are
+    canonical, and with which stabilisers, depends only on p's top flat and
+    Stab(p), so the scan counts each such state once, as {orbit size:
+    multiplicity}, and the sizes are expanded once at the end. Four checks
+    certify the result: no root is moved by two blocks; the line of every
+    canonical atom gives |orbit| |Stab|, closed in its own block, equal to
+    its factor's order; every chain stabiliser order divides |W| (Lagrange);
+    and the orbit sizes times their multiplicities sum to the number of
+    maximal chains, which also fails an atom orbit record merged or split.
     Canonical atoms go round-robin to the workers, each with its own memo,
     so the result is identical for any count. A count past MAX_SCAN_CHAINS
     orbits raises UnsupportedModelError.
@@ -592,8 +585,12 @@ def count_chain_orbits(l: IntersectionLattice, action: GeneratorAction,
     if not l.covers[l.bottom]:
         counts = {1: 1}  # rank 0: the bottom is the only chain
     else:
-        atoms = sorted(min(o) for o in _orbits(l, action.blocks, l.covers[l.bottom]))
-        args = (l.covers, l.hypsets, action.blocks, action.orders)
+        orbits = {}  # per orbit of atoms, its lines
+        for a in l.covers[l.bottom]:
+            orbits.setdefault(l.orbit[a], []).append(l.hypsets[a].bit_length() - 1)
+        lines = {i: o for o in orbits.values() for i in o}
+        atoms = sorted(a for a in l.covers[l.bottom] if l.orbit[a] == a)
+        args = (l.covers, l.hypsets, lines, action.blocks, action.orders)
         if workers == 1 or len(atoms) <= 1:
             counts = _scan_atoms(*args, atoms)
         else:
@@ -611,9 +608,11 @@ def count_chain_orbits(l: IntersectionLattice, action: GeneratorAction,
 
 
 def orbit_count_of_lines(l: IntersectionLattice, action: GeneratorAction) -> int:
-    """Number of group orbits among the coatoms (the lines of the lattice)."""
-    coatoms = [i for i, r in enumerate(l.rank) if r == l.essential_rank - 1]
-    return len(_orbits(l, action.blocks, coatoms))
+    """Number of group orbits among the coatoms (the lines of the lattice),
+    read off `l.orbit`, which the build recorded from the same group: one
+    per coatom that is its orbit's least element. `action` is not read."""
+    return sum(1 for c, r in enumerate(l.rank)
+               if r == l.essential_rank - 1 and l.orbit[c] == c)
 
 
 def lattice_to_json(l: IntersectionLattice) -> dict:

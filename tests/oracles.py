@@ -6,7 +6,9 @@ recursion's deletion rules, the integer root closure) against these
 slower, more direct computations, among them the root closure in exact
 field arithmetic, the full group action table composed along a
 breadth-first closure of the whole group, the lattice with every flat
-closed on integers and the chain scan that reaches every canonical chain.
+closed on integers, the chain scan that reaches every canonical chain and
+the orbits of each rank from hypset images, which the lattice's orbit
+record must match.
 """
 
 import itertools
@@ -37,7 +39,6 @@ from coxchains.lattice import (
     _closure,
     _integer_lines,
     _lines,
-    _orbits,
     _product_lattice,
     _stabiliser,
     _validate_graded,
@@ -413,10 +414,43 @@ def field_root_closure(t):
     return roots, list(zip(*(images[i] for i in range(len(roots)))))
 
 
-def closure_matrix_lattice(model) -> IntersectionLattice:
+def _orbits(l: IntersectionLattice, blocks, elements) -> list:
+    """The group's orbits on the given elements of one rank, each in the
+    order found: a generator maps an element to the element whose hypset is
+    the image of its own."""
+    index = {l.hypsets[e]: e for e in elements}
+    moves = [{e: index[sum(1 << g[i] % (len(g) // 2) for i in _lines(l.hypsets[e]))]
+              for e in elements} for gens in blocks for g in gens]
+    seen, orbits = set(), []
+    for e in elements:
+        if e not in seen:
+            seen.add(e)
+            orbit = [e]
+            for x in orbit:
+                for move in moves:
+                    if move[x] not in seen:
+                        seen.add(move[x])
+                        orbit.append(move[x])
+            orbits.append(orbit)
+    return orbits
+
+
+def bfs_orbits(l: IntersectionLattice, blocks) -> list:
+    """The orbit record of a lattice under the generator blocks, from
+    `_orbits` on each rank: per element, the least element of its orbit."""
+    orbit = [None] * len(l.elements)
+    for r in range(l.essential_rank + 1):
+        for o in _orbits(l, blocks, [e for e, s in enumerate(l.rank) if s == r]):
+            for e in o:
+                orbit[e] = min(o)
+    return orbit
+
+
+def closure_matrix_lattice(model, blocks) -> IntersectionLattice:
     """The matrix lattice with every flat closed on integers: rank by rank,
     a flat's covers are its closures with one more root (`_closure`), each
-    recorded as found. No flat's covers are carried along the generators."""
+    recorded as found. No flat's covers are carried along the generators;
+    the orbit record is `bfs_orbits` under the generator blocks."""
     vecs, lines = _integer_lines(model)
     n = len(vecs)
     masks = [0]
@@ -447,8 +481,10 @@ def closure_matrix_lattice(model) -> IntersectionLattice:
         top=len(order) - 1,
         essential_rank=rank[-1],
         hypsets=[masks[f] for f in order],
+        orbit=None,
     )
     _validate_graded(lattice)
+    lattice.orbit = bfs_orbits(lattice, blocks)
     return lattice
 
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import inspect
@@ -31,6 +32,7 @@ from coxchains.recursion import KCalculator
 from oracles import (
     GroupActionTable,
     apply_matrix,
+    bfs_orbits,
     bits,
     closure_matrix_lattice,
     count_chain_orbits_enumerating,
@@ -102,9 +104,10 @@ def _containing_roots(roots, subspace):
         sum((a * b for a, b in zip(r, row)), ZERO).is_zero() for row in subspace.basis))
 
 
-def bfs_matrix_lattice(model):
+def bfs_matrix_lattice(model, blocks):
     """Oracle: the original builder, which closes every flat with every root
-    outside it and then finds covers by a subset test between ranks."""
+    outside it and then finds covers by a subset test between ranks; its
+    orbit record is `bfs_orbits` under the generator blocks."""
     amb = model.ambient
     roots = model.roots
     bottom_space = full_space(amb)
@@ -144,10 +147,12 @@ def bfs_matrix_lattice(model):
         top=index[order[-1]],
         essential_rank=n,
         hypsets=[sum(1 << i for i in s) for s in order],
+        orbit=None,
     )
     _validate_graded(lattice)
     if len(by_rank.get(1, [])) != len(roots):
         raise AssertionError("rank-1 elements are not exactly the hyperplanes")
+    lattice.orbit = bfs_orbits(lattice, blocks)
     return lattice
 
 
@@ -156,9 +161,9 @@ def bfs_matrix_lattice(model):
 def test_rank_by_rank_build_equals_bfs_oracle(spec):
     model = build_model(spec)
     lattice = build_lattice(model)
-    oracle = bfs_matrix_lattice(model)
+    oracle = bfs_matrix_lattice(model, lattice_of(spec)[1].blocks)
     for field in ("hypsets", "elements", "rank", "covers", "bottom", "top",
-                  "essential_rank"):
+                  "essential_rank", "orbit"):
         assert getattr(lattice, field) == getattr(oracle, field), field
 
 
@@ -167,8 +172,9 @@ def test_rank_by_rank_build_equals_bfs_oracle(spec):
 def test_orbit_transport_equals_every_flat_closure(spec):
     model = build_model(spec)
     lattice = lattice_module._build_matrix_lattice(model)
-    oracle = closure_matrix_lattice(model)
-    for field in ("hypsets", "rank", "covers", "bottom", "top", "essential_rank"):
+    oracle = closure_matrix_lattice(model, lattice_of(spec)[1].blocks)
+    for field in ("hypsets", "rank", "covers", "bottom", "top", "essential_rank",
+                  "orbit"):
         assert getattr(lattice, field) == getattr(oracle, field), field
 
 
@@ -207,7 +213,8 @@ def test_swapped_generator_lines_fail_the_build(spec):
 def test_one_closure_per_orbit_of_flats(spec, orbits, monkeypatch):
     """The build closes one flat per W-orbit by linear algebra (p(n + 1)
     orbits on A_n), plus one certificate closure in each orbit of more than
-    one flat; a fallback to closing every flat would show here."""
+    one flat, read off the build's own orbit record; a fallback to closing
+    every flat would show here."""
     closure = lattice_module._closure
     closed = []
 
@@ -216,16 +223,15 @@ def test_one_closure_per_orbit_of_flats(spec, orbits, monkeypatch):
         return closure(vecs, lines, mask, span)
 
     monkeypatch.setattr(lattice_module, "_closure", counted)
-    lattice, action = build_lattice_with_action(build_model(spec))
-    flat_orbits = lattice_module._orbits(lattice, action.blocks,
-                                         range(len(lattice.elements)))
-    assert len(flat_orbits) == orbits
-    orbit_of = {lattice.hypsets[e]: k for k, o in enumerate(flat_orbits) for e in o}
+    lattice, _ = build_lattice_with_action(build_model(spec))
+    reps = sorted(set(lattice.orbit))
+    assert len(reps) == orbits
+    orbit_of = dict(zip(lattice.hypsets, lattice.orbit))
     calls = [orbit_of[mask] for mask in closed]
     firsts = {k: calls.index(k) for k in set(calls)}
     certificates = [k for pos, k in enumerate(calls) if pos != firsts[k]]
     assert len(firsts) == orbits
-    assert sorted(certificates) == [k for k, o in enumerate(flat_orbits) if len(o) > 1]
+    assert sorted(certificates) == [k for k in reps if lattice.orbit.count(k) > 1]
 
 
 def hypset_image_table(model, lattice):
@@ -362,9 +368,62 @@ def test_scan_visits_each_state_once():
     lattice, action = lattice_of("x".join(["A1"] * 8))
     atoms = lattice.covers[lattice.bottom]  # each atom is its own orbit
     counts = lattice_module._scan_atoms(CountedCovers(lattice.covers), lattice.hypsets,
-                                        action.blocks, action.orders, atoms)
+                                        {i: [i] for i in range(8)}, action.blocks,
+                                        action.orders, atoms)
     assert 0 < CountedCovers.reads <= 2 ** 8 * 8
     assert counts == {1: 40320}
+
+
+def test_a1_power_scan_reads_each_state_once():
+    """An A1 line's stabiliser is its whole factor, so entering its block
+    keeps the part None, as reaching the block through an only cover does:
+    each of A1^8's 255 flats above the bottom is one state, its covers read
+    once, where keying the entered block apart scans the top 8 times."""
+    reads = collections.Counter()
+
+    class CountedCovers(list):
+        def __getitem__(self, i):
+            reads[i] += 1
+            return list.__getitem__(self, i)
+
+    lattice, action = lattice_of("x".join(["A1"] * 8))
+    counts = lattice_module._scan_atoms(CountedCovers(lattice.covers), lattice.hypsets,
+                                        {i: [i] for i in range(8)}, action.blocks,
+                                        action.orders, lattice.covers[lattice.bottom])
+    assert counts == {1: 40320}
+    assert sum(reads.values()) == 255
+    assert dict(reads) == {x: 1 for x in range(len(lattice.elements)) if x != lattice.bottom}
+
+
+@pytest.mark.parametrize("spec", list(dict.fromkeys(
+    REQUIRED_BRUTE_TIER + DEEP_BRUTE_TIER + BRUTE_PRODUCTS + BIG_PRODUCTS
+    + [f"I2({m})" for m in range(5, 31)])))
+def test_orbit_record_equals_bfs_orbits(spec):
+    """The orbit each builder records is the least element of the orbit that
+    the generators' hypset images give, rank by rank."""
+    lattice, action = lattice_of(spec)
+    assert lattice.orbit == bfs_orbits(lattice, action.blocks)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("spec, change", [("B3", "merge"), ("A2xA1", "merge"),
+                                          ("B3xB3", "merge"), ("A3", "split"),
+                                          ("E6", "split"), ("A2xA1", "split")])
+def test_wrong_atom_orbit_record_fails_the_chain_count(spec, change, workers):
+    """A record that merges two atom orbits loses one orbit's canonical
+    atom, and one that splits an orbit scans it twice: either way the orbit
+    sizes no longer sum to the chain count."""
+    lattice, action = lattice_of(spec)
+    orbit = list(lattice.orbit)
+    atoms = lattice.covers[lattice.bottom]
+    if change == "merge":
+        first, second = sorted({orbit[a] for a in atoms})[:2]
+        orbit = [first if r == second else r for r in orbit]
+    else:
+        a = max(a for a in atoms if orbit[a] != a)
+        orbit[a] = a
+    with pytest.raises(AssertionError, match="^orbit sizes do not sum to the chain count$"):
+        count_chain_orbits(dataclasses.replace(lattice, orbit=orbit), action, workers=workers)
 
 
 def factors_of(spec):
