@@ -31,6 +31,7 @@ from .lattice import (
     build_lattice,
     build_lattice_with_action,
     count_chain_orbits,
+    count_chain_orbits_lazily,
     lattice_to_json,
     orbit_count_of_lines,
 )
@@ -71,10 +72,9 @@ def closed_form_value(spec) -> int:
 
 
 def brute_force_count(spec, workers: int = 1):
-    """Brute-force chain-orbit count of a spec string or a Coxeter graph."""
-    model = build_model(spec)
-    lattice, table = build_lattice_with_action(model)
-    return count_chain_orbits(lattice, table, workers=workers)
+    """Brute-force chain-orbit count of a spec string or a Coxeter graph,
+    closing only the flats the chain scan reaches."""
+    return count_chain_orbits_lazily(build_model(spec), workers=workers)
 
 
 class DiskCache:

@@ -19,14 +19,23 @@ entered at a line the whole factor fixes, counts as its factor's order. The
 count above a flat depends on the flat and the chain stabiliser alone, kept
 as one interned part per block, so the scan is memoized on the two: a
 product's scan visits its factors' states, not their shuffles.
+
+The same scan runs two ways. `count_chain_orbits` scans the whole lattice,
+built by orbit transport, and certifies that the orbit sizes sum to its
+maximal chains. `count_chain_orbits_lazily`, the brute force of `compute`,
+closes a flat only when the scan first reads its covers (`_Covers`) and
+certifies each state instead: the maximal chains above a flat, summed over
+its canonical covers times their orbit lengths under the chain stabiliser,
+must agree between stabilisers, and the state's orbit sizes must sum to
+|W| / |Stab| times them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .field import FIELD_QSQRT5, Subspace, null_space
@@ -367,7 +376,7 @@ def build_lattice(model) -> IntersectionLattice:
     return lattice
 
 
-def _stabiliser(generators, line):
+def _stabiliser(generators, line, order):
     """|orbit| |Stab| of the line, and every element of its stabiliser.
 
     A transversal t, with t[b] taking the line to line b, is grown along
@@ -376,6 +385,9 @@ def _stabiliser(generators, line):
     line of g(t[b](line)) (Seress, Permutation Group Algorithms, 2003).
     The elements are closed from these Schreier generators, keeping one
     only when it is not yet a member; e extends by a kept s to e . s.
+    Generators that are not symmetries can generate a far larger group, so
+    the closure stops as soon as |orbit| |Stab| passes `order`, the group
+    order it should have, and returns the product reached.
     """
     size = len(generators[0])
     identity = tuple(range(size))
@@ -404,19 +416,23 @@ def _stabiliser(generators, line):
             kept.append(operator.itemgetter(*s))
             for e in elements[:closed]:
                 add(kept[-1](e))
-            while closed < len(elements):
+            while closed < len(elements) and len(orbit) * len(elements) <= order:
                 closed += 1
                 for act in kept:
                     add(act(elements[closed - 1]))
+            if len(orbit) * len(elements) > order:
+                return len(orbit) * len(elements), elements
     return len(orbit) * len(elements), elements
 
 
-def build_lattice_with_action(model):
-    """Build the intersection lattice and the group's generator action: each
-    factor's generators as permutations of the product's 2n signed roots,
-    which are its factors' roots in factor order."""
-    factors = ([f for f, _ in model.factors] if isinstance(model, ProductModel)
-               else [model])
+def _factors(model) -> list:
+    return [f for f, _ in model.factors] if isinstance(model, ProductModel) else [model]
+
+
+def _action(model) -> GeneratorAction:
+    """Each factor's generators as permutations of the product's 2n signed
+    roots, which are its factors' roots in factor order."""
+    factors = _factors(model)
     sizes = [len(f.gen_perms[0]) for f in factors]
     total = sum(sizes)
     blocks = []
@@ -428,8 +444,12 @@ def build_lattice_with_action(model):
                 j = abs(x) - 1 + offset
                 p[i], p[i + total] = (j, j + total) if x > 0 else (j + total, j)
             blocks[-1].append(tuple(p))
-    orders = [group_order(f.label) for f in factors]
-    return _lattice(model), GeneratorAction(blocks, orders)
+    return GeneratorAction(blocks, [group_order(f.label) for f in factors])
+
+
+def build_lattice_with_action(model):
+    """Build the intersection lattice and the group's generator action."""
+    return _lattice(model), _action(model)
 
 
 def _lines(mask) -> list:
@@ -437,12 +457,16 @@ def _lines(mask) -> list:
 
 
 def count_maximal_chains(l: IntersectionLattice) -> int:
+    """Maximal chains from the bottom to the top, walked in index order:
+    every builder lists its elements in rank order, and one that does not
+    raises."""
+    if any(map(operator.gt, l.rank, itertools.islice(l.rank, 1, None))):
+        raise AssertionError("lattice elements are not listed in rank order")
     ways = [0] * len(l.elements)
     ways[l.bottom] = 1
-    for i in sorted(range(len(l.elements)), key=lambda i: l.rank[i]):
-        w = ways[i]
+    for w, ups in zip(ways, l.covers):  # ways[i] is complete when the walk reads it
         if w:
-            for j in l.covers[i]:
+            for j in ups:
                 ways[j] += w
     return ways[l.top]
 
@@ -461,7 +485,7 @@ def _merged(counts):
     return total
 
 
-def _scan_atoms(covers, masks, orbits, blocks, orders, atoms):
+def _scan_atoms(covers, masks, orbits, blocks, orders, atoms, chains=None):
     """The orbit sizes of the canonical maximal chains through the atoms, as
     {orbit size: multiplicity}. At a flat x, the chain's stabiliser maps a
     cover d = x v a to the cover holding the image of a (`cover_of`), and
@@ -478,7 +502,17 @@ def _scan_atoms(covers, masks, orbits, blocks, orders, atoms):
     many canonical prefixes reach it. No root may be moved by two blocks,
     and each atom's line certifies its factor's order: |orbit| |Stab|,
     closed in its block, must equal orders[b]. A state whose subtrees count
-    more than MAX_SCAN_CHAINS orbits in all raises UnsupportedModelError."""
+    more than MAX_SCAN_CHAINS orbits in all raises UnsupportedModelError.
+
+    With a dict `chains`, each state is also certified on its own, for a
+    scan that never sees the whole lattice: the length of each canonical
+    cover d's orbit under Stab(p) is counted as the distinct covers its
+    images reach, and these lengths must sum to x's cover count, so the
+    orbits partition the covers. chains[x] becomes f(x), the number of
+    maximal chains from x to the top, as the sum over the canonical covers
+    of f(d) times that length. A state that reaches x with another
+    stabiliser must give the same f(x), and the state's orbit sizes times
+    their multiplicities must sum to |W| / |Stab(p)| * f(x)."""
     n = len(blocks[0][0]) // 2
     block_of, own = {}, [0] * len(blocks)  # per root its block; per block its roots
     for b, gens in enumerate(blocks):
@@ -495,7 +529,8 @@ def _scan_atoms(covers, masks, orbits, blocks, orders, atoms):
         """|orbit| |Stab| of the line, closed in its block, and Stab's part
         id, None when Stab is the whole factor (the line is its own orbit)."""
         if line not in entered:
-            size, elements = _stabiliser(blocks[block_of[line]], line)
+            b = block_of[line]
+            size, elements = _stabiliser(blocks[b], line, orders[b])
             entered[line] = size, len(parts) if len(elements) < size else None
             parts.append(elements)
         return entered[line]
@@ -514,7 +549,7 @@ def _scan_atoms(covers, masks, orbits, blocks, orders, atoms):
         elif len(ups) == 1:  # whatever fixes x fixes its only cover
             out = extend(ups[0], stab)
         else:
-            nexts = []
+            nexts, below = [], []  # below: (orbit length, cover) per canonical cover
             cover_of = [0] * (2 * n)
             news = [_lines(masks[d] & ~masks[x]) for d in ups]
             for d, new in zip(ups, news):
@@ -537,7 +572,31 @@ def _scan_atoms(covers, masks, orbits, blocks, orders, atoms):
                         parts.append([*itertools.compress(parts[p], map(d.__eq__, ims))])
                     q = narrowed[key]
                 nexts.append((d, stab[:b] + (q,) + stab[b + 1:]))
+                if chains is not None:  # d's orbit: the covers its images reach
+                    hit = ims if p is not None else map(cover_of.__getitem__, orbits[a])
+                    below.append((len(set(hit)), d))
             out = _merged(itertools.starmap(extend, nexts))
+        if chains is not None:
+            if len(ups) > 1:
+                held = sum(k for k, _ in below)
+                if held != len(ups):
+                    raise AssertionError(
+                        f"flat {_lines(masks[x])}: the orbits of its canonical covers "
+                        f"hold {held} of its {len(ups)} covers")
+                ways = sum(k * chains[d] for k, d in below)
+            else:
+                ways = chains[ups[0]] if ups else 1
+            s = math.prod(w if p is None else len(parts[p]) for p, w in zip(stab, orders))
+            total = sum(map(operator.mul, out, out.values()))
+            if chains.setdefault(x, ways) != ways:
+                raise AssertionError(
+                    f"flat {_lines(masks[x])}: {ways} maximal chains above it under one "
+                    f"stabiliser, {chains[x]} under another")
+            if total * s != order * ways:
+                raise AssertionError(
+                    f"flat {_lines(masks[x])}: chain orbit sizes above it sum to {total}, "
+                    f"not |W| / |Stab| = {order // s} times the maximal chains above it, "
+                    f"{ways}")
         memo[x, stab] = out
         return out
 
@@ -548,11 +607,34 @@ def _scan_atoms(covers, masks, orbits, blocks, orders, atoms):
         size, p = enter(line)
         if size != orders[b]:
             raise AssertionError(
-                f"atom {atom}: |orbit| * |Stab| = {size}, but its factor's "
+                f"atom {atom}: |orbit| * |Stab| "
+                f"{'passes' if size > orders[b] else f'= {size}, but'} its factor's "
                 f"|W| = {orders[b]}")
         counts.append(extend(atom, unentered[:b] + (p,) + unentered[b + 1:]))
     del extend  # break its self-reference, so the memos go with this frame
     return _merged(counts)
+
+
+def _in_workers(scan, args, items, workers):
+    """scan(*args, chunk) for round-robin chunks of the items, one worker
+    process per chunk, in chunk order."""
+    from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
+
+    chunks = [items[i::workers] for i in range(min(workers, len(items)))]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        return list(pool.map(scan, *([a] * len(chunks) for a in args), chunks))
+
+
+def _tally(counts, chains, what) -> ChainOrbitCount:
+    """The orbit sizes of {orbit size: multiplicity} counts, which must sum
+    to `chains`, the maximal chains counted another way (`what`)."""
+    total = sum(map(operator.mul, counts, counts.values()))
+    if total != chains:
+        raise AssertionError(f"orbit sizes do not sum to {what}")
+    sizes = tuple(itertools.chain.from_iterable(
+        itertools.repeat(s, counts[s]) for s in sorted(counts)))
+    return ChainOrbitCount(total_chains=total, orbit_count=len(sizes),
+                           orbit_sizes=sizes)
 
 
 def count_chain_orbits(l: IntersectionLattice, action: GeneratorAction,
@@ -594,17 +676,134 @@ def count_chain_orbits(l: IntersectionLattice, action: GeneratorAction,
         if workers == 1 or len(atoms) <= 1:
             counts = _scan_atoms(*args, atoms)
         else:
-            chunks = [atoms[i::workers] for i in range(min(workers, len(atoms)))]
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                counts = _merged(pool.map(_scan_atoms, *([a] * len(chunks) for a in args),
-                                          chunks))
-    total = sum(map(operator.mul, counts, counts.values()))
-    if total != count_maximal_chains(l):
-        raise AssertionError("orbit sizes do not sum to the chain count")
-    sizes = tuple(itertools.chain.from_iterable(
-        itertools.repeat(s, counts[s]) for s in sorted(counts)))
-    return ChainOrbitCount(total_chains=total, orbit_count=len(sizes),
-                           orbit_sizes=sizes)
+            counts = _merged(_in_workers(_scan_atoms, args, atoms, workers))
+    return _tally(counts, count_maximal_chains(l), "the chain count")
+
+
+class _Covers(dict):
+    """Covers closed on demand, for a scan that never builds the lattice:
+    covers[x] lists the indices of the flats directly above flat x, found
+    the first time it is read, and `masks` grows with each new flat's
+    hypset, the bottom at index 0 and each new flat at the next index. A
+    product flat's covers are its factors' covers, joined; a factor's are
+    memoized by its hypset. `sources` holds per factor its integer lines
+    (`_integer_lines`), whose covers come from `_closure`, or its m for a
+    dihedral factor, whose covers are its lines and then its top. Each flat
+    is certified as the full build certifies it: each root off it lies in
+    exactly one of its covers."""
+
+    def __init__(self, sources):
+        super().__init__()
+        self.masks, self.ids = [0], {0: 0}
+        self.factors = []  # per factor: its first line, its roots, its covers
+        shift = 0
+        for width, closed in map(_factor_covers, sources):
+            self.factors.append((shift, (1 << width) - 1 << shift, closed))
+            shift += width
+        self.full = (1 << shift) - 1
+
+    def __missing__(self, x):
+        mask = self.masks[x]
+        ups, union = [], mask
+        for shift, own, closed in self.factors:
+            rest = mask & ~own
+            for c in closed((mask & own) >> shift):
+                c = rest | c << shift
+                if union & c & ~mask:
+                    raise AssertionError("a root off a flat lies in two of its covers")
+                union |= c
+                if c not in self.ids:
+                    self.ids[c] = len(self.masks)
+                    self.masks.append(c)
+                ups.append(self.ids[c])
+        if union != self.full:
+            raise AssertionError("a root off a flat lies in none of its covers")
+        self[x] = ups
+        return ups
+
+
+def _factor_covers(source):
+    """One factor's root count, and its hypset -> the hypsets of its
+    covers, memoized."""
+    if isinstance(source, int):  # I2(m): V, the m lines, 0
+        top = (1 << source) - 1
+        lines = [1 << k for k in range(source)]
+        return source, lambda mask: lines if not mask else [top] if mask != top else []
+    vecs, lines = source
+    spans = {0: ()}
+
+    @functools.cache
+    def closed(mask):
+        out = _closure(vecs, lines, mask, spans[mask])
+        for cover, span in out:
+            spans.setdefault(cover, span)
+        return [cover for cover, _ in out]
+    return len(vecs), closed
+
+
+def _line_orbits(blocks) -> dict:
+    """Each root line's orbit under the generators, as the sorted list of
+    its lines, one list shared by the orbit."""
+    n = len(blocks[0][0]) // 2 if blocks else 0
+    gens = [g for block in blocks for g in block]
+    orbits = {}
+    for i in range(n):
+        if i not in orbits:
+            orbit, seen = [i], {i}
+            for j in orbit:
+                for g in gens:
+                    k = g[j] % n
+                    if k not in seen:
+                        seen.add(k)
+                        orbit.append(k)
+            orbits.update(dict.fromkeys(orbit, sorted(orbit)))
+    return orbits
+
+
+def _scan_lines(sources, orbits, blocks, orders, lines):
+    """Scan above the atoms of these canonical lines over covers closed in
+    this process: their {orbit size: multiplicity}, and the sum over the
+    lines of |orbit| times the maximal chains above the line's atom."""
+    covers = _Covers(sources)
+    atom = {covers.masks[c].bit_length() - 1: c for c in covers[0]}
+    if len(atom) != covers.full.bit_length():
+        raise AssertionError("rank-1 elements are not exactly the hyperplanes")
+    chains = {}
+    counts = _scan_atoms(covers, covers.masks, orbits, blocks, orders,
+                         [atom[i] for i in lines], chains)
+    return counts, sum(len(orbits[i]) * chains[atom[i]] for i in lines)
+
+
+def count_chain_orbits_lazily(model, workers: int = 1) -> ChainOrbitCount:
+    """Orbit count of the group action on maximal chains, as
+    `count_chain_orbits` counts it, without building the lattice: the scan
+    closes only the flats whose covers it reads (`_Covers`), so E6 closes
+    49 of its 4,598 flats, the bottom among them. The atom-line orbits come
+    from the generators' line permutations, and the least line of each
+    orbit is canonical. The chain-count sum needs the whole lattice, so
+    each state is certified on its own instead (`_scan_atoms` with
+    `chains`), and at the bottom the orbit sizes must sum to |orbit| times
+    the chains above each canonical atom, which fails an atom orbit record
+    merged or split. No root moved by two blocks, the per-atom certificate
+    and Lagrange apply as in the full scan. Canonical lines go round-robin
+    to the workers, each closing its own flats, so the result is identical
+    for any count. A count past MAX_SCAN_CHAINS orbits raises
+    UnsupportedModelError."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    action = _action(model)
+    orbits = _line_orbits(action.blocks)
+    lines = sorted({o[0] for o in orbits.values()})
+    if not lines:
+        return _tally({1: 1}, 1, "the one chain of rank 0")
+    args = ([_integer_lines(f) if isinstance(f, ReflectionModel) else f.m
+             for f in _factors(model)], orbits, action.blocks, action.orders)
+    if workers == 1 or len(lines) <= 1:
+        scans = [_scan_lines(*args, lines)]
+    else:
+        scans = _in_workers(_scan_lines, args, lines, workers)
+    return _tally(_merged(counts for counts, _ in scans), sum(w for _, w in scans),
+                  "the chains above the canonical atoms")
 
 
 def orbit_count_of_lines(l: IntersectionLattice, action: GeneratorAction) -> int:

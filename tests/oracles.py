@@ -626,7 +626,7 @@ def scan_atoms_enumerating(covers, masks, blocks, orders, atoms):
 
     @lru_cache(maxsize=None)
     def stabiliser(line):
-        return _stabiliser(blocks[block_of[line]], line)
+        return _stabiliser(blocks[block_of[line]], line, orders[block_of[line]])
 
     @lru_cache(maxsize=None)
     def orbit_of(line):

@@ -50,22 +50,54 @@ def test_compute_json_detail(capsys):
 
 
 def test_compute_e6_by_brute_force(capsys, monkeypatch):
+    """compute counts E6's chain orbits on covers closed on demand: its
+    583,200 maximal chains fall into 82 orbits whose sizes divide |W| =
+    51,840, and the whole lattice is never built."""
     seen = {}
+    real = cli.count_chain_orbits_lazily
 
-    def spy(name):
-        real = getattr(cli, name)
+    def spy(*args, **kwargs):
+        seen["count"] = real(*args, **kwargs)
+        return seen["count"]
 
-        def call(*args, **kwargs):
-            seen[name] = real(*args, **kwargs)
-            return seen[name]
-        monkeypatch.setattr(cli, name, call)
+    def whole_lattice(*args, **kwargs):
+        raise AssertionError("compute built the whole lattice")
 
-    spy("build_lattice_with_action")
-    spy("count_chain_orbits")
+    monkeypatch.setattr(cli, "count_chain_orbits_lazily", spy)
+    for name in ("build_lattice_with_action", "count_chain_orbits"):
+        monkeypatch.setattr(cli, name, whole_lattice)
     code, out, _ = run(capsys, "compute", "E6", "--method", "bruteforce")
     assert (code, out) == (cli.EXIT_OK, "82\n")
-    assert seen["count_chain_orbits"].total_chains == 583_200
-    assert seen["build_lattice_with_action"][1].group_order == 51_840
+    assert seen["count"].total_chains == 583_200
+    assert all(51_840 % s == 0 for s in seen["count"].orbit_sizes)
+
+
+def test_compute_e6_closes_at_most_50_flats(capsys, monkeypatch):
+    """The chain scan reads the covers of 49 flats of E6's 4,598, the bottom
+    among them, and compute closes no others."""
+    closure = lattice._closure
+    closed = []
+
+    def counted(vecs, lines, mask, span):
+        closed.append(mask)
+        return closure(vecs, lines, mask, span)
+
+    monkeypatch.setattr(lattice, "_closure", counted)
+    code, out, _ = run(capsys, "compute", "E6", "--method", "bruteforce")
+    assert (code, out) == (cli.EXIT_OK, "82\n")
+    assert 0 in closed and len(set(closed)) == len(closed) <= 50
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    """Only a scan with more than one worker imports concurrent.futures, so
+    a one-worker process does not pay for it."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, coxchains.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('concurrent')))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_compute_parse_error_exit_code(capsys):

@@ -6,10 +6,12 @@ import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 
 from coxchains.field import ZERO, canonical_subspace, null_space
+from coxchains import cli
 from coxchains import lattice as lattice_module
 from coxchains import models
 from coxchains.cli import DEEP_BRUTE_TIER, REQUIRED_BRUTE_TIER
@@ -23,6 +25,7 @@ from coxchains.lattice import (
     build_lattice,
     build_lattice_with_action,
     count_chain_orbits,
+    count_chain_orbits_lazily,
     count_maximal_chains,
     lattice_to_json,
     orbit_count_of_lines,
@@ -50,6 +53,7 @@ from oracles import (
     product_table,
     set_partitions,
 )
+from test_cli import run
 
 rng = random.Random(8128)
 
@@ -338,11 +342,25 @@ def test_memoized_scan_equals_enumerating_oracle(spec, workers):
     assert count_chain_orbits(*lattice_of(spec), workers=workers) == enumerated(spec)
 
 
-@pytest.mark.parametrize("spec", ["A3", "B3", "E6", "B3xB3", "D5xB3"])
-def test_memo_keyed_by_the_flat_alone_fails_the_chain_count(spec, monkeypatch):
-    """A memo that forgets the chain stabiliser reuses one prefix's count for
-    another prefix with a different stabiliser, and the orbit sizes no
-    longer sum to the chain count."""
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("spec", list(dict.fromkeys(
+    REQUIRED_BRUTE_TIER + DEEP_BRUTE_TIER + BRUTE_PRODUCTS + BIG_PRODUCTS
+    + [A1_POWER, "1"] + [f"I2({m})" for m in range(5, 31)])))
+def test_lazy_scan_equals_full_scan(spec, workers):
+    """Covers closed on demand give the count of the whole lattice, orbit
+    sizes included, for any worker count."""
+    assert count_chain_orbits_lazily(build_model(spec), workers=workers) == scanned(spec)
+
+
+def assert_compute_fails_a_certificate(capsys, spec, workers=1):
+    code, out, err = run(capsys, "compute", spec, "--method", "bruteforce",
+                         "--workers", str(workers))
+    assert (code, out) == (cli.EXIT_FAIL, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def memo_keyed_by_the_flat_alone(monkeypatch):
+    """Replace `_scan_atoms` with a copy whose memo forgets the stabiliser."""
     source = inspect.getsource(lattice_module._scan_atoms)
     mutant = source.replace("memo.get((x, stab))", "memo.get(x)").replace(
         "memo[x, stab] = out", "memo[x] = out")
@@ -350,8 +368,28 @@ def test_memo_keyed_by_the_flat_alone_fails_the_chain_count(spec, monkeypatch):
     namespace = dict(vars(lattice_module))
     exec(mutant, namespace)
     monkeypatch.setattr(lattice_module, "_scan_atoms", namespace["_scan_atoms"])
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "E6", "B3xB3", "D5xB3"])
+def test_memo_keyed_by_the_flat_alone_fails_the_chain_count(spec, monkeypatch):
+    """A memo that forgets the chain stabiliser reuses one prefix's count for
+    another prefix with a different stabiliser, and the orbit sizes no
+    longer sum to the chain count."""
+    memo_keyed_by_the_flat_alone(monkeypatch)
     with pytest.raises(AssertionError, match="^orbit sizes do not sum to the chain count$"):
         count_chain_orbits(*lattice_of(spec))
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "E6", "B3xB3", "D5xB3"])
+def test_memo_keyed_by_the_flat_alone_fails_a_state_certificate(spec, monkeypatch, capsys):
+    """On covers closed on demand there is no chain count to sum to: the
+    state above the reused count certifies that its chain orbits no longer
+    sum to |W| / |Stab| times the chains above it, and compute ends in one
+    error line."""
+    memo_keyed_by_the_flat_alone(monkeypatch)
+    with pytest.raises(AssertionError, match=r"^flat \[[\d, ]+\]: chain orbit sizes above it "):
+        count_chain_orbits_lazily(build_model(spec))
+    assert_compute_fails_a_certificate(capsys, spec)
 
 
 def test_scan_visits_each_state_once():
@@ -424,6 +462,87 @@ def test_wrong_atom_orbit_record_fails_the_chain_count(spec, change, workers):
         orbit[a] = a
     with pytest.raises(AssertionError, match="^orbit sizes do not sum to the chain count$"):
         count_chain_orbits(dataclasses.replace(lattice, orbit=orbit), action, workers=workers)
+
+
+def wrong_line_orbits(change):
+    """The generators' atom-line orbits with the first two merged, with the
+    first two of equal size exchanging their largest lines, or with the
+    largest line that is not least in its orbit split off alone."""
+    real = lattice_module._line_orbits
+
+    def wrong(blocks):
+        orbits = real(blocks)
+        classes = sorted({o[0]: o for o in orbits.values()}.values())
+        if change == "merge":
+            merged = sorted(classes[0] + classes[1])
+            return {**orbits, **dict.fromkeys(merged, merged)}
+        if change == "exchange":
+            first, second = next((c, d) for c, d in itertools.combinations(classes, 2)
+                                 if len(c) == len(d) > 1)
+            first, second = (sorted(first[:-1] + second[-1:]),
+                             sorted(second[:-1] + first[-1:]))
+            return {**orbits, **dict.fromkeys(first, first), **dict.fromkeys(second, second)}
+        line = max(i for i, o in orbits.items() if o[0] != i)
+        rest = [i for i in orbits[line] if i != line]
+        return {**orbits, **dict.fromkeys(rest, rest), line: [line]}
+    return wrong
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("spec, change", [("B3", "merge"), ("A2xA1", "merge"),
+                                          ("B3xB3", "merge"), ("A3", "split"),
+                                          ("E6", "split"), ("A2xA1", "split"),
+                                          ("A2xA2", "exchange"), ("D4xD4", "exchange")])
+def test_wrong_atom_orbit_record_fails_the_lazy_scan(spec, change, workers, monkeypatch,
+                                                     capsys):
+    """On covers closed on demand the atom-line orbits come from the
+    generators. Merged or split, the orbit sizes no longer sum to |orbit|
+    times the chains above each canonical atom. Two orbits of one size that
+    exchange a line across blocks leave a state whose canonical covers'
+    orbits do not hold all its covers. Either way compute ends in one error
+    line."""
+    monkeypatch.setattr(lattice_module, "_line_orbits", wrong_line_orbits(change))
+    with pytest.raises(AssertionError):
+        count_chain_orbits_lazily(build_model(spec), workers=workers)
+    assert_compute_fails_a_certificate(capsys, spec, workers)
+
+
+def test_swapped_generator_lines_fail_the_lazy_scan_at_once(monkeypatch, capsys):
+    """No orbit transport checks the generators on the lazy path, and one
+    that is not a symmetry can generate a group far larger than |W|: each
+    swap of two lines in one generator of B3 stops the stabiliser closure
+    as |orbit| |Stab| passes 48 and fails the per-atom certificate."""
+    model = build_model("B3")
+    for g in range(len(model.gen_perms)):
+        for i, j in itertools.combinations(range(len(model.roots)), 2):
+            start = time.perf_counter()
+            with pytest.raises(AssertionError, match=r"^atom \d+: \|orbit\| \* \|Stab\| passes "
+                                                     r"its factor's \|W\| = 48$"):
+                count_chain_orbits_lazily(swapped(model, g, i, j))
+            assert time.perf_counter() - start < 1
+    monkeypatch.setattr(cli, "build_model", lambda spec: swapped(model, 0, 0, 1))
+    assert_compute_fails_a_certificate(capsys, "B3")
+
+
+def test_chain_count_needs_elements_in_rank_order():
+    """The chain count walks elements in index order, so a lattice listing
+    an element before one of lower rank is refused, not miscounted: here
+    B2's lattice with its top listed second."""
+    lattice, _ = lattice_of("B2")
+    order = [lattice.bottom, lattice.top] + [
+        i for i in range(len(lattice.elements)) if i not in (lattice.bottom, lattice.top)]
+    position = {old: new for new, old in enumerate(order)}
+    shuffled = dataclasses.replace(
+        lattice,
+        elements=[lattice.elements[i] for i in order],
+        rank=[lattice.rank[i] for i in order],
+        covers=[[position[j] for j in lattice.covers[i]] for i in order],
+        top=1,
+        hypsets=[lattice.hypsets[i] for i in order],
+        orbit=[position[lattice.orbit[i]] for i in order])
+    assert count_maximal_chains(lattice) == 4
+    with pytest.raises(AssertionError, match="^lattice elements are not listed in rank order$"):
+        count_maximal_chains(shuffled)
 
 
 def factors_of(spec):
@@ -509,10 +628,10 @@ def test_no_stabiliser_list_exceeds_the_largest_factor(monkeypatch):
     closure = lattice_module._stabiliser
     longest = [0]
 
-    def recorded(generators, line):
-        order, elements = closure(generators, line)
+    def recorded(generators, line, order):
+        size, elements = closure(generators, line, order)
         longest[0] = max(longest[0], len(elements))
-        return order, elements
+        return size, elements
 
     monkeypatch.setattr(lattice_module, "_stabiliser", recorded)
     lattice, action = build_lattice_with_action(build_model("D5xB3"))
@@ -680,9 +799,9 @@ def test_table_missing_a_row_fails_the_certificate(spec, workers, monkeypatch):
     lattice, action = lattice_of(spec)
     closure = lattice_module._stabiliser
 
-    def short(generators, line):
-        orbit, elements = closure(generators, line)
-        return orbit, elements[:-1]
+    def short(generators, line, order):
+        size, elements = closure(generators, line, order)
+        return size, elements[:-1]
 
     monkeypatch.setattr(lattice_module, "_stabiliser", short)
     with pytest.raises(AssertionError):

@@ -10,7 +10,7 @@ import pytest
 from coxchains import models
 from coxchains.field import ONE, ZERO, FieldScalar, null_space
 from coxchains.graphs import TypeLabel, parse_group_spec
-from coxchains.lattice import build_lattice_with_action
+from coxchains.lattice import build_lattice_with_action, count_chain_orbits_lazily
 from coxchains.models import (
     DihedralModel,
     ProductModel,
@@ -264,9 +264,10 @@ def test_closure_outside_the_root_lattice_fails(monkeypatch):
 
 
 def test_brute_path_does_no_field_arithmetic(monkeypatch):
-    """Building E6, F4 and H3 and their lattices with action adds, subtracts,
-    multiplies and divides no FieldScalar: the root closure and the lattice
-    run on integers."""
+    """Building E6, F4 and H3 and their lattices with action, and counting
+    their chain orbits on covers closed on demand, adds, subtracts,
+    multiplies and divides no FieldScalar: the root closure, the lattice
+    and the scan run on integers."""
     calls = Counter()
     for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
         def counted(self, other, name=name, real=getattr(FieldScalar, name)):
@@ -277,4 +278,5 @@ def test_brute_path_does_no_field_arithmetic(monkeypatch):
     calls.clear()
     for spec in ("E6", "F4", "H3"):
         build_lattice_with_action(build_model(spec))
+        count_chain_orbits_lazily(build_model(spec))
     assert calls == Counter()
