@@ -11,6 +11,7 @@ for a filter) when the reader of standard output closed it early.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -421,7 +422,10 @@ def _int_at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call in the process, built on the first:
+    `parse_args` returns a fresh namespace and leaves the parser unchanged."""
     parser = argparse.ArgumentParser(
         prog="coxchains",
         description="Chain-orbit counts K(W) for finite Coxeter groups.",
@@ -463,20 +467,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # K(A_n) passes 4,300 digits, Python's default limit for converting an
-    # int to or from a string, near n = 1,660
-    if hasattr(sys, "set_int_max_str_digits"):
+    # int to or from a string, near n = 1,660. The limit is lifted for this
+    # call only, so an in-process caller keeps its own.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except BrokenPipeError:
-        # the reader left, as `head` does: send what is still buffered to
-        # devnull so the flush at exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
-    except AssertionError as exc:  # a certificate or a cached value failed
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        args = build_parser().parse_args(argv)
+        try:
+            return args.fn(args)
+        except BrokenPipeError:
+            # the reader left, as `head` does: send what is still buffered to
+            # devnull so the flush at exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_BROKEN_PIPE
+        except AssertionError as exc:  # a certificate or a cached value failed
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_FAIL
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

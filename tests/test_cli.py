@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -540,6 +541,82 @@ def test_values_past_the_int_string_digit_limit(capsys, tmp_path):
             assert want in lines or f"A,400,closed,{want}" in lines, argv
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no integer string-conversion limit")
+def test_main_restores_the_callers_digit_limit(capsys):
+    """main lifts the limit for its own call only: after a success, a usage
+    error and --version the caller's limit is back in place."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert run(capsys, "compute", "A3", "--method", "closed")[:2] == (0, "2\n")
+        assert sys.get_int_max_str_digits() == 640
+        for argv, code in ((["compute", "A3", "--workers", "0"], cli.EXIT_PARSE),
+                           (["--version"], cli.EXIT_OK)):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == code, argv
+            assert sys.get_int_max_str_digits() == 640, argv
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_one_parser_per_process(capsys, monkeypatch):
+    """main builds its parser, the top level and four subcommands, on its
+    first call and reuses it on every later one."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["compute", "A3", "--method", "closed"], ["table", "--max-rank", "2"],
+                 ["compute", "E6", "--method", "recursion"]):
+        assert run(capsys, *argv)[0] == cli.EXIT_OK
+    assert len(built) == 5
+
+
+def test_shared_parser_carries_nothing_between_calls(capsys, tmp_path, monkeypatch):
+    """A sequence of main calls in one process prints, byte for byte, what
+    each call prints in a fresh process, and the calls without --cache leave
+    the cache file alone."""
+    monkeypatch.delenv("COXETER_CACHE", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    sequence = [["compute", "A3", "--format", "json", "--method", "recursion",
+                 "--cache", "c.json"],
+                ["compute", "A3"],
+                ["compute", "A3", "--workers", "0"],
+                ["--version"],
+                ["table", "--max-rank", "3", "--format", "csv"],
+                ["compute", "A3"]]
+    monkeypatch.chdir(here)
+    cache = here / "c.json"
+    codes, stamp = [], None
+    for argv in sequence:
+        try:
+            got = run(capsys, *argv)
+        except SystemExit as exc:
+            out = capsys.readouterr()
+            got = (exc.code, out.out, out.err)
+        proc = subprocess.run([sys.executable, "-m", "coxchains.cli", *argv], cwd=fresh,
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+        codes.append(got[0])
+        if stamp is not None:
+            assert (cache.read_bytes(), cache.stat().st_mtime_ns) == stamp, argv
+        stamp = (cache.read_bytes(), cache.stat().st_mtime_ns)
+    assert codes == [0, 0, cli.EXIT_PARSE, 0, 0, 0]
+    assert cache.read_bytes() == (fresh / "c.json").read_bytes()
 
 
 def test_closed_pipe_ends_quietly_with_exit_141():
