@@ -72,12 +72,6 @@ def closed_form_value(spec) -> int:
     return value
 
 
-def brute_force_count(spec, workers: int = 1):
-    """Brute-force chain-orbit count of a spec string or a Coxeter graph,
-    closing only the flats the chain scan reaches."""
-    return count_chain_orbits_lazily(build_model(spec), workers=workers)
-
-
 class DiskCache:
     """JSON cache of the recursion memo, one entry per irreducible type
     keyed by its name, stamped with the engine version so stale files are
@@ -205,7 +199,8 @@ def cmd_compute(args) -> int:
         results["closed"] = closed_form_value(labels)
     if args.method in ("bruteforce", "all"):
         try:
-            results["bruteforce"] = brute_force_count(graph, args.workers).orbit_count
+            results["bruteforce"] = count_chain_orbits_lazily(
+                build_model(graph), workers=args.workers).orbit_count
         except UnsupportedModelError as exc:
             if args.method == "bruteforce":
                 print(f"error: {exc}", file=sys.stderr)

@@ -88,22 +88,6 @@ class FieldScalar:
             return hash(self.a)
         return hash((self.a, self.b))
 
-    def sign(self) -> int:
-        """Sign of the real number a + b*sqrt(5)."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: compare a^2 against 5 b^2
-        bigger_rational = self.a * self.a > 5 * self.b * self.b
-        if self.a > 0:
-            return 1 if bigger_rational else -1
-        return -1 if bigger_rational else 1
-
     def __str__(self):
         if self.b == 0:
             return str(self.a)

@@ -20,14 +20,15 @@ count above a flat depends on the flat and the chain stabiliser alone, kept
 as one interned part per block, so the scan is memoized on the two: a
 product's scan visits its factors' states, not their shuffles.
 
-The same scan runs two ways. `count_chain_orbits` scans the whole lattice,
-built by orbit transport, and certifies that the orbit sizes sum to its
-maximal chains. `count_chain_orbits_lazily`, the brute force of `compute`,
-closes a flat only when the scan first reads its covers (`_Covers`) and
-certifies each state instead: the maximal chains above a flat, summed over
-its canonical covers times their orbit lengths under the chain stabiliser,
-must agree between stabilisers, and the state's orbit sizes must sum to
-|W| / |Stab| times them.
+One driver counts the chain orbits, from the generators' atom-line orbits,
+over two sources of covers with two certificates. `count_chain_orbits`
+scans the whole lattice, built by orbit transport, and certifies that the
+orbit sizes sum to its maximal chains. `count_chain_orbits_lazily`, the
+brute force of `compute`, closes a flat only when the scan first reads its
+covers (`_Covers`) and certifies each state instead: the maximal chains
+above a flat, summed over its canonical covers times their orbit lengths
+under the chain stabiliser, must agree between stabilisers, and the
+state's orbit sizes must sum to |W| / |Stab| times them.
 """
 
 from __future__ import annotations
@@ -500,9 +501,10 @@ def _scan_atoms(covers, masks, orbits, blocks, orders, atoms, chains=None):
     once. What lies above x depends on x and the stabiliser alone, so
     `extend` is memoized on the two and each state is scanned once however
     many canonical prefixes reach it. No root may be moved by two blocks,
-    and each atom's line certifies its factor's order: |orbit| |Stab|,
-    closed in its block, must equal orders[b]. A state whose subtrees count
-    more than MAX_SCAN_CHAINS orbits in all raises UnsupportedModelError.
+    each atom's line certifies its factor's order: |orbit| |Stab|, closed
+    in its block, must equal orders[b], and each chain stabiliser's order
+    must divide |W|. A state whose subtrees count more than MAX_SCAN_CHAINS
+    orbits in all raises UnsupportedModelError.
 
     With a dict `chains`, each state is also certified on its own, for a
     scan that never sees the whole lattice: the length of each canonical
@@ -625,61 +627,6 @@ def _in_workers(scan, args, items, workers):
         return list(pool.map(scan, *([a] * len(chunks) for a in args), chunks))
 
 
-def _tally(counts, chains, what) -> ChainOrbitCount:
-    """The orbit sizes of {orbit size: multiplicity} counts, which must sum
-    to `chains`, the maximal chains counted another way (`what`)."""
-    total = sum(map(operator.mul, counts, counts.values()))
-    if total != chains:
-        raise AssertionError(f"orbit sizes do not sum to {what}")
-    sizes = tuple(itertools.chain.from_iterable(
-        itertools.repeat(s, counts[s]) for s in sorted(counts)))
-    return ChainOrbitCount(total_chains=total, orbit_count=len(sizes),
-                           orbit_sizes=sizes)
-
-
-def count_chain_orbits(l: IntersectionLattice, action: GeneratorAction,
-                       workers: int = 1) -> ChainOrbitCount:
-    """Orbit count of the group action on maximal chains.
-
-    Each orbit is counted once, at its canonical chain: the chain that
-    equals its own lexicographically smallest image. It starts at the
-    smallest atom a of an orbit of atoms, l.orbit[a] == a, and the lines of
-    each atom's orbit, read off the same record, go to the scan. A canonical
-    prefix p extends by a cover d to a canonical prefix exactly when no
-    element of Stab(p) maps d below d (canonical augmentation: B. D. McKay,
-    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998). A
-    canonical maximal chain c contributes the orbit size |W| / |Stab(c)|,
-    with |W| the product of the factor orders. Which extensions of p are
-    canonical, and with which stabilisers, depends only on p's top flat and
-    Stab(p), so the scan counts each such state once, as {orbit size:
-    multiplicity}, and the sizes are expanded once at the end. Four checks
-    certify the result: no root is moved by two blocks; the line of every
-    canonical atom gives |orbit| |Stab|, closed in its own block, equal to
-    its factor's order; every chain stabiliser order divides |W| (Lagrange);
-    and the orbit sizes times their multiplicities sum to the number of
-    maximal chains, which also fails an atom orbit record merged or split.
-    Canonical atoms go round-robin to the workers, each with its own memo,
-    so the result is identical for any count. A count past MAX_SCAN_CHAINS
-    orbits raises UnsupportedModelError.
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if not l.covers[l.bottom]:
-        counts = {1: 1}  # rank 0: the bottom is the only chain
-    else:
-        orbits = {}  # per orbit of atoms, its lines
-        for a in l.covers[l.bottom]:
-            orbits.setdefault(l.orbit[a], []).append(l.hypsets[a].bit_length() - 1)
-        lines = {i: o for o in orbits.values() for i in o}
-        atoms = sorted(a for a in l.covers[l.bottom] if l.orbit[a] == a)
-        args = (l.covers, l.hypsets, lines, action.blocks, action.orders)
-        if workers == 1 or len(atoms) <= 1:
-            counts = _scan_atoms(*args, atoms)
-        else:
-            counts = _merged(_in_workers(_scan_atoms, args, atoms, workers))
-    return _tally(counts, count_maximal_chains(l), "the chain count")
-
-
 class _Covers(dict):
     """Covers closed on demand, for a scan that never builds the lattice:
     covers[x] lists the indices of the flats directly above flat x, found
@@ -760,50 +707,84 @@ def _line_orbits(blocks) -> dict:
     return orbits
 
 
-def _scan_lines(sources, orbits, blocks, orders, lines):
-    """Scan above the atoms of these canonical lines over covers closed in
-    this process: their {orbit size: multiplicity}, and the sum over the
-    lines of |orbit| times the maximal chains above the line's atom."""
-    covers = _Covers(sources)
-    atom = {covers.masks[c].bit_length() - 1: c for c in covers[0]}
-    if len(atom) != covers.full.bit_length():
+def _scan_lines(source, orbits, blocks, orders, lines):
+    """Scan above the atoms of these canonical lines, the bottom being flat
+    0: their {orbit size: multiplicity}, and the sum over the lines of
+    |orbit| times the maximal chains above the line's atom. `source` is the
+    factors' sources, whose covers are closed here on demand (`_Covers`)
+    and certified state by state, or a built lattice's (covers, hypsets),
+    certified whole by the caller, so the sum is None."""
+    if isinstance(source, tuple):
+        (covers, masks), chains = source, None
+    else:
+        covers, chains = _Covers(source), {}
+        masks = covers.masks
+    atom = {masks[c].bit_length() - 1: c for c in covers[0]}
+    if len(atom) != len(blocks[0][0]) // 2:
         raise AssertionError("rank-1 elements are not exactly the hyperplanes")
-    chains = {}
-    counts = _scan_atoms(covers, covers.masks, orbits, blocks, orders,
+    counts = _scan_atoms(covers, masks, orbits, blocks, orders,
                          [atom[i] for i in lines], chains)
-    return counts, sum(len(orbits[i]) * chains[atom[i]] for i in lines)
+    return counts, None if chains is None else sum(
+        len(orbits[i]) * chains[atom[i]] for i in lines)
 
 
-def count_chain_orbits_lazily(model, workers: int = 1) -> ChainOrbitCount:
-    """Orbit count of the group action on maximal chains, as
-    `count_chain_orbits` counts it, without building the lattice: the scan
-    closes only the flats whose covers it reads (`_Covers`), so E6 closes
-    49 of its 4,598 flats, the bottom among them. The atom-line orbits come
-    from the generators' line permutations, and the least line of each
-    orbit is canonical. The chain-count sum needs the whole lattice, so
-    each state is certified on its own instead (`_scan_atoms` with
-    `chains`), and at the bottom the orbit sizes must sum to |orbit| times
-    the chains above each canonical atom, which fails an atom orbit record
-    merged or split. No root moved by two blocks, the per-atom certificate
-    and Lagrange apply as in the full scan. Canonical lines go round-robin
-    to the workers, each closing its own flats, so the result is identical
-    for any count. A count past MAX_SCAN_CHAINS orbits raises
-    UnsupportedModelError."""
+def _count_orbits(source, action, workers, chains=None) -> ChainOrbitCount:
+    """Orbit count of the group action on maximal chains over the covers of
+    `source` (`_scan_lines`), each orbit counted once, at its canonical
+    chain: the chain that equals its own lexicographically smallest image.
+    It starts at the atom of the least line of an orbit of atom lines, from
+    the generators (`_line_orbits`). A canonical prefix p extends by a cover
+    d to a canonical prefix exactly when no element of Stab(p) maps d below
+    d (canonical augmentation: B. D. McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998), and a canonical maximal chain c
+    contributes the orbit size |W| / |Stab(c)|. Besides the scan's own
+    checks, the orbit sizes times their multiplicities must sum to `chains`,
+    a built lattice's maximal chains, or else to |orbit| times the chains
+    above each canonical atom: either sum fails atom-line orbits merged or
+    split. Canonical lines go round-robin to the workers, each with its own
+    memo, so the result is identical for any count."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    action = _action(model)
     orbits = _line_orbits(action.blocks)
     lines = sorted({o[0] for o in orbits.values()})
+    args = (source, orbits, action.blocks, action.orders)
     if not lines:
-        return _tally({1: 1}, 1, "the one chain of rank 0")
-    args = ([_integer_lines(f) if isinstance(f, ReflectionModel) else f.m
-             for f in _factors(model)], orbits, action.blocks, action.orders)
-    if workers == 1 or len(lines) <= 1:
+        scans = [({1: 1}, 1)]  # rank 0: the bottom is the only chain
+    elif workers == 1 or len(lines) <= 1:
         scans = [_scan_lines(*args, lines)]
     else:
         scans = _in_workers(_scan_lines, args, lines, workers)
-    return _tally(_merged(counts for counts, _ in scans), sum(w for _, w in scans),
-                  "the chains above the canonical atoms")
+    counts = _merged(c for c, _ in scans)
+    total = sum(map(operator.mul, counts, counts.values()))
+    what = "the chain count"
+    if chains is None:
+        chains, what = sum(w for _, w in scans), "the chains above the canonical atoms"
+    if total != chains:
+        raise AssertionError(f"orbit sizes do not sum to {what}")
+    sizes = tuple(itertools.chain.from_iterable(
+        itertools.repeat(s, counts[s]) for s in sorted(counts)))
+    return ChainOrbitCount(total_chains=total, orbit_count=len(sizes),
+                           orbit_sizes=sizes)
+
+
+def count_chain_orbits(l: IntersectionLattice, action: GeneratorAction,
+                       workers: int = 1) -> ChainOrbitCount:
+    """Orbit count of the group action on the maximal chains of a built
+    lattice (`_count_orbits`), whose orbit sizes must sum to its maximal
+    chains. The scan does not read `l.orbit`."""
+    return _count_orbits((l.covers, l.hypsets), action, workers, count_maximal_chains(l))
+
+
+def count_chain_orbits_lazily(model, workers: int = 1) -> ChainOrbitCount:
+    """Orbit count of the group action on maximal chains (`_count_orbits`)
+    without building the lattice: the scan closes only the flats whose
+    covers it reads (`_Covers`), so E6 closes 49 of its 4,598 flats, the
+    bottom among them, and each worker closes its own. The chain-count sum
+    needs the whole lattice, so each state is certified on its own instead
+    (`_scan_atoms` with `chains`)."""
+    sources = [_integer_lines(f) if isinstance(f, ReflectionModel) else f.m
+               for f in _factors(model)]
+    return _count_orbits(sources, _action(model), workers)
 
 
 def orbit_count_of_lines(l: IntersectionLattice, action: GeneratorAction) -> int:

@@ -371,9 +371,26 @@ def group_bfs(model):
     return perms, steps
 
 
+def scalar_sign(x: FieldScalar) -> int:
+    """Sign of the real number a + b*sqrt(5)."""
+    if x.b == 0:
+        return (x.a > 0) - (x.a < 0)
+    if x.a == 0:
+        return 1 if x.b > 0 else -1
+    if x.a > 0 and x.b > 0:
+        return 1
+    if x.a < 0 and x.b < 0:
+        return -1
+    # opposite signs: compare a^2 against 5 b^2
+    bigger_rational = x.a * x.a > 5 * x.b * x.b
+    if x.a > 0:
+        return 1 if bigger_rational else -1
+    return -1 if bigger_rational else 1
+
+
 def _canonical_sign(vec):
     for x in vec:
-        s = x.sign()
+        s = scalar_sign(x)
         if s > 0:
             return tuple(vec), 1
         if s < 0:

@@ -21,6 +21,7 @@ from oracles import (
     is_invertible,
     mat_inverse,
     mat_mul,
+    scalar_sign,
     subspace_le,
 )
 
@@ -66,12 +67,12 @@ def test_rational_operands_stay_rational():
 
 def test_scalar_sign_exact():
     # sqrt5 is between 2 and 3, so 2 - sqrt5 < 0 < 3 - sqrt5
-    assert FieldScalar.sqrt5_part(2, -1).sign() == -1
-    assert FieldScalar.sqrt5_part(3, -1).sign() == 1
-    assert FieldScalar.sqrt5_part(-2, 1).sign() == 1
-    assert FieldScalar.sqrt5_part(-3, 1).sign() == -1
-    assert FieldScalar.of(0).sign() == 0
-    assert FieldScalar.sqrt5_part(0, Fraction(-1, 7)).sign() == -1
+    assert scalar_sign(FieldScalar.sqrt5_part(2, -1)) == -1
+    assert scalar_sign(FieldScalar.sqrt5_part(3, -1)) == 1
+    assert scalar_sign(FieldScalar.sqrt5_part(-2, 1)) == 1
+    assert scalar_sign(FieldScalar.sqrt5_part(-3, 1)) == -1
+    assert scalar_sign(FieldScalar.of(0)) == 0
+    assert scalar_sign(FieldScalar.sqrt5_part(0, Fraction(-1, 7))) == -1
 
 
 def test_scalar_string_forms():

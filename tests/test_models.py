@@ -33,6 +33,7 @@ from oracles import (
     mat_vec,
     matrix_of,
     reflecting_hyperplanes,
+    scalar_sign,
 )
 
 rng = random.Random(1729)
@@ -172,7 +173,7 @@ def test_roots_canonically_signed():
         model = build_model(spec)
         for r in model.roots:
             lead = next(x for x in r if not (x == ZERO))
-            assert lead.sign() > 0
+            assert scalar_sign(lead) > 0
 
 
 # sha256 of the JSON of [model_to_json(model), model.gen_perms], so that the
@@ -222,7 +223,7 @@ def test_phi_sign_matches_field_sign():
     st = pytest.importorskip("hypothesis.strategies")
 
     def field_sign(p, q):  # p + q phi = (p + q/2) + (q/2) sqrt5
-        return FieldScalar.sqrt5_part(Fraction(2 * p + q, 2), Fraction(q, 2)).sign()
+        return scalar_sign(FieldScalar.sqrt5_part(Fraction(2 * p + q, 2), Fraction(q, 2)))
 
     # pairs with |2p + q| within a few units of sqrt5 |q|, of either sign
     near = st.builds(lambda q, side, d: ((side * math.isqrt(5 * q * q) + d - q) // 2, q),
