@@ -18,7 +18,10 @@ generators inside their own block; a block the chain has not entered, or
 entered at a line the whole factor fixes, counts as its factor's order. The
 count above a flat depends on the flat and the chain stabiliser alone, kept
 as one interned part per block, so the scan is memoized on the two: a
-product's scan visits its factors' states, not their shuffles.
+product's scan visits its factors' states, not their shuffles. States
+merge their counts as {orbit size: number of orbits}, and the result keeps
+that histogram (`ChainOrbitCount.size_counts`), so its size follows the
+distinct orbit sizes, not the orbits: A1^16 counts its 16! in one entry.
 
 One driver counts the chain orbits, from the generators' atom-line orbits,
 over two sources of covers with two certificates. `count_chain_orbits`
@@ -44,17 +47,9 @@ from .models import (
     DihedralModel,
     ProductModel,
     ReflectionModel,
-    UnsupportedModelError,
     group_order,
     phi_times,
 )
-
-# Chain orbits one scan may count before it gives up. The scan visits
-# memoized states, not chains, so this bounds the count and the orbit-size
-# tuple built from it, checked as subtrees merge: A1^12 has 12! =
-# 479,001,600 orbits and stops after about a thousand states; A1^9, the
-# largest K the tests count, has 362,880.
-MAX_SCAN_CHAINS = 500_000
 
 
 @dataclass
@@ -96,7 +91,7 @@ class GeneratorAction:
 class ChainOrbitCount:
     total_chains: int
     orbit_count: int
-    orbit_sizes: tuple
+    size_counts: dict    # orbit size -> number of orbits of that size, by size
 
 
 def _primitive(row):
@@ -473,16 +468,11 @@ def count_maximal_chains(l: IntersectionLattice) -> int:
 
 
 def _merged(counts):
-    """The sum of {orbit size: multiplicity} counts. Past MAX_SCAN_CHAINS
-    orbits in all, raise UnsupportedModelError."""
+    """The sum of {orbit size: multiplicity} counts."""
     total = {}
     for sizes in counts:
         for s, k in sizes.items():
             total[s] = total.get(s, 0) + k
-    if sum(total.values()) > MAX_SCAN_CHAINS:
-        raise UnsupportedModelError(
-            f"more than {MAX_SCAN_CHAINS:,} chain orbits to scan; "
-            f"use the recursion method instead")
     return total
 
 
@@ -503,8 +493,8 @@ def _scan_atoms(covers, masks, orbits, blocks, orders, atoms, chains=None):
     many canonical prefixes reach it. No root may be moved by two blocks,
     each atom's line certifies its factor's order: |orbit| |Stab|, closed
     in its block, must equal orders[b], and each chain stabiliser's order
-    must divide |W|. A state whose subtrees count more than MAX_SCAN_CHAINS
-    orbits in all raises UnsupportedModelError.
+    must divide |W|. The result holds one entry per orbit size, however
+    many orbits the chains fall into: A1^16's 16! orbits are one entry.
 
     With a dict `chains`, each state is also certified on its own, for a
     scan that never sees the whole lattice: the length of each canonical
@@ -761,10 +751,8 @@ def _count_orbits(source, action, workers, chains=None) -> ChainOrbitCount:
         chains, what = sum(w for _, w in scans), "the chains above the canonical atoms"
     if total != chains:
         raise AssertionError(f"orbit sizes do not sum to {what}")
-    sizes = tuple(itertools.chain.from_iterable(
-        itertools.repeat(s, counts[s]) for s in sorted(counts)))
-    return ChainOrbitCount(total_chains=total, orbit_count=len(sizes),
-                           orbit_sizes=sizes)
+    return ChainOrbitCount(total_chains=total, orbit_count=sum(counts.values()),
+                           size_counts=dict(sorted(counts.items())))
 
 
 def count_chain_orbits(l: IntersectionLattice, action: GeneratorAction,

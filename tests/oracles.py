@@ -11,6 +11,7 @@ the orbits of each rank from hypset images, which the lattice's orbit
 record must match.
 """
 
+import collections
 import itertools
 import math
 import operator
@@ -281,6 +282,11 @@ def maximal_chains(l):
     return out
 
 
+def size_histogram(sizes) -> dict:
+    """{orbit size: number of orbits of that size}, sorted by size."""
+    return dict(sorted(collections.Counter(sizes).items()))
+
+
 def count_chain_orbits_unionfind(l, table) -> ChainOrbitCount:
     """Independent counter: union-find over the full chain set."""
     chains = maximal_chains(l)
@@ -300,13 +306,9 @@ def count_chain_orbits_unionfind(l, table) -> ChainOrbitCount:
             ri, rj = find(i), find(j)
             if ri != rj:
                 parent[ri] = rj
-    buckets = {}
-    for i in range(len(chains)):
-        r = find(i)
-        buckets[r] = buckets.get(r, 0) + 1
-    sizes = tuple(sorted(buckets.values()))
+    buckets = collections.Counter(map(find, range(len(chains))))
     return ChainOrbitCount(total_chains=len(chains), orbit_count=len(buckets),
-                           orbit_sizes=sizes)
+                           size_counts=size_histogram(buckets.values()))
 
 
 def graph_deleted_labels(t, v):
@@ -602,11 +604,10 @@ def count_chain_orbits_table(l, table) -> ChainOrbitCount:
 
     for atom in l.covers[l.bottom] or [l.bottom]:
         extend(atom, rows)
-    sizes = tuple(sorted(sizes))
     if sum(sizes) != count_maximal_chains(l):
         raise AssertionError("orbit sizes do not sum to the chain count")
     return ChainOrbitCount(total_chains=sum(sizes), orbit_count=len(sizes),
-                           orbit_sizes=sizes)
+                           size_counts=size_histogram(sizes))
 
 
 def line_orbits_table(l, table) -> int:
@@ -685,12 +686,12 @@ def scan_atoms_enumerating(covers, masks, blocks, orders, atoms):
 def count_chain_orbits_enumerating(l, action) -> ChainOrbitCount:
     """The canonical-chain scan from atom stabilisers, one chain at a time."""
     if not l.covers[l.bottom]:
-        sizes = (1,)
+        sizes = [1]
     else:
         atoms = sorted(min(o) for o in _orbits(l, action.blocks, l.covers[l.bottom]))
-        sizes = tuple(sorted(scan_atoms_enumerating(
-            l.covers, l.hypsets, action.blocks, action.orders, atoms)))
+        sizes = scan_atoms_enumerating(
+            l.covers, l.hypsets, action.blocks, action.orders, atoms)
     if sum(sizes) != count_maximal_chains(l):
         raise AssertionError("orbit sizes do not sum to the chain count")
     return ChainOrbitCount(total_chains=sum(sizes), orbit_count=len(sizes),
-                           orbit_sizes=sizes)
+                           size_counts=size_histogram(sizes))

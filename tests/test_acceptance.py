@@ -187,9 +187,11 @@ def test_criterion_5_a3_lattice_structure(required_tier_runs):
             for j in ups:
                 if lat.rank[j] != lat.rank[i] + 1:
                     problems.append(f"{spec}: cover relation skips a rank")
-        if sum(result.orbit_sizes) != result.total_chains:
+        if sum(s * k for s, k in result.size_counts.items()) != result.total_chains:
             problems.append(f"{spec}: orbit sizes do not sum to the chain count")
-        if any(tab.group_order % s for s in result.orbit_sizes):
+        if sum(result.size_counts.values()) != result.orbit_count:
+            problems.append(f"{spec}: orbit size counts do not sum to the orbit count")
+        if any(tab.group_order % s for s in result.size_counts):
             problems.append(f"{spec}: an orbit size does not divide |W|")
     report(5, not problems, "; ".join(problems))
 
@@ -216,9 +218,7 @@ def test_criterion_7_worker_determinism(required_tier_runs):
     for spec, (lattice, table, base, _) in runs.items():
         for workers in (2, 8):
             redo = count_chain_orbits(lattice, table, workers=workers)
-            if (redo.orbit_count, redo.orbit_sizes) != (
-                base.orbit_count, base.orbit_sizes
-            ):
+            if redo != base:
                 problems.append(f"{spec}: workers={workers} changed the result")
     report(7, not problems,
            "; ".join(problems) or f"{len(runs)} types x workers 1/2/8")

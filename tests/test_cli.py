@@ -70,7 +70,7 @@ def test_compute_e6_by_brute_force(capsys, monkeypatch):
     code, out, _ = run(capsys, "compute", "E6", "--method", "bruteforce")
     assert (code, out) == (cli.EXIT_OK, "82\n")
     assert seen["count"].total_chains == 583_200
-    assert all(51_840 % s == 0 for s in seen["count"].orbit_sizes)
+    assert all(51_840 % s == 0 for s in seen["count"].size_counts)
 
 
 def test_compute_e6_closes_at_most_50_flats(capsys, monkeypatch):
@@ -121,31 +121,18 @@ def test_compute_all_skips_unsupported_bruteforce(capsys):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_chain_scan_bound_ends_in_one_error_line(capsys, monkeypatch, workers):
-    """A1^7 has 7! = 5,040 chain orbits: past a bound of 100 the scan stops
-    with exit 3 and one error line, and --method all skips brute force."""
-    monkeypatch.setattr(lattice, "MAX_SCAN_CHAINS", 100)
-    spec = "x".join(["A1"] * 7)
-    code, out, err = run(capsys, "compute", spec, "--method", "bruteforce",
-                         "--workers", workers)
-    assert (code, out) == (cli.EXIT_UNSUPPORTED, "")
-    assert err.startswith("error: more than 100 chain orbits") and err.count("\n") == 1
-    code, out, _ = run(capsys, "compute", spec, "--workers", workers)
-    assert (code, out) == (cli.EXIT_OK, "recursion: 5040\nclosed: 5040\nagreement: ok\n")
-
-
-def test_chain_scan_bound_stops_a1_power_12(capsys):
-    """A1^12 has 12! chain orbits, past the real bound: exit 3 and one
-    error line."""
-    code, out, err = run(capsys, "compute", "x".join(["A1"] * 12), "--method", "bruteforce")
-    assert (code, out) == (cli.EXIT_UNSUPPORTED, "")
-    assert err == (f"error: more than {lattice.MAX_SCAN_CHAINS:,} chain orbits to scan; "
-                   "use the recursion method instead\n")
+def test_bruteforce_counts_a1_power_12(capsys, workers):
+    """A1^12's 12! = 479,001,600 chain orbits, each of size 1, counted by
+    brute force from about a thousand scan states, as the recursion and the
+    closed form count them."""
+    code, out, err = run(capsys, "compute", "x".join(["A1"] * 12), "--workers", workers)
+    assert (code, out, err) == (cli.EXIT_OK, "recursion: 479001600\nbruteforce: 479001600\n"
+                                             "closed: 479001600\nagreement: ok\n", "")
 
 
 def test_bruteforce_counts_a1_power_9(capsys):
-    """A1^9's 9! = 362,880 chain orbits, under the bound, counted by brute
-    force as the recursion counts them."""
+    """A1^9's 9! = 362,880 chain orbits, counted by brute force as the
+    recursion counts them."""
     code, out, _ = run(capsys, "compute", "x".join(["A1"] * 9), "--method", "all")
     assert (code, out) == (cli.EXIT_OK, "recursion: 362880\nbruteforce: 362880\n"
                                         "closed: 362880\nagreement: ok\n")

@@ -736,15 +736,15 @@ def test_a3_orbit_sizes():
     lattice, table = lattice_of("A3")
     result = count_chain_orbits(lattice, table)
     assert result.total_chains == 18
-    assert result.orbit_sizes == (6, 12)
+    assert result.size_counts == {6: 1, 12: 1}
 
 
 def test_b3_orbit_sizes_divide_group_order():
     lattice, table = lattice_of("B3")
     result = count_chain_orbits(lattice, table)
-    assert result.orbit_sizes == (6, 6, 6, 6, 12)
-    assert sum(result.orbit_sizes) == count_maximal_chains(lattice)
-    for s in result.orbit_sizes:
+    assert result.size_counts == {6: 4, 12: 1}
+    assert sum(s * k for s, k in result.size_counts.items()) == count_maximal_chains(lattice)
+    for s in result.size_counts:
         assert table.group_order % s == 0
 
 
@@ -793,7 +793,7 @@ def test_unionfind_agrees_with_canonical():
         fast = count_chain_orbits(lattice, action)
         slow = count_chain_orbits_unionfind(*tabled(spec))
         assert fast.orbit_count == slow.orbit_count, spec
-        assert fast.orbit_sizes == slow.orbit_sizes, spec
+        assert fast.size_counts == slow.size_counts, spec
         assert fast.total_chains == slow.total_chains, spec
 
 
@@ -817,7 +817,32 @@ def test_worker_count_does_not_change_result():
     lattice, table = lattice_of("B3")
     base = count_chain_orbits(lattice, table, workers=1)
     two = count_chain_orbits(lattice, table, workers=2)
-    assert (base.orbit_count, base.orbit_sizes) == (two.orbit_count, two.orbit_sizes)
+    assert base == two
+
+
+@pytest.mark.parametrize("spec, k", [
+    ("x".join(["A2"] * 6), 7_484_400),
+    ("x".join(["B2"] * 5 + ["A1"]), 39_916_800),
+    ("B3xB3x" + "x".join(["A1"] * 5), 27_720_000),
+])
+def test_bruteforce_counts_products_of_millions_of_orbits(spec, k):
+    """Products with millions of chain orbits, counted from the scan's
+    {orbit size: number of orbits} histogram, lazily with one and two
+    workers and over the built lattice, as the recursion counts them. The
+    histogram holds the totals: its sizes times their counts sum to the
+    maximal chains, its counts to the orbits, and each size divides |W|."""
+    model = build_model(spec)
+    lattice, action = build_lattice_with_action(model)
+    results = [count_chain_orbits_lazily(model, workers=w) for w in (1, 2)]
+    results.append(count_chain_orbits(lattice, action))
+    assert results[0] == results[1] == results[2]
+    result = results[0]
+    assert result.orbit_count == KCalculator().k(spec).value == k
+    assert sum(s * n for s, n in result.size_counts.items()) == result.total_chains
+    assert result.total_chains == count_maximal_chains(lattice)
+    assert sum(result.size_counts.values()) == result.orbit_count
+    assert all(action.group_order % s == 0 for s in result.size_counts)
+    assert list(result.size_counts) == sorted(result.size_counts)
 
 
 def test_product_lattice_shape():
