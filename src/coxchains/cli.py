@@ -287,7 +287,7 @@ def _verify_checks(args):
         labels += [TypeLabel("I2", m) for m in range(3, 31)]
         labels += [TypeLabel(f[0], int(f[1])) for f in ("E6", "E7", "E8", "F4", "H3", "H4")]
         for t in labels:
-            rec = fresh.k_value(str(t))
+            rec = fresh.k_labels([t]).value
             clo = k_closed_form(t)
             if rec != clo:
                 return False, f"{t}: recursion {rec} != closed {clo}"

@@ -1,16 +1,18 @@
 """Euler zigzag numbers, closed forms, and exact truncated power series.
 
-Series are ordinary coefficient lists c_0..c_N over Fraction; EGF
-coefficients are recovered as c_k * k!. sin, cos, sec and tan are built
-from their Taylor recurrences so the module stays self-contained and
-exact.
+Series are exponential generating functions stored as their EGF
+coefficients a_0..a_N, a_k = k! c_k for the ordinary coefficient c_k:
+plain ints, and Fractions only where a series has them. A product is the
+binomial convolution of the coefficients and a derivative is a shift, so
+sin, cos, sec, tan and every series the identities use stay in integers.
+The module is self-contained and exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .graphs import TypeLabel
 
@@ -19,17 +21,25 @@ EXCEPTIONAL_K = {"H3": 4, "H4": 12, "F4": 16, "E6": 82, "E7": 768, "E8": 4056}
 
 @dataclass(frozen=True)
 class EgfSeries:
-    coefficients: tuple  # Fractions c_0..c_N
+    """A truncated power series sum a_k z^k / k!, k = 0..N.
+
+    `coefficients` holds the EGF coefficients a_0..a_N (ints, or Fractions
+    where the series has non-integer ones), not the ordinary coefficients:
+    `coefficient(k)` gives the ordinary a_k / k! as a Fraction and
+    `egf_coefficient(k)` gives a_k.
+    """
+
+    coefficients: tuple
 
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coefficients[k]
+        return Fraction(self.coefficients[k], factorial(k))
 
-    def egf_coefficient(self, k: int) -> Fraction:
-        return self.coefficients[k] * factorial(k)
+    def egf_coefficient(self, k: int):
+        return self.coefficients[k]
 
     def _match(self, other: "EgfSeries") -> int:
         n = min(self.order, other.order)
@@ -52,34 +62,28 @@ class EgfSeries:
         if isinstance(other, (int, Fraction)):
             return EgfSeries(tuple(c * other for c in self.coefficients))
         n = self._match(other)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coefficients[: n + 1]):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += a * other.coefficients[j]
-        return EgfSeries(tuple(out))
+        f, g = self.coefficients, other.coefficients
+        return EgfSeries(tuple(
+            sum(comb(m, k) * f[k] * g[m - k] for k in range(m + 1) if f[k])
+            for m in range(n + 1)
+        ))
 
     def __truediv__(self, other):
+        """Exact quotient; a constant term of 1, such as cos's, keeps an
+        integer series in integers."""
         other = _coerce(other, self.order)
-        if other.coefficients[0] == 0:
+        f, g = self.coefficients, other.coefficients
+        g0 = g[0]
+        if g0 == 0:
             raise ZeroDivisionError("series division needs an invertible constant term")
-        n = self._match(other)
-        inv0 = 1 / other.coefficients[0]
         out = []
-        for k in range(n + 1):
-            acc = self.coefficients[k]
-            for j in range(1, k + 1):
-                acc -= other.coefficients[j] * out[k - j]
-            out.append(acc * inv0)
+        for k in range(self._match(other) + 1):
+            acc = f[k] - sum(comb(k, j) * g[j] * out[k - j] for j in range(1, k + 1) if g[j])
+            out.append(acc if g0 == 1 else Fraction(acc) / g0)
         return EgfSeries(tuple(out))
 
     def derivative(self) -> "EgfSeries":
-        if self.order == 0:
-            return EgfSeries((Fraction(0),))
-        return EgfSeries(tuple(
-            (k + 1) * self.coefficients[k + 1] for k in range(self.order)
-        ))
+        return EgfSeries(self.coefficients[1:] or (0,))
 
     def truncate(self, n: int) -> "EgfSeries":
         return EgfSeries(self.coefficients[: n + 1])
@@ -101,32 +105,19 @@ def _coerce(x, order: int) -> EgfSeries:
 
 
 def constant(c, order: int) -> EgfSeries:
-    return EgfSeries((Fraction(c),) + (Fraction(0),) * order)
+    return EgfSeries((c,) + (0,) * order)
 
 
 def z(order: int) -> EgfSeries:
-    coeffs = [Fraction(0)] * (order + 1)
-    if order >= 1:
-        coeffs[1] = Fraction(1)
-    return EgfSeries(tuple(coeffs))
+    return EgfSeries(tuple(int(k == 1) for k in range(order + 1)))
 
 
 def egf_sin(order: int) -> EgfSeries:
-    coeffs = [Fraction(0)] * (order + 1)
-    sign = 1
-    for k in range(1, order + 1, 2):
-        coeffs[k] = Fraction(sign, factorial(k))
-        sign = -sign
-    return EgfSeries(tuple(coeffs))
+    return EgfSeries(tuple((0, 1, 0, -1)[k % 4] for k in range(order + 1)))
 
 
 def egf_cos(order: int) -> EgfSeries:
-    coeffs = [Fraction(0)] * (order + 1)
-    sign = 1
-    for k in range(0, order + 1, 2):
-        coeffs[k] = Fraction(sign, factorial(k))
-        sign = -sign
-    return EgfSeries(tuple(coeffs))
+    return EgfSeries(tuple((1, 0, -1, 0)[k % 4] for k in range(order + 1)))
 
 
 def egf_sec(order: int) -> EgfSeries:
@@ -250,13 +241,11 @@ def verify_identities(order: int) -> list:
                  ((constant(2, n) - zz).truncate(n - 1) * a.derivative()
                   + zz.truncate(n - 1) - a.truncate(n - 1))),
     ]
-    d_vals = {m: calc.k_value(f"D{m}") if m >= 4 else
-              (calc.k_value("A1xA1") if m == 2 else calc.k_value("A3"))
+    d_labels = {2: [TypeLabel("A", 1), TypeLabel("A", 1)], 3: [TypeLabel("A", 3)]}
+    d_vals = {m: calc.k_labels(d_labels.get(m) or [TypeLabel("D", m)]).value
               for m in range(2, n + 1)}
     bar_vals = {m: calc.k_bar(m) for m in range(2, n + 1)}
-    u_coeffs = [Fraction(1), Fraction(0)] + [
-        Fraction(d_vals[m] - bar_vals[m], factorial(m)) for m in range(2, n + 1)
-    ]
+    u_coeffs = [1, 0] + [d_vals[m] - bar_vals[m] for m in range(2, n + 1)]
     checks.append(_compare("U = sec", EgfSeries(tuple(u_coeffs)), sec))
     cos2 = cos * cos
     even_series = sin * (sin * 2 - zz) / cos2

@@ -8,7 +8,9 @@ field arithmetic, the full group action table composed along a
 breadth-first closure of the whole group, the lattice with every flat
 closed on integers, the chain scan that reaches every canonical chain and
 the orbits of each rank from hypset images, which the lattice's orbit
-record must match.
+record must match. The series layer's integer EGF arithmetic is checked
+against Cauchy products, long division and derivatives of ordinary
+Fraction coefficients.
 """
 
 import collections
@@ -16,6 +18,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from coxchains.field import (
@@ -695,3 +698,28 @@ def count_chain_orbits_enumerating(l, action) -> ChainOrbitCount:
         raise AssertionError("orbit sizes do not sum to the chain count")
     return ChainOrbitCount(total_chains=sum(sizes), orbit_count=len(sizes),
                            size_counts=size_histogram(sizes))
+
+
+def ordinary_product(f, g) -> list:
+    """Cauchy product of two ordinary coefficient lists, to the shorter's length."""
+    n = min(len(f), len(g))
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += f[i] * g[j]
+    return out
+
+
+def ordinary_quotient(f, g) -> list:
+    """f / g by long division of ordinary coefficient lists; g[0] != 0."""
+    if g[0] == 0:
+        raise ZeroDivisionError("series division needs an invertible constant term")
+    out = []
+    for k in range(min(len(f), len(g))):
+        acc = f[k] - sum(g[j] * out[k - j] for j in range(1, k + 1))
+        out.append(Fraction(acc) / g[0])
+    return out
+
+
+def ordinary_derivative(f) -> list:
+    return [(k + 1) * f[k + 1] for k in range(len(f) - 1)] or [Fraction(0)]

@@ -1,6 +1,9 @@
+import random
+import sys
 from fractions import Fraction
 
 import pytest
+from oracles import ordinary_derivative, ordinary_product, ordinary_quotient
 
 from coxchains.graphs import TypeLabel
 from coxchains.recursion import KCalculator
@@ -20,6 +23,8 @@ from coxchains.series import (
 )
 
 ZIGZAG_HEAD = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521]
+
+rng = random.Random(2718)
 
 
 def test_euler_numbers_head():
@@ -117,3 +122,63 @@ def test_egf_series_equality_uses_common_prefix():
     b = EgfSeries((Fraction(1), Fraction(2)))
     assert a == b
     assert a != EgfSeries((Fraction(1), Fraction(5)))
+
+
+def _random_egf(order: int, head=None) -> EgfSeries:
+    """EGF coefficients that are mostly small ints, some Fractions."""
+    pick = lambda: (rng.randint(-4, 4) if rng.random() < 0.7
+                    else Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+    coeffs = [pick() for _ in range(order + 1)]
+    if head is not None:
+        coeffs[0] = head
+    return EgfSeries(tuple(coeffs))
+
+
+def _ordinary(s: EgfSeries) -> list:
+    return [s.coefficient(k) for k in range(s.order + 1)]
+
+
+def test_series_arithmetic_matches_ordinary_oracle():
+    for _ in range(300):
+        f = _random_egf(rng.randint(0, 6))
+        head = rng.choice([1, 1, -1, 2, Fraction(-3, 2), rng.randint(-3, 3)])
+        g = _random_egf(rng.randint(0, 6), head)
+        of, og = _ordinary(f), _ordinary(g)
+        n = min(len(of), len(og))
+        assert _ordinary(f + g) == [of[k] + og[k] for k in range(n)]
+        assert _ordinary(f - g) == [of[k] - og[k] for k in range(n)]
+        assert _ordinary(f * g) == ordinary_product(of, og)
+        assert _ordinary(f.derivative()) == ordinary_derivative(of)
+        scale = rng.choice([3, Fraction(1, 2)])
+        assert _ordinary(f * scale) == [c * scale for c in of]
+        if head == 0:
+            with pytest.raises(ZeroDivisionError):
+                f / g
+        else:
+            assert _ordinary(f / g) == ordinary_quotient(of, og)
+
+
+def test_quotients_by_a_unit_constant_term_stay_integer():
+    sec_plus_tan = (constant(1, 12) + egf_sin(12)) / egf_cos(12)
+    assert all(type(a) is int for a in sec_plus_tan.coefficients)
+    assert sec_plus_tan.coefficients == tuple(ZIGZAG_HEAD[:11] + [353792, 2702765])
+    half = constant(1, 4) / constant(2, 4)
+    assert half.coefficient(0) == Fraction(1, 2)
+    assert half.egf_coefficient(0) == Fraction(1, 2)
+
+
+def test_identities_catch_a_wrong_bar_d(monkeypatch):
+    """bar d_6 one too high where the series layer reads it; the recursion's
+    own calls, which check bar d against its closed form, see the true value."""
+    true_k_bar = KCalculator.k_bar
+
+    def off_by_one_at_6(self, n):
+        caller = sys._getframe(1).f_globals["__name__"]
+        return true_k_bar(self, n) + (n == 6 and caller == "coxchains.series")
+
+    monkeypatch.setattr(KCalculator, "k_bar", off_by_one_at_6)
+    checks = {c.name: c for c in verify_identities(20)}
+    for name in ("barD expansion matches bar d_n", "U = sec"):
+        assert not checks[name].passed and checks[name].first_mismatch == 6, name
+    assert [c.name for c in checks.values() if not c.passed] == [
+        "U = sec", "barD expansion matches bar d_n"]
