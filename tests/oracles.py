@@ -712,8 +712,6 @@ def ordinary_product(f, g) -> list:
 
 def ordinary_quotient(f, g) -> list:
     """f / g by long division of ordinary coefficient lists; g[0] != 0."""
-    if g[0] == 0:
-        raise ZeroDivisionError("series division needs an invertible constant term")
     out = []
     for k in range(min(len(f), len(g))):
         acc = f[k] - sum(g[j] * out[k - j] for j in range(1, k + 1))

@@ -161,7 +161,7 @@ def test_series_arithmetic_matches_ordinary_oracle():
 def test_quotients_by_a_unit_constant_term_stay_integer():
     sec_plus_tan = (constant(1, 12) + egf_sin(12)) / egf_cos(12)
     assert all(type(a) is int for a in sec_plus_tan.coefficients)
-    assert sec_plus_tan.coefficients == tuple(ZIGZAG_HEAD[:11] + [353792, 2702765])
+    assert sec_plus_tan.coefficients == tuple(ZIGZAG_HEAD + [353792, 2702765])
     half = constant(1, 4) / constant(2, 4)
     assert half.coefficient(0) == Fraction(1, 2)
     assert half.egf_coefficient(0) == Fraction(1, 2)
@@ -177,8 +177,5 @@ def test_identities_catch_a_wrong_bar_d(monkeypatch):
         return true_k_bar(self, n) + (n == 6 and caller == "coxchains.series")
 
     monkeypatch.setattr(KCalculator, "k_bar", off_by_one_at_6)
-    checks = {c.name: c for c in verify_identities(20)}
-    for name in ("barD expansion matches bar d_n", "U = sec"):
-        assert not checks[name].passed and checks[name].first_mismatch == 6, name
-    assert [c.name for c in checks.values() if not c.passed] == [
-        "U = sec", "barD expansion matches bar d_n"]
+    failed = {c.name: c.first_mismatch for c in verify_identities(20) if not c.passed}
+    assert failed == {"U = sec": 6, "barD expansion matches bar d_n": 6}
