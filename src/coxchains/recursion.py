@@ -8,10 +8,10 @@ a term resolved by a three-way case split (full count, halved count, or
 the augmented D-type count "bar d" when the component's own longest
 element cannot realize the induced graph swap).
 
-The A, B and D families read what deleting a vertex leaves, and how the
-involution acts on it, off per-family rules on type labels. The
-exceptional and dihedral types delete the vertex from their standard
-graph and classify the components that remain.
+The A, B and D families fill int tables by rank, one comb per term, and a
+breakdown reads its terms off per-family rules on type labels, so checking
+the table. The exceptional and dihedral types delete the vertex from their
+standard graph and classify the components that remain.
 """
 
 from __future__ import annotations
@@ -69,11 +69,11 @@ class KCalculator:
     The recursion runs on lists of classified type labels. Graph code runs
     only where a spec string or a user graph enters (k), and once per
     vertex of an exceptional or dihedral type. `memo` maps an irreducible
-    type's name to its int K, and `bar_memo` a D rank to its Kbar. A
-    product is one multinomial over memoized counts. The breakdown is built
-    for the queried labels only, on a memo hit one level down from memo
-    values, so it follows the caller's factor order and no entry depends
-    on the order of computation.
+    type's name to its int K, and `bar_memo` an even D rank to its Kbar;
+    the A, B and D entries come from rank tables, the others from their
+    terms. A product is one multinomial over memoized counts. The breakdown
+    is built for the queried labels only, one level down from memo values,
+    so it follows the caller's factor order and checks the stored value.
     """
 
     def __init__(self):
@@ -95,7 +95,7 @@ class KCalculator:
         if len(labels) != 1:
             return self._k_product(labels)
         t = labels[0]
-        self._fill_below(t)
+        self._fill(t)
         result = self._breakdown(t)
         if self.memo.setdefault(str(t), result.value) != result.value:
             raise AssertionError(f"stored K({t}) = {self.memo[str(t)]} disagrees with its "
@@ -103,28 +103,52 @@ class KCalculator:
         return result
 
     def _k_type(self, t: TypeLabel) -> int:
-        """K of an irreducible type, memoized."""
+        """K of an irreducible type, memoized: from rank tables or its terms."""
         key = str(t)
-        value = self.memo.get(key)
-        if value is None:
-            self._fill_below(t)
-            value = self.memo[key] = sum(term[-1] for term in self._terms(t))
-        return value
+        if key not in self.memo:
+            self._fill(t)
+            if key not in self.memo:
+                self.memo[key] = sum(term[-1] for term in self._terms(t))
+        return self.memo[key]
 
     def _value(self, labels) -> int:
         """K of a product of labels: the multinomial times memoized values."""
         return multinomial([t.coxeter_rank for t in labels]) * prod(map(self._k_type, labels))
 
-    def _fill_below(self, t: TypeLabel):
-        """Compute, lowest rank first, the missing lower ranks of t's family
-        that t's recursion reaches, so the stack depth does not grow with
-        the rank. An odd D needs only the odd ranks: its even D parts are
-        twisted and go to k_bar."""
-        ranks = {"A": range(1, t.rank), "B": range(2, t.rank),
-                 "D": range(5, t.rank, 2) if t.rank % 2 else range(4, t.rank)}
-        for r in ranks.get(t.family, ()):
-            if f"{t.family}{r}" not in self.memo:
-                self._k_type(TypeLabel(t.family, r))
+    def _fill(self, t: TypeLabel):
+        """Write K of t, if an A, B or D type, and of each lower type its
+        recursion reaches to the memo, lowest rank first on int tables
+        indexed by rank (memo entries are read, not recomputed)."""
+        n = t.rank
+        if t.family == "A":
+            self._a_table(n)
+        elif t.family == "B":
+            a, b = self._a_table(n - 1), [1, 1]  # B0 is nothing and B1 is A1
+            for r in range(2, n + 1):
+                b.append(_stored(self.memo, f"B{r}", _b_value, a, b, r))
+        elif t.family == "D" and n % 2:
+            self._bar_table(n)
+        elif t.family == "D":
+            # an even D reads bar d only through odd D parts, and D4's one is A3
+            a, kb = self._bar_table(n - 1) if n > 4 else (self._a_table(3), None)
+            d = [0, 0, 2, a[3]]
+            for r in range(4, n + 1):
+                d.append(kb[r] if r % 2 else _stored(self.memo, f"D{r}", _d_value, a, d, r))
+
+    def _a_table(self, n: int) -> list:
+        a = [1]
+        for r in range(1, n + 1):
+            a.append(_stored(self.memo, f"A{r}", _a_value, a, r))
+        return a
+
+    def _bar_table(self, n: int):
+        """The A table and kb[r] = k_bar(r), 2 <= r <= n: what an odd D_n or
+        bar d_n reads. kb holds bar d at even r, K(D_r) at odd r, A3 at 3."""
+        a, kb = self._a_table(n + 1 - n % 2), [0, 0]  # bar d_r reads a[r + 1]
+        for r in range(2, n + 1):
+            kb.append(_stored(self.bar_memo, r, _bar_d_value, a, kb, r) if r % 2 == 0
+                      else a[3] if r == 3 else _stored(self.memo, f"D{r}", _d_value, a, kb, r))
+        return a, kb
 
     def _k_product(self, labels) -> KResult:
         """Multinomial shuffle of the factors' counts."""
@@ -165,12 +189,7 @@ class KCalculator:
         labels left by deleting it and the involution's fold on them."""
         if fold == SWAP:
             # the involution shuffles whole components: halved count
-            kh = self._value(labels)
-            if kh % 2 != 0:
-                raise AssertionError(
-                    f"component-swapping case met odd K({spec_of_labels(labels)})"
-                )
-            return kh // 2
+            return _halved(self._value(labels), spec_of_labels(labels))
         for label, twisted in zip(labels, fold):
             if twisted and (label.family != "D" or label.rank % 2):
                 raise AssertionError(
@@ -189,18 +208,20 @@ class KCalculator:
             raise ValueError("k_bar is defined for n >= 2")
         if n % 2 == 1:
             return self._value(_d_part(n))
-        if n in self.bar_memo:
-            return self.bar_memo[n]
-        a = lambda i: self._k_type(TypeLabel("A", i)) if i >= 1 else 1
-        value = a(n - 1) + sum(comb(n - 1, i) * self.k_bar(i) * a(n - 1 - i)
-                               for i in range(2, n))
-        closed = 2 * a(n + 1) - (n + 1) * a(n)
-        if value != closed:
-            raise AssertionError(
-                f"bar d_{n}: recursion gives {value}, closed form gives {closed}"
-            )
-        self.bar_memo[n] = value
-        return value
+        return self.bar_memo[n] if n in self.bar_memo else self._bar_table(n)[1][n]
+
+
+def _stored(memo: dict, key, rule, *tables) -> int:
+    """memo[key], computed by rule(*tables) and stored if missing."""
+    if key not in memo:
+        memo[key] = rule(*tables)
+    return memo[key]
+
+
+def _halved(kh: int, spec: str) -> int:
+    if kh % 2 != 0:
+        raise AssertionError(f"component-swapping case met odd K({spec})")
+    return kh // 2
 
 
 def _describe(labels, fold) -> str:
@@ -244,11 +265,25 @@ def _a_deleted(n: int, v: int):
     return _a_run(v - 1) + _a_run(n - v), SWAP if 1 < n == 2 * v - 1 else None
 
 
+# Rank rules: K at rank r from int tables of lower ranks, one summand per
+# term of the family's deletion rule, vertex v = i + 1 weighed by C(r-1, i).
+def _a_value(a: list, r: int) -> int:
+    h = r // 2
+    value = sum(comb(r - 1, i) * a[i] * a[r - 1 - i] for i in range(h))
+    if r % 2:  # the middle vertex: A1 leaves nothing, a longer path two swapped halves
+        value += 1 if r == 1 else _halved(comb(r - 1, h) * a[h] ** 2, f"A{h}xA{h}")
+    return value
+
+
 def _b_deleted(n: int, v: int):
     """B_n minus 1 is A_{n-1}, minus 2 is A1 x A_{n-2}, and minus v >= 3 is
     B_{v-1} x A_{n-v}. The involution is trivial."""
     head = [] if v == 1 else _a_run(1) if v == 2 else [TypeLabel("B", v - 1)]
     return head + _a_run(n - v), None
+
+
+def _b_value(a: list, b: list, r: int) -> int:
+    return sum(comb(r - 1, i) * b[i] * a[r - 1 - i] for i in range(r))
 
 
 def _d_deleted(n: int, v: int):
@@ -265,6 +300,21 @@ def _d_deleted(n: int, v: int):
     if r == 2:
         return labels, SWAP
     return labels, (False,) * (v > 1) + (r % 2 == 0,)
+
+
+def _d_value(a: list, parts: list, r: int) -> int:
+    """parts[r - v] counts the D part left by path vertex v: K at even r,
+    and at odd r k_bar, which at r - v = 2 is half of K(A1 x A1) = 2."""
+    return (2 - r % 2) * a[r - 1] + sum(comb(r - 1, i) * a[i] * parts[r - 1 - i]
+                                        for i in range(r - 2))
+
+
+def _bar_d_value(a: list, kb: list, r: int) -> int:
+    value = a[r - 1] + sum(comb(r - 1, i) * kb[i] * a[r - 1 - i] for i in range(2, r))
+    closed = 2 * a[r + 1] - (r + 1) * a[r]
+    if value != closed:
+        raise AssertionError(f"bar d_{r}: recursion gives {value}, closed form gives {closed}")
+    return value
 
 
 _DELETION_RULES = {"A": _a_deleted, "B": _b_deleted, "D": _d_deleted}

@@ -31,6 +31,7 @@ from coxchains.field import (
     rref,
 )
 from coxchains.graphs import (
+    TypeLabel,
     classify_irreducible,
     connected_components,
     delete_vertex,
@@ -321,17 +322,39 @@ def graph_deleted_labels(t, v):
     return [classify_irreducible(c)[0] for c in connected_components(graph)]
 
 
+_shared_graph_deletion = lru_cache(maxsize=None)(_graph_deletion)
+
+
 class GraphDeletionCalculator(KCalculator):
     """The recursion with every deletion, A, B and D included, read off the
-    type's standard graph instead of the per-family rules, and with no
-    bottom-up fill: each type recurses top-down, so the stack grows with the
-    rank. Deletions are shared across instances, so fresh calculators repeat
-    only arithmetic."""
+    type's standard graph instead of the per-family rules, and with no rank
+    tables: each type, bar d included, recurses top-down, so the stack grows
+    with the rank. Deletions are shared across instances, so fresh
+    calculators repeat only arithmetic; `deleted` names the types whose
+    deletions this calculator read."""
 
-    _deleted = staticmethod(lru_cache(maxsize=None)(_graph_deletion))
+    def __init__(self):
+        super().__init__()
+        self.deleted = set()
 
-    def _fill_below(self, t):
+    def _deleted(self, t, v):
+        self.deleted.add(str(t))
+        return _shared_graph_deletion(t, v)
+
+    def _fill(self, t):
         pass
+
+    def k_bar(self, n):
+        if n < 2 or n % 2 or n in self.bar_memo:
+            return super().k_bar(n)
+        a = lambda i: self._k_type(TypeLabel("A", i)) if i >= 1 else 1
+        value = a(n - 1) + sum(math.comb(n - 1, i) * self.k_bar(i) * a(n - 1 - i)
+                               for i in range(2, n))
+        closed = 2 * a(n + 1) - (n + 1) * a(n)
+        if value != closed:
+            raise AssertionError(f"bar d_{n}: recursion gives {value}, closed form gives {closed}")
+        self.bar_memo[n] = value
+        return value
 
 
 def compose_perms(g: tuple, h: tuple) -> tuple:

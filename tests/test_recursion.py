@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from coxchains import graphs, recursion
+from coxchains import cli, graphs, recursion
 from coxchains.graphs import TypeLabel, make_graph, parse_group_spec
 from coxchains.recursion import KCalculator, multinomial
 from coxchains.series import d_closed_form, euler_numbers
@@ -272,6 +272,9 @@ def _assert_same_memo(calc, oracle, spec=None):
     # equal key sets: the fill computes no type the top-down recursion skips
     assert calc.memo == oracle.memo, spec
     assert calc.bar_memo == oracle.bar_memo, spec
+    # and the oracle's A, B and D values came from graph deletions, not from
+    # the rank tables (A1 queried alone is a base case and deletes nothing)
+    assert {key for key in oracle.memo if key[0] in "ABD"} - {"A1"} <= oracle.deleted, spec
 
 
 def test_memo_equals_graph_deletion_oracle_in_one_calculator():
@@ -313,3 +316,72 @@ def test_deep_ranks_need_no_deep_stack():
     assert b150 == euler[151]
     assert d150 == d_closed_form(150)
     assert d151 == d_closed_form(151)
+
+
+@pytest.mark.parametrize("spec, deletions", [
+    ("A42", {"A42": 21}),
+    ("B31", {"B31": 31}),
+    ("D34", {"D34": 34}),
+    ("D35", {"D35": 34}),
+    ("E8", {"E8": 8, "E7": 7, "E6": 4}),
+    ("D12xB9xA7", {}),
+])
+def test_cold_query_deletes_only_for_its_breakdown_and_exceptional_types(
+        monkeypatch, spec, deletions):
+    """The A, B and D values below a query come from the rank tables; the
+    deletion rules run for the queried type's terms and for the exceptional
+    types that the recursion reaches."""
+    calls = Counter()
+    original = KCalculator._deleted
+
+    def counting(self, t, v):
+        calls[str(t)] += 1
+        return original(self, t, v)
+
+    monkeypatch.setattr(KCalculator, "_deleted", counting)
+    KCalculator().k(spec)
+    assert calls == Counter(deletions)
+
+
+def _mutate(monkeypatch, rule, at=None):
+    """Put the fill's rank rule one too high, at every rank or at `at` only."""
+    original = getattr(recursion, rule)
+
+    def mutant(*tables):
+        return original(*tables) + (at is None or tables[-1] == at)
+
+    monkeypatch.setattr(recursion, rule, mutant)
+
+
+# An odd D off at every rank is caught lower down, by bar d's closed form
+# (see the test after these), so its mutant sits on the queried rank.
+FILL_MUTANTS = [("B12", "_b_value", None), ("D13", "_d_value", 13)]
+
+
+@pytest.mark.parametrize("spec, rule, at", FILL_MUTANTS)
+def test_fill_mutant_disagrees_with_its_terms(monkeypatch, spec, rule, at):
+    _mutate(monkeypatch, rule, at)
+    calc, oracle = KCalculator(), GraphDeletionCalculator()
+    with pytest.raises(AssertionError, match=rf"^stored K\({spec}\) = \d+ disagrees "
+                                             r"with its terms from the entries below it"):
+        calc.k(spec)
+    oracle.k(spec)
+    with pytest.raises(AssertionError):
+        _assert_same_memo(calc, oracle, spec)
+
+
+@pytest.mark.parametrize("spec, rule, at", FILL_MUTANTS)
+def test_fill_mutant_ends_compute_in_one_error_line(monkeypatch, capsys, spec, rule, at):
+    _mutate(monkeypatch, rule, at)
+    code = cli.main(["compute", spec, "--method", "recursion"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_FAIL and out == ""
+    assert err.startswith(f"error: stored K({spec}) = ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_odd_d_mutant_at_every_rank_fails_bar_d_closed_form(monkeypatch):
+    _mutate(monkeypatch, "_d_value")
+    with pytest.raises(AssertionError,
+                       match=r"^bar d_6: recursion gives \d+, closed form gives \d+$"):
+        KCalculator().k("D13")
