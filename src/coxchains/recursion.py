@@ -8,10 +8,11 @@ a term resolved by a three-way case split (full count, halved count, or
 the augmented D-type count "bar d" when the component's own longest
 element cannot realize the induced graph swap).
 
-The A, B and D families fill int tables by rank, one comb per term, and a
-breakdown reads its terms off per-family rules on type labels, so checking
-the table. The exceptional and dihedral types delete the vertex from their
-standard graph and classify the components that remain.
+The A, B and D families fill int tables by rank, one comb per term. Every
+term reads what deleting a vertex leaves off a per-family rule on type
+labels, so a breakdown checks the table, and the exceptional and dihedral
+types get their values from these terms. Graph code runs only where a spec
+string or a graph enters.
 """
 
 from __future__ import annotations
@@ -21,14 +22,10 @@ from math import comb, prod
 
 from .graphs import (
     TypeLabel,
-    classify_irreducible,
     component_labels,
-    connected_components,
-    delete_vertex,
     longest_element_automorphism,
     parse_group_spec,
     spec_of_labels,
-    standard_graph,
 )
 
 ENGINE_VERSION = 2
@@ -66,14 +63,14 @@ def multinomial(parts) -> int:
 class KCalculator:
     """Memoized K(W) computation; safe to reuse across many queries.
 
-    The recursion runs on lists of classified type labels. Graph code runs
-    only where a spec string or a user graph enters (k), and once per
-    vertex of an exceptional or dihedral type. `memo` maps an irreducible
-    type's name to its int K, and `bar_memo` an even D rank to its Kbar;
-    the A, B and D entries come from rank tables, the others from their
-    terms. A product is one multinomial over memoized counts. The breakdown
-    is built for the queried labels only, one level down from memo values,
-    so it follows the caller's factor order and checks the stored value.
+    The recursion runs on lists of classified type labels and deletes
+    vertices by label rules. Graph code runs only where a spec string or a
+    user graph enters (k). `memo` maps an irreducible type's name to its
+    int K, and `bar_memo` an even D rank to its Kbar; the A, B and D
+    entries come from rank tables, the others from their terms. A product
+    is one multinomial over memoized counts. The breakdown is built for the
+    queried labels only, one level down from memo values, so it follows the
+    caller's factor order and checks the stored value.
     """
 
     def __init__(self):
@@ -162,8 +159,7 @@ class KCalculator:
 
     def _deleted(self, t: TypeLabel, v):
         """(labels, fold) of deleting vertex v of t: see _DELETION_RULES."""
-        rule = _DELETION_RULES.get(t.family)
-        return rule(t.rank, v) if rule else _graph_deletion(t, v)
+        return _DELETION_RULES[t.family](t.rank, v)
 
     def _terms(self, t: TypeLabel):
         """(name, labels, fold, value) per orbit {v, w}, v <= w, of the
@@ -317,29 +313,29 @@ def _bar_d_value(a: list, kb: list, r: int) -> int:
     return value
 
 
-_DELETION_RULES = {"A": _a_deleted, "B": _b_deleted, "D": _d_deleted}
+def _e_deleted(n: int, v: int):
+    """E_n minus 1 is D_{n-1}, minus 2 is A_{n-1}, minus 3 is A1 x A_{n-2},
+    and minus v >= 4 is a head on 1..v-1 times A_{n-v}: A2 x A1, then A4,
+    D5, E6 and E7. Only E6's involution is not trivial: it reverses the A5
+    left by vertex 2, as A5's own, and swaps the A2s left by vertex 4."""
+    fold = {2: (False,), 4: SWAP}.get(v) if n == 6 else None
+    if v <= 3:
+        return ([TypeLabel("D", n - 1)], _a_run(n - 1), _a_run(1) + _a_run(n - 2))[v - 1], fold
+    head = _a_run(2) + _a_run(1) if v == 4 else [TypeLabel({5: "A", 6: "D"}.get(v, "E"), v - 1)]
+    return head + _a_run(n - v), fold
 
 
-def _graph_deletion(t: TypeLabel, v: int):
-    """(labels, fold) of deleting vertex v of any type, read off its
-    standard graph by classifying the components that remain."""
-    sigma = longest_element_automorphism(t)
-    graph = delete_vertex(standard_graph(t), v)
-    parts = [classify_irreducible(c) for c in connected_components(graph)]
-    central = all(x == y for x, y in sigma.items())
-    fold = None if sigma[v] != v or central else _fold(parts, sigma)
-    return [label for label, _ in parts], fold
+def _f_deleted(n: int, v: int):
+    """F4 minus an end vertex is B3, minus 2 is A1 x A2, minus 3 A2 x A1."""
+    return [TypeLabel("B", 3)] if v in (1, 4) else _a_run(v - 1) + _a_run(4 - v), None
 
 
-def _fold(parts, sigma):
-    """The fold of sigma on the (label, iso) components left by deleting a
-    vertex it fixes; sigma and every iso use the same vertex ids."""
-    comp_of = {x: idx for idx, (_, iso) in enumerate(parts) for x in iso}
-    if any(comp_of[sigma[x]] != idx for x, idx in comp_of.items()):
-        return SWAP
-    flags = []
-    for label, iso in parts:
-        gamma = {iso[x]: iso[sigma[x]] for x in iso}
-        trivial = all(x == y for x, y in gamma.items())
-        flags.append(not trivial and gamma != longest_element_automorphism(label))
-    return tuple(flags)
+def _h_deleted(n: int, v: int):
+    """H_n minus v is H_{v-1} x A_{n-v}, where H2 is I2(5) and H1 is A1."""
+    head = [TypeLabel("H", v - 1)] if v > 3 else [TypeLabel("I2", 5)] if v == 3 else _a_run(v - 1)
+    return head + _a_run(n - v), None
+
+
+_DELETION_RULES = {"A": _a_deleted, "B": _b_deleted, "D": _d_deleted, "E": _e_deleted,
+                   "F": _f_deleted, "H": _h_deleted,
+                   "I2": lambda m, v: (_a_run(1), None)}  # I2(m) minus either vertex is A1

@@ -8,8 +8,10 @@ field arithmetic, the full group action table composed along a
 breadth-first closure of the whole group, the lattice with every flat
 closed on integers, the chain scan that reaches every canonical chain and
 the orbits of each rank from hypset images, which the lattice's orbit
-record must match. The series layer's integer EGF arithmetic is checked
-against Cauchy products, long division and derivatives of ordinary
+record must match. The recursion's label deletion rules are checked
+against deleting the vertex from the type's standard graph and classifying
+the components that remain. The series layer's integer EGF arithmetic is
+checked against Cauchy products, long division and derivatives of ordinary
 Fraction coefficients.
 """
 
@@ -58,7 +60,7 @@ from coxchains.models import (
     _simple_roots,
     reflection_count,
 )
-from coxchains.recursion import KCalculator, _graph_deletion
+from coxchains.recursion import SWAP, KCalculator
 
 
 class SingularMatrixError(ValueError):
@@ -322,16 +324,41 @@ def graph_deleted_labels(t, v):
     return [classify_irreducible(c)[0] for c in connected_components(graph)]
 
 
+def _graph_deletion(t: TypeLabel, v: int):
+    """(labels, fold) of deleting vertex v of any type, read off its
+    standard graph by classifying the components that remain."""
+    sigma = longest_element_automorphism(t)
+    graph = delete_vertex(standard_graph(t), v)
+    parts = [classify_irreducible(c) for c in connected_components(graph)]
+    central = all(x == y for x, y in sigma.items())
+    fold = None if sigma[v] != v or central else _fold(parts, sigma)
+    return [label for label, _ in parts], fold
+
+
+def _fold(parts, sigma):
+    """The fold of sigma on the (label, iso) components left by deleting a
+    vertex it fixes; sigma and every iso use the same vertex ids."""
+    comp_of = {x: idx for idx, (_, iso) in enumerate(parts) for x in iso}
+    if any(comp_of[sigma[x]] != idx for x, idx in comp_of.items()):
+        return SWAP
+    flags = []
+    for label, iso in parts:
+        gamma = {iso[x]: iso[sigma[x]] for x in iso}
+        trivial = all(x == y for x, y in gamma.items())
+        flags.append(not trivial and gamma != longest_element_automorphism(label))
+    return tuple(flags)
+
+
 _shared_graph_deletion = lru_cache(maxsize=None)(_graph_deletion)
 
 
 class GraphDeletionCalculator(KCalculator):
-    """The recursion with every deletion, A, B and D included, read off the
-    type's standard graph instead of the per-family rules, and with no rank
-    tables: each type, bar d included, recurses top-down, so the stack grows
-    with the rank. Deletions are shared across instances, so fresh
-    calculators repeat only arithmetic; `deleted` names the types whose
-    deletions this calculator read."""
+    """The recursion with every deletion read off the type's standard graph
+    (_graph_deletion) instead of the package's per-family label rules, and
+    with no rank tables: each type, bar d included, recurses top-down, so
+    the stack grows with the rank. Deletions are shared across instances,
+    so fresh calculators repeat only arithmetic; `deleted` names the types
+    whose deletions this calculator read."""
 
     def __init__(self):
         super().__init__()

@@ -91,6 +91,27 @@ def test_e8_term_breakdown():
     )
 
 
+@pytest.mark.parametrize("spec, terms", [
+    ("E6", [("orbit {1,6}: K(D5)", 26), ("vertex 2: K(A5)", 16),
+            ("orbit {3,5}: K(A1xA4)", 25), ("vertex 4: 1/2 K(A1xA2xA2)", 15)]),
+    ("E7", [("vertex 1: K(D6)", 178), ("vertex 2: K(A6)", 61), ("vertex 3: K(A1xA5)", 96),
+            ("vertex 4: K(A1xA2xA3)", 120), ("vertex 5: K(A2xA4)", 75),
+            ("vertex 6: K(A1xD5)", 156), ("vertex 7: K(E6)", 82)]),
+    ("E8", [("vertex 1: K(D7)", 594), ("vertex 2: K(A7)", 272), ("vertex 3: K(A1xA6)", 427),
+            ("vertex 4: K(A1xA2xA4)", 525), ("vertex 5: K(A3xA4)", 350),
+            ("vertex 6: K(A2xD5)", 546), ("vertex 7: K(A1xE6)", 574), ("vertex 8: K(E7)", 768)]),
+    ("F4", [("vertex 1: K(B3)", 5), ("vertex 2: K(A1xA2)", 3), ("vertex 3: K(A1xA2)", 3),
+            ("vertex 4: K(B3)", 5)]),
+    ("H3", [("vertex 1: K(A2)", 1), ("vertex 2: K(A1xA1)", 2), ("vertex 3: K(I2(5))", 1)]),
+    ("H4", [("vertex 1: K(A3)", 2), ("vertex 2: K(A1xA2)", 3), ("vertex 3: K(A1xI2(5))", 3),
+            ("vertex 4: K(H3)", 4)]),
+    ("I2(5)", [("orbit {1,2}: K(A1)", 1)]),
+    ("I2(6)", [("vertex 1: K(A1)", 1), ("vertex 2: K(A1)", 1)]),
+])
+def test_exceptional_and_dihedral_breakdown_text(spec, terms):
+    assert KCalculator().k(spec).terms == terms
+
+
 def test_dihedral_parity():
     calc = KCalculator()
     for m in range(3, 31):
@@ -217,42 +238,45 @@ def test_relabelled_graph_matches_spec(spec, ids):
     assert Counter(got.terms) == Counter(want.terms)
 
 
-def test_memo_hits_and_products_classify_only_at_entry(monkeypatch):
+def _classified(calc, spec):
+    """calc.k(spec) and the number of calls of graphs.classify_irreducible it
+    made, under any name a module imported it by."""
+    code, calls, outer = graphs.classify_irreducible.__code__, 0, sys.getprofile()
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code is code
+
+    sys.setprofile(profile)
+    try:
+        return calc.k(spec), calls
+    finally:
+        sys.setprofile(outer)
+
+
+def test_memo_hits_and_products_classify_only_at_entry():
     calc = KCalculator()
     a5, b4 = calc.k_value("A5"), calc.k_value("B4")
-    calls = Counter()
-
-    def counting(module):
-        original = module.classify_irreducible
-
-        def classify(g):
-            calls[module.__name__] += 1
-            return original(g)
-        return classify
-
-    for module in (graphs, recursion):
-        monkeypatch.setattr(module, "classify_irreducible", counting(module))
-    result = calc.k("B4xA5")
-    assert result.value == multinomial([4, 5]) * b4 * a5
     # one classification per component of the argument, none in the recursion
-    assert calls == Counter({"coxchains.graphs": 2})
-    for spec in ("A40", "B40", "D41"):
-        calls.clear()
-        KCalculator().k(spec)
-        assert calls == Counter({"coxchains.graphs": 1}), spec
+    result, calls = _classified(calc, "B4xA5")
+    assert result.value == multinomial([4, 5]) * b4 * a5 and calls == 2
+    for spec in ("A40", "B40", "D41", "E8", "H4", "F4", "I2(7)", "E6xA2"):
+        assert _classified(KCalculator(), spec)[1] == spec.count("x") + 1, spec
 
 
 RULE_TYPES = (
     [TypeLabel("A", n) for n in range(1, 13)]
     + [TypeLabel("B", n) for n in range(2, 13)]
     + [TypeLabel("D", n) for n in range(4, 13)]
+    + [TypeLabel(f, n) for f, n in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("H", 3), ("H", 4))]
+    + [TypeLabel("I2", m) for m in range(3, 13)]
 )
 
 
 @pytest.mark.parametrize("t", RULE_TYPES, ids=str)
 def test_deletion_rules_match_graph_deletion(t):
     calc, oracle = KCalculator(), GraphDeletionCalculator()
-    for v in range(1, t.rank + 1):
+    for v in range(1, t.coxeter_rank + 1):
         labels, fold = calc._deleted(t, v)
         assert labels == graph_deleted_labels(t, v), v
         assert (labels, fold) == oracle._deleted(t, v), v
@@ -385,3 +409,38 @@ def test_odd_d_mutant_at_every_rank_fails_bar_d_closed_form(monkeypatch):
     with pytest.raises(AssertionError,
                        match=r"^bar d_6: recursion gives \d+, closed form gives \d+$"):
         KCalculator().k("D13")
+
+
+def _mutate_e6_fold(monkeypatch, v, fold):
+    """Put the fold of E6's vertex v in the E deletion rule to fold."""
+    original = recursion._DELETION_RULES["E"]
+
+    def mutant(n, w):
+        labels, right = original(n, w)
+        return labels, fold if (n, w) == (6, v) else right
+
+    monkeypatch.setitem(recursion._DELETION_RULES, "E", mutant)
+
+
+def test_e6_unswapped_vertex_4_mutant_fails_every_cross_check(monkeypatch, capsys):
+    _mutate_e6_fold(monkeypatch, 4, None)
+    assert KCalculator().k("E6").value == 97
+    assert cli.main(["compute", "E6"]) == cli.EXIT_DISAGREE
+    assert "agreement: MISMATCH" in capsys.readouterr().out.splitlines()
+    assert cli.main(["verify"]) == cli.EXIT_FAIL
+    [line] = [l for l in capsys.readouterr().out.splitlines() if "closed-vs-recursion" in l]
+    assert line.startswith("FAIL") and line.endswith("E6: recursion 97 != closed 82")
+    calc, oracle = KCalculator(), GraphDeletionCalculator()
+    calc.k("E6")
+    oracle.k("E6")
+    with pytest.raises(AssertionError):
+        _assert_same_memo(calc, oracle, "E6")
+
+
+def test_e6_twisted_vertex_2_mutant_ends_compute_in_one_error_line(monkeypatch, capsys):
+    _mutate_e6_fold(monkeypatch, 2, (True,))
+    code = cli.main(["compute", "E6", "--method", "recursion"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_FAIL and out == ""
+    assert err.startswith("error: restricted automorphism on A5 ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -124,6 +124,12 @@ def test_egf_series_equality_uses_common_prefix():
     assert a != EgfSeries((Fraction(1), Fraction(5)))
 
 
+def test_equal_series_hash_equal():
+    a, b = EgfSeries((1, 2, 3)), EgfSeries((1, 2))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def _random_egf(order: int, head=None) -> EgfSeries:
     """EGF coefficients that are mostly small ints, some Fractions."""
     pick = lambda: (rng.randint(-4, 4) if rng.random() < 0.7
