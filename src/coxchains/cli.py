@@ -65,7 +65,7 @@ DEEP_BRUTE_TIER = ["A5", "B5", "D5", "F4", "E6"]
 def closed_form_value(spec) -> int:
     """Closed-form K of a spec string or of its component labels:
     per-component closed forms glued by the multinomial."""
-    labels = component_labels(parse_group_spec(spec)) if isinstance(spec, str) else spec
+    labels = parse_labels(spec) if isinstance(spec, str) else spec
     value = multinomial([t.coxeter_rank for t in labels])
     for t in labels:
         value *= k_closed_form(t)
@@ -183,11 +183,10 @@ def _make_calculator(args) -> tuple:
 
 def cmd_compute(args) -> int:
     try:
-        graph = parse_group_spec(args.spec)
+        labels = parse_labels(args.spec)
     except GroupSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    labels = component_labels(graph)
     spec = spec_of_labels(labels)
     calc, cache = _make_calculator(args)
     results = {}
@@ -200,7 +199,7 @@ def cmd_compute(args) -> int:
     if args.method in ("bruteforce", "all"):
         try:
             results["bruteforce"] = count_chain_orbits_lazily(
-                build_model(graph), workers=args.workers).orbit_count
+                build_model(parse_group_spec(args.spec)), workers=args.workers).orbit_count
         except UnsupportedModelError as exc:
             if args.method == "bruteforce":
                 print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 
 
@@ -53,24 +54,22 @@ class CoxeterGraph:
     def rank(self) -> int:
         return len(self.vertices)
 
+    @cached_property
+    def _adjacency(self) -> dict:
+        """{v: {w: label}} over the edges, built once per graph."""
+        adj = {v: {} for v in self.vertices}
+        for v, w, m in self.edges:
+            adj[v][w] = adj[w][v] = m
+        return adj
+
     def label(self, v, w) -> int:
-        a, b = (v, w) if v < w else (w, v)
-        for x, y, m in self.edges:
-            if (x, y) == (a, b):
-                return m
-        return 2
+        return self._adjacency.get(v, {}).get(w, 2)
 
     def neighbors(self, v):
-        out = []
-        for x, y, m in self.edges:
-            if x == v:
-                out.append(y)
-            elif y == v:
-                out.append(x)
-        return sorted(out)
+        return sorted(self._adjacency.get(v, ()))
 
     def degree(self, v) -> int:
-        return len(self.neighbors(v))
+        return len(self._adjacency.get(v, ()))
 
 
 def make_graph(vertices, edges) -> CoxeterGraph:
@@ -103,10 +102,13 @@ class TypeLabel:
     def coxeter_rank(self) -> int:
         return 2 if self.family == "I2" else self.rank
 
+    @cached_property
+    def name(self) -> str:
+        """The label as a spec writes it, such as D5 or I2(7); formatted once."""
+        return f"I2({self.rank})" if self.family == "I2" else f"{self.family}{self.rank}"
+
     def __str__(self):
-        if self.family == "I2":
-            return f"I2({self.rank})"
-        return f"{self.family}{self.rank}"
+        return self.name
 
 
 _TERM_RE = re.compile(r"^([A-Za-z]+)(\d+)?(?:\((\d+)\))?$")
@@ -174,18 +176,28 @@ def _parse_term(term: str) -> TypeLabel:
         raise GroupSpecError(f"rank out of range for finite type: {term}")
 
 
-def parse_labels(text: str) -> list:
-    """Parse a spec like "D5xA2" into its type labels, in the order written.
+# Types whose standard graph classifies as another product (C and G2 are
+# renamed as their term is parsed).
+_ALIASES = {TypeLabel("D", 2): (TypeLabel("A", 1),) * 2, TypeLabel("D", 3): (TypeLabel("A", 3),),
+            TypeLabel("I2", 3): (TypeLabel("A", 2),), TypeLabel("I2", 4): (TypeLabel("B", 2),)}
 
-    Aliases keep their own label here (D3 stays D3, I2(3) stays I2(3)); the
-    classified form of a group comes from component_labels of its graph.
+
+def parse_labels(text: str) -> list:
+    """Parse a spec like "D5xA2" into its classified type labels, in the
+    order written, without building a graph: aliases take their classified
+    form (D2 is A1 x A1, D3 is A3, I2(3) is A2, I2(4) is B2, C_n is B_n and
+    G2 is I2(6)), so this equals component_labels(parse_group_spec(text)).
     """
     text = text.strip()
     if text == "1":
         return []
     if not text:
         raise GroupSpecError("empty group specification")
-    return [_parse_term(term.strip()) for term in text.split("x")]
+    labels = []
+    for term in text.split("x"):
+        t = _parse_term(term.strip())
+        labels.extend(_ALIASES.get(t, (t,)))
+    return labels
 
 
 def parse_group_spec(text: str) -> CoxeterGraph:
@@ -201,26 +213,27 @@ def parse_group_spec(text: str) -> CoxeterGraph:
     return make_graph(vertices, edges)
 
 
+def _reached(g: CoxeterGraph, start) -> set:
+    """The vertices of start's component."""
+    adj, seen, queue = g._adjacency, {start}, [start]
+    while queue:
+        for w in adj[queue.pop()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
 def connected_components(g: CoxeterGraph):
     """Component subgraphs, which keep the original vertex ids, ordered by
     smallest vertex id."""
-    remaining = set(g.vertices)
-    components = []
+    adj, seen, components = g._adjacency, set(), []
     for start in sorted(g.vertices):
-        if start not in remaining:
-            continue
-        seen = {start}
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in g.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        remaining -= seen
-        verts = tuple(sorted(seen))
-        edges = frozenset((v, w, m) for v, w, m in g.edges if v in seen)
-        components.append(CoxeterGraph(verts, edges))
+        if start not in seen:
+            part = _reached(g, start)
+            seen |= part
+            edges = frozenset((v, w, m) for v in part for w, m in adj[v].items() if v < w)
+            components.append(CoxeterGraph(tuple(sorted(part)), edges))
     return components
 
 
@@ -328,8 +341,7 @@ def classify_irreducible(g: CoxeterGraph):
     """
     if g.rank == 0:
         raise ValueError("classify_irreducible needs a nonempty graph")
-    comps = connected_components(g)
-    if len(comps) != 1:
+    if len(_reached(g, g.vertices[0])) != g.rank:
         raise ValueError("classify_irreducible needs a connected graph")
     if len(g.edges) != g.rank - 1:
         raise ClassificationError("graph contains a cycle: not finite")
@@ -342,10 +354,9 @@ def classify_irreducible(g: CoxeterGraph):
     else:
         raise ClassificationError("two branch vertices: not finite")
     iso = {v: i + 1 for i, v in enumerate(order)}
-    std = standard_graph(label)
-    for v, w, m in g.edges:
-        if std.label(iso[v], iso[w]) != m:
-            raise ClassificationError("graph does not match any finite type")
+    mapped = {(*sorted((iso[v], iso[w])), m) for v, w, m in g.edges}
+    if mapped != set(_standard_edges(label.family, label.rank)):
+        raise ClassificationError("graph does not match any finite type")
     return label, iso
 
 

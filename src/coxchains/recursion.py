@@ -8,23 +8,26 @@ a term resolved by a three-way case split (full count, halved count, or
 the augmented D-type count "bar d" when the component's own longest
 element cannot realize the induced graph swap).
 
-The A, B and D families fill int tables by rank, one comb per term. Every
-term reads what deleting a vertex leaves off a per-family rule on type
-labels, so a breakdown checks the table, and the exceptional and dihedral
-types get their values from these terms. Graph code runs only where a spec
-string or a graph enters.
+The A, B and D families fill int tables by rank, one Pascal-row entry per
+term. Every term reads what deleting a vertex leaves off a per-family rule
+on type labels, so a breakdown checks the table, and the exceptional and
+dihedral types get their values from these terms. Graph code runs only
+where a graph enters; a spec string is parsed straight to labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, prod
+from operator import add
 
 from .graphs import (
     TypeLabel,
     component_labels,
     longest_element_automorphism,
-    parse_group_spec,
+    parse_group_spec,  # noqa: F401  (perfbench's tracer patches it here)
+    parse_labels,
     spec_of_labels,
 )
 
@@ -64,13 +67,14 @@ class KCalculator:
     """Memoized K(W) computation; safe to reuse across many queries.
 
     The recursion runs on lists of classified type labels and deletes
-    vertices by label rules. Graph code runs only where a spec string or a
-    user graph enters (k). `memo` maps an irreducible type's name to its
-    int K, and `bar_memo` an even D rank to its Kbar; the A, B and D
-    entries come from rank tables, the others from their terms. A product
-    is one multinomial over memoized counts. The breakdown is built for the
-    queried labels only, one level down from memo values, so it follows the
-    caller's factor order and checks the stored value.
+    vertices by label rules. Graph code runs only where a user graph enters
+    (k); a spec string is parsed straight to labels. `memo` maps an
+    irreducible type's name to its int K, and `bar_memo` an even D rank to
+    its Kbar; the A, B and D entries come from rank tables, the others from
+    their terms. A product is one multinomial over memoized counts. The
+    breakdown is built for the queried labels only, one level down from
+    memo values, so it follows the caller's factor order and checks the
+    stored value.
     """
 
     def __init__(self):
@@ -79,9 +83,7 @@ class KCalculator:
 
     def k(self, g) -> KResult:
         """K(W) for a spec string or a Coxeter graph with any vertex ids."""
-        if isinstance(g, str):
-            g = parse_group_spec(g)
-        return self.k_labels(component_labels(g))
+        return self.k_labels(parse_labels(g) if isinstance(g, str) else component_labels(g))
 
     def k_value(self, g) -> int:
         return self.k(g).value
@@ -94,14 +96,14 @@ class KCalculator:
         t = labels[0]
         self._fill(t)
         result = self._breakdown(t)
-        if self.memo.setdefault(str(t), result.value) != result.value:
-            raise AssertionError(f"stored K({t}) = {self.memo[str(t)]} disagrees with its "
+        if self.memo.setdefault(t.name, result.value) != result.value:
+            raise AssertionError(f"stored K({t}) = {self.memo[t.name]} disagrees with its "
                                  f"terms from the entries below it, which give {result.value}")
         return result
 
     def _k_type(self, t: TypeLabel) -> int:
         """K of an irreducible type, memoized: from rank tables or its terms."""
-        key = str(t)
+        key = t.name
         if key not in self.memo:
             self._fill(t)
             if key not in self.memo:
@@ -120,31 +122,31 @@ class KCalculator:
         if t.family == "A":
             self._a_table(n)
         elif t.family == "B":
-            a, b = self._a_table(n - 1), [1, 1]  # B0 is nothing and B1 is A1
+            a, b, walk = self._a_table(n - 1), [1, 1], _Walk()  # B0 is nothing, B1 is A1
             for r in range(2, n + 1):
-                b.append(_stored(self.memo, f"B{r}", _b_value, a, b, r))
+                b.append(walk.stored(self.memo, f"B{r}", _b_value, a, b, r))
         elif t.family == "D" and n % 2:
             self._bar_table(n)
         elif t.family == "D":
             # an even D reads bar d only through odd D parts, and D4's one is A3
             a, kb = self._bar_table(n - 1) if n > 4 else (self._a_table(3), None)
-            d = [0, 0, 2, a[3]]
+            d, walk = [0, 0, 2, a[3]], _Walk()
             for r in range(4, n + 1):
-                d.append(kb[r] if r % 2 else _stored(self.memo, f"D{r}", _d_value, a, d, r))
+                d.append(kb[r] if r % 2 else walk.stored(self.memo, f"D{r}", _d_value, a, d, r))
 
     def _a_table(self, n: int) -> list:
-        a = [1]
+        a, walk = [1], _Walk()
         for r in range(1, n + 1):
-            a.append(_stored(self.memo, f"A{r}", _a_value, a, r))
+            a.append(walk.stored(self.memo, f"A{r}", _a_value, a, r))
         return a
 
     def _bar_table(self, n: int):
         """The A table and kb[r] = k_bar(r), 2 <= r <= n: what an odd D_n or
         bar d_n reads. kb holds bar d at even r, K(D_r) at odd r, A3 at 3."""
-        a, kb = self._a_table(n + 1 - n % 2), [0, 0]  # bar d_r reads a[r + 1]
+        a, kb, walk = self._a_table(n + 1 - n % 2), [0, 0], _Walk()  # bar d_r reads a[r + 1]
         for r in range(2, n + 1):
-            kb.append(_stored(self.bar_memo, r, _bar_d_value, a, kb, r) if r % 2 == 0
-                      else a[3] if r == 3 else _stored(self.memo, f"D{r}", _d_value, a, kb, r))
+            kb.append(walk.stored(self.bar_memo, r, _bar_d_value, a, kb, r) if r % 2 == 0
+                      else a[3] if r == 3 else walk.stored(self.memo, f"D{r}", _d_value, a, kb, r))
         return a, kb
 
     def _k_product(self, labels) -> KResult:
@@ -185,7 +187,7 @@ class KCalculator:
         labels left by deleting it and the involution's fold on them."""
         if fold == SWAP:
             # the involution shuffles whole components: halved count
-            return _halved(self._value(labels), spec_of_labels(labels))
+            return _halved(self._value(labels), labels)
         for label, twisted in zip(labels, fold):
             if twisted and (label.family != "D" or label.rank % 2):
                 raise AssertionError(
@@ -207,16 +209,35 @@ class KCalculator:
         return self.bar_memo[n] if n in self.bar_memo else self._bar_table(n)[1][n]
 
 
-def _stored(memo: dict, key, rule, *tables) -> int:
-    """memo[key], computed by rule(*tables) and stored if missing."""
-    if key not in memo:
-        memo[key] = rule(*tables)
-    return memo[key]
+class _Walk:
+    """One walk up a rank table. A rank r the memo lacks gets its rank
+    rule's value from the tables and the Pascal row C(r - 1, .), which is
+    carried by additions from the rank computed before, or built by comb at
+    a miss after a memo hit; a walk that misses no rank builds no row."""
+
+    rank, row = 0, None
+
+    def stored(self, memo: dict, key, rule, *tables) -> int:
+        """memo[key], else rule(*tables[:-1], row, r) stored, for the rank r
+        that ends tables."""
+        if key in memo:
+            self.row = None
+            return memo[key]
+        *tables, r = tables
+        if self.row is None:
+            self.row = [comb(r - 1, i) for i in range(r)]
+        else:
+            for _ in range(r - self.rank):
+                self.row = [1, *map(add, self.row, self.row[1:]), 1]
+        self.rank = r
+        memo[key] = value = rule(*tables, self.row, r)
+        return value
 
 
-def _halved(kh: int, spec: str) -> int:
+def _halved(kh: int, labels) -> int:
+    """kh / 2 for components labels swapped in pairs; formats them only to fail."""
     if kh % 2 != 0:
-        raise AssertionError(f"component-swapping case met odd K({spec})")
+        raise AssertionError(f"component-swapping case met odd K({spec_of_labels(labels)})")
     return kh // 2
 
 
@@ -232,6 +253,11 @@ def _describe(labels, fold) -> str:
     return "".join(descs) or "K(1)"
 
 
+# The rules hand out one interned label per type, so a label's name is
+# formatted once for every term that names the type.
+_label = lru_cache(maxsize=None)(TypeLabel)
+
+
 # Deletion rules, one per family: (labels, fold) of deleting vertex v of the
 # rank-n type, in standard numbering. labels are the classified components
 # left, ordered by smallest vertex id. fold is None for a plain K term: a
@@ -244,15 +270,15 @@ def _describe(labels, fold) -> str:
 
 def _a_run(n: int) -> list:
     """The path A_n as a component list; empty for n = 0."""
-    return [TypeLabel("A", n)] if n else []
+    return [_label("A", n)] if n else []
 
 
 def _d_part(n: int) -> list:
     """The classified components of the D_n diagram, n >= 2: D3 is A3 and
     D2 is A1 x A1."""
     if n >= 4:
-        return [TypeLabel("D", n)]
-    return [TypeLabel("A", 3)] if n == 3 else [TypeLabel("A", 1)] * 2
+        return [_label("D", n)]
+    return [_label("A", 3)] if n == 3 else [_label("A", 1)] * 2
 
 
 def _a_deleted(n: int, v: int):
@@ -262,24 +288,25 @@ def _a_deleted(n: int, v: int):
 
 
 # Rank rules: K at rank r from int tables of lower ranks, one summand per
-# term of the family's deletion rule, vertex v = i + 1 weighed by C(r-1, i).
-def _a_value(a: list, r: int) -> int:
+# term of the family's deletion rule, vertex v = i + 1 weighed by c[i] =
+# C(r-1, i) from the Pascal row c. The rank stays the last argument.
+def _a_value(a: list, c: list, r: int) -> int:
     h = r // 2
-    value = sum(comb(r - 1, i) * a[i] * a[r - 1 - i] for i in range(h))
+    value = sum(c[i] * a[i] * a[r - 1 - i] for i in range(h))
     if r % 2:  # the middle vertex: A1 leaves nothing, a longer path two swapped halves
-        value += 1 if r == 1 else _halved(comb(r - 1, h) * a[h] ** 2, f"A{h}xA{h}")
+        value += 1 if r == 1 else _halved(c[h] * a[h] ** 2, [_label("A", h)] * 2)
     return value
 
 
 def _b_deleted(n: int, v: int):
     """B_n minus 1 is A_{n-1}, minus 2 is A1 x A_{n-2}, and minus v >= 3 is
     B_{v-1} x A_{n-v}. The involution is trivial."""
-    head = [] if v == 1 else _a_run(1) if v == 2 else [TypeLabel("B", v - 1)]
+    head = [] if v == 1 else _a_run(1) if v == 2 else [_label("B", v - 1)]
     return head + _a_run(n - v), None
 
 
-def _b_value(a: list, b: list, r: int) -> int:
-    return sum(comb(r - 1, i) * b[i] * a[r - 1 - i] for i in range(r))
+def _b_value(a: list, b: list, c: list, r: int) -> int:
+    return sum(c[i] * b[i] * a[r - 1 - i] for i in range(r))
 
 
 def _d_deleted(n: int, v: int):
@@ -298,15 +325,14 @@ def _d_deleted(n: int, v: int):
     return labels, (False,) * (v > 1) + (r % 2 == 0,)
 
 
-def _d_value(a: list, parts: list, r: int) -> int:
+def _d_value(a: list, parts: list, c: list, r: int) -> int:
     """parts[r - v] counts the D part left by path vertex v: K at even r,
     and at odd r k_bar, which at r - v = 2 is half of K(A1 x A1) = 2."""
-    return (2 - r % 2) * a[r - 1] + sum(comb(r - 1, i) * a[i] * parts[r - 1 - i]
-                                        for i in range(r - 2))
+    return (2 - r % 2) * a[r - 1] + sum(c[i] * a[i] * parts[r - 1 - i] for i in range(r - 2))
 
 
-def _bar_d_value(a: list, kb: list, r: int) -> int:
-    value = a[r - 1] + sum(comb(r - 1, i) * kb[i] * a[r - 1 - i] for i in range(2, r))
+def _bar_d_value(a: list, kb: list, c: list, r: int) -> int:
+    value = a[r - 1] + sum(c[i] * kb[i] * a[r - 1 - i] for i in range(2, r))
     closed = 2 * a[r + 1] - (r + 1) * a[r]
     if value != closed:
         raise AssertionError(f"bar d_{r}: recursion gives {value}, closed form gives {closed}")
@@ -320,19 +346,19 @@ def _e_deleted(n: int, v: int):
     left by vertex 2, as A5's own, and swaps the A2s left by vertex 4."""
     fold = {2: (False,), 4: SWAP}.get(v) if n == 6 else None
     if v <= 3:
-        return ([TypeLabel("D", n - 1)], _a_run(n - 1), _a_run(1) + _a_run(n - 2))[v - 1], fold
-    head = _a_run(2) + _a_run(1) if v == 4 else [TypeLabel({5: "A", 6: "D"}.get(v, "E"), v - 1)]
+        return ([_label("D", n - 1)], _a_run(n - 1), _a_run(1) + _a_run(n - 2))[v - 1], fold
+    head = _a_run(2) + _a_run(1) if v == 4 else [_label({5: "A", 6: "D"}.get(v, "E"), v - 1)]
     return head + _a_run(n - v), fold
 
 
 def _f_deleted(n: int, v: int):
     """F4 minus an end vertex is B3, minus 2 is A1 x A2, minus 3 A2 x A1."""
-    return [TypeLabel("B", 3)] if v in (1, 4) else _a_run(v - 1) + _a_run(4 - v), None
+    return [_label("B", 3)] if v in (1, 4) else _a_run(v - 1) + _a_run(4 - v), None
 
 
 def _h_deleted(n: int, v: int):
     """H_n minus v is H_{v-1} x A_{n-v}, where H2 is I2(5) and H1 is A1."""
-    head = [TypeLabel("H", v - 1)] if v > 3 else [TypeLabel("I2", 5)] if v == 3 else _a_run(v - 1)
+    head = [_label("H", v - 1)] if v > 3 else [_label("I2", 5)] if v == 3 else _a_run(v - 1)
     return head + _a_run(n - v), None
 
 

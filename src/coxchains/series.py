@@ -31,6 +31,10 @@ class EgfSeries:
 
     coefficients: tuple
 
+    def __post_init__(self):
+        if not self.coefficients:
+            raise ValueError("an empty series has order -1 and would equal every series")
+
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1

@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -160,20 +161,36 @@ def test_disputed_value_is_not_cached(capsys, monkeypatch, tmp_path):
     assert kept.read_bytes() == before
 
 
-def test_compute_classifies_the_spec_once(capsys, monkeypatch):
-    calls = []
-    real = graphs.component_labels
+def _classifications(capsys, *argv):
+    """run(capsys, *argv) and its calls of graphs.component_labels and
+    graphs.classify_irreducible, under any name a module imported them by."""
+    names = {graphs.component_labels.__code__: "component_labels",
+             graphs.classify_irreducible.__code__: "classify_irreducible"}
+    calls, outer = Counter(), sys.getprofile()
 
-    def counted(g):
-        calls.append(g)
-        return real(g)
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            calls[names[frame.f_code]] += 1
 
-    for module in (graphs, cli, recursion):
-        monkeypatch.setattr(module, "component_labels", counted)
-    code, out, _ = run(capsys, "compute", "A3")
+    sys.setprofile(profile)
+    try:
+        return run(capsys, *argv), calls
+    finally:
+        sys.setprofile(outer)
+
+
+def test_compute_classifies_the_spec_once(capsys):
+    # the spec is parsed to labels; only brute force builds the spec's graph
+    # and classifies it, once per component
+    (code, out, _), calls = _classifications(capsys, "compute", "A3")
     assert (code, out) == (cli.EXIT_OK,
                            "recursion: 2\nbruteforce: 2\nclosed: 2\nagreement: ok\n")
-    assert len(calls) == 1
+    assert calls == Counter(classify_irreducible=1)
+    (code, out, _), calls = _classifications(capsys, "compute", "D3xA1", "--method", "bruteforce")
+    assert (code, out, calls) == (cli.EXIT_OK, "8\n", Counter(classify_irreducible=2))
+    for method in ("recursion", "closed"):
+        (code, out, _), calls = _classifications(capsys, "compute", "D3xA1", "--method", method)
+        assert (code, out, calls) == (cli.EXIT_OK, "8\n", Counter()), method
 
 
 @pytest.mark.parametrize("method", ["bruteforce", "all"])

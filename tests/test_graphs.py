@@ -60,6 +60,18 @@ def test_parse_aliases():
     assert parse_group_spec("1").rank == 0
 
 
+def test_parse_aliases_to_labels_without_a_graph():
+    assert parse_labels("D2xD3xI2(3)xI2(4)xC3xG2") == [
+        TypeLabel("A", 1), TypeLabel("A", 1), TypeLabel("A", 3), TypeLabel("A", 2),
+        TypeLabel("B", 2), TypeLabel("B", 3), TypeLabel("I2", 6)]
+    labels = [TypeLabel(f, n) for f, low in (("A", 1), ("B", 2), ("D", 2)) for n in range(low, 41)]
+    labels += [TypeLabel(f, n) for f, n in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("H", 3),
+                                            ("H", 4))]
+    labels += [TypeLabel("I2", m) for m in range(3, 41)]
+    for t in labels:
+        assert parse_labels(str(t)) == component_labels(standard_graph(t)), t
+
+
 @pytest.mark.parametrize("bad", ["I2(2)", "E9", "A0", "Q5", "", "A3x", "H5", "F3"])
 def test_parse_rejects_bad_specs(bad):
     with pytest.raises(GroupSpecError):
@@ -98,6 +110,14 @@ def test_classify_rejects_affine_triangle():
     g = make_graph((1, 2, 3), [(1, 2, 3), (2, 3, 3), (1, 3, 3)])
     with pytest.raises(ClassificationError):
         classify_irreducible(g)
+
+
+def test_classify_needs_a_connected_nonempty_graph():
+    # a triangle beside a lone vertex has rank - 1 edges, as a tree does
+    for g in (make_graph((), []), make_graph((1, 2), []),
+              make_graph((1, 2, 3, 4), [(1, 2, 3), (2, 3, 3), (1, 3, 3)])):
+        with pytest.raises(ValueError, match="needs a (nonempty|connected) graph"):
+            classify_irreducible(g)
 
 
 def test_classify_rejects_big_label_on_rank3():
@@ -192,6 +212,7 @@ def test_spec_round_trip_property():
             names.add(f"C{t.rank}")
         if t == TypeLabel("I2", 6):
             names.add("G2")
+        names.update({"A2": ["I2(3)"], "A3": ["D3"], "B2": ["I2(4)"]}.get(str(t), []))
         return st.sampled_from(sorted(names)).flatmap(
             lambda name: st.sampled_from([name, name.lower()]))
 
@@ -202,8 +223,7 @@ def test_spec_round_trip_property():
         ts, names = case
         spec = "x".join(names) or "1"
         g = parse_group_spec(spec)
-        assert parse_labels(spec) == ts
-        assert component_labels(g) == ts
+        assert parse_labels(spec) == component_labels(g) == ts
         canon = canonical_spec(g)
         assert canon == spec_of_labels(ts)
         assert canonical_spec(parse_group_spec(canon)) == canon

@@ -1,14 +1,16 @@
 import random
+import re
 import sys
 import tracemalloc
 from collections import Counter
+from math import comb
 
 import pytest
 
 from coxchains import cli, graphs, recursion
-from coxchains.graphs import TypeLabel, make_graph, parse_group_spec
-from coxchains.recursion import KCalculator, multinomial
-from coxchains.series import d_closed_form, euler_numbers
+from coxchains.graphs import TypeLabel, component_labels, make_graph, parse_group_spec
+from coxchains.recursion import SWAP, KCalculator, multinomial
+from coxchains.series import d_closed_form, euler_numbers, k_closed_form
 from oracles import GraphDeletionCalculator, graph_automorphism, graph_deleted_labels
 
 D_VALUES = {2: 2, 3: 2, 4: 12, 5: 26, 6: 178, 7: 594, 8: 4792, 9: 21682,
@@ -257,11 +259,15 @@ def _classified(calc, spec):
 def test_memo_hits_and_products_classify_only_at_entry():
     calc = KCalculator()
     a5, b4 = calc.k_value("A5"), calc.k_value("B4")
-    # one classification per component of the argument, none in the recursion
-    result, calls = _classified(calc, "B4xA5")
+    # a graph classifies once per component, and nothing in the recursion
+    # classifies; a spec string is parsed to labels and never classified
+    result, calls = _classified(calc, parse_group_spec("B4xA5"))
     assert result.value == multinomial([4, 5]) * b4 * a5 and calls == 2
-    for spec in ("A40", "B40", "D41", "E8", "H4", "F4", "I2(7)", "E6xA2"):
-        assert _classified(KCalculator(), spec)[1] == spec.count("x") + 1, spec
+    specs = ("A40", "B40", "D41", "E8", "H4", "F4", "I2(7)", "E6xA2", "D3xD2xI2(3)xI2(4)")
+    for spec in specs:
+        graph = parse_group_spec(spec)
+        assert _classified(KCalculator(), graph)[1] == len(component_labels(graph)), spec
+        assert _classified(KCalculator(), spec)[1] == 0, spec
 
 
 RULE_TYPES = (
@@ -367,6 +373,51 @@ def test_cold_query_deletes_only_for_its_breakdown_and_exceptional_types(
     assert calls == Counter(deletions)
 
 
+TABLE_LABELS = ([TypeLabel("A", n) for n in range(1, 151)]
+                + [TypeLabel("B", n) for n in range(2, 151)]
+                + [TypeLabel("D", n) for n in range(4, 151)])
+
+
+def _closed(keep=lambda t: True):
+    """Closed-form K of the table labels that keep admits, by name."""
+    return {str(t): k_closed_form(t) for t in TABLE_LABELS if keep(t)}
+
+
+@pytest.mark.parametrize("seeded", [
+    {},
+    _closed(lambda t: t.family == "A" and t.rank <= 20),
+    _closed(lambda t: t.family == "B" and t.rank % 2 == 0),
+], ids=["fresh", "A1-A20", "every-other-B"])
+def test_rank_tables_equal_closed_forms_through_rank_150(seeded):
+    """The carried Pascal rows give the closed forms: built by comb at the
+    first miss, by additions after it, and by comb again at a miss after a
+    memo hit, which a memo seeded with gaps makes."""
+    calc = KCalculator()
+    calc.memo.update(seeded)
+    for spec in ("D150", "D149", "B150", "A150"):
+        calc.k(spec)
+    assert {str(t): calc.memo[str(t)] for t in TABLE_LABELS} == _closed()
+
+
+def test_walk_builds_rows_only_at_misses(monkeypatch):
+    """comb builds one row per miss that follows a hit, and none when
+    every rank is memoized; the other rows come from additions."""
+    calls = Counter()
+
+    def counting(n, k):
+        calls[n + 1] += 1
+        return comb(n, k)
+
+    monkeypatch.setattr(recursion, "comb", counting)
+    calc = KCalculator()
+    calc.memo.update(_closed(lambda t: t.family == "B" and t.rank % 2 == 0 and t.rank <= 10))
+    calc._fill(TypeLabel("B", 12))
+    assert calls == Counter({1: 1, 3: 3, 5: 5, 7: 7, 9: 9, 11: 11})
+    calls.clear()
+    calc._fill(TypeLabel("B", 12))
+    assert not calls
+
+
 def _mutate(monkeypatch, rule, at=None):
     """Put the fill's rank rule one too high, at every rank or at `at` only."""
     original = getattr(recursion, rule)
@@ -411,19 +462,30 @@ def test_odd_d_mutant_at_every_rank_fails_bar_d_closed_form(monkeypatch):
         KCalculator().k("D13")
 
 
-def _mutate_e6_fold(monkeypatch, v, fold):
-    """Put the fold of E6's vertex v in the E deletion rule to fold."""
-    original = recursion._DELETION_RULES["E"]
+def _mutate_fold(monkeypatch, family, at, fold):
+    """Put the fold of the family's deletion rule at (rank, vertex) `at` to fold."""
+    original = recursion._DELETION_RULES[family]
 
     def mutant(n, w):
         labels, right = original(n, w)
-        return labels, fold if (n, w) == (6, v) else right
+        return labels, fold if (n, w) == at else right
 
-    monkeypatch.setitem(recursion._DELETION_RULES, "E", mutant)
+    monkeypatch.setitem(recursion._DELETION_RULES, family, mutant)
+
+
+def test_f4_swap_mutant_fails_the_halving_certificate(monkeypatch, capsys):
+    """F4 minus vertex 2 leaves A1 x A2, whose K = 3 cannot be halved."""
+    _mutate_fold(monkeypatch, "F", (4, 2), SWAP)
+    message = "component-swapping case met odd K(A1xA2)"
+    with pytest.raises(AssertionError, match=rf"^{re.escape(message)}$"):
+        KCalculator().k("F4")
+    code = cli.main(["compute", "F4", "--method", "recursion"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {message}\n")
 
 
 def test_e6_unswapped_vertex_4_mutant_fails_every_cross_check(monkeypatch, capsys):
-    _mutate_e6_fold(monkeypatch, 4, None)
+    _mutate_fold(monkeypatch, "E", (6, 4), None)
     assert KCalculator().k("E6").value == 97
     assert cli.main(["compute", "E6"]) == cli.EXIT_DISAGREE
     assert "agreement: MISMATCH" in capsys.readouterr().out.splitlines()
@@ -438,7 +500,7 @@ def test_e6_unswapped_vertex_4_mutant_fails_every_cross_check(monkeypatch, capsy
 
 
 def test_e6_twisted_vertex_2_mutant_ends_compute_in_one_error_line(monkeypatch, capsys):
-    _mutate_e6_fold(monkeypatch, 2, (True,))
+    _mutate_fold(monkeypatch, "E", (6, 2), (True,))
     code = cli.main(["compute", "E6", "--method", "recursion"])
     out, err = capsys.readouterr()
     assert code == cli.EXIT_FAIL and out == ""

@@ -62,6 +62,22 @@ def test_series_arithmetic_roundtrips():
     assert cos.derivative() == (-sin).truncate(n - 1)
 
 
+def test_empty_series_is_rejected():
+    # order -1 would compare equal to every series, so == would not be transitive
+    with pytest.raises(ValueError, match="empty series"):
+        EgfSeries(())
+
+
+def test_truncating_below_the_constant_term_is_rejected():
+    with pytest.raises(ValueError, match="empty series"):
+        egf_sin(4).truncate(-1)
+    assert egf_cos(3).truncate(0) == constant(1, 0)
+
+
+def test_derivative_of_a_constant_is_zero():
+    assert constant(5, 0).derivative().coefficients == (0,)
+
+
 def test_series_division_validation():
     with pytest.raises(ZeroDivisionError):
         constant(1, 4) / egf_sin(4)
