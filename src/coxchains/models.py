@@ -33,10 +33,11 @@ from .field import (
     null_space,  # noqa: F401  (re-exported: perfbench counts calls here)
 )
 from .graphs import (
+    CoxeterGraph,
     TypeLabel,
-    classify_irreducible,
-    connected_components,
-    parse_group_spec,
+    component_labels,
+    parse_group_spec,  # noqa: F401  (perfbench's tracer patches it here)
+    parse_labels,
 )
 
 DEFAULT_ELEMENT_CAP = 100_000
@@ -215,7 +216,7 @@ def _dihedral_reflection(m: int, a: int) -> tuple:
 class ProductModel:
     """Direct product of irreducible factor models."""
 
-    factors: list  # of (ReflectionModel | DihedralModel, vertex ids tuple)
+    factors: list  # of (ReflectionModel | DihedralModel, standard vertex ids tuple)
 
 
 _MATRIX_RANK_LIMITS = {"A": 6, "B": 5, "D": 5, "F": 4, "H": 3, "E": 6}
@@ -296,19 +297,20 @@ def _build_irreducible(t: TypeLabel):
 
 
 def build_model(g):
-    """Build a reflection model for a graph or spec string.
+    """Build a reflection model for a spec string, a graph or classified labels.
 
     Irreducible types get a matrix or dihedral model; reducible groups get
-    a ProductModel over their components.
+    a ProductModel over their components, numbered left to right.
     """
     if isinstance(g, str):
-        g = parse_group_spec(g)
-    comps = connected_components(g)
-    order = 1
-    factors = []
-    for comp in comps:
-        label, _ = classify_irreducible(comp)
-        factors.append((_build_irreducible(label), comp.vertices))
+        g = parse_labels(g)
+    elif isinstance(g, CoxeterGraph):
+        g = component_labels(g)
+    order, offset, factors = 1, 0, []
+    for label in g:
+        n = label.coxeter_rank
+        factors.append((_build_irreducible(label), tuple(range(offset + 1, offset + n + 1))))
+        offset += n
         order *= group_order(label)
     if order > DEFAULT_ELEMENT_CAP:
         raise UnsupportedModelError(

@@ -14,7 +14,7 @@ from coxchains.graphs import component_labels, parse_group_spec
 from coxchains.lattice import build_lattice
 from coxchains.models import build_model
 from coxchains.series import euler_numbers
-from test_models import scale_b2_short_root
+from test_models import add_a_line_to_type_a, scale_b2_short_root
 
 
 def run(capsys, *argv):
@@ -161,8 +161,8 @@ def test_disputed_value_is_not_cached(capsys, monkeypatch, tmp_path):
     assert kept.read_bytes() == before
 
 
-def _classifications(capsys, *argv):
-    """run(capsys, *argv) and its calls of graphs.component_labels and
+def _classifications(fn, *args):
+    """fn(*args) and its calls of graphs.component_labels and
     graphs.classify_irreducible, under any name a module imported them by."""
     names = {graphs.component_labels.__code__: "component_labels",
              graphs.classify_irreducible.__code__: "classify_irreducible"}
@@ -174,23 +174,32 @@ def _classifications(capsys, *argv):
 
     sys.setprofile(profile)
     try:
-        return run(capsys, *argv), calls
+        return fn(*args), calls
     finally:
         sys.setprofile(outer)
 
 
 def test_compute_classifies_the_spec_once(capsys):
-    # the spec is parsed to labels; only brute force builds the spec's graph
-    # and classifies it, once per component
-    (code, out, _), calls = _classifications(capsys, "compute", "A3")
+    # the spec is read once, to labels, which every method takes as they
+    # are: nothing classifies a graph
+    (code, out, _), calls = _classifications(run, capsys, "compute", "A3")
     assert (code, out) == (cli.EXIT_OK,
                            "recursion: 2\nbruteforce: 2\nclosed: 2\nagreement: ok\n")
-    assert calls == Counter(classify_irreducible=1)
-    (code, out, _), calls = _classifications(capsys, "compute", "D3xA1", "--method", "bruteforce")
-    assert (code, out, calls) == (cli.EXIT_OK, "8\n", Counter(classify_irreducible=2))
-    for method in ("recursion", "closed"):
-        (code, out, _), calls = _classifications(capsys, "compute", "D3xA1", "--method", method)
+    assert calls == Counter()
+    for method in ("bruteforce", "recursion", "closed"):
+        (code, out, _), calls = _classifications(run, capsys, "compute", "D3xA1",
+                                                 "--method", method)
         assert (code, out, calls) == (cli.EXIT_OK, "8\n", Counter()), method
+    # a graph given to the library is classified once per component
+    model, calls = _classifications(build_model, parse_group_spec("D3xA1"))
+    assert len(model.factors) == 2
+    assert calls == Counter(component_labels=1, classify_irreducible=2)
+
+
+def test_verify_required_brute_tier_classifies_nothing():
+    args = cli.build_parser().parse_args(["verify"])
+    check = dict(cli._verify_checks(args))["bruteforce-required-tier"]
+    assert _classifications(check) == ((True, ""), Counter())
 
 
 @pytest.mark.parametrize("method", ["bruteforce", "all"])
@@ -201,6 +210,13 @@ def test_closure_outside_the_root_lattice_ends_in_one_error_line(capsys, monkeyp
     assert code == cli.EXIT_FAIL and out == ""
     assert err.startswith("error: B2: 2<v,a>/<a,a> for v = root ")
     assert err.endswith("left the root lattice\n") and err.count("\n") == 1
+
+
+def test_root_count_certificate_ends_in_one_error_line(capsys, monkeypatch):
+    add_a_line_to_type_a(monkeypatch)
+    assert run(capsys, "compute", "A3", "--method", "bruteforce") == (
+        cli.EXIT_FAIL, "", "error: A3: root closure found 6 lines, expected 7\n")
+    assert run(capsys, "compute", "A3", "--method", "recursion") == (cli.EXIT_OK, "2\n", "")
 
 
 def test_table_csv_contract_and_determinism(capsys):

@@ -17,6 +17,7 @@ from coxchains.graphs import (
     standard_graph,
 )
 from oracles import graph_automorphism
+from test_models import brute_entry
 
 
 def all_finite_types(max_rank=9, max_m=12):
@@ -228,5 +229,6 @@ def test_spec_round_trip_property():
         assert canon == spec_of_labels(ts)
         assert canonical_spec(parse_group_spec(canon)) == canon
         assert sorted(parse_labels(canon), key=str) == sorted(ts, key=str)
+        assert brute_entry(spec) == brute_entry(ts) == brute_entry(g)
 
     check()

@@ -9,7 +9,7 @@ import pytest
 
 from coxchains import models
 from coxchains.field import ONE, ZERO, FieldScalar, null_space
-from coxchains.graphs import TypeLabel, parse_group_spec
+from coxchains.graphs import TypeLabel, make_graph, parse_group_spec, parse_labels
 from coxchains.lattice import build_lattice_with_action, count_chain_orbits_lazily
 from coxchains.models import (
     DihedralModel,
@@ -255,6 +255,49 @@ def scale_b2_short_root(monkeypatch):
         return roots, amb
 
     monkeypatch.setattr(models, "_simple_roots", simple_roots)
+
+
+def add_a_line_to_type_a(monkeypatch):
+    """REFLECTION_COUNTS["A"] one too high, so that the closure of every
+    A_n finds one line fewer than it expects."""
+    real = models.REFLECTION_COUNTS["A"]
+    monkeypatch.setitem(models.REFLECTION_COUNTS, "A", lambda n: real(n) + 1)
+
+
+def test_root_count_certificate_fires(monkeypatch):
+    add_a_line_to_type_a(monkeypatch)
+    with pytest.raises(AssertionError, match=r"^A3: root closure found 6 lines, expected 7$"):
+        build_model("A3")
+    build_model("B3")  # other families are unaffected
+
+
+def brute_entry(x):
+    """What brute force reads of build_model(x): the export, the generator
+    permutations and the factor ids; or the error that turned it away."""
+    try:
+        model = build_model(x)
+    except UnsupportedModelError as exc:
+        return str(exc)
+    parts = model.factors if isinstance(model, ProductModel) else [(model, None)]
+    return model_to_json(model), [(f.gen_perms, ids) for f, ids in parts]
+
+
+@pytest.mark.parametrize("spec", ["D2", "D3", "I2(3)", "I2(4)", "C3", "G2", "d2", "i2(3)",
+                                  "c2", "g2", "1", "D2xC3", "G2xD3", "I2(4)xI2(3)", "H3xA1",
+                                  "B5xB3", "D6xA1"])
+def test_spec_labels_and_graph_give_one_model(spec):
+    view = brute_entry(spec)
+    assert brute_entry(parse_labels(spec)) == view
+    assert brute_entry(parse_group_spec(spec)) == view
+
+
+def test_product_factor_ids_are_standard_numbering():
+    # A2 on ids (3, 7) and B2 on (20, 10): components by their smallest id,
+    # each numbered on from the one before it
+    g = make_graph([20, 10, 3, 7], [(3, 7, 3), (20, 10, 4)])
+    model = build_model(g)
+    assert [(str(f.label), ids) for f, ids in model.factors] == [("A2", (1, 2)), ("B2", (3, 4))]
+    assert [ids for _, ids in build_model("D2xC3xA2").factors] == [(1,), (2,), (3, 4, 5), (6, 7)]
 
 
 def test_closure_outside_the_root_lattice_fails(monkeypatch):

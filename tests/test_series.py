@@ -1,10 +1,12 @@
 import random
 import sys
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from oracles import ordinary_derivative, ordinary_product, ordinary_quotient
 
+from coxchains import series
 from coxchains.graphs import TypeLabel
 from coxchains.recursion import KCalculator
 from coxchains.series import (
@@ -43,12 +45,13 @@ def test_euler_numbers_input_validation():
 
 
 def test_taylor_coefficients():
+    # the EGF coefficient a_k is k! times the Taylor coefficient
     s = egf_sin(7)
-    assert s.coefficient(1) == 1
-    assert s.coefficient(3) == Fraction(-1, 6)
-    assert s.coefficient(5) == Fraction(1, 120)
+    assert s.egf_coefficient(1) == 1
+    assert s.egf_coefficient(3) == Fraction(-1, 6) * factorial(3)
+    assert s.egf_coefficient(5) == Fraction(1, 120) * factorial(5)
     c = egf_cos(6)
-    assert c.coefficient(0) == 1 and c.coefficient(2) == Fraction(-1, 2)
+    assert c.egf_coefficient(0) == 1 and c.egf_coefficient(2) == Fraction(-1, 2) * factorial(2)
     assert egf_tan(5).egf_coefficient(3) == 2
     assert egf_sec(6).egf_coefficient(6) == 61
 
@@ -147,23 +150,21 @@ def test_equal_series_hash_equal():
 
 
 def _random_egf(order: int, head=None) -> EgfSeries:
-    """EGF coefficients that are mostly small ints, some Fractions."""
-    pick = lambda: (rng.randint(-4, 4) if rng.random() < 0.7
-                    else Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
-    coeffs = [pick() for _ in range(order + 1)]
+    """Small int EGF coefficients."""
+    coeffs = [rng.randint(-9, 9) for _ in range(order + 1)]
     if head is not None:
         coeffs[0] = head
     return EgfSeries(tuple(coeffs))
 
 
 def _ordinary(s: EgfSeries) -> list:
-    return [s.coefficient(k) for k in range(s.order + 1)]
+    return [Fraction(a, factorial(k)) for k, a in enumerate(s.coefficients)]
 
 
 def test_series_arithmetic_matches_ordinary_oracle():
     for _ in range(300):
         f = _random_egf(rng.randint(0, 6))
-        head = rng.choice([1, 1, -1, 2, Fraction(-3, 2), rng.randint(-3, 3)])
+        head = rng.choice([1, 1, -1, -1, 0, 2, -3, rng.randint(-3, 3)])
         g = _random_egf(rng.randint(0, 6), head)
         of, og = _ordinary(f), _ordinary(g)
         n = min(len(of), len(og))
@@ -171,22 +172,46 @@ def test_series_arithmetic_matches_ordinary_oracle():
         assert _ordinary(f - g) == [of[k] - og[k] for k in range(n)]
         assert _ordinary(f * g) == ordinary_product(of, og)
         assert _ordinary(f.derivative()) == ordinary_derivative(of)
-        scale = rng.choice([3, Fraction(1, 2)])
+        scale = rng.choice([3, -2])
         assert _ordinary(f * scale) == [c * scale for c in of]
-        if head == 0:
+        if head in (1, -1):
+            q = f / g
+            assert all(type(a) is int for a in q.coefficients)
+            assert _ordinary(q) == ordinary_quotient(of, og)
+        else:
             with pytest.raises(ZeroDivisionError):
                 f / g
-        else:
-            assert _ordinary(f / g) == ordinary_quotient(of, og)
 
 
 def test_quotients_by_a_unit_constant_term_stay_integer():
     sec_plus_tan = (constant(1, 12) + egf_sin(12)) / egf_cos(12)
     assert all(type(a) is int for a in sec_plus_tan.coefficients)
     assert sec_plus_tan.coefficients == tuple(ZIGZAG_HEAD + [353792, 2702765])
-    half = constant(1, 4) / constant(2, 4)
-    assert half.coefficient(0) == Fraction(1, 2)
-    assert half.egf_coefficient(0) == Fraction(1, 2)
+    assert constant(1, 12) / -egf_cos(12) == -egf_sec(12)
+    with pytest.raises(ZeroDivisionError):
+        constant(1, 4) / constant(2, 4)  # a half has no integer series
+
+
+@pytest.mark.parametrize("scale", [1.5, 2.0, Fraction(1, 2), "2"])
+def test_series_scale_by_ints_only(scale):
+    with pytest.raises(TypeError):
+        egf_sin(4) * scale
+
+
+def test_identities_compare_int_coefficients(monkeypatch):
+    compared = {}
+    true_compare_values = series._compare_values
+
+    def recording(name, pairs):
+        pairs = list(pairs)
+        compared[name] = [v for _, xy in pairs for v in xy]
+        return true_compare_values(name, pairs)
+
+    monkeypatch.setattr(series, "_compare_values", recording)
+    checks = verify_identities(20)
+    assert all(c.passed for c in checks)
+    assert sorted(compared) == sorted(c.name for c in checks)
+    assert all(type(v) is int for vs in compared.values() for v in vs)
 
 
 def test_identities_catch_a_wrong_bar_d(monkeypatch):
