@@ -7,8 +7,9 @@ on plain integers (the model's integer root vectors made primitive, over
 Q(sqrt5) each with its product with phi, span membership as zero dot
 products with fraction-free null vectors); the rest of its orbit, with its
 covers, is carried along the generators' line permutations and certified.
-Exact `FieldScalar` arithmetic serves the export's flat bases only. A
-product's roots are its factors' roots in factor order. The build records
+Exact `FieldScalar` arithmetic serves the export's flat bases only, from
+the roots the model derives from its vectors for the export. A product's
+roots are its factors' roots in factor order. The build records
 each element's W-orbit once, as its least element (`orbit`): the matrix
 build from its orbit walk, the dihedral one from its generators, a product
 from its factors'. The group acts through its generators alone

@@ -2,17 +2,17 @@
 
 Every model acts on its roots, one representative per root pair, and lists
 its generators as signed permutations of the root indices: p[i] = s * (j + 1)
-maps root i to s * root j. Matrix models close their simple roots under the
-simple reflections in one pass on plain integers, which finds the generator
-permutations too: a coordinate a + b*sqrt5 is written over {1, phi}, phi =
-(1 + sqrt5)/2, every root is scaled by one common denominator D, and each
-coefficient 2<v,a>/<a,a> = k + k' phi is one exact integer division whose
-remainder must be zero, a certificate that the closure stays in the root
-lattice. A model keeps these integer vectors, which the lattice uses as they
-are, and its roots as exact `FieldScalar`s converted once at the end; the
-export alone derives the generator matrices from them. Dihedral groups I2(m)
-get m roots indexed 0..m-1 and reflections acting by index arithmetic, so we
-never need the field Q(cos pi/m).
+maps root i to s * root j. A matrix type's simple roots are integer rows:
+each coordinate a + b*sqrt5 is written over {1, phi}, phi = (1 + sqrt5)/2,
+and every root is scaled by one common denominator D. They are closed under
+the simple reflections in one pass on these integers, which finds the
+generator permutations too, and each coefficient 2<v,a>/<a,a> = k + k' phi
+is one exact integer division whose remainder must be zero, a certificate
+that the closure stays in the root lattice. The lattice uses the integer
+vectors as they are; the export alone derives exact `FieldScalar` roots and
+generator matrices from them. Dihedral groups I2(m) get m roots indexed
+0..m-1 and reflections acting by index arithmetic, so we never need the
+field Q(cos pi/m).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from .field import (
     FIELD_Q,
@@ -75,73 +75,39 @@ def reflection_count(t: TypeLabel) -> int:
     return REFLECTION_COUNTS[t.family](t.rank)
 
 
-def _q(x) -> FieldScalar:
-    return FieldScalar.of(Fraction(x))
+def _pair(amb, i, j, sign=-1):
+    """e_i + sign * e_j as an integer row."""
+    return [(k == i) + sign * (k == j) for k in range(amb)]
+
+
+# the exceptional simple roots times D = 2, and the ambient dimension; tuples,
+# so no caller edits them. Bourbaki's F4: e2 - e3, e3 - e4, e4, (e1 - e2 - e3
+# - e4)/2; E6: (e1 + e8 - e2 - ... - e7)/2, e1 + e2, a_k = e_{k-1} - e_{k-2};
+# H3: (0, 1, 0), (1/2, phi/2, (phi - 1)/2), (1, 0, 0), p + q phi written p, q
+_EXCEPTIONAL_ROOTS = {
+    ("F", 4): (((0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)), 4),
+    ("E", 6): (((1, -1, -1, -1, -1, -1, -1, 1),
+                (2, 2, 0, 0, 0, 0, 0, 0),
+                (-2, 2, 0, 0, 0, 0, 0, 0),
+                (0, -2, 2, 0, 0, 0, 0, 0),
+                (0, 0, -2, 2, 0, 0, 0, 0),
+                (0, 0, 0, -2, 2, 0, 0, 0)), 8),
+    ("H", 3): (((0, 0, 2, 0, 0, 0), (1, 0, 0, 1, -1, 1), (2, 0, 0, 0, 0, 0)), 3),
+}
 
 
 def _simple_roots(t: TypeLabel):
-    """Simple root coordinates per standard numbering; returns (roots, ambient)."""
+    """Simple roots per standard numbering as integer rows over {1, phi} for
+    H3, each times the common denominator D; returns (rows, ambient, D)."""
     fam, n = t.family, t.rank
     if fam == "A":
-        amb = n + 1
-        return [_e_minus_e(amb, i, i + 1) for i in range(n)], amb
+        return [_pair(n + 1, i, i + 1) for i in range(n)], n + 1, 1
     if fam == "B":
-        amb = n
-        roots = [[_q(1 if j == 0 else 0) for j in range(amb)]]
-        for i in range(1, n):
-            roots.append(_e_minus_e(amb, i - 1, i))
-        return roots, amb
+        return [[1] + [0] * (n - 1)] + [_pair(n, i - 1, i) for i in range(1, n)], n, 1
     if fam == "D":
-        amb = n
-        roots = [_e_minus_e(amb, i, i + 1) for i in range(n - 2)]
-        roots.append(_e_minus_e(amb, n - 2, n - 1))
-        roots.append(_e_plus_e(amb, n - 2, n - 1))
-        return roots, amb
-    if fam == "F":
-        amb = 4
-        half = Fraction(1, 2)
-        return [
-            _e_minus_e(amb, 1, 2),
-            _e_minus_e(amb, 2, 3),
-            [_q(0), _q(0), _q(0), _q(1)],
-            [_q(half), _q(-half), _q(-half), _q(-half)],
-        ], amb
-    if fam == "E" and n == 6:
-        amb = 8
-        half = Fraction(1, 2)
-        a1 = [_q(half), _q(-half), _q(-half), _q(-half), _q(-half), _q(-half), _q(-half), _q(half)]
-        a2 = _e_plus_e(amb, 0, 1)
-        # Bourbaki: alpha3 = e2-e1, alpha4 = e3-e2, ...
-        a3 = [-x for x in _e_minus_e(amb, 0, 1)]
-        a4 = [-x for x in _e_minus_e(amb, 1, 2)]
-        a5 = [-x for x in _e_minus_e(amb, 2, 3)]
-        a6 = [-x for x in _e_minus_e(amb, 3, 4)]
-        return [a1, a2, a3, a4, a5, a6], amb
-    if fam == "H" and n == 3:
-        amb = 3
-        tau_half = FieldScalar.sqrt5_part(Fraction(1, 4), Fraction(1, 4))
-        inv_2tau = FieldScalar.sqrt5_part(Fraction(-1, 4), Fraction(1, 4))
-        half = _q(Fraction(1, 2))
-        return [
-            [ZERO, ONE, ZERO],
-            [half, tau_half, inv_2tau],
-            [ONE, ZERO, ZERO],
-        ], amb
-    raise UnsupportedModelError(
-        f"no matrix model for {t}; the recursion method supports this type"
-    )
-
-
-def _e_minus_e(amb, i, j):
-    return [_q(1 if k == i else (-1 if k == j else 0)) for k in range(amb)]
-
-
-def _e_plus_e(amb, i, j):
-    return [_q(1 if k in (i, j) else 0) for k in range(amb)]
-
-
-def _dot(u, v) -> FieldScalar:
-    return sum((a * b for a, b in zip(u, v)), ZERO)
+        return ([_pair(n, i, i + 1) for i in range(n - 1)]
+                + [_pair(n, n - 2, n - 1, 1)], n, 1)
+    return (*_EXCEPTIONAL_ROOTS[fam, n], 2)
 
 
 def _idot(u, v) -> int:
@@ -151,6 +117,12 @@ def _idot(u, v) -> int:
 def phi_times(vec) -> list:
     """phi * v in coordinates over {1, phi}: phi (x0 + x1 phi) = x1 + (x0 + x1) phi."""
     return [y for x0, x1 in zip(vec[::2], vec[1::2]) for y in (x1, x0 + x1)]
+
+
+def _phi_pairs(vec, realify: bool):
+    """The coordinates p + q phi of an integer vector: consecutive pairs over
+    Q(sqrt5), and q = 0 over Q."""
+    return zip(vec[::2], vec[1::2]) if realify else ((x, 0) for x in vec)
 
 
 def phi_sign(p: int, q: int) -> int:
@@ -163,7 +135,7 @@ def phi_sign(p: int, q: int) -> int:
 
 def _reflection_matrix(root, amb):
     """The matrix I - 2 r r^T / (r . r) of the reflection in root r."""
-    norm = _dot(root, root)
+    norm = sum((x * x for x in root), ZERO)
     coefs = [(x + x) / norm for x in root]
     return [[(ONE if i == j else ZERO) - c * root[i] for j, c in enumerate(coefs)]
             for i in range(amb)]
@@ -176,16 +148,23 @@ class ReflectionModel:
     label: TypeLabel
     ambient: int
     field: str
-    roots: list          # one canonical-signed representative per root pair
     gen_perms: list      # signed root permutations of the generators
-    vectors: list        # each root times `denominator` in integer coordinates,
-    denominator: int     # over {1, phi} for Q(sqrt5), phi = (1 + sqrt5)/2
+    vectors: list        # one canonical-signed root per pair, times `denominator`,
+    denominator: int     # in integer coordinates over {1, phi} for Q(sqrt5)
+
+    @functools.cached_property
+    def roots(self) -> list:
+        """The roots as exact `FieldScalar`s, for the export: p + q phi over D
+        is ((2p + q) + q sqrt5) / 2D. The simple roots come first."""
+        d, realify = 2 * self.denominator, self.field == FIELD_QSQRT5
+        scalar = functools.cache(lambda p, q: FieldScalar.sqrt5_part(
+            Fraction(2 * p + q, d), Fraction(q, d)))
+        return [list(itertools.starmap(scalar, _phi_pairs(v, realify))) for v in self.vectors]
 
     @property
     def generators(self) -> list:
-        """Reflection matrices, one per graph vertex, for the export. The
-        simple roots come first in `roots`, and a root and its negative give
-        the same matrix."""
+        """Reflection matrices, one per graph vertex, for the export. A root
+        and its negative give the same matrix."""
         return [_reflection_matrix(r, self.ambient) for r in self.roots[:self.label.rank]]
 
 
@@ -236,14 +215,9 @@ def _build_irreducible(t: TypeLabel):
             f"{t} has no brute-force model (group too large); "
             f"use the recursion method instead"
         )
-    simple, amb = _simple_roots(t)
+    simple, amb, scale = _simple_roots(t)
     realify = t.family == "H"
-    # integer coordinates, with a + b sqrt5 = (a - b) + 2b phi over Q(sqrt5),
-    # times the simple roots' common denominator D
-    coords = [[q for x in r for q in ((x.a - x.b, 2 * x.b) if realify else (x.a,))]
-              for r in simple]
-    scale = lcm(*(q.denominator for row in coords for q in row))
-    pairs = (lambda v: zip(v[::2], v[1::2])) if realify else (lambda v: ((x, 0) for x in v))
+    pairs = functools.partial(_phi_pairs, realify=realify)
     # close the simple roots under their reflections s_a(v) = v - c a, one
     # canonical-signed root per pair, with c = 2<v,a>/<a,a> = k + k' phi
     # taken exactly from <v,a> = v.a + (v.(phi a)) phi and, for <a,a> =
@@ -251,7 +225,7 @@ def _build_irreducible(t: TypeLabel):
     # over Q the phi parts are 0. A popped root's signed images are its
     # entries in the gen_perms
     mirrors = []
-    for a in ([int(q * scale) for q in row] for row in coords):
+    for a in simple:
         pa = phi_times(a) if realify else [0] * len(a)
         n0, n1 = _idot(a, a), _idot(a, pa)
         mirrors.append((a, pa, n0 + n1, -n1, n0 * n0 + n0 * n1 - n1 * n1))
@@ -287,13 +261,8 @@ def _build_irreducible(t: TypeLabel):
             f"{t}: root closure found {len(index)} lines, expected {expected}"
         )
     vecs = list(index)
-    # p + q phi = (2p + q)/2 + (q/2) sqrt5; few distinct values
-    scalar = functools.cache(lambda p, q: FieldScalar.sqrt5_part(
-        Fraction(2 * p + q, 2 * scale), Fraction(q, 2 * scale)))
     return ReflectionModel(t, amb, FIELD_QSQRT5 if realify else FIELD_Q,
-                           [list(itertools.starmap(scalar, pairs(v))) for v in vecs],
-                           list(zip(*map(images.__getitem__, vecs))),
-                           vecs, scale)
+                           list(zip(*map(images.__getitem__, vecs))), vecs, scale)
 
 
 def build_model(g):

@@ -40,14 +40,17 @@ class EgfSeries:
         return self.coefficients[k]
 
     def __add__(self, other):
-        other = _coerce(other, self.order)
+        if (other := _coerce(other, self.order)) is None:
+            return NotImplemented
         return EgfSeries(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
 
     def __neg__(self):
         return EgfSeries(tuple(-c for c in self.coefficients))
 
     def __sub__(self, other):
-        return self + (-_coerce(other, self.order))
+        if (other := _coerce(other, self.order)) is None:
+            return NotImplemented
+        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -64,7 +67,8 @@ class EgfSeries:
     def __truediv__(self, other):
         """Exact quotient by a divisor whose constant term is 1 or -1, such
         as cos's, the units of the integers: it keeps the series in integers."""
-        other = _coerce(other, self.order)
+        if (other := _coerce(other, self.order)) is None:
+            return NotImplemented
         f, g = self.coefficients, other.coefficients
         if g[0] not in (1, -1):
             raise ZeroDivisionError("series division needs an invertible constant term")
@@ -90,10 +94,11 @@ class EgfSeries:
         return hash(self.coefficients[:1])
 
 
-def _coerce(x, order: int) -> EgfSeries:
+def _coerce(x, order: int):
+    """A series as it is, an int as a constant series, else None."""
     if isinstance(x, EgfSeries):
         return x
-    return constant(x, order)
+    return constant(x, order) if isinstance(x, int) else None
 
 
 def constant(c, order: int) -> EgfSeries:

@@ -4,11 +4,11 @@ paths (root permutations, hyperplane-index sets, the lattice's orbit
 transport, the memoized canonical-chain scan from atom stabilisers, the
 recursion's deletion rules, the integer root closure) against these
 slower, more direct computations, among them the root closure in exact
-field arithmetic, the full group action table composed along a
-breadth-first closure of the whole group, the lattice with every flat
-closed on integers, the chain scan that reaches every canonical chain and
-the orbits of each rank from hypset images, which the lattice's orbit
-record must match. The recursion's label deletion rules are checked
+field arithmetic from its own table of simple roots, the full group action
+table composed along a breadth-first closure of the whole group, the
+lattice with every flat closed on integers, the chain scan that reaches
+every canonical chain and the orbits of each rank from hypset images, which
+the lattice's orbit record must match. The recursion's label deletion rules are checked
 against deleting the vertex from the type's standard graph and classifying
 the components that remain. The series layer's integer EGF arithmetic is
 checked against Cauchy products, long division and derivatives of ordinary
@@ -56,8 +56,6 @@ from coxchains.models import (
     DEFAULT_ELEMENT_CAP,
     ProductModel,
     UnsupportedModelError,
-    _dot,
-    _simple_roots,
     reflection_count,
 )
 from coxchains.recursion import SWAP, KCalculator
@@ -453,12 +451,82 @@ def _canonical_sign(vec):
     raise ValueError("zero root")
 
 
+def _dot(u, v) -> FieldScalar:
+    return sum((a * b for a, b in zip(u, v)), ZERO)
+
+
+def _q(x) -> FieldScalar:
+    return FieldScalar.of(Fraction(x))
+
+
+def _e_minus_e(amb, i, j):
+    return [_q(1 if k == i else (-1 if k == j else 0)) for k in range(amb)]
+
+
+def _e_plus_e(amb, i, j):
+    return [_q(1 if k in (i, j) else 0) for k in range(amb)]
+
+
+def field_simple_roots(t: TypeLabel):
+    """Simple root coordinates per standard numbering (Bourbaki's for F4
+    and E6) as exact `FieldScalar`s, written apart from the integer rows of
+    `models`; returns (roots, ambient)."""
+    fam, n = t.family, t.rank
+    if fam == "A":
+        amb = n + 1
+        return [_e_minus_e(amb, i, i + 1) for i in range(n)], amb
+    if fam == "B":
+        amb = n
+        roots = [[_q(1 if j == 0 else 0) for j in range(amb)]]
+        for i in range(1, n):
+            roots.append(_e_minus_e(amb, i - 1, i))
+        return roots, amb
+    if fam == "D":
+        amb = n
+        roots = [_e_minus_e(amb, i, i + 1) for i in range(n - 2)]
+        roots.append(_e_minus_e(amb, n - 2, n - 1))
+        roots.append(_e_plus_e(amb, n - 2, n - 1))
+        return roots, amb
+    if fam == "F":
+        amb = 4
+        half = Fraction(1, 2)
+        return [
+            _e_minus_e(amb, 1, 2),
+            _e_minus_e(amb, 2, 3),
+            [_q(0), _q(0), _q(0), _q(1)],
+            [_q(half), _q(-half), _q(-half), _q(-half)],
+        ], amb
+    if fam == "E" and n == 6:
+        amb = 8
+        half = Fraction(1, 2)
+        a1 = [_q(half), _q(-half), _q(-half), _q(-half), _q(-half), _q(-half), _q(-half), _q(half)]
+        a2 = _e_plus_e(amb, 0, 1)
+        # Bourbaki: alpha3 = e2-e1, alpha4 = e3-e2, ...
+        a3 = [-x for x in _e_minus_e(amb, 0, 1)]
+        a4 = [-x for x in _e_minus_e(amb, 1, 2)]
+        a5 = [-x for x in _e_minus_e(amb, 2, 3)]
+        a6 = [-x for x in _e_minus_e(amb, 3, 4)]
+        return [a1, a2, a3, a4, a5, a6], amb
+    if fam == "H" and n == 3:
+        amb = 3
+        tau_half = FieldScalar.sqrt5_part(Fraction(1, 4), Fraction(1, 4))
+        inv_2tau = FieldScalar.sqrt5_part(Fraction(-1, 4), Fraction(1, 4))
+        half = _q(Fraction(1, 2))
+        return [
+            [ZERO, ONE, ZERO],
+            [half, tau_half, inv_2tau],
+            [ONE, ZERO, ZERO],
+        ], amb
+    raise ValueError(f"no simple roots for {t}")
+
+
 def field_root_closure(t):
     """The roots and generator permutations of a matrix type, closed in exact
-    `FieldScalar` arithmetic: s_a(v) = v - (2<v,a>/<a,a>) a, one
-    canonical-signed root per pair, with the same LIFO queue as the integer
-    closure of `models`, so both give the same root order and signs."""
-    simple, _ = _simple_roots(t)
+    `FieldScalar` arithmetic from `field_simple_roots`: s_a(v) = v -
+    (2<v,a>/<a,a>) a, one canonical-signed root per pair, with the same LIFO
+    queue as the integer closure of `models`, so both give the same root
+    order and signs."""
+    simple, _ = field_simple_roots(t)
     mirrors = [(a, FieldScalar.of(2) / _dot(a, a)) for a in simple]
     roots = []
     index = {}

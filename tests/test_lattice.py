@@ -201,16 +201,38 @@ def swapped(model, g, i, j):
     return dataclasses.replace(model, gen_perms=perms)
 
 
-@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "H3"])
+# the certificates of the matrix build, by the end of their messages
+CARRIED = "carried covers differ from its closure"
+NONE_BELOW = "a root of a flat lies in no flat it covers"
+BUILD_CERTIFICATES = [CARRIED, NONE_BELOW, "a root off a flat lies in two of its covers",
+                      "a root off a flat lies in none of its covers",
+                      "rank-1 elements are not exactly the hyperplanes",
+                      "bottom element is not unique", "top element is not unique",
+                      "cover relation skips a rank", "non-top element with no cover above",
+                      "non-bottom element with no cover below"]
+
+
+# the certificates that some swap of two lines in one generator trips
+SWAP_TRIPS = {"A3": {CARRIED, NONE_BELOW}, "B3": {CARRIED, NONE_BELOW}, "D4": {CARRIED},
+              "H3": {CARRIED, NONE_BELOW}}
+
+
+@pytest.mark.parametrize("spec", list(SWAP_TRIPS))
 def test_swapped_generator_lines_fail_the_build(spec):
     """Transport along a permutation that is not a symmetry of the
     arrangement must not pass: every swap of two lines in any one generator
-    raises."""
+    fails one of the build's certificates, and these are the ones some swap
+    trips."""
     model = build_model(spec)
+    seen = set()
     for g in range(len(model.gen_perms)):
-        for i, j in itertools.combinations(range(len(model.roots)), 2):
-            with pytest.raises(AssertionError):
+        for i, j in itertools.combinations(range(len(model.vectors)), 2):
+            with pytest.raises(AssertionError) as exc:
                 lattice_module._build_matrix_lattice(swapped(model, g, i, j))
+            hit = [m for m in BUILD_CERTIFICATES if str(exc.value).endswith(m)]
+            assert hit, exc.value
+            seen.update(hit)
+    assert seen == SWAP_TRIPS[spec]
 
 
 @pytest.mark.parametrize("spec, orbits", [("A3", 5), ("A6", 15), ("E6", 17)])

@@ -210,8 +210,9 @@ MATRIX_TYPES = ([f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 6)]
 
 @pytest.mark.parametrize("spec", MATRIX_TYPES)
 def test_integer_closure_equals_field_closure(spec):
-    """The integer closure gives the roots, their order and signs, and the
-    generator permutations of the closure in exact field arithmetic."""
+    """The integer rows' closure gives the roots, their order and signs, and
+    the generator permutations of the closure in exact field arithmetic from
+    the oracle's own table of Bourbaki's coordinates."""
     model = build_model(spec)
     roots, gen_perms = field_root_closure(model.label)
     assert model.roots == roots
@@ -244,15 +245,16 @@ def test_phi_sign_matches_field_sign():
 
 
 def scale_b2_short_root(monkeypatch):
-    """B2 with its short simple root e1 scaled by 3, so that reflecting the
-    long root e1 - e2 in it takes 2<v,a>/<a,a> = 2/3."""
+    """B2 with its short simple root e1 scaled by 3, the rows [[3, 0], [1,
+    -1]], so that reflecting the long root e1 - e2 in it takes 2<v,a>/<a,a>
+    = 2/3."""
     real = models._simple_roots
 
     def simple_roots(t):
-        roots, amb = real(t)
+        rows, amb, scale = real(t)
         if t == TypeLabel("B", 2):
-            roots[0] = [x * 3 for x in roots[0]]
-        return roots, amb
+            rows[0] = [x * 3 for x in rows[0]]
+        return rows, amb, scale
 
     monkeypatch.setattr(models, "_simple_roots", simple_roots)
 
@@ -309,18 +311,24 @@ def test_closure_outside_the_root_lattice_fails(monkeypatch):
 
 def test_brute_path_does_no_field_arithmetic(monkeypatch):
     """Building E6, F4 and H3 and their lattices with action, and counting
-    their chain orbits on covers closed on demand, adds, subtracts,
-    multiplies and divides no FieldScalar: the root closure, the lattice
-    and the scan run on integers."""
+    their chain orbits on covers closed on demand, constructs, adds,
+    subtracts, multiplies and divides no FieldScalar: the root closure, the
+    lattice and the scan run on integers. Only the export builds them."""
     calls = Counter()
-    for name in ("__add__", "__sub__", "__mul__", "__truediv__"):
-        def counted(self, other, name=name, real=getattr(FieldScalar, name)):
+
+    def count(name, real):
+        def counted(self, *args):
             calls[name] += 1
-            return real(self, other)
+            return real(self, *args)
         monkeypatch.setattr(FieldScalar, name, counted)
-    assert ONE + ONE == 2 and calls == {"__add__": 1}  # the counters count
+
+    for name in ("__init__", "__add__", "__sub__", "__mul__", "__truediv__"):
+        count(name, getattr(FieldScalar, name))
+    assert ONE + ONE == 2 and calls == {"__init__": 1, "__add__": 1}  # the counters count
     calls.clear()
     for spec in ("E6", "F4", "H3"):
         build_lattice_with_action(build_model(spec))
         count_chain_orbits_lazily(build_model(spec))
     assert calls == Counter()
+    model_to_json(build_model("H3"))
+    assert calls["__init__"] > 0 and calls["__mul__"] > 0

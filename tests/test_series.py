@@ -198,6 +198,23 @@ def test_series_scale_by_ints_only(scale):
         egf_sin(4) * scale
 
 
+@pytest.mark.parametrize("combine", [
+    lambda f: f + 1.5, lambda f: f - 1.5, lambda f: f / 1.0, lambda f: f + Fraction(1, 2),
+], ids=["add-float", "subtract-float", "divide-float", "add-fraction"])
+def test_series_add_subtract_and_divide_ints_only(combine):
+    with pytest.raises(TypeError):
+        combine(egf_sin(3))
+
+
+def test_int_operands_keep_int_coefficients():
+    f = egf_sin(3)
+    assert (f + 1).coefficients == (1, 1, 0, -1)
+    assert (f - 2).coefficients == (-2, 1, 0, -1)
+    assert (constant(3, 3) / 1).coefficients == (3, 0, 0, 0)
+    assert (f / -1).coefficients == (0, -1, 0, 1)
+    assert all(type(a) is int for g in (f + 1, f - 2, f / -1) for a in g.coefficients)
+
+
 def test_identities_compare_int_coefficients(monkeypatch):
     compared = {}
     true_compare_values = series._compare_values
