@@ -4,9 +4,10 @@ A lattice element is identified with the set of reflecting hyperplanes
 containing it, kept as a bitmask of root indices (`hypsets`); a group
 element permutes root lines, hence hypsets. One flat per W-orbit is closed
 on plain integers (the model's integer root vectors made primitive, over
-Q(sqrt5) each with its product with phi, span membership as zero dot
-products with fraction-free null vectors); the rest of its orbit, with its
-covers, is carried along the generators' line permutations and certified.
+Q(sqrt5) each with its product with phi, each root off the flat reduced
+once against the flat's fraction-free echelon form, the roots of one
+residue line one cover); the rest of its orbit, with its covers, is carried
+along the generators' line permutations and certified.
 Exact `FieldScalar` arithmetic serves the export's flat bases only, from
 the roots the model derives from its vectors for the export. A product's
 roots are its factors' roots in factor order. The build records
@@ -111,17 +112,23 @@ def _integer_lines(model: ReflectionModel):
     return vecs, [[v, phi_times(v)] if realify else [v] for v in vecs]
 
 
+def _reduce(rows, pivots, row):
+    """The row with every pivot column cleared by fraction-free steps."""
+    for prow, p in zip(rows, pivots):
+        x = row[p]
+        if x:
+            d = prow[p]
+            row = [d * u - x * w for u, w in zip(row, prow)]
+    return row
+
+
 def _echelon(rows, pivots, new):
     """Add integer rows to a fraction-free reduced echelon form, in which
     every row is primitive and each pivot column is zero outside its pivot
     row. Returns new lists (rows, pivots); the arguments are not changed."""
     rows, pivots = list(rows), list(pivots)
     for row in new:
-        for prow, p in zip(rows, pivots):
-            x = row[p]
-            if x:
-                d = prow[p]
-                row = [d * u - x * w for u, w in zip(row, prow)]
+        row = _reduce(rows, pivots, row)
         p = next((j for j, x in enumerate(row) if x), None)
         if p is None:
             continue
@@ -136,60 +143,51 @@ def _echelon(rows, pivots, new):
     return rows, pivots
 
 
-def _null_vectors(rows, pivots, width):
-    """Integer basis of the vectors v with row . v = 0 for every row of a
-    reduced echelon form, built without division: a free column f gets
-    v[f] = the product of the pivot entries and, for each row, v[pivot] =
-    -row[f] times the product of the other pivot entries."""
-    heads = [row[p] for row, p in zip(rows, pivots)]
-    before = list(itertools.accumulate(heads, operator.mul, initial=1))
-    after = list(itertools.accumulate(reversed(heads), operator.mul, initial=1))
-    others = [before[i] * after[-2 - i] for i in range(len(heads))]
-    out = []
-    for f in range(width):
-        if f in pivots:
-            continue
-        v = [0] * width
-        v[f] = before[-1]
-        for row, p, o in zip(rows, pivots, others):
-            v[p] = -row[f] * o
-        out.append(v)
-    return out
+def _residue(rows, pivots, root):
+    """A key of the root's line modulo the echelon form's span, None if the
+    root lies in it: its row with the pivot columns cleared, unique up to a
+    factor, or over Q(sqrt5) the 2x2 minors of its two rows, which fix the
+    plane they span; made primitive, the first nonzero entry positive."""
+    res = [_reduce(rows, pivots, row) for row in root]
+    if len(res) == 2:
+        u, v = res
+        res = [[u[i] * v[j] - u[j] * v[i] for i, j in itertools.combinations(range(len(u)), 2)]]
+    g = math.gcd(*res[0])
+    if not g:
+        return None
+    g = g if next(filter(None, res[0])) > 0 else -g
+    return tuple([x // g for x in res[0]])
 
 
 def _closure(vecs, lines, mask, span):
-    """The covers (hypset, spanning roots) of the flat `mask` spanned by `span`."""
+    """The covers (hypset, spanning roots) of the flat `mask` spanned by
+    `span`, in the order of their least roots: each root off the flat is
+    reduced once against the flat's echelon form, and the roots of one
+    residue (`_residue`) are one cover, spanned by span and its least root.
+    A root in the span, possible only when mask is not closed, joins the
+    first cover."""
     base = _echelon((), (), [row for i in span for row in lines[i]])
-    seen, out = mask, []
-    for a in range(len(vecs)):
-        if seen >> a & 1:
-            continue
-        nulls = _null_vectors(*_echelon(*base, lines[a]), len(vecs[0]))
-        # every root below a is in `seen`, and a root already in another
-        # cover of this flat lies in no other cover
-        cover = mask | 1 << a
-        for c in range(a + 1, len(vecs)):
-            if not seen >> c & 1 and not any(
-                    sum(map(operator.mul, vecs[c], v)) for v in nulls):
-                cover |= 1 << c
-        seen |= cover
-        out.append((cover, span + (a,)))
-    return out
+    covers = {}  # residue -> [hypset, least root]
+    for a in _lines((1 << len(vecs)) - 1 & ~mask):
+        key = _residue(*base, lines[a]) or next(iter(covers), None)
+        covers.setdefault(key, [mask, a])[0] |= 1 << a
+    return [(cover, span + (a,)) for cover, a in covers.values()]
 
 
 def _build_matrix_lattice(model: ReflectionModel) -> IntersectionLattice:
     """Build rank by rank, closing one flat per W-orbit on integers.
 
-    `_closure` brings a flat's spanning rows and one more root's to a
-    fraction-free echelon form; the cover is every root orthogonal to all
-    its null vectors. In FIFO order, a flat no earlier orbit reached is
-    closed and its orbit walked breadth-first along the generators' line
-    permutations: p gives p(y) the covers p(c) of y's covers c, and a new
-    flat the sorted image of y's span. Three checks certify that each
-    generator is a symmetry: the walk's last flat, closed again, has the
-    carried covers; each root off a flat lies in exactly one of its covers;
-    each root of a flat of rank >= 2 lies in a flat it covers. A flat's
-    element is its spanning roots; `build_lattice` makes it a `Subspace`.
+    `_closure` brings a flat's spanning rows to a fraction-free echelon
+    form and groups the roots off the flat by their residues against it,
+    one cover per residue line. In FIFO order, a flat no earlier orbit
+    reached is closed and its orbit walked breadth-first along the
+    generators' line permutations: p gives p(y) the covers p(c) of y's
+    covers c, and a new flat the sorted image of y's span. Three checks
+    certify that each generator is a symmetry: the walk's last flat, closed
+    again, has the carried covers; each root off a flat lies in exactly one
+    of its covers; each root of a flat of rank >= 2 lies in a flat it
+    covers. A flat's element is its spanning roots; `build_lattice` makes
+    it a `Subspace`.
     """
     vecs, lines = _integer_lines(model)
     gens = [[1 << abs(x) - 1 for x in p] for p in model.gen_perms]  # line i -> bit
@@ -326,10 +324,13 @@ def _product_lattice(lat1, lat2):
     the pair of their least elements, since rank is constant on an orbit."""
     n2 = len(lat2.elements)
     shift = lat1.hypsets[lat1.top].bit_length()
-    pairs = sorted(
-        itertools.product(range(len(lat1.elements)), range(n2)),
-        key=lambda p: (lat1.rank[p[0]] + lat2.rank[p[1]], p[0], p[1]),
-    )
+    by_rank = [[j for j, s in enumerate(lat2.rank) if s == r]
+               for r in range(lat2.essential_rank + 1)]
+    pairs = []
+    for t in range(lat1.essential_rank + len(by_rank)):  # each rank in (i, j) order
+        for i, r in enumerate(lat1.rank):
+            if 0 <= t - r < len(by_rank):
+                pairs += zip(itertools.repeat(i), by_rank[t - r])
     flat = [0] * (len(lat1.elements) * n2)
     for pos, (i, j) in enumerate(pairs):
         flat[i * n2 + j] = pos
@@ -358,8 +359,10 @@ def _lattice(model) -> IntersectionLattice:
         return _build_dihedral_lattice(model)
     if isinstance(model, ProductModel):  # folded from the trivial group
         lattice = IntersectionLattice("product", [()], [0], [[]], 0, 0, 0, [0], [0])
+        factors = {id(f): f for f, _ in model.factors}  # each shared model once
+        built = {k: _lattice(f) for k, f in factors.items()}
         for f, _ in model.factors:
-            lattice, _ = _product_lattice(lattice, _lattice(f))
+            lattice, _ = _product_lattice(lattice, built[id(f)])
         return lattice
     raise TypeError(f"not a reflection model: {model!r}")
 
@@ -389,6 +392,7 @@ def _stabiliser(generators, line, order):
     size = len(generators[0])
     identity = tuple(range(size))
     transversal = {line: identity}
+    inverses = {}  # orbit line c -> transversal[c]^-1
     orbit = [line]
     elements, members = [identity], {identity}
     kept, closed = [], 0  # every kept generator extends elements[:closed]
@@ -406,8 +410,9 @@ def _stabiliser(generators, line, order):
                 transversal[c] = gu
                 orbit.append(c)
                 continue
-            inverse = sorted(range(size), key=transversal[c].__getitem__)
-            s = operator.itemgetter(*gu)(inverse)
+            if c not in inverses:
+                inverses[c] = sorted(range(size), key=transversal[c].__getitem__)
+            s = operator.itemgetter(*gu)(inverses[c])
             if s in members:
                 continue
             kept.append(operator.itemgetter(*s))
@@ -450,7 +455,12 @@ def build_lattice_with_action(model):
 
 
 def _lines(mask) -> list:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The root indices in a hypset, read off its set bits."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 def count_maximal_chains(l: IntersectionLattice) -> int:

@@ -276,9 +276,10 @@ def build_model(g):
     elif isinstance(g, CoxeterGraph):
         g = component_labels(g)
     order, offset, factors = 1, 0, []
+    build = functools.cache(_build_irreducible)  # one model per distinct label
     for label in g:
         n = label.coxeter_rank
-        factors.append((_build_irreducible(label), tuple(range(offset + 1, offset + n + 1))))
+        factors.append((build(label), tuple(range(offset + 1, offset + n + 1))))
         offset += n
         order *= group_order(label)
     if order > DEFAULT_ELEMENT_CAP:

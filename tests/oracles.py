@@ -6,13 +6,14 @@ recursion's deletion rules, the integer root closure) against these
 slower, more direct computations, among them the root closure in exact
 field arithmetic from its own table of simple roots, the full group action
 table composed along a breadth-first closure of the whole group, the
-lattice with every flat closed on integers, the chain scan that reaches
-every canonical chain and the orbits of each rank from hypset images, which
-the lattice's orbit record must match. The recursion's label deletion rules are checked
-against deleting the vertex from the type's standard graph and classifying
-the components that remain. The series layer's integer EGF arithmetic is
-checked against Cauchy products, long division and derivatives of ordinary
-Fraction coefficients.
+lattice with every flat closed on integers by one null-vector test per
+cover, the chain scan that reaches every canonical chain and the orbits of
+each rank from hypset images, which the lattice's orbit record must match.
+The recursion's label deletion rules are checked against deleting the
+vertex from the type's standard graph and classifying the components that
+remain. The series layer's integer EGF arithmetic is checked against
+Cauchy products, long division and derivatives of ordinary Fraction
+coefficients.
 """
 
 import collections
@@ -43,7 +44,7 @@ from coxchains.graphs import (
 from coxchains.lattice import (
     ChainOrbitCount,
     IntersectionLattice,
-    _closure,
+    _echelon,
     _integer_lines,
     _lines,
     _product_lattice,
@@ -586,11 +587,55 @@ def bfs_orbits(l: IntersectionLattice, blocks) -> list:
     return orbit
 
 
+def null_vectors(rows, pivots, width):
+    """Integer basis of the vectors v with row . v = 0 for every row of a
+    reduced echelon form, built without division: a free column f gets
+    v[f] = the product of the pivot entries and, for each row, v[pivot] =
+    -row[f] times the product of the other pivot entries."""
+    heads = [row[p] for row, p in zip(rows, pivots)]
+    before = list(itertools.accumulate(heads, operator.mul, initial=1))
+    after = list(itertools.accumulate(reversed(heads), operator.mul, initial=1))
+    others = [before[i] * after[-2 - i] for i in range(len(heads))]
+    out = []
+    for f in range(width):
+        if f in pivots:
+            continue
+        v = [0] * width
+        v[f] = before[-1]
+        for row, p, o in zip(rows, pivots, others):
+            v[p] = -row[f] * o
+        out.append(v)
+    return out
+
+
+def null_vector_closure(vecs, lines, mask, span):
+    """The covers (hypset, spanning roots) of the flat `mask` spanned by
+    `span`, one echelon form per cover: the least root a off the flat and
+    every later root orthogonal to all null vectors of span and a."""
+    base = _echelon((), (), [row for i in span for row in lines[i]])
+    seen, out = mask, []
+    for a in range(len(vecs)):
+        if seen >> a & 1:
+            continue
+        nulls = null_vectors(*_echelon(*base, lines[a]), len(vecs[0]))
+        # every root below a is in `seen`, and a root already in another
+        # cover of this flat lies in no other cover
+        cover = mask | 1 << a
+        for c in range(a + 1, len(vecs)):
+            if not seen >> c & 1 and not any(
+                    sum(map(operator.mul, vecs[c], v)) for v in nulls):
+                cover |= 1 << c
+        seen |= cover
+        out.append((cover, span + (a,)))
+    return out
+
+
 def closure_matrix_lattice(model, blocks) -> IntersectionLattice:
     """The matrix lattice with every flat closed on integers: rank by rank,
-    a flat's covers are its closures with one more root (`_closure`), each
-    recorded as found. No flat's covers are carried along the generators;
-    the orbit record is `bfs_orbits` under the generator blocks."""
+    a flat's covers are its closures with one more root by null vectors
+    (`null_vector_closure`), each recorded as found. No flat's covers are
+    carried along the generators; the orbit record is `bfs_orbits` under
+    the generator blocks."""
     vecs, lines = _integer_lines(model)
     n = len(vecs)
     masks = [0]
@@ -599,7 +644,7 @@ def closure_matrix_lattice(model, blocks) -> IntersectionLattice:
     ups = []
     for mask, span in zip(masks, spans):  # FIFO: rank r before rank r + 1
         flat_ups = []
-        for cover, cover_span in _closure(vecs, lines, mask, span):
+        for cover, cover_span in null_vector_closure(vecs, lines, mask, span):
             if cover not in ids:
                 ids[cover] = len(masks)
                 masks.append(cover)

@@ -19,7 +19,8 @@ from coxchains.lattice import (
     GeneratorAction,
     IntersectionLattice,
     _echelon,
-    _null_vectors,
+    _integer_lines,
+    _lines,
     _product_lattice,
     _validate_graded,
     build_lattice,
@@ -49,6 +50,8 @@ from oracles import (
     line_orbits_table,
     matrix_of,
     maximal_chains,
+    null_vector_closure,
+    null_vectors,
     point_table,
     product_table,
     set_partitions,
@@ -182,6 +185,77 @@ def test_orbit_transport_equals_every_flat_closure(spec):
         assert getattr(lattice, field) == getattr(oracle, field), field
 
 
+CLOSED_SPECS = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "D4", "D5",
+                "F4", "H3", "E6"]
+
+
+@pytest.mark.parametrize("spec", CLOSED_SPECS)
+def test_one_pass_closure_equals_null_vector_closure(spec):
+    """Grouping the roots off a flat by their residues gives the covers,
+    spans and order that one null-vector test per cover gives, on every
+    flat."""
+    model = build_model(spec)
+    lattice = lattice_module._build_matrix_lattice(model)
+    vecs, lines = _integer_lines(model)
+    for mask, span in zip(lattice.hypsets, lattice.elements):
+        assert (lattice_module._closure(vecs, lines, mask, span)
+                == null_vector_closure(vecs, lines, mask, span)), span
+
+
+@pytest.mark.parametrize("spec", CLOSED_SPECS)
+def test_one_pass_closure_equals_null_vector_closure_off_flats(spec):
+    """The same on random masks that are not flats and random spans, which
+    a walk along a generator that is no symmetry can close: a root in the
+    span but off the mask joins the first cover in both."""
+    model = build_model(spec)
+    vecs, lines = _integer_lines(model)
+    n, rank = len(vecs), model.label.rank
+    for _ in range(40):
+        span = tuple(sorted(rng.sample(range(n), rng.randint(0, rank))))
+        mask = rng.getrandbits(n) & rng.getrandbits(n)
+        if rng.random() < 0.5:
+            mask |= sum(1 << i for i in span)
+        assert (lattice_module._closure(vecs, lines, mask, span)
+                == null_vector_closure(vecs, lines, mask, span)), (mask, span)
+
+
+def test_lines_reads_the_set_bits():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.given(st.integers(0, 1 << 300))
+    @hypothesis.settings(max_examples=300, deadline=None)
+    def check(mask):
+        assert _lines(mask) == bits(mask)
+
+    check()
+
+
+def test_repeated_factor_is_built_once(monkeypatch):
+    """A2xA2xA2xA2 builds one A2 model and one A2 lattice, and its lattice
+    is the fold of four A2 lattices built apart."""
+    calls = collections.Counter()
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(models, "_build_irreducible")
+    counted(lattice_module, "_build_matrix_lattice")
+    lattice, _ = build_lattice_with_action(build_model("A2xA2xA2xA2"))
+    assert calls == {"_build_irreducible": 1, "_build_matrix_lattice": 1}
+    monkeypatch.undo()
+    fold = lattice_of("1")[0]
+    for _ in range(4):
+        fold, _ = _product_lattice(fold, build_lattice_with_action(build_model("A2"))[0])
+    assert vars(lattice) == vars(fold)
+    assert lattice.rank_sizes() == (1, 12, 58, 144, 195, 144, 58, 12, 1)
+
+
 def test_e6_lattice_invariants():
     """E6 without the every-flat closure: its flat count, maximal chains
     and chain orbits."""
@@ -233,6 +307,61 @@ def test_swapped_generator_lines_fail_the_build(spec):
             assert hit, exc.value
             seen.update(hit)
     assert seen == SWAP_TRIPS[spec]
+
+
+def at_the_bottom(change):
+    """A `_closure` that alters the bottom's covers by `change` alone: the
+    bottom is its own orbit, so no orbit walk carries the change."""
+    closure = lattice_module._closure
+
+    def mutant(vecs, lines, mask, span):
+        out = closure(vecs, lines, mask, span)
+        return out if mask else change(out)
+    return mutant
+
+
+def drop_a_root(out):
+    (cover, span), *rest = out
+    return [(cover & cover - 1, span)] + rest
+
+
+def a_root_in_two(out):
+    (c0, s0), (c1, s1), *rest = out
+    return [(c0, s0), (c1 | c0, s1)] + rest
+
+
+def merge_two_atoms(out):
+    (c0, s0), (c1, _), *rest = out
+    return [(c0 | c1, s0)] + rest
+
+
+NONE_OF = "a root off a flat lies in none of its covers"
+TWO_OF = "a root off a flat lies in two of its covers"
+RANK_ONE = "rank-1 elements are not exactly the hyperplanes"
+# mutant -> the certificate it trips in the whole build and in the lazy scan.
+# The whole build closes the covers of the merged two-root atom too, and a
+# root of each lies in no flat it covers, a check it makes before counting
+# the rank-1 flats
+CLOSURE_MUTANTS = {drop_a_root: (NONE_OF, NONE_OF), a_root_in_two: (TWO_OF, TWO_OF),
+                   merge_two_atoms: (NONE_BELOW, RANK_ONE)}
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "H3"])
+@pytest.mark.parametrize("change", list(CLOSURE_MUTANTS), ids=lambda f: f.__name__)
+def test_closure_mutant_fails_its_certificate(spec, change, monkeypatch, capsys):
+    """Covers that do not partition the roots off the bottom, or atoms that
+    are not the hyperplanes, fail the named certificate in the whole build
+    and in the lazy scan, and compute ends in one error line and exit 1."""
+    built_message, lazy_message = CLOSURE_MUTANTS[change]
+    monkeypatch.setattr(lattice_module, "_closure", at_the_bottom(change))
+    with pytest.raises(AssertionError) as exc:
+        build_lattice_with_action(build_model(spec))
+    assert str(exc.value) == built_message
+    with pytest.raises(AssertionError) as exc:
+        count_chain_orbits_lazily(build_model(spec))
+    assert str(exc.value) == lazy_message
+    code, out, err = run(capsys, "compute", spec, "--method", "bruteforce")
+    assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {lazy_message}\n")
 
 
 @pytest.mark.parametrize("spec, orbits", [("A3", 5), ("A6", 15), ("E6", 17)])
@@ -679,7 +808,7 @@ def test_integer_null_vectors_match_field_null_space():
     def check(rows):
         width = len(rows[0])
         reduced, pivots = _echelon((), (), rows)
-        nulls = _null_vectors(reduced, pivots, width)
+        nulls = null_vectors(reduced, pivots, width)
         expected = null_space(rows, width)
         assert len(pivots) == width - expected.dim
         assert len(nulls) == expected.dim
