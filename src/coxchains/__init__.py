@@ -13,7 +13,6 @@ from .graphs import (
     canonical_spec,
     classify_irreducible,
     connected_components,
-    delete_vertex,
     longest_element_automorphism,
     parse_group_spec,
     standard_graph,

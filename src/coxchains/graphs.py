@@ -237,14 +237,6 @@ def connected_components(g: CoxeterGraph):
     return components
 
 
-def delete_vertex(g: CoxeterGraph, v) -> CoxeterGraph:
-    if v not in g.vertices:
-        raise ValueError(f"vertex {v!r} not in graph")
-    verts = tuple(x for x in g.vertices if x != v)
-    edges = frozenset(e for e in g.edges if v not in e[:2])
-    return CoxeterGraph(verts, edges)
-
-
 def _path_order(g: CoxeterGraph):
     """Vertices of a path graph in order, or None if not a path."""
     if g.rank == 1:

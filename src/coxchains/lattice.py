@@ -2,18 +2,20 @@
 
 A lattice element is identified with the set of reflecting hyperplanes
 containing it, kept as a bitmask of root indices (`hypsets`); a group
-element permutes root lines, hence hypsets. One flat per W-orbit is closed
-on plain integers (the model's integer root vectors made primitive, over
+element permutes root lines, hence hypsets. Every irreducible lattice has
+one build: one flat per W-orbit is closed by its model's closure, on plain
+integers for a matrix model (its integer root vectors made primitive, over
 Q(sqrt5) each with its product with phi, each root off the flat reduced
 once against the flat's fraction-free echelon form, the roots of one
-residue line one cover); the rest of its orbit, with its covers, is carried
-along the generators' line permutations and certified.
-Exact `FieldScalar` arithmetic serves the export's flat bases only, from
-the roots the model derives from its vectors for the export. A product's
-roots are its factors' roots in factor order. The build records
-each element's W-orbit once, as its least element (`orbit`): the matrix
-build from its orbit walk, the dihedral one from its generators, a product
-from its factors'. The group acts through its generators alone
+residue line one cover) and by index for I2(m) (its lines, then its top);
+the rest of its orbit, with its covers, is carried along the generators'
+line permutations and certified. The lazy scan closes its flats with the
+same closures. Exact `FieldScalar` arithmetic serves the export's flat
+bases only, from the roots the model derives from its vectors for the
+export. A product's roots are its factors' roots in factor order. The
+build records each element's W-orbit once, as its least element
+(`orbit`): an irreducible build from its orbit walk, a product from its
+factors'. The group acts through its generators alone
 (`GeneratorAction`), one block per irreducible factor with each factor's
 order. Chain orbits are counted from atom stabilisers closed from Schreier
 generators inside their own block; a block the chain has not entered, or
@@ -57,7 +59,7 @@ from .models import (
 @dataclass
 class IntersectionLattice:
     kind: str            # matrix | dihedral | product
-    elements: list       # spanning roots or Subspace | name | factor indices
+    elements: list       # spanning roots (the export: Subspace | name) | factor indices
     rank: list           # codimension within the essential space
     covers: list         # covers[i] = indices of elements directly above i
     bottom: int
@@ -174,12 +176,32 @@ def _closure(vecs, lines, mask, span):
     return [(cover, span + (a,)) for cover, a in covers.values()]
 
 
-def _build_matrix_lattice(model: ReflectionModel) -> IntersectionLattice:
-    """Build rank by rank, closing one flat per W-orbit on integers.
+def _dihedral_closure(m, mask, span):
+    """The covers of an I2(m) flat, as `_closure` gives a matrix flat's: the
+    bottom's are the m lines, the only cover of a line is the top, spanned
+    by the line and the least line off it, and the top has none."""
+    if not mask:
+        return [(1 << k, (k,)) for k in range(m)]
+    off = (1 << m) - 1 & ~mask
+    return [((1 << m) - 1, span + ((off & -off).bit_length() - 1,))] if off else []
 
-    `_closure` brings a flat's spanning rows to a fraction-free echelon
-    form and groups the roots off the flat by their residues against it,
-    one cover per residue line. In FIFO order, a flat no earlier orbit
+
+def _closure_of(model):
+    """An irreducible model's root count and its closure: (mask, span) -> the
+    covers (hypset, spanning roots) of the flat `mask` spanned by `span`."""
+    if isinstance(model, DihedralModel):
+        return model.m, functools.partial(_dihedral_closure, model.m)
+    vecs, lines = _integer_lines(model)
+    return len(vecs), functools.partial(_closure, vecs, lines)
+
+
+def _irreducible_lattice(model) -> IntersectionLattice:
+    """Build rank by rank, closing one flat per W-orbit (`_closure_of`).
+
+    A matrix model's `_closure` brings a flat's spanning rows to a
+    fraction-free echelon form and groups the roots off the flat by their
+    residues against it, one cover per residue line; I2(m)'s covers are
+    its lines and its top. In FIFO order, a flat no earlier orbit
     reached is closed and its orbit walked breadth-first along the
     generators' line permutations: p gives p(y) the covers p(c) of y's
     covers c, and a new flat the sorted image of y's span. Three checks
@@ -187,9 +209,9 @@ def _build_matrix_lattice(model: ReflectionModel) -> IntersectionLattice:
     again, has the carried covers; each root off a flat lies in exactly one
     of its covers; each root of a flat of rank >= 2 lies in a flat it
     covers. A flat's element is its spanning roots; `build_lattice` makes
-    it a `Subspace`.
+    it a `Subspace`, or a dihedral flat's name.
     """
-    vecs, lines = _integer_lines(model)
+    n, closure = _closure_of(model)
     gens = [[1 << abs(x) - 1 for x in p] for p in model.gen_perms]  # line i -> bit
     masks, hyps, spans = [0], [[]], [()]  # per flat: hypset, its roots, a span
     ups, ids = {}, {0: 0}  # flat id -> ids of the flats covering it; hypset -> id
@@ -212,7 +234,7 @@ def _build_matrix_lattice(model: ReflectionModel) -> IntersectionLattice:
     for f, mask in enumerate(masks):
         if f in ups:
             continue
-        ups[f] = [add(*cover) for cover in _closure(vecs, lines, mask, spans[f])]
+        ups[f] = [add(*cover) for cover in closure(mask, spans[f])]
         walk = [f]
         for y in walk:  # ends at the walk's last flat
             for bits in gens:
@@ -222,7 +244,7 @@ def _build_matrix_lattice(model: ReflectionModel) -> IntersectionLattice:
                     walk.append(z)
         walked.update(dict.fromkeys(walk, f))
         if y != f and sorted(masks[c] for c in ups[y]) != sorted(
-                c for c, _ in _closure(vecs, lines, masks[y], spans[y])):
+                c for c, _ in closure(masks[y], spans[y])):
             raise AssertionError(f"flat {spans[y]}: carried covers differ from its closure")
     below = [0] * len(masks)  # flat id -> union of the flats it covers
     for f, mask in enumerate(masks):
@@ -232,7 +254,7 @@ def _build_matrix_lattice(model: ReflectionModel) -> IntersectionLattice:
                 raise AssertionError("a root off a flat lies in two of its covers")
             union |= masks[c]
             below[c] |= mask
-        if union != (1 << len(vecs)) - 1:
+        if union != (1 << n) - 1:
             raise AssertionError("a root off a flat lies in none of its covers")
     if any(d != m and len(s) > 1 for m, d, s in zip(masks, below, spans)):
         raise AssertionError("a root of a flat lies in no flat it covers")
@@ -241,7 +263,7 @@ def _build_matrix_lattice(model: ReflectionModel) -> IntersectionLattice:
     rank = [len(spans[f]) for f in order]
     least = {}  # walk -> its least position, met first in position order
     lattice = IntersectionLattice(
-        kind="matrix",
+        kind="dihedral" if isinstance(model, DihedralModel) else "matrix",
         elements=[spans[f] for f in order],
         rank=rank,
         covers=[sorted(position[c] for c in ups[f]) for f in order],
@@ -252,7 +274,7 @@ def _build_matrix_lattice(model: ReflectionModel) -> IntersectionLattice:
         orbit=[least.setdefault(walked[f], i) for i, f in enumerate(order)],
     )
     _validate_graded(lattice)
-    if rank.count(1) != len(vecs):
+    if rank.count(1) != n:
         raise AssertionError("rank-1 elements are not exactly the hyperplanes")
     return lattice
 
@@ -287,31 +309,6 @@ def _validate_graded(l: IntersectionLattice):
     for i, ok in enumerate(has_parent):
         if not ok and l.rank[i] != 0:
             raise AssertionError("non-bottom element with no cover below")
-
-
-def _build_dihedral_lattice(model: DihedralModel) -> IntersectionLattice:
-    """V, the lines L_0..L_{m-1} as elements 1..m, and 0; a line's orbit is
-    relaxed along the generators' root permutations to its least line."""
-    m = model.m
-    orbit = list(range(m + 2))
-    for _ in range(m):  # m rounds carry the least line along any path
-        for p in model.gen_perms:
-            for k, x in enumerate(p, 1):  # L_{k-1} goes to element abs(x)
-                orbit[k] = orbit[abs(x)] = min(orbit[k], orbit[abs(x)])
-    elements = ["V"] + [f"L{k}" for k in range(m)] + ["0"]
-    rank = [0] + [1] * m + [2]
-    covers = [list(range(1, m + 1))] + [[m + 1]] * m + [[]]
-    return IntersectionLattice(
-        kind="dihedral",
-        elements=elements,
-        rank=rank,
-        covers=covers,
-        bottom=0,
-        top=m + 1,
-        essential_rank=2,
-        hypsets=[0] + [1 << k for k in range(m)] + [(1 << m) - 1],
-        orbit=orbit,
-    )
 
 
 def _product_lattice(lat1, lat2):
@@ -353,10 +350,8 @@ def _product_lattice(lat1, lat2):
 
 
 def _lattice(model) -> IntersectionLattice:
-    if isinstance(model, ReflectionModel):
-        return _build_matrix_lattice(model)
-    if isinstance(model, DihedralModel):
-        return _build_dihedral_lattice(model)
+    if isinstance(model, (ReflectionModel, DihedralModel)):
+        return _irreducible_lattice(model)
     if isinstance(model, ProductModel):  # folded from the trivial group
         lattice = IntersectionLattice("product", [()], [0], [[]], 0, 0, 0, [0], [0])
         factors = {id(f): f for f, _ in model.factors}  # each shared model once
@@ -369,10 +364,13 @@ def _lattice(model) -> IntersectionLattice:
 
 def build_lattice(model) -> IntersectionLattice:
     """Build the intersection lattice alone, with each matrix flat's exact
-    basis, as the export writes it."""
+    basis, or a dihedral flat's name (V, the lines L0.., 0), as the export
+    writes it."""
     lattice = _lattice(model)
     if isinstance(model, ReflectionModel):
         lattice.elements = _flat_bases(model, lattice.elements)
+    elif isinstance(model, DihedralModel):
+        lattice.elements = ["V", *(f"L{k}" for k, in lattice.elements[1:-1]), "0"]
     return lattice
 
 
@@ -633,19 +631,18 @@ class _Covers(dict):
     covers[x] lists the indices of the flats directly above flat x, found
     the first time it is read, and `masks` grows with each new flat's
     hypset, the bottom at index 0 and each new flat at the next index. A
-    product flat's covers are its factors' covers, joined; a factor's are
-    memoized by its hypset. `sources` holds per factor its integer lines
-    (`_integer_lines`), whose covers come from `_closure`, or its m for a
-    dihedral factor, whose covers are its lines and then its top. Each flat
-    is certified as the full build certifies it: each root off it lies in
-    exactly one of its covers."""
+    product flat's covers are its factors' covers, joined; a factor's come
+    from its model's closure (`_closure_of`), the one the whole build
+    uses, memoized by its hypset. Each flat is certified as the full build
+    certifies it: each root off it lies in exactly one of its covers; and
+    each cover adds a root to it, so no scan climbs a flat to itself."""
 
-    def __init__(self, sources):
+    def __init__(self, factors):
         super().__init__()
         self.masks, self.ids = [0], {0: 0}
         self.factors = []  # per factor: its first line, its roots, its covers
         shift = 0
-        for width, closed in map(_factor_covers, sources):
+        for width, closed in map(_factor_covers, factors):
             self.factors.append((shift, (1 << width) - 1 << shift, closed))
             shift += width
         self.full = (1 << shift) - 1
@@ -666,27 +663,25 @@ class _Covers(dict):
                 ups.append(self.ids[c])
         if union != self.full:
             raise AssertionError("a root off a flat lies in none of its covers")
+        if not all(self.masks[u] & ~mask for u in ups):
+            raise AssertionError("a cover of a flat adds no root to it")
         self[x] = ups
         return ups
 
 
-def _factor_covers(source):
-    """One factor's root count, and its hypset -> the hypsets of its
-    covers, memoized."""
-    if isinstance(source, int):  # I2(m): V, the m lines, 0
-        top = (1 << source) - 1
-        lines = [1 << k for k in range(source)]
-        return source, lambda mask: lines if not mask else [top] if mask != top else []
-    vecs, lines = source
+def _factor_covers(model):
+    """An irreducible model's root count, and its hypset -> the hypsets of
+    its covers, memoized."""
+    width, closure = _closure_of(model)
     spans = {0: ()}
 
     @functools.cache
     def closed(mask):
-        out = _closure(vecs, lines, mask, spans[mask])
+        out = closure(mask, spans[mask])
         for cover, span in out:
             spans.setdefault(cover, span)
         return [cover for cover, _ in out]
-    return len(vecs), closed
+    return width, closed
 
 
 def _line_orbits(blocks) -> dict:
@@ -712,9 +707,9 @@ def _scan_lines(source, orbits, blocks, orders, lines):
     """Scan above the atoms of these canonical lines, the bottom being flat
     0: their {orbit size: multiplicity}, and the sum over the lines of
     |orbit| times the maximal chains above the line's atom. `source` is the
-    factors' sources, whose covers are closed here on demand (`_Covers`)
-    and certified state by state, or a built lattice's (covers, hypsets),
-    certified whole by the caller, so the sum is None."""
+    irreducible factor models, whose covers are closed here on demand
+    (`_Covers`) and certified state by state, or a built lattice's (covers,
+    hypsets), certified whole by the caller, so the sum is None."""
     if isinstance(source, tuple):
         (covers, masks), chains = source, None
     else:
@@ -781,9 +776,7 @@ def count_chain_orbits_lazily(model, workers: int = 1) -> ChainOrbitCount:
     bottom among them, and each worker closes its own. The chain-count sum
     needs the whole lattice, so each state is certified on its own instead
     (`_scan_atoms` with `chains`)."""
-    sources = [_integer_lines(f) if isinstance(f, ReflectionModel) else f.m
-               for f in _factors(model)]
-    return _count_orbits(sources, _action(model), workers)
+    return _count_orbits(_factors(model), _action(model), workers)
 
 
 def orbit_count_of_lines(l: IntersectionLattice, action: GeneratorAction) -> int:

@@ -34,10 +34,10 @@ from coxchains.field import (
     rref,
 )
 from coxchains.graphs import (
+    CoxeterGraph,
     TypeLabel,
     classify_irreducible,
     connected_components,
-    delete_vertex,
     longest_element_automorphism,
     standard_graph,
 )
@@ -314,6 +314,15 @@ def count_chain_orbits_unionfind(l, table) -> ChainOrbitCount:
     buckets = collections.Counter(map(find, range(len(chains))))
     return ChainOrbitCount(total_chains=len(chains), orbit_count=len(buckets),
                            size_counts=size_histogram(buckets.values()))
+
+
+def delete_vertex(g: CoxeterGraph, v) -> CoxeterGraph:
+    """The graph with vertex v and its edges removed."""
+    if v not in g.vertices:
+        raise ValueError(f"vertex {v!r} not in graph")
+    verts = tuple(x for x in g.vertices if x != v)
+    edges = frozenset(e for e in g.edges if v not in e[:2])
+    return CoxeterGraph(verts, edges)
 
 
 def graph_deleted_labels(t, v):

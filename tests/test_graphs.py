@@ -8,7 +8,6 @@ from coxchains.graphs import (
     classify_irreducible,
     component_labels,
     connected_components,
-    delete_vertex,
     longest_element_automorphism,
     make_graph,
     parse_group_spec,
@@ -16,7 +15,7 @@ from coxchains.graphs import (
     spec_of_labels,
     standard_graph,
 )
-from oracles import graph_automorphism
+from oracles import delete_vertex, graph_automorphism
 from test_models import brute_entry
 
 

@@ -178,7 +178,7 @@ def test_rank_by_rank_build_equals_bfs_oracle(spec):
                                   "B4", "B5", "D4", "D5", "F4", "H3"])
 def test_orbit_transport_equals_every_flat_closure(spec):
     model = build_model(spec)
-    lattice = lattice_module._build_matrix_lattice(model)
+    lattice = lattice_module._irreducible_lattice(model)
     oracle = closure_matrix_lattice(model, lattice_of(spec)[1].blocks)
     for field in ("hypsets", "rank", "covers", "bottom", "top", "essential_rank",
                   "orbit"):
@@ -195,7 +195,7 @@ def test_one_pass_closure_equals_null_vector_closure(spec):
     spans and order that one null-vector test per cover gives, on every
     flat."""
     model = build_model(spec)
-    lattice = lattice_module._build_matrix_lattice(model)
+    lattice = lattice_module._irreducible_lattice(model)
     vecs, lines = _integer_lines(model)
     for mask, span in zip(lattice.hypsets, lattice.elements):
         assert (lattice_module._closure(vecs, lines, mask, span)
@@ -245,9 +245,9 @@ def test_repeated_factor_is_built_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(models, "_build_irreducible")
-    counted(lattice_module, "_build_matrix_lattice")
+    counted(lattice_module, "_irreducible_lattice")
     lattice, _ = build_lattice_with_action(build_model("A2xA2xA2xA2"))
-    assert calls == {"_build_irreducible": 1, "_build_matrix_lattice": 1}
+    assert calls == {"_build_irreducible": 1, "_irreducible_lattice": 1}
     monkeypatch.undo()
     fold = lattice_of("1")[0]
     for _ in range(4):
@@ -302,7 +302,7 @@ def test_swapped_generator_lines_fail_the_build(spec):
     for g in range(len(model.gen_perms)):
         for i, j in itertools.combinations(range(len(model.vectors)), 2):
             with pytest.raises(AssertionError) as exc:
-                lattice_module._build_matrix_lattice(swapped(model, g, i, j))
+                lattice_module._irreducible_lattice(swapped(model, g, i, j))
             hit = [m for m in BUILD_CERTIFICATES if str(exc.value).endswith(m)]
             assert hit, exc.value
             seen.update(hit)
@@ -364,7 +364,90 @@ def test_closure_mutant_fails_its_certificate(spec, change, monkeypatch, capsys)
     assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {lazy_message}\n")
 
 
-@pytest.mark.parametrize("spec, orbits", [("A3", 5), ("A6", 15), ("E6", 17)])
+def mutate_closure(monkeypatch, spec, change):
+    """Replace the closure that the spec's model closes its flats with,
+    matrix or dihedral, by change(mask, span, full, its covers), full being
+    the hypset of every root."""
+    model = build_model(spec)
+    name = "_dihedral_closure" if model.label.family == "I2" else "_closure"
+    closure = getattr(lattice_module, name)
+    full = (1 << models.reflection_count(model.label)) - 1
+
+    def mutant(*args):
+        *_, mask, span = args
+        return change(mask, span, full, closure(*args))
+    monkeypatch.setattr(lattice_module, name, mutant)
+
+
+def top_covers_itself(mask, span, full, out):
+    return [(full, span + (0,))] if mask == full else out
+
+
+def bottom_covered_by_the_top(mask, span, full, out):
+    return out if mask else [(full, (0,))]
+
+
+SKIPS = "cover relation skips a rank"
+ADDS_NONE = "a cover of a flat adds no root to it"
+# mutant -> the certificate it trips in the whole build and in the lazy scan
+WHOLE_MUTANTS = {top_covers_itself: (SKIPS, ADDS_NONE),
+                 bottom_covered_by_the_top: (RANK_ONE, RANK_ONE)}
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "H3", "I2(5)", "I2(6)"])
+@pytest.mark.parametrize("change", list(WHOLE_MUTANTS), ids=lambda f: f.__name__)
+def test_whole_arrangement_mutant_fails_its_certificate(spec, change, monkeypatch, capsys):
+    """A top that covers itself, or a bottom whose one cover is the whole
+    arrangement, fails the named certificate in the whole build and in the
+    lazy scan, through the closure that both share, dihedral or matrix;
+    compute ends in one error line and exit 1, not in a recursion that
+    ends in a traceback."""
+    built_message, lazy_message = WHOLE_MUTANTS[change]
+    mutate_closure(monkeypatch, spec, change)
+    with pytest.raises(AssertionError) as exc:
+        build_lattice_with_action(build_model(spec))
+    assert str(exc.value) == built_message
+    with pytest.raises(AssertionError) as exc:
+        count_chain_orbits_lazily(build_model(spec))
+    assert str(exc.value) == lazy_message
+    code, out, err = run(capsys, "compute", spec, "--method", "bruteforce")
+    assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {lazy_message}\n")
+
+
+def test_atom_orbit_sent_to_the_top_is_never_agreed(monkeypatch, capsys):
+    """B3's six long-root atoms covered by the top alone: the whole build
+    finds a root of the top in no flat it covers, and compute, whose lazy
+    scan has no such check, does not report agreement."""
+    orbits = lattice_module._line_orbits(built("B3")[2].blocks)
+    long = sum(1 << i for i, orbit in orbits.items() if len(orbit) == 6)
+
+    def to_the_top(mask, span, full, out):
+        if mask & mask - 1 or not mask & long:
+            return out
+        off = full & ~mask
+        return [(full, span + ((off & -off).bit_length() - 1,))]
+
+    mutate_closure(monkeypatch, "B3", to_the_top)
+    with pytest.raises(AssertionError) as exc:
+        build_lattice_with_action(build_model("B3"))
+    assert str(exc.value) == NONE_BELOW
+    code, out, _ = run(capsys, "compute", "B3")
+    assert code != cli.EXIT_OK and "agreement: ok" not in out
+
+
+@pytest.mark.parametrize("m", range(5, 31))
+def test_dihedral_lattice_through_the_shared_build(m):
+    """I2(m) is closed by the build that closes the matrix types: its bare
+    elements are spanning roots, the export names them, and the orbit record
+    equals the oracle's from the generators."""
+    model, lattice, action = built(f"I2({m})")
+    assert lattice.kind == "dihedral"
+    assert lattice.elements == [(), *((k,) for k in range(m)), (0, 1)]
+    assert lattice.orbit == bfs_orbits(lattice, action.blocks)
+    assert build_lattice(model).elements == ["V", *(f"L{k}" for k in range(m)), "0"]
+
+
+@pytest.mark.parametrize("spec, orbits",[("A3", 5), ("A6", 15), ("E6", 17)])
 def test_one_closure_per_orbit_of_flats(spec, orbits, monkeypatch):
     """The build closes one flat per W-orbit by linear algebra (p(n + 1)
     orbits on A_n), plus one certificate closure in each orbit of more than
