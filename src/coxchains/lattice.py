@@ -634,8 +634,11 @@ class _Covers(dict):
     product flat's covers are its factors' covers, joined; a factor's come
     from its model's closure (`_closure_of`), the one the whole build
     uses, memoized by its hypset. Each flat is certified as the full build
-    certifies it: each root off it lies in exactly one of its covers; and
-    each cover adds a root to it, so no scan climbs a flat to itself."""
+    certifies it: each root off it lies in exactly one of its covers; each
+    cover adds a root to it, so no scan climbs a flat to itself; and each
+    cover is one rank above it. A flat's rank is recorded when the scan
+    first reaches it, as the length of its span, summed over the factors,
+    so a closure that covers one flat from two ranks fails on the second."""
 
     def __init__(self, factors):
         super().__init__()
@@ -649,10 +652,11 @@ class _Covers(dict):
 
     def __missing__(self, x):
         mask = self.masks[x]
-        ups, union = [], mask
+        ups, union, graded = [], mask, True
         for shift, own, closed in self.factors:
             rest = mask & ~own
-            for c in closed((mask & own) >> shift):
+            for c, step in closed((mask & own) >> shift):
+                graded &= step == 1
                 c = rest | c << shift
                 if union & c & ~mask:
                     raise AssertionError("a root off a flat lies in two of its covers")
@@ -665,13 +669,18 @@ class _Covers(dict):
             raise AssertionError("a root off a flat lies in none of its covers")
         if not all(self.masks[u] & ~mask for u in ups):
             raise AssertionError("a cover of a flat adds no root to it")
+        if not graded:
+            raise AssertionError("a cover of a flat is not one rank above it")
         self[x] = ups
         return ups
 
 
 def _factor_covers(model):
-    """An irreducible model's root count, and its hypset -> the hypsets of
-    its covers, memoized."""
+    """An irreducible model's root count, and its hypset -> its covers as
+    (hypset, rank step), memoized. A flat keeps the span it was first
+    reached with; a cover's rank step is its span's length less the
+    flat's, and is a product cover's step too, as the other factors' parts
+    stay."""
     width, closure = _closure_of(model)
     spans = {0: ()}
 
@@ -680,7 +689,8 @@ def _factor_covers(model):
         out = closure(mask, spans[mask])
         for cover, span in out:
             spans.setdefault(cover, span)
-        return [cover for cover, _ in out]
+        rank = len(spans[mask])
+        return [(cover, len(spans[cover]) - rank) for cover, _ in out]
     return width, closed
 
 

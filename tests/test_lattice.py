@@ -414,10 +414,9 @@ def test_whole_arrangement_mutant_fails_its_certificate(spec, change, monkeypatc
     assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {lazy_message}\n")
 
 
-def test_atom_orbit_sent_to_the_top_is_never_agreed(monkeypatch, capsys):
-    """B3's six long-root atoms covered by the top alone: the whole build
-    finds a root of the top in no flat it covers, and compute, whose lazy
-    scan has no such check, does not report agreement."""
+def send_long_atoms_to_the_top(monkeypatch):
+    """Cover each of B3's six long-root atoms by the top alone, spanned by
+    the atom's root and the least root off it."""
     orbits = lattice_module._line_orbits(built("B3")[2].blocks)
     long = sum(1 << i for i, orbit in orbits.items() if len(orbit) == 6)
 
@@ -428,11 +427,34 @@ def test_atom_orbit_sent_to_the_top_is_never_agreed(monkeypatch, capsys):
         return [(full, span + ((off & -off).bit_length() - 1,))]
 
     mutate_closure(monkeypatch, "B3", to_the_top)
+
+
+def test_atom_orbit_sent_to_the_top_is_never_agreed(monkeypatch, capsys):
+    """B3's six long-root atoms covered by the top alone: the whole build
+    finds a root of the top in no flat it covers, and compute does not
+    report agreement."""
+    send_long_atoms_to_the_top(monkeypatch)
     with pytest.raises(AssertionError) as exc:
         build_lattice_with_action(build_model("B3"))
     assert str(exc.value) == NONE_BELOW
     code, out, _ = run(capsys, "compute", "B3")
     assert code != cli.EXIT_OK and "agreement: ok" not in out
+
+
+NOT_GRADED = "a cover of a flat is not one rank above it"
+
+
+def test_atom_orbit_sent_to_the_top_fails_the_lazy_rank_check(monkeypatch, capsys):
+    """The lazy scan reaches B3's top from a long-root atom, at rank 1, and
+    from a plane above a short-root atom, at rank 2, so one of the two
+    covers is not one rank above its flat; compute's brute force ends in
+    one error line and exit 1, where it printed 3 with exit 0."""
+    send_long_atoms_to_the_top(monkeypatch)
+    with pytest.raises(AssertionError) as exc:
+        count_chain_orbits_lazily(build_model("B3"))
+    assert str(exc.value) == NOT_GRADED
+    code, out, err = run(capsys, "compute", "B3", "--method", "bruteforce")
+    assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {NOT_GRADED}\n")
 
 
 @pytest.mark.parametrize("m", range(5, 31))

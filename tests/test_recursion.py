@@ -10,7 +10,7 @@ import pytest
 from coxchains import cli, graphs, recursion
 from coxchains.graphs import TypeLabel, component_labels, make_graph, parse_group_spec
 from coxchains.recursion import SWAP, KCalculator, multinomial
-from coxchains.series import d_closed_form, euler_numbers, k_closed_form
+from coxchains.series import d_closed_form, euler_numbers, k_closed_form, verify_identities
 from oracles import GraphDeletionCalculator, graph_automorphism, graph_deleted_labels
 
 D_VALUES = {2: 2, 3: 2, 4: 12, 5: 26, 6: 178, 7: 594, 8: 4792, 9: 21682,
@@ -460,6 +460,29 @@ def test_odd_d_mutant_at_every_rank_fails_bar_d_closed_form(monkeypatch):
     with pytest.raises(AssertionError,
                        match=r"^bar d_6: recursion gives \d+, closed form gives \d+$"):
         KCalculator().k("D13")
+
+
+def test_identities_check_the_d_values_they_read(monkeypatch, capsys):
+    """verify_identities reads d_n off the rank tables, with no breakdown to
+    check them: an even D8 one too high fails the two identities that read
+    it, at index 8, and verify's egf-identities line names both."""
+    _mutate(monkeypatch, "_d_value", 8)
+    failed = {c.name: c.first_mismatch for c in verify_identities(20) if not c.passed}
+    assert failed == {"U = sec": 8, "even d-series matches d_{2n}": 8}
+    assert cli.main(["verify"]) == cli.EXIT_FAIL
+    [line] = [l for l in capsys.readouterr().out.splitlines() if "egf-identities" in l]
+    assert line.startswith("FAIL") and line.endswith(
+        "U = sec differs first at index 8; "
+        "even d-series matches d_{2n} differs first at index 8")
+
+
+def test_identities_meet_bar_d_closed_form_past_an_odd_d_mutant(monkeypatch):
+    """An odd D13 one too high is read by bar d_14, which its closed form
+    refuses as the table is filled."""
+    _mutate(monkeypatch, "_d_value", 13)
+    with pytest.raises(AssertionError,
+                       match=r"^bar d_14: recursion gives \d+, closed form gives \d+$"):
+        verify_identities(20)
 
 
 def _mutate_fold(monkeypatch, family, at, fold):

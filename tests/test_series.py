@@ -196,14 +196,29 @@ def test_quotients_by_a_unit_constant_term_stay_integer():
 def test_series_scale_by_ints_only(scale):
     with pytest.raises(TypeError):
         egf_sin(4) * scale
+    with pytest.raises(TypeError):
+        scale * egf_sin(4)
 
 
 @pytest.mark.parametrize("combine", [
     lambda f: f + 1.5, lambda f: f - 1.5, lambda f: f / 1.0, lambda f: f + Fraction(1, 2),
-], ids=["add-float", "subtract-float", "divide-float", "add-fraction"])
+    lambda f: 1.5 + f, lambda f: 1.5 - f,
+], ids=["add-float", "subtract-float", "divide-float", "add-fraction", "float-plus",
+        "float-minus"])
 def test_series_add_subtract_and_divide_ints_only(combine):
     with pytest.raises(TypeError):
         combine(egf_sin(3))
+
+
+@pytest.mark.parametrize("combine, coefficients", [
+    (lambda f: 2 * f, (0, 2, 0, -2)), (lambda f: 1 + f, (1, 1, 0, -1)),
+    (lambda f: 1 - f, (1, -1, 0, 1)),
+], ids=["int-times", "int-plus", "int-minus"])
+def test_int_operand_on_the_left(combine, coefficients):
+    """2 * f, 1 + f and 1 - f for f = sin z to order 3, in int coefficients."""
+    g = combine(egf_sin(3))
+    assert g.coefficients == coefficients
+    assert all(type(a) is int for a in g.coefficients)
 
 
 def test_int_operands_keep_int_coefficients():
