@@ -12,10 +12,9 @@ the rest of its orbit, with its covers, is carried along the generators'
 line permutations and certified. The lazy scan closes its flats with the
 same closures. Exact `FieldScalar` arithmetic serves the export's flat
 bases only, from the roots the model derives from its vectors for the
-export. A product's roots are its factors' roots in factor order. The
-build records each element's W-orbit once, as its least element
-(`orbit`): an irreducible build from its orbit walk, a product from its
-factors'. The group acts through its generators alone
+export. A product's roots are its factors' roots in factor order, and its
+lattice is built in one pass over its factors'. No W-orbit is recorded:
+orbits are walked along the generators (`_image`), which act alone
 (`GeneratorAction`), one block per irreducible factor with each factor's
 order. Chain orbits are counted from atom stabilisers closed from Schreier
 generators inside their own block; a block the chain has not entered, or
@@ -66,13 +65,9 @@ class IntersectionLattice:
     top: int
     essential_rank: int
     hypsets: list        # bitmask of the roots whose hyperplanes contain it
-    orbit: list          # orbit[i] = the least element index in i's W-orbit
 
     def rank_sizes(self):
-        sizes = [0] * (self.essential_rank + 1)
-        for r in self.rank:
-            sizes[r] += 1
-        return tuple(sizes)
+        return tuple(map(self.rank.count, range(self.essential_rank + 1)))
 
 
 @dataclass
@@ -161,6 +156,11 @@ def _residue(rows, pivots, root):
     return tuple([x // g for x in res[0]])
 
 
+def _image(bits, lines) -> int:
+    """The hypset of the lines' images, bits[i] being the bit of i's image."""
+    return sum(map(bits.__getitem__, lines))
+
+
 def _closure(vecs, lines, mask, span):
     """The covers (hypset, spanning roots) of the flat `mask` spanned by
     `span`, in the order of their least roots: each root off the flat is
@@ -187,31 +187,33 @@ def _dihedral_closure(m, mask, span):
 
 
 def _closure_of(model):
-    """An irreducible model's root count and its closure: (mask, span) -> the
-    covers (hypset, spanning roots) of the flat `mask` spanned by `span`."""
+    """An irreducible model's root count, its closure: (mask, span) -> the
+    covers (hypset, spanning roots) of the flat `mask` spanned by `span`,
+    and its test that every root of `mask` lies in the span of `span`."""
     if isinstance(model, DihedralModel):
-        return model.m, functools.partial(_dihedral_closure, model.m)
+        return (model.m, functools.partial(_dihedral_closure, model.m),
+                lambda mask, span: len(span) > 1 or not mask & ~sum(1 << i for i in span))
     vecs, lines = _integer_lines(model)
-    return len(vecs), functools.partial(_closure, vecs, lines)
+
+    def spanned(mask, span):
+        base = _echelon((), (), [row for i in span for row in lines[i]])
+        return all(_residue(*base, lines[i]) is None for i in _lines(mask))
+    return len(vecs), functools.partial(_closure, vecs, lines), spanned
 
 
 def _irreducible_lattice(model) -> IntersectionLattice:
     """Build rank by rank, closing one flat per W-orbit (`_closure_of`).
 
-    A matrix model's `_closure` brings a flat's spanning rows to a
-    fraction-free echelon form and groups the roots off the flat by their
-    residues against it, one cover per residue line; I2(m)'s covers are
-    its lines and its top. In FIFO order, a flat no earlier orbit
-    reached is closed and its orbit walked breadth-first along the
-    generators' line permutations: p gives p(y) the covers p(c) of y's
-    covers c, and a new flat the sorted image of y's span. Three checks
-    certify that each generator is a symmetry: the walk's last flat, closed
-    again, has the carried covers; each root off a flat lies in exactly one
-    of its covers; each root of a flat of rank >= 2 lies in a flat it
-    covers. A flat's element is its spanning roots; `build_lattice` makes
-    it a `Subspace`, or a dihedral flat's name.
+    In FIFO order, a flat no earlier orbit reached is closed and its orbit
+    walked breadth-first along the generators' line permutations: p gives
+    p(y) the covers p(c) of y's covers c, and a new flat the sorted image
+    of y's span. Three checks certify that each generator is a symmetry:
+    the walk's last flat, closed again, has the carried covers; each root
+    off a flat lies in exactly one of its covers; each root of a flat of
+    rank >= 2 lies in a flat it covers. A flat's element is its spanning
+    roots; `build_lattice` makes it a `Subspace`, or a dihedral flat's name.
     """
-    n, closure = _closure_of(model)
+    n, closure, _ = _closure_of(model)
     gens = [[1 << abs(x) - 1 for x in p] for p in model.gen_perms]  # line i -> bit
     masks, hyps, spans = [0], [[]], [()]  # per flat: hypset, its roots, a span
     ups, ids = {}, {0: 0}  # flat id -> ids of the flats covering it; hypset -> id
@@ -225,12 +227,11 @@ def _irreducible_lattice(model) -> IntersectionLattice:
         return ids[mask]
 
     def moved(bits, y):
-        image = sum(map(bits.__getitem__, hyps[y]))
+        image = _image(bits, hyps[y])
         if image in ids:
             return ids[image]
         return add(image, tuple(sorted(bits[i].bit_length() - 1 for i in spans[y])))
 
-    walked = {}  # flat id -> the flat whose orbit walk reached it
     for f, mask in enumerate(masks):
         if f in ups:
             continue
@@ -242,7 +243,6 @@ def _irreducible_lattice(model) -> IntersectionLattice:
                 if z not in ups:
                     ups[z] = [moved(bits, c) for c in ups[y]]
                     walk.append(z)
-        walked.update(dict.fromkeys(walk, f))
         if y != f and sorted(masks[c] for c in ups[y]) != sorted(
                 c for c, _ in closure(masks[y], spans[y])):
             raise AssertionError(f"flat {spans[y]}: carried covers differ from its closure")
@@ -261,7 +261,6 @@ def _irreducible_lattice(model) -> IntersectionLattice:
     order = sorted(range(len(masks)), key=lambda f: (len(spans[f]), hyps[f]))
     position = {f: i for i, f in enumerate(order)}
     rank = [len(spans[f]) for f in order]
-    least = {}  # walk -> its least position, met first in position order
     lattice = IntersectionLattice(
         kind="dihedral" if isinstance(model, DihedralModel) else "matrix",
         elements=[spans[f] for f in order],
@@ -271,7 +270,6 @@ def _irreducible_lattice(model) -> IntersectionLattice:
         top=len(order) - 1,
         essential_rank=rank[-1],
         hypsets=[masks[f] for f in order],
-        orbit=[least.setdefault(walked[f], i) for i, f in enumerate(order)],
     )
     _validate_graded(lattice)
     if rank.count(1) != n:
@@ -282,83 +280,64 @@ def _irreducible_lattice(model) -> IntersectionLattice:
 def _flat_bases(model: ReflectionModel, spans):
     """Each flat's exact `Subspace`, from its spanning roots. Equal scalars
     are stored once: E6's 4598 bases hold 161k entries but few values."""
-    scalars = {}
-    bases = []
+    scalars, bases = {}, []
     for span in spans:
         sub = null_space([model.roots[i] for i in span], model.ambient)
-        basis = tuple(
-            tuple(scalars.setdefault(x, x) for x in row)
-            for row in sub.basis)
+        basis = tuple(tuple(scalars.setdefault(x, x) for x in row) for row in sub.basis)
         bases.append(Subspace(sub.ambient, basis))
     return bases
 
 
 def _validate_graded(l: IntersectionLattice):
-    if sum(1 for r in l.rank if r == 0) != 1:
+    if l.rank.count(0) != 1:
         raise AssertionError("bottom element is not unique")
-    if sum(1 for r in l.rank if r == l.essential_rank) != 1:
+    if l.rank.count(l.essential_rank) != 1:
         raise AssertionError("top element is not unique")
-    has_parent = [False] * len(l.elements)
-    for i, ups in enumerate(l.covers):
-        for j in ups:
-            if l.rank[j] != l.rank[i] + 1:
-                raise AssertionError("cover relation skips a rank")
-            has_parent[j] = True
-        if not ups and l.rank[i] != l.essential_rank:
-            raise AssertionError("non-top element with no cover above")
-    for i, ok in enumerate(has_parent):
-        if not ok and l.rank[i] != 0:
-            raise AssertionError("non-bottom element with no cover below")
+    if any(l.rank[j] != r + 1 for r, ups in zip(l.rank, l.covers) for j in ups):
+        raise AssertionError("cover relation skips a rank")
+    if len(set().union(*l.covers)) != len(l.elements) - 1:  # all but the bottom
+        raise AssertionError("non-bottom element with no cover below")
 
 
-def _product_lattice(lat1, lat2):
-    """The product of a product lattice and an irreducible one, and `flat`,
-    with flat[i * n2 + j] the position of the pair (i, j). Elements are
-    ordered by rank, then factor indices, and an element is the tuple of
-    its irreducible factors' element indices. The second factor's roots
-    follow the first's, so its hypsets are shifted past them. The orbit of
-    (i, j) is the product of its factors' orbits, and its least element is
-    the pair of their least elements, since rank is constant on an orbit."""
-    n2 = len(lat2.elements)
-    shift = lat1.hypsets[lat1.top].bit_length()
-    by_rank = [[j for j, s in enumerate(lat2.rank) if s == r]
-               for r in range(lat2.essential_rank + 1)]
-    pairs = []
-    for t in range(lat1.essential_rank + len(by_rank)):  # each rank in (i, j) order
-        for i, r in enumerate(lat1.rank):
-            if 0 <= t - r < len(by_rank):
-                pairs += zip(itertools.repeat(i), by_rank[t - r])
-    flat = [0] * (len(lat1.elements) * n2)
-    for pos, (i, j) in enumerate(pairs):
-        flat[i * n2 + j] = pos
-    lattice = IntersectionLattice(
+def _product_lattice(lats) -> IntersectionLattice:
+    """The product of irreducible lattices in one pass: element x is the
+    tuple of its factors' element indices, x = sum of i_f * stride_f, and
+    elements, ranks and hypsets grow factor by factor in index order. They
+    are ordered as a pairwise fold from the first factor orders them: by
+    the partial rank sums s_k, ..., s_1 (one int), then by index. x covers
+    x + (c - i_f) * stride_f for each cover c of i_f in factor f."""
+    keys, rank, hyps, sums = [()], [0], [0], [0]
+    base, scale, shift = sum(l.essential_rank for l in lats) + 1, 1, 0
+    for lat in lats:
+        sums = [c + (r + s) * scale for c, r in zip(sums, rank) for s in lat.rank]
+        keys = [k + (i,) for k in keys for i in range(len(lat.elements))]
+        rank = [r + s for r in rank for s in lat.rank]
+        hyps = [h | g << shift for h in hyps for g in lat.hypsets]
+        scale, shift = scale * base, shift + lat.hypsets[lat.top].bit_length()
+    strides = [math.prod(len(l.elements) for l in lats[f + 1:]) for f in range(len(lats))]
+    order = sorted(range(len(keys)), key=sums.__getitem__)
+    pos = sorted(range(len(order)), key=order.__getitem__)  # index -> position
+    return IntersectionLattice(
         kind="product",
-        elements=[lat1.elements[i] + (j,) for i, j in pairs],
-        rank=[lat1.rank[i] + lat2.rank[j] for i, j in pairs],
-        covers=[
-            [flat[i2 * n2 + j] for i2 in lat1.covers[i]]
-            + [flat[i * n2 + j2] for j2 in lat2.covers[j]]
-            for i, j in pairs
-        ],
-        bottom=flat[lat1.bottom * n2 + lat2.bottom],
-        top=flat[lat1.top * n2 + lat2.top],
-        essential_rank=lat1.essential_rank + lat2.essential_rank,
-        hypsets=[lat1.hypsets[i] | lat2.hypsets[j] << shift for i, j in pairs],
-        orbit=[flat[lat1.orbit[i] * n2 + lat2.orbit[j]] for i, j in pairs],
+        elements=[keys[x] for x in order],
+        rank=[rank[x] for x in order],
+        covers=[[pos[x + (c - i) * stride]
+                 for lat, i, stride in zip(lats, keys[x], strides) for c in lat.covers[i]]
+                for x in order],
+        bottom=0,
+        top=len(order) - 1,
+        essential_rank=base - 1,
+        hypsets=[hyps[x] for x in order],
     )
-    return lattice, flat
 
 
 def _lattice(model) -> IntersectionLattice:
     if isinstance(model, (ReflectionModel, DihedralModel)):
         return _irreducible_lattice(model)
-    if isinstance(model, ProductModel):  # folded from the trivial group
-        lattice = IntersectionLattice("product", [()], [0], [[]], 0, 0, 0, [0], [0])
+    if isinstance(model, ProductModel):
         factors = {id(f): f for f, _ in model.factors}  # each shared model once
         built = {k: _lattice(f) for k, f in factors.items()}
-        for f, _ in model.factors:
-            lattice, _ = _product_lattice(lattice, built[id(f)])
-        return lattice
+        return _product_lattice([built[id(f)] for f, _ in model.factors])
     raise TypeError(f"not a reflection model: {model!r}")
 
 
@@ -462,9 +441,8 @@ def _lines(mask) -> list:
 
 
 def count_maximal_chains(l: IntersectionLattice) -> int:
-    """Maximal chains from the bottom to the top, walked in index order:
-    every builder lists its elements in rank order, and one that does not
-    raises."""
+    """Maximal chains from the bottom to the top, walked in index order,
+    which every builder makes rank order; a lattice out of it raises."""
     if any(map(operator.gt, l.rank, itertools.islice(l.rank, 1, None))):
         raise AssertionError("lattice elements are not listed in rank order")
     ways = [0] * len(l.elements)
@@ -630,15 +608,14 @@ class _Covers(dict):
     """Covers closed on demand, for a scan that never builds the lattice:
     covers[x] lists the indices of the flats directly above flat x, found
     the first time it is read, and `masks` grows with each new flat's
-    hypset, the bottom at index 0 and each new flat at the next index. A
-    product flat's covers are its factors' covers, joined; a factor's come
-    from its model's closure (`_closure_of`), the one the whole build
-    uses, memoized by its hypset. Each flat is certified as the full build
-    certifies it: each root off it lies in exactly one of its covers; each
-    cover adds a root to it, so no scan climbs a flat to itself; and each
-    cover is one rank above it. A flat's rank is recorded when the scan
-    first reaches it, as the length of its span, summed over the factors,
-    so a closure that covers one flat from two ranks fails on the second."""
+    hypset, the bottom at index 0. A product flat's covers are its
+    factors', joined; a factor's come from the closure the whole build
+    uses (`_closure_of`), memoized by hypset. Each flat is certified: each
+    root off it lies in exactly one of its covers; each cover adds a root
+    to it, so no scan climbs a flat to itself, and is one rank above it,
+    a flat's rank being the length of its span when the scan first reaches
+    it, summed over the factors; and each root of a factor's flat lies in
+    that span (where the whole build finds it in a flat the flat covers)."""
 
     def __init__(self, factors):
         super().__init__()
@@ -678,14 +655,15 @@ class _Covers(dict):
 def _factor_covers(model):
     """An irreducible model's root count, and its hypset -> its covers as
     (hypset, rank step), memoized. A flat keeps the span it was first
-    reached with; a cover's rank step is its span's length less the
-    flat's, and is a product cover's step too, as the other factors' parts
-    stay."""
-    width, closure = _closure_of(model)
+    reached with, which must hold its roots; a cover's rank step is its
+    span's length less the flat's, a product cover's step too."""
+    width, closure, spanned = _closure_of(model)
     spans = {0: ()}
 
     @functools.cache
     def closed(mask):
+        if not spanned(mask, spans[mask]):
+            raise AssertionError("a root of a flat lies off the span it was reached with")
         out = closure(mask, spans[mask])
         for cover, span in out:
             spans.setdefault(cover, span)
@@ -774,8 +752,7 @@ def _count_orbits(source, action, workers, chains=None) -> ChainOrbitCount:
 def count_chain_orbits(l: IntersectionLattice, action: GeneratorAction,
                        workers: int = 1) -> ChainOrbitCount:
     """Orbit count of the group action on the maximal chains of a built
-    lattice (`_count_orbits`), whose orbit sizes must sum to its maximal
-    chains. The scan does not read `l.orbit`."""
+    lattice (`_count_orbits`), whose orbit sizes must sum to its chains."""
     return _count_orbits((l.covers, l.hypsets), action, workers, count_maximal_chains(l))
 
 
@@ -791,10 +768,28 @@ def count_chain_orbits_lazily(model, workers: int = 1) -> ChainOrbitCount:
 
 def orbit_count_of_lines(l: IntersectionLattice, action: GeneratorAction) -> int:
     """Number of group orbits among the coatoms (the lines of the lattice),
-    read off `l.orbit`, which the build recorded from the same group: one
-    per coatom that is its orbit's least element. `action` is not read."""
-    return sum(1 for c, r in enumerate(l.rank)
-               if r == l.essential_rank - 1 and l.orbit[c] == c)
+    walked along the generators' line permutations (`_image`); an image off
+    the lines raises. A block fixes a coatom holding all or none of its own."""
+    n = len(action.blocks[0][0]) // 2 if action.blocks else 0
+    moves = [(sum(1 << i for i in {i for g in block for i in range(n) if g[i] != i}),
+              [[1 << g[i] % n for i in range(n)] for g in block]) for block in action.blocks]
+    lines = set(itertools.compress(l.hypsets, map((l.essential_rank - 1).__eq__, l.rank)))
+    unseen, orbits = set(lines), 0
+    while unseen:
+        walk, orbits = [unseen.pop()], orbits + 1
+        for h in walk:
+            for own, gens in moves:
+                if h & own in (0, own):
+                    continue
+                part, rest = _lines(h & own), h & ~own
+                for bits in gens:
+                    image = rest | _image(bits, part)
+                    if image not in lines:
+                        raise AssertionError(f"a generator maps line {_lines(h)} to no line")
+                    if image in unseen:
+                        unseen.remove(image)
+                        walk.append(image)
+    return orbits
 
 
 def lattice_to_json(l: IntersectionLattice) -> dict:

@@ -11,7 +11,9 @@ module is self-contained and exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
+from itertools import accumulate
+from operator import add
 
 from .graphs import TypeLabel
 
@@ -64,11 +66,10 @@ class EgfSeries:
             return EgfSeries(tuple(c * other for c in self.coefficients))
         if not isinstance(other, EgfSeries):
             return NotImplemented
-        n = min(self.order, other.order)
         f, g = self.coefficients, other.coefficients
         return EgfSeries(tuple(
-            sum(comb(m, k) * f[k] * g[m - k] for k in range(m + 1) if f[k])
-            for m in range(n + 1)
+            sum(c * x * y for c, x, y in zip(row, f, g[m::-1]) if x)
+            for m, row in enumerate(_pascal_rows(min(self.order, other.order)))
         ))
 
     __rmul__ = __mul__  # an int times a series
@@ -82,8 +83,8 @@ class EgfSeries:
         if g[0] not in (1, -1):
             raise ZeroDivisionError("series division needs an invertible constant term")
         out = []
-        for k in range(min(self.order, other.order) + 1):
-            acc = f[k] - sum(comb(k, j) * g[j] * out[k - j] for j in range(1, k + 1) if g[j])
+        for k, row in enumerate(_pascal_rows(min(self.order, other.order))):
+            acc = f[k] - sum(c * x * y for c, x, y in zip(row[1:], g[1:], out[::-1]) if x)
             out.append(acc * g[0])
         return EgfSeries(tuple(out))
 
@@ -101,6 +102,12 @@ class EgfSeries:
     def __hash__(self):
         # equal series share their common prefix, so hash only a_0
         return hash(self.coefficients[:1])
+
+
+@lru_cache(maxsize=2)  # the identity checks multiply at orders n and n - 1
+def _pascal_rows(n: int) -> tuple:
+    """Pascal's rows C(m, .), m = 0..n, each carried to the next by sums."""
+    return tuple(accumulate(range(n), lambda r, _: (1, *map(add, r, r[1:]), 1), initial=(1,)))
 
 
 def _coerce(x, order: int):
@@ -138,14 +145,10 @@ def euler_numbers(n_max: int) -> list:
     """T_0..T_N by the boustrophedon (Seidel triangle) recurrence."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    values = [1]
-    row = [1]
-    for n in range(1, n_max + 1):
-        new = [0]
-        for k in range(1, n + 1):
-            new.append(new[k - 1] + row[n - k])
-        values.append(new[n])
-        row = new
+    values, row = [1], [1]
+    for _ in range(n_max):  # row n: 0, then the running sums of row n - 1 reversed
+        row = list(accumulate(reversed(row), initial=0))
+        values.append(row[-1])
     return values
 
 
@@ -210,9 +213,9 @@ def _compare(name: str, lhs: EgfSeries, rhs: EgfSeries) -> IdentityCheck:
 def verify_identities(order: int) -> list:
     """Check every generating-function identity coefficientwise.
 
-    The d_n and bar d_n of the cross-checks are values read off the
+    The d_m and bar d_m of the cross-checks are values read off the
     recursion's rank tables, with no term breakdown to check them, so
-    these identities are what check them; bar d_n also meets its closed
+    these identities are what check them; bar d_m also meets its closed
     form as its table is filled. A failure here points at an
     implementation bug, not at bad input.
     """
@@ -241,6 +244,8 @@ def verify_identities(order: int) -> list:
                  ((2 - zz).truncate(n - 1) * a.derivative()
                   + zz.truncate(n - 1) - a.truncate(n - 1))),
     ]
+    calc._value(_d_part(n) + _d_part(n - 1))  # fills D_n and D_{n-1}: every lower d_m
+    calc.k_bar(n)  # and bar d_m, each then read from the memo
     d_vals = {m: calc._value(_d_part(m)) for m in range(2, n + 1)}
     bar_vals = {m: calc.k_bar(m) for m in range(2, n + 1)}
     u_coeffs = [1, 0] + [d_vals[m] - bar_vals[m] for m in range(2, n + 1)]

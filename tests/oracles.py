@@ -7,8 +7,9 @@ slower, more direct computations, among them the root closure in exact
 field arithmetic from its own table of simple roots, the full group action
 table composed along a breadth-first closure of the whole group, the
 lattice with every flat closed on integers by one null-vector test per
-cover, the chain scan that reaches every canonical chain and the orbits of
-each rank from hypset images, which the lattice's orbit record must match.
+cover, a product lattice folded pairwise from its factors, the chain scan
+that reaches every canonical chain and the orbits of each rank from
+hypset images, whose coatom orbits the generators' line walk must count.
 The recursion's label deletion rules are checked against deleting the
 vertex from the type's standard graph and classifying the components that
 remain. The series layer's integer EGF arithmetic is checked against
@@ -47,7 +48,6 @@ from coxchains.lattice import (
     _echelon,
     _integer_lines,
     _lines,
-    _product_lattice,
     _stabiliser,
     _validate_graded,
     build_lattice_with_action,
@@ -639,12 +639,11 @@ def null_vector_closure(vecs, lines, mask, span):
     return out
 
 
-def closure_matrix_lattice(model, blocks) -> IntersectionLattice:
+def closure_matrix_lattice(model) -> IntersectionLattice:
     """The matrix lattice with every flat closed on integers: rank by rank,
     a flat's covers are its closures with one more root by null vectors
     (`null_vector_closure`), each recorded as found. No flat's covers are
-    carried along the generators; the orbit record is `bfs_orbits` under
-    the generator blocks."""
+    carried along the generators."""
     vecs, lines = _integer_lines(model)
     n = len(vecs)
     masks = [0]
@@ -675,10 +674,8 @@ def closure_matrix_lattice(model, blocks) -> IntersectionLattice:
         top=len(order) - 1,
         essential_rank=rank[-1],
         hypsets=[masks[f] for f in order],
-        orbit=None,
     )
     _validate_graded(lattice)
-    lattice.orbit = bfs_orbits(lattice, blocks)
     return lattice
 
 
@@ -712,7 +709,7 @@ def action_table(model, lattice) -> GroupActionTable:
 
 def product_table(flat, tab1, tab2) -> GroupActionTable:
     """Action table of the product of two factors, in the element order
-    that `flat` from `_product_lattice` gives.
+    that `flat` from `pairwise_product_lattice` gives.
 
     blocks[i][j] is the position of (i, j); `order` reads an (i, j)-major
     list in position order. (g1, g2) acts as (g1, 1) after (1, g2), and one
@@ -737,6 +734,56 @@ def product_table(flat, tab1, tab2) -> GroupActionTable:
     return GroupActionTable(rows=rows, generator_rows=gen_rows)
 
 
+def pairwise_product_lattice(lat1, lat2):
+    """The product of a product lattice and an irreducible one, and `flat`,
+    with flat[i * n2 + j] the position of the pair (i, j): one step of the
+    pairwise fold that the one-pass `_product_lattice` must reproduce.
+    Elements are ordered by rank, then factor indices, and an element is the
+    tuple of its irreducible factors' element indices. The second factor's
+    roots follow the first's, so its hypsets are shifted past them."""
+    n2 = len(lat2.elements)
+    shift = lat1.hypsets[lat1.top].bit_length()
+    by_rank = [[j for j, s in enumerate(lat2.rank) if s == r]
+               for r in range(lat2.essential_rank + 1)]
+    pairs = []
+    for t in range(lat1.essential_rank + len(by_rank)):  # each rank in (i, j) order
+        for i, r in enumerate(lat1.rank):
+            if 0 <= t - r < len(by_rank):
+                pairs += zip(itertools.repeat(i), by_rank[t - r])
+    flat = [0] * (len(lat1.elements) * n2)
+    for pos, (i, j) in enumerate(pairs):
+        flat[i * n2 + j] = pos
+    lattice = IntersectionLattice(
+        kind="product",
+        elements=[lat1.elements[i] + (j,) for i, j in pairs],
+        rank=[lat1.rank[i] + lat2.rank[j] for i, j in pairs],
+        covers=[
+            [flat[i2 * n2 + j] for i2 in lat1.covers[i]]
+            + [flat[i * n2 + j2] for j2 in lat2.covers[j]]
+            for i, j in pairs
+        ],
+        bottom=flat[lat1.bottom * n2 + lat2.bottom],
+        top=flat[lat1.top * n2 + lat2.top],
+        essential_rank=lat1.essential_rank + lat2.essential_rank,
+        hypsets=[lat1.hypsets[i] | lat2.hypsets[j] << shift for i, j in pairs],
+    )
+    return lattice, flat
+
+
+def point_lattice() -> IntersectionLattice:
+    """The one-point lattice of the trivial group, where every fold starts."""
+    return IntersectionLattice("product", [()], [0], [[]], 0, 0, 0, [0])
+
+
+def folded_lattice(lats) -> IntersectionLattice:
+    """The product of irreducible lattices folded pairwise from the
+    one-point lattice (`pairwise_product_lattice`)."""
+    lattice = point_lattice()
+    for lat in lats:
+        lattice, _ = pairwise_product_lattice(lattice, lat)
+    return lattice
+
+
 def point_table() -> GroupActionTable:
     """The action table of the trivial group on its one-point lattice."""
     return GroupActionTable(rows=[(0,)], generator_rows=[])
@@ -748,11 +795,10 @@ def lattice_and_table(model):
     if not isinstance(model, ProductModel):
         lattice = build_lattice_with_action(model)[0]
         return lattice, action_table(model, lattice)
-    lattice = build_lattice_with_action(ProductModel([]))[0]
-    table = point_table()
+    lattice, table = point_lattice(), point_table()
     for f, _ in model.factors:
         lat2, tab2 = lattice_and_table(f)
-        lattice, flat = _product_lattice(lattice, lat2)
+        lattice, flat = pairwise_product_lattice(lattice, lat2)
         table = product_table(flat, table, tab2)
     return lattice, table
 

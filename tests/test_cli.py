@@ -331,6 +331,9 @@ def test_export_lattice_product_keys(capsys, tmp_path):
     ("H3", "a72820cbc225a91065f52eaad6e2b4a2e8776a8885f1c9de257c1ce450f020f5"),
     ("I2(5)", "179cdad4712350406012049ff53dc3c940ad18debd9d339a8dd207a8f697e7f2"),
     ("B2xA1", "34f54efdeae59f99903b9c3c0321ac08345ec1b010adbbdccf3042ca4d0ab82f"),
+    ("A2xA1xA1", "817742193d7a1bfed980a8d1911452111c7b77186a5e15e0c6cf17b9f8d56bbc"),
+    ("I2(5)xA2xA1", "649951ed59e0db78c2b729f39d6cdef51724f32bead636d969c113408a7575a2"),
+    ("A2xA2xA2xA2", "560caf61f51ab91f6c6f610ac92a222503570abd0ebb59ace2c73d91912d86f9"),
 ])
 def test_export_lattice_builds_no_action_table(spec, digest, capsys, tmp_path,
                                                monkeypatch):

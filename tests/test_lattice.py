@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import re
 import time
 
 import pytest
@@ -21,7 +22,6 @@ from coxchains.lattice import (
     _echelon,
     _integer_lines,
     _lines,
-    _product_lattice,
     _validate_graded,
     build_lattice,
     build_lattice_with_action,
@@ -43,6 +43,7 @@ from oracles import (
     count_chain_orbits_table,
     count_chain_orbits_unionfind,
     dihedral_table,
+    folded_lattice,
     full_space,
     group_bfs,
     hypset_row,
@@ -52,6 +53,8 @@ from oracles import (
     maximal_chains,
     null_vector_closure,
     null_vectors,
+    pairwise_product_lattice,
+    point_lattice,
     point_table,
     product_table,
     set_partitions,
@@ -100,6 +103,13 @@ def lattice_of(spec):
     return built(spec)[1:]
 
 
+def coatom_orbits(lattice, action):
+    """The number of coatom orbits in the `bfs_orbits` oracle's record."""
+    orbit = bfs_orbits(lattice, action.blocks)
+    return len({orbit[c] for c, r in enumerate(lattice.rank)
+                if r == lattice.essential_rank - 1})
+
+
 @functools.cache
 def tabled(spec):
     """(lattice, full action table) per spec from the table oracle."""
@@ -111,10 +121,9 @@ def _containing_roots(roots, subspace):
         sum((a * b for a, b in zip(r, row)), ZERO).is_zero() for row in subspace.basis))
 
 
-def bfs_matrix_lattice(model, blocks):
+def bfs_matrix_lattice(model):
     """Oracle: the original builder, which closes every flat with every root
-    outside it and then finds covers by a subset test between ranks; its
-    orbit record is `bfs_orbits` under the generator blocks."""
+    outside it and then finds covers by a subset test between ranks."""
     amb = model.ambient
     roots = model.roots
     bottom_space = full_space(amb)
@@ -154,12 +163,10 @@ def bfs_matrix_lattice(model, blocks):
         top=index[order[-1]],
         essential_rank=n,
         hypsets=[sum(1 << i for i in s) for s in order],
-        orbit=None,
     )
     _validate_graded(lattice)
     if len(by_rank.get(1, [])) != len(roots):
         raise AssertionError("rank-1 elements are not exactly the hyperplanes")
-    lattice.orbit = bfs_orbits(lattice, blocks)
     return lattice
 
 
@@ -168,9 +175,9 @@ def bfs_matrix_lattice(model, blocks):
 def test_rank_by_rank_build_equals_bfs_oracle(spec):
     model = build_model(spec)
     lattice = build_lattice(model)
-    oracle = bfs_matrix_lattice(model, lattice_of(spec)[1].blocks)
+    oracle = bfs_matrix_lattice(model)
     for field in ("hypsets", "elements", "rank", "covers", "bottom", "top",
-                  "essential_rank", "orbit"):
+                  "essential_rank"):
         assert getattr(lattice, field) == getattr(oracle, field), field
 
 
@@ -179,9 +186,8 @@ def test_rank_by_rank_build_equals_bfs_oracle(spec):
 def test_orbit_transport_equals_every_flat_closure(spec):
     model = build_model(spec)
     lattice = lattice_module._irreducible_lattice(model)
-    oracle = closure_matrix_lattice(model, lattice_of(spec)[1].blocks)
-    for field in ("hypsets", "rank", "covers", "bottom", "top", "essential_rank",
-                  "orbit"):
+    oracle = closure_matrix_lattice(model)
+    for field in ("hypsets", "rank", "covers", "bottom", "top", "essential_rank"):
         assert getattr(lattice, field) == getattr(oracle, field), field
 
 
@@ -233,7 +239,7 @@ def test_lines_reads_the_set_bits():
 
 def test_repeated_factor_is_built_once(monkeypatch):
     """A2xA2xA2xA2 builds one A2 model and one A2 lattice, and its lattice
-    is the fold of four A2 lattices built apart."""
+    is the pairwise fold of four A2 lattices built apart."""
     calls = collections.Counter()
 
     def counted(module, name):
@@ -249,9 +255,7 @@ def test_repeated_factor_is_built_once(monkeypatch):
     lattice, _ = build_lattice_with_action(build_model("A2xA2xA2xA2"))
     assert calls == {"_build_irreducible": 1, "_irreducible_lattice": 1}
     monkeypatch.undo()
-    fold = lattice_of("1")[0]
-    for _ in range(4):
-        fold, _ = _product_lattice(fold, build_lattice_with_action(build_model("A2"))[0])
+    fold = folded_lattice([build_lattice_with_action(build_model("A2"))[0]] * 4)
     assert vars(lattice) == vars(fold)
     assert lattice.rank_sizes() == (1, 12, 58, 144, 195, 144, 58, 12, 1)
 
@@ -457,15 +461,103 @@ def test_atom_orbit_sent_to_the_top_fails_the_lazy_rank_check(monkeypatch, capsy
     assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {NOT_GRADED}\n")
 
 
+def spans_gain_no_root(mask, span, full, out):
+    return [(cover, span) for cover, _ in out]
+
+
+def top_spanned_like_a_coatom(mask, span, full, out):
+    return [(cover, span if cover == full else s) for cover, s in out]
+
+
+def two_atoms_merged(mask, span, full, out):
+    if mask:
+        return out
+    (c0, s0), (c1, _), *rest = out
+    return [(c0 | c1, s0)] + rest
+
+
+BOTTOMS = "bottom element is not unique"
+TOPS = "top element is not unique"
+NO_COVER_BELOW = "non-bottom element with no cover below"
+RANK_TWO = ["A2", "B2", "I2(5)", "I2(6)"]
+# mutant -> the certificate it trips in the whole build, the one it trips in
+# the lazy scan, and the types it is tried on. On a rank-2 type two merged
+# atoms leave the image of the merged atom under a generator covered by no
+# flat; on higher ranks the whole build finds the merge earlier, as in
+# CLOSURE_MUTANTS
+GRADED_MUTANTS = {
+    spans_gain_no_root: (BOTTOMS, NOT_GRADED, RANK_TWO + ["A3", "B3", "D4", "H3"]),
+    top_spanned_like_a_coatom: (TOPS, NOT_GRADED, RANK_TWO + ["A3", "B3", "D4", "H3"]),
+    two_atoms_merged: (NO_COVER_BELOW, RANK_ONE, RANK_TWO),
+}
+
+
+@pytest.mark.parametrize("change, spec", [(c, s) for c, (*_, specs) in GRADED_MUTANTS.items()
+                                          for s in specs],
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_graded_mutant_fails_its_certificate(change, spec, monkeypatch, capsys, tmp_path):
+    """Spans that gain no root, a top spanned like the coatom it covers, or
+    two atoms merged on a rank-2 type fail the named gradedness check of
+    the whole build, and the export ends in one error line and exit 1; the
+    lazy scan fails its own check, and compute ends in one error line."""
+    built_message, lazy_message, _ = GRADED_MUTANTS[change]
+    mutate_closure(monkeypatch, spec, change)
+    with pytest.raises(AssertionError) as exc:
+        build_lattice(build_model(spec))
+    assert str(exc.value) == built_message
+    code, out, err = run(capsys, "export-lattice", spec, str(tmp_path / "out.json"))
+    assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {built_message}\n")
+    with pytest.raises(AssertionError) as exc:
+        count_chain_orbits_lazily(build_model(spec))
+    assert str(exc.value) == lazy_message
+    code, out, err = run(capsys, "compute", spec, "--method", "bruteforce")
+    assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {lazy_message}\n")
+
+
+def two_root_planes_joined(mask, span, full, out):
+    """At an atom, the covers that hold two roots joined into one cover,
+    spanned as the first of them: the closure joins flats of the next rank
+    the same way at every atom, so each generator carries it along."""
+    planes = [c for c, _ in out if bin(c).count("1") == 2]
+    if not mask or mask & mask - 1 or len(planes) < 2:
+        return out
+    joined = functools.reduce(lambda x, y: x | y, planes)
+    return [(joined if c == planes[0] else c, s) for c, s in out
+            if c == planes[0] or c not in planes]
+
+
+OFF_SPAN = "a root of a flat lies off the span it was reached with"
+
+
+@pytest.mark.parametrize("spec", ["B3", "D4", "A4", "B4", "F4"])
+def test_joined_planes_fail_the_lazy_span_check(spec, monkeypatch, capsys):
+    """Two-root planes above an atom joined into one cover: each cover is
+    still one rank above its flat, so the lazy scan's rank check passes,
+    and the whole build finds a root of the joined flat in no flat it
+    covers. The lazy scan finds a root of the joined flat off its span,
+    and compute ends in one error line and exit 1; without that check D4
+    printed 4, not 12, with exit 0."""
+    mutate_closure(monkeypatch, spec, two_root_planes_joined)
+    with pytest.raises(AssertionError) as exc:
+        build_lattice_with_action(build_model(spec))
+    assert str(exc.value) == NONE_BELOW
+    with pytest.raises(AssertionError) as exc:
+        count_chain_orbits_lazily(build_model(spec))
+    assert str(exc.value) == OFF_SPAN
+    code, out, err = run(capsys, "compute", spec, "--method", "bruteforce")
+    assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {OFF_SPAN}\n")
+
+
 @pytest.mark.parametrize("m", range(5, 31))
 def test_dihedral_lattice_through_the_shared_build(m):
     """I2(m) is closed by the build that closes the matrix types: its bare
-    elements are spanning roots, the export names them, and the orbit record
-    equals the oracle's from the generators."""
+    elements are spanning roots, the export names them, and its lines fall
+    into the orbits that the oracle finds from the generators: one for odd
+    m, two for even m."""
     model, lattice, action = built(f"I2({m})")
     assert lattice.kind == "dihedral"
     assert lattice.elements == [(), *((k,) for k in range(m)), (0, 1)]
-    assert lattice.orbit == bfs_orbits(lattice, action.blocks)
+    assert orbit_count_of_lines(lattice, action) == coatom_orbits(lattice, action) == 2 - m % 2
     assert build_lattice(model).elements == ["V", *(f"L{k}" for k in range(m)), "0"]
 
 
@@ -473,8 +565,8 @@ def test_dihedral_lattice_through_the_shared_build(m):
 def test_one_closure_per_orbit_of_flats(spec, orbits, monkeypatch):
     """The build closes one flat per W-orbit by linear algebra (p(n + 1)
     orbits on A_n), plus one certificate closure in each orbit of more than
-    one flat, read off the build's own orbit record; a fallback to closing
-    every flat would show here."""
+    one flat, the orbits read off the generators by the `bfs_orbits`
+    oracle; a fallback to closing every flat would show here."""
     closure = lattice_module._closure
     closed = []
 
@@ -483,15 +575,16 @@ def test_one_closure_per_orbit_of_flats(spec, orbits, monkeypatch):
         return closure(vecs, lines, mask, span)
 
     monkeypatch.setattr(lattice_module, "_closure", counted)
-    lattice, _ = build_lattice_with_action(build_model(spec))
-    reps = sorted(set(lattice.orbit))
+    lattice, action = build_lattice_with_action(build_model(spec))
+    orbit = bfs_orbits(lattice, action.blocks)
+    reps = sorted(set(orbit))
     assert len(reps) == orbits
-    orbit_of = dict(zip(lattice.hypsets, lattice.orbit))
+    orbit_of = dict(zip(lattice.hypsets, orbit))
     calls = [orbit_of[mask] for mask in closed]
     firsts = {k: calls.index(k) for k in set(calls)}
     certificates = [k for pos, k in enumerate(calls) if pos != firsts[k]]
     assert len(firsts) == orbits
-    assert sorted(certificates) == [k for k in reps if lattice.orbit.count(k) > 1]
+    assert sorted(certificates) == [k for k in reps if orbit.count(k) > 1]
 
 
 def hypset_image_table(model, lattice):
@@ -534,12 +627,12 @@ def test_dihedral_root_permutations_equal_index_arithmetic(m):
 
 @pytest.mark.parametrize("spec", ["I2(6)xI2(5)xA2xA1", "I2(7)xA3xA1xA1"])
 def test_dihedral_factor_products_equal_index_arithmetic(spec):
-    lattice, table = lattice_of("1")[0], point_table()
+    lattice, table = point_lattice(), point_table()
     for f in spec.split("x"):
         lat2, tab2 = tabled(f)
         if lat2.kind == "dihedral":
             tab2 = dihedral_table(len(lat2.elements) - 2)
-        lattice, flat = _product_lattice(lattice, lat2)
+        lattice, flat = pairwise_product_lattice(lattice, lat2)
         table = product_table(flat, table, tab2)
     assert (count_chain_orbits_table(lattice, table)
             == count_chain_orbits(*lattice_of(spec)))
@@ -576,6 +669,15 @@ def test_big_products_agree_with_recursion(spec):
     count = scanned(spec)
     assert count.orbit_count == KCalculator().k(spec).value
     assert count.total_chains == count_maximal_chains(lattice_of(spec)[0])
+
+
+@pytest.mark.parametrize("spec", BIG_PRODUCTS)
+def test_big_product_line_orbits_are_their_factors(spec):
+    """Too large for the table oracle whole: a product's lines are one
+    factor's line times the other factors' tops, so its line orbits are
+    its factors', each counted by the table oracle."""
+    assert (orbit_count_of_lines(*lattice_of(spec))
+            == sum(line_orbits_table(*tabled(f)) for f in spec.split("x")))
 
 
 def test_big_product_scan_is_worker_count_independent():
@@ -693,21 +795,21 @@ def test_a1_power_scan_reads_each_state_once():
     REQUIRED_BRUTE_TIER + DEEP_BRUTE_TIER + BRUTE_PRODUCTS + BIG_PRODUCTS
     + [f"I2({m})" for m in range(5, 31)])))
 def test_orbit_record_equals_bfs_orbits(spec):
-    """The orbit each builder records is the least element of the orbit that
-    the generators' hypset images give, rank by rank."""
+    """The line orbits walked along the generators are the coatom orbits of
+    the orbit record that the `bfs_orbits` oracle finds rank by rank from
+    the generators' hypset images."""
     lattice, action = lattice_of(spec)
-    assert lattice.orbit == bfs_orbits(lattice, action.blocks)
+    assert orbit_count_of_lines(lattice, action) == coatom_orbits(lattice, action)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("spec", ["A3", "B3xB3", "E6"])
 def test_chain_scan_reads_no_orbit_record(spec, workers):
-    """The scan takes its atom orbits from the generators alone: with every
-    element of the build's orbit record its own orbit, the count is the
-    same."""
+    """The lattice records no orbits, so the scan takes its atom orbits from
+    the generators alone, for any worker count."""
     lattice, action = lattice_of(spec)
-    scrambled = dataclasses.replace(lattice, orbit=list(range(len(lattice.elements))))
-    assert count_chain_orbits(scrambled, action, workers=workers) == scanned(spec)
+    assert "orbit" not in {f.name for f in dataclasses.fields(lattice)}
+    assert count_chain_orbits(lattice, action, workers=workers) == scanned(spec)
 
 
 def wrong_line_orbits(change):
@@ -799,8 +901,7 @@ def test_chain_count_needs_elements_in_rank_order():
         rank=[lattice.rank[i] for i in order],
         covers=[[position[j] for j in lattice.covers[i]] for i in order],
         top=1,
-        hypsets=[lattice.hypsets[i] for i in order],
-        orbit=[position[lattice.orbit[i]] for i in order])
+        hypsets=[lattice.hypsets[i] for i in order])
     assert count_maximal_chains(lattice) == 4
     with pytest.raises(AssertionError, match="^lattice elements are not listed in rank order$"):
         count_maximal_chains(shuffled)
@@ -1004,6 +1105,29 @@ def test_b3_orbit_sizes_divide_group_order():
         assert table.group_order % s == 0
 
 
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "H3"])
+def test_line_walk_along_a_swapped_generator_raises(spec):
+    """The line orbits are walked along the generators themselves, so a
+    generator with two root lines swapped, which is no symmetry, carries
+    some line of the lattice to a hypset that is no line, and the walk
+    names the line; on these types no swap passes unseen. (A line of a
+    rank-2 type is one root, so any permutation maps lines to lines.)"""
+    lattice, action = lattice_of(spec)
+    n = len(action.blocks[0][0]) // 2
+    for b, gens in enumerate(action.blocks):
+        for g, gen in enumerate(gens):
+            for i, j in itertools.combinations(range(n), 2):
+                p = list(gen)
+                p[i], p[j], p[i + n], p[j + n] = p[j], p[i], p[j + n], p[i + n]
+                if p == list(gen):
+                    continue
+                blocks = [[*block[:g], tuple(p), *block[g + 1:]] if c == b else block
+                          for c, block in enumerate(action.blocks)]
+                with pytest.raises(AssertionError,
+                                   match=r"^a generator maps line \[[\d, ]+\] to no line$"):
+                    orbit_count_of_lines(lattice, GeneratorAction(blocks, action.orders))
+
+
 def test_line_orbit_counts():
     for spec, lines in (("A3", 2), ("B2", 2), ("B3", 3), ("I2(5)", 1), ("I2(6)", 2)):
         lattice, table = lattice_of(spec)
@@ -1069,6 +1193,30 @@ def test_table_missing_a_row_fails_the_certificate(spec, workers, monkeypatch):
         count_chain_orbits(lattice, action, workers=workers)
 
 
+@pytest.mark.parametrize("spec", ["B3", "D4", "H3", "F4", "B2xA1"])
+def test_stabiliser_short_of_an_element_fails_the_lagrange_check(spec, monkeypatch, capsys):
+    """A line stabiliser listed without its last element, |orbit| |Stab|
+    still its factor's order: a chain stabiliser narrowed from it has an
+    order that does not divide |W| (7 on B3, D4, H3 and F4), on both paths,
+    and compute ends in one error line and exit 1."""
+    closure = lattice_module._stabiliser
+
+    def short(generators, line, order):
+        size, elements = closure(generators, line, order)
+        return size, elements[:-1]
+
+    monkeypatch.setattr(lattice_module, "_stabiliser", short)
+    message = r"^chain stabiliser of order \d+ does not divide \|W\| = \d+$"
+    with pytest.raises(AssertionError, match=message):
+        count_chain_orbits(*lattice_of(spec))
+    with pytest.raises(AssertionError, match=message):
+        count_chain_orbits_lazily(build_model(spec))
+    code, out, err = run(capsys, "compute", spec, "--method", "bruteforce")
+    assert (code, out) == (cli.EXIT_FAIL, "")
+    assert re.match(message, err.removeprefix("error: ").removesuffix("\n"))
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_worker_count_does_not_change_result():
     lattice, table = lattice_of("B3")
     base = count_chain_orbits(lattice, table, workers=1)
@@ -1124,13 +1272,50 @@ def tuple_keyed_product_rows(lat1, tab1, lat2, tab2):
 
 @pytest.mark.parametrize("spec", ["A1xB2xA2", "B2xI2(5)", "A2xA1xA1"])
 def test_product_rows_equal_tuple_keyed_oracle(spec):
-    lattice, table = lattice_of("1")[0], point_table()
+    lattice, table = point_lattice(), point_table()
     for lat2, tab2 in map(tabled, spec.split("x")):
         expected = tuple_keyed_product_rows(lattice, table, lat2, tab2)
-        lattice, flat = _product_lattice(lattice, lat2)
+        lattice, flat = pairwise_product_lattice(lattice, lat2)
         table = product_table(flat, table, tab2)
         assert table.rows == expected
     assert table.rows == tabled(spec)[1].rows
+
+
+# every product whose whole lattice tier 1 builds
+TIER1_PRODUCTS = list(dict.fromkeys(
+    [s for s in REQUIRED_BRUTE_TIER if "x" in s] + BRUTE_PRODUCTS + BIG_PRODUCTS
+    + [A1_POWER, "x".join(["A1"] * 8), "x".join(["A2"] * 6), "x".join(["B2"] * 5 + ["A1"]),
+       "B3xB3x" + "x".join(["A1"] * 5), "B2xB2xB2xA1", "I2(5)xI2(5)xI2(5)xA1", "A1xB2xA2",
+       "B2xI2(5)", "A2xA1xA1", "A2xA2xA1", "B2xA1xA1", "I2(5)xA2", "A1xA1xA1", "A2xA2",
+       "I2(5)xA2xA1", "A1xA1xB3", "1"]))
+
+
+@pytest.mark.parametrize("spec", TIER1_PRODUCTS)
+def test_one_pass_product_equals_pairwise_fold(spec):
+    """The one-pass product build gives the lattice that folding the
+    factors' lattices pairwise from the one-point lattice gives: the same
+    elements in the same order, ranks, covers and hypsets."""
+    lattice, _ = lattice_of(spec)
+    fold = folded_lattice([build_lattice_with_action(f)[0] for f in factors_of(spec)])
+    assert vars(lattice) == vars(fold)
+
+
+@pytest.mark.parametrize("spec, factors", [("A2xA2xA2xA2", 1), ("I2(6)xI2(5)xA2xA1", 4),
+                                           ("A3xB2xA2", 3), (A1_POWER, 1)])
+def test_product_build_makes_no_intermediate_lattice(spec, factors, monkeypatch):
+    """A product lattice is built in one pass: one lattice per distinct
+    factor model and one for the product, where a pairwise fold made one
+    more per factor and dropped all but the last."""
+    real, made = lattice_module.IntersectionLattice, []
+
+    def counted(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(lattice_module, "IntersectionLattice", counted)
+    lattice, _ = build_lattice_with_action(build_model(spec))
+    assert [l.kind for l in made].count("product") == 1
+    assert len(made) == factors + 1 and made[-1] is lattice
 
 
 def test_nested_product_elements_are_flat_factor_indices():

@@ -258,3 +258,20 @@ def test_identities_catch_a_wrong_bar_d(monkeypatch):
     monkeypatch.setattr(KCalculator, "k_bar", off_by_one_at_6)
     failed = {c.name: c.first_mismatch for c in verify_identities(20) if not c.passed}
     assert failed == {"U = sec": 6, "barD expansion matches bar d_n": 6}
+
+
+@pytest.mark.parametrize("order", [4, 5, 20, 21, 100])
+def test_identities_fill_each_table_once(order, monkeypatch):
+    """verify_identities fills D_n, D_{n-1} and bar d_n once and reads every
+    lower d_m and bar d_m from the memo: the A table is walked twice, where
+    filling each D_m and bar d_m in ascending m walked it once per m."""
+    walks = []
+    true_a_table = KCalculator._a_table
+
+    def counted(self, n):
+        walks.append(n)
+        return true_a_table(self, n)
+
+    monkeypatch.setattr(KCalculator, "_a_table", counted)
+    assert all(c.passed for c in verify_identities(order))
+    assert len(walks) == 2
