@@ -172,8 +172,7 @@ def _warn(message: str):
 
 def _make_calculator(args) -> tuple:
     calc = KCalculator()
-    path = args.cache or os.environ.get("COXETER_CACHE")
-    cache = DiskCache(path) if path else None
+    cache = DiskCache(args.cache) if args.cache else None
     if cache:
         cache.load_into(calc)
     return calc, cache
@@ -196,8 +195,7 @@ def cmd_compute(args) -> int:
         results["closed"] = closed_form_value(labels)
     if args.method in ("bruteforce", "all"):
         try:
-            results["bruteforce"] = count_chain_orbits_lazily(
-                build_model(labels), workers=args.workers).orbit_count
+            results["bruteforce"] = count_chain_orbits_lazily(build_model(labels)).orbit_count
         except UnsupportedModelError as exc:
             if args.method == "bruteforce":
                 print(f"error: {exc}", file=sys.stderr)
@@ -312,7 +310,7 @@ def _verify_checks(args):
             for spec in specs:
                 labels = parse_labels(spec)
                 lattice, table = build_lattice_with_action(build_model(labels))
-                brute = count_chain_orbits(lattice, table, workers=args.workers)
+                brute = count_chain_orbits(lattice, table)
                 rec = fresh.k_labels(labels)
                 if brute.orbit_count != rec.value:
                     return False, (
@@ -429,11 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["recursion", "bruteforce", "closed", "all"],
                    default="all")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--workers", type=_int_at_least(1), default=1,
-                   help="brute-force chain scan workers; results are "
-                        "worker-count independent")
-    p.add_argument("--cache", help="path to the recursion value cache "
-                                   "(or env COXETER_CACHE)")
+    p.add_argument("--cache", help="path to the recursion value cache")
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("table", help="closed-form value table")
@@ -444,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the cross-validation suite")
     p.add_argument("--deep", action="store_true",
                    help="include the rank-5, F4 and E6 brute-force tier")
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.add_argument("--cache")
     p.set_defaults(fn=cmd_verify)
 

@@ -27,7 +27,8 @@ that histogram (`ChainOrbitCount.size_counts`), so its size follows the
 distinct orbit sizes, not the orbits: A1^16 counts its 16! in one entry.
 
 One driver counts the chain orbits, from the generators' atom-line orbits,
-over two sources of covers with two certificates. `count_chain_orbits`
+over either path's covers and hypsets with two certificates, in one
+process unless `count_chain_orbits` is asked for workers. That function
 scans the whole lattice, built by orbit transport, and certifies that the
 orbit sizes sum to its maximal chains. `count_chain_orbits_lazily`, the
 brute force of `compute`, closes a flat only when the scan first reads its
@@ -214,6 +215,9 @@ def _irreducible_lattice(model) -> IntersectionLattice:
     roots; `build_lattice` makes it a `Subspace`, or a dihedral flat's name.
     """
     n, closure, _ = _closure_of(model)
+    for g, p in enumerate(model.gen_perms):
+        if sorted(map(abs, p)) != list(range(1, n + 1)):
+            raise AssertionError(f"generator {g} is not a signed permutation of the {n} root lines")
     gens = [[1 << abs(x) - 1 for x in p] for p in model.gen_perms]  # line i -> bit
     masks, hyps, spans = [0], [[]], [()]  # per flat: hypset, its roots, a span
     ups, ids = {}, {0: 0}  # flat id -> ids of the flats covering it; hypset -> id
@@ -596,7 +600,7 @@ def _scan_atoms(covers, masks, orbits, blocks, orders, atoms, chains=None):
 
 def _in_workers(scan, args, items, workers):
     """scan(*args, chunk) for round-robin chunks of the items, one worker
-    process per chunk, in chunk order."""
+    process per chunk, in chunk order; kept only for perfbench's sweep."""
     from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
 
     chunks = [items[i::workers] for i in range(min(workers, len(items)))]
@@ -691,18 +695,11 @@ def _line_orbits(blocks) -> dict:
     return orbits
 
 
-def _scan_lines(source, orbits, blocks, orders, lines):
+def _scan_lines(covers, masks, orbits, blocks, orders, lines, chains=None):
     """Scan above the atoms of these canonical lines, the bottom being flat
-    0: their {orbit size: multiplicity}, and the sum over the lines of
-    |orbit| times the maximal chains above the line's atom. `source` is the
-    irreducible factor models, whose covers are closed here on demand
-    (`_Covers`) and certified state by state, or a built lattice's (covers,
-    hypsets), certified whole by the caller, so the sum is None."""
-    if isinstance(source, tuple):
-        (covers, masks), chains = source, None
-    else:
-        covers, chains = _Covers(source), {}
-        masks = covers.masks
+    0: their {orbit size: multiplicity} and, with a dict `chains` that the
+    scan fills state by state (`_scan_atoms`), the sum over the lines of
+    |orbit| times the maximal chains above the line's atom, else None."""
     atom = {masks[c].bit_length() - 1: c for c in covers[0]}
     if len(atom) != len(blocks[0][0]) // 2:
         raise AssertionError("rank-1 elements are not exactly the hyperplanes")
@@ -712,58 +709,61 @@ def _scan_lines(source, orbits, blocks, orders, lines):
         len(orbits[i]) * chains[atom[i]] for i in lines)
 
 
-def _count_orbits(source, action, workers, chains=None) -> ChainOrbitCount:
-    """Orbit count of the group action on maximal chains over the covers of
-    `source` (`_scan_lines`), each orbit counted once, at its canonical
-    chain: the chain that equals its own lexicographically smallest image.
-    It starts at the atom of the least line of an orbit of atom lines, from
-    the generators (`_line_orbits`). A canonical prefix p extends by a cover
-    d to a canonical prefix exactly when no element of Stab(p) maps d below
-    d (canonical augmentation: B. D. McKay, "Isomorph-free exhaustive
-    generation", J. Algorithms 26, 1998), and a canonical maximal chain c
-    contributes the orbit size |W| / |Stab(c)|. Besides the scan's own
-    checks, the orbit sizes times their multiplicities must sum to `chains`,
-    a built lattice's maximal chains, or else to |orbit| times the chains
-    above each canonical atom: either sum fails atom-line orbits merged or
-    split. Canonical lines go round-robin to the workers, each with its own
-    memo, so the result is identical for any count."""
+def _count_orbits(covers, masks, action, workers=1, total=None, chains=None) -> ChainOrbitCount:
+    """Orbit count of the group action on maximal chains over the flats'
+    covers and hypsets (`_scan_lines`), each orbit counted once, at its
+    canonical chain: the chain that equals its own lexicographically
+    smallest image. It starts at the atom of the least line of an orbit of
+    atom lines, from the generators (`_line_orbits`). A canonical prefix p
+    extends by a cover d to a canonical prefix exactly when no element of
+    Stab(p) maps d below d (canonical augmentation: B. D. McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998), and a
+    canonical maximal chain c contributes the orbit size |W| / |Stab(c)|.
+    Besides the scan's own checks, the orbit sizes times their
+    multiplicities must sum to `total`, a built lattice's maximal chains,
+    or, with a dict `chains` certifying each state, to |orbit| times the
+    chains above each canonical atom: either fails atom-line orbits merged
+    or split. Canonical lines go round-robin to the workers, each with its
+    own memo, so the result is identical for any count."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     orbits = _line_orbits(action.blocks)
     lines = sorted({o[0] for o in orbits.values()})
-    args = (source, orbits, action.blocks, action.orders)
+    args = (covers, masks, orbits, action.blocks, action.orders)
     if not lines:
         scans = [({1: 1}, 1)]  # rank 0: the bottom is the only chain
     elif workers == 1 or len(lines) <= 1:
-        scans = [_scan_lines(*args, lines)]
+        scans = [_scan_lines(*args, lines, chains)]
     else:
         scans = _in_workers(_scan_lines, args, lines, workers)
     counts = _merged(c for c, _ in scans)
-    total = sum(map(operator.mul, counts, counts.values()))
+    found = sum(map(operator.mul, counts, counts.values()))
     what = "the chain count"
-    if chains is None:
-        chains, what = sum(w for _, w in scans), "the chains above the canonical atoms"
-    if total != chains:
+    if total is None:
+        total, what = sum(w for _, w in scans), "the chains above the canonical atoms"
+    if found != total:
         raise AssertionError(f"orbit sizes do not sum to {what}")
-    return ChainOrbitCount(total_chains=total, orbit_count=sum(counts.values()),
+    return ChainOrbitCount(total_chains=found, orbit_count=sum(counts.values()),
                            size_counts=dict(sorted(counts.items())))
 
 
 def count_chain_orbits(l: IntersectionLattice, action: GeneratorAction,
                        workers: int = 1) -> ChainOrbitCount:
     """Orbit count of the group action on the maximal chains of a built
-    lattice (`_count_orbits`), whose orbit sizes must sum to its chains."""
-    return _count_orbits((l.covers, l.hypsets), action, workers, count_maximal_chains(l))
+    lattice (`_count_orbits`), whose orbit sizes must sum to its chains.
+    No command sets `workers`: only perfbench's sweep `lattice.scan_w2_s`."""
+    return _count_orbits(l.covers, l.hypsets, action, workers, count_maximal_chains(l))
 
 
-def count_chain_orbits_lazily(model, workers: int = 1) -> ChainOrbitCount:
+def count_chain_orbits_lazily(model) -> ChainOrbitCount:
     """Orbit count of the group action on maximal chains (`_count_orbits`)
     without building the lattice: the scan closes only the flats whose
     covers it reads (`_Covers`), so E6 closes 49 of its 4,598 flats, the
-    bottom among them, and each worker closes its own. The chain-count sum
+    bottom among them, in one process with one memo. The chain-count sum
     needs the whole lattice, so each state is certified on its own instead
     (`_scan_atoms` with `chains`)."""
-    return _count_orbits(_factors(model), _action(model), workers)
+    covers = _Covers(_factors(model))
+    return _count_orbits(covers, covers.masks, _action(model), chains={})
 
 
 def orbit_count_of_lines(l: IntersectionLattice, action: GeneratorAction) -> int:

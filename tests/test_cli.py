@@ -91,8 +91,9 @@ def test_compute_e6_closes_at_most_50_flats(capsys, monkeypatch):
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    """Only a scan with more than one worker imports concurrent.futures, so
-    a one-worker process does not pay for it."""
+    """Only the library's count over a built lattice with more than one
+    worker imports concurrent.futures; no command runs one, so the command
+    line does not pay for the import."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -121,12 +122,11 @@ def test_compute_all_skips_unsupported_bruteforce(capsys):
     assert "recursion: 768" in out
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_bruteforce_counts_a1_power_12(capsys, workers):
+def test_bruteforce_counts_a1_power_12(capsys):
     """A1^12's 12! = 479,001,600 chain orbits, each of size 1, counted by
     brute force from about a thousand scan states, as the recursion and the
     closed form count them."""
-    code, out, err = run(capsys, "compute", "x".join(["A1"] * 12), "--workers", workers)
+    code, out, err = run(capsys, "compute", "x".join(["A1"] * 12))
     assert (code, out, err) == (cli.EXIT_OK, "recursion: 479001600\nbruteforce: 479001600\n"
                                              "closed: 479001600\nagreement: ok\n", "")
 
@@ -254,11 +254,15 @@ def test_cache_cold_then_warm_identical(capsys, tmp_path):
 
 
 def test_cache_env_variable(capsys, tmp_path, monkeypatch):
-    cache = str(tmp_path / "env.json")
-    monkeypatch.setenv("COXETER_CACHE", cache)
-    code, _, _ = run(capsys, "compute", "E6", "--method", "recursion")
-    assert code == cli.EXIT_OK
-    assert json.loads(open(cache).read())["results"]["E6"]["value"] == "82"
+    """COXETER_CACHE is not read: the cache file is the one --cache names,
+    so with the variable set compute writes no file and prints what it
+    prints without it."""
+    cache = tmp_path / "env.json"
+    plain = run(capsys, "compute", "E6", "--method", "recursion")
+    monkeypatch.setenv("COXETER_CACHE", str(cache))
+    assert run(capsys, "compute", "E6", "--method", "recursion") == plain
+    assert plain == (cli.EXIT_OK, "82\n", "")
+    assert not cache.exists()
 
 
 def test_stale_engine_version_ignored(capsys, tmp_path):
@@ -477,8 +481,8 @@ def test_unwritable_cache_path_warns(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["compute", "A3", "--workers", "0"],
-    ["verify", "--workers", "0"],
+    ["table", "--max-rank", "-1"],
+    ["table", "--max-rank", "-5", "--format", "csv"],
     ["table", "--max-rank", "-5"],
 ])
 def test_out_of_range_flags_are_usage_errors(capsys, argv):
@@ -487,6 +491,31 @@ def test_out_of_range_flags_are_usage_errors(capsys, argv):
     err = capsys.readouterr().err
     assert exc.value.code == cli.EXIT_PARSE
     assert "must be >=" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["compute", "A3"], ["verify"]])
+def test_workers_flag_is_a_usage_error(capsys, command):
+    """Brute force runs in one process, so compute and verify take no
+    --workers: asking for workers is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--workers", "2"])
+    err = capsys.readouterr().err
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "unrecognized arguments: --workers 2" in err and "Traceback" not in err
+
+
+def test_no_command_starts_a_worker_pool(capsys, monkeypatch):
+    """compute on a product of many atom orbits and verify's whole-lattice
+    tiers scan in one process: the worker pool is never reached."""
+    def pool(*args):
+        raise AssertionError("a command started a worker pool")
+
+    monkeypatch.setattr(lattice, "_in_workers", pool)
+    for argv in (["compute", "D4xD4"], ["compute", "x".join(["A1"] * 12)],
+                 ["verify", "--deep"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (cli.EXIT_OK, ""), argv
+        assert "FAIL" not in out and "MISMATCH" not in out, argv
 
 
 def test_warm_request_leaves_cache_file_untouched(capsys, tmp_path):
@@ -576,7 +605,7 @@ def test_main_restores_the_callers_digit_limit(capsys):
         sys.set_int_max_str_digits(640)
         assert run(capsys, "compute", "A3", "--method", "closed")[:2] == (0, "2\n")
         assert sys.get_int_max_str_digits() == 640
-        for argv, code in ((["compute", "A3", "--workers", "0"], cli.EXIT_PARSE),
+        for argv, code in ((["table", "--max-rank", "-5"], cli.EXIT_PARSE),
                            (["--version"], cli.EXIT_OK)):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
@@ -608,7 +637,6 @@ def test_shared_parser_carries_nothing_between_calls(capsys, tmp_path, monkeypat
     """A sequence of main calls in one process prints, byte for byte, what
     each call prints in a fresh process, and the calls without --cache leave
     the cache file alone."""
-    monkeypatch.delenv("COXETER_CACHE", raising=False)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -618,7 +646,7 @@ def test_shared_parser_carries_nothing_between_calls(capsys, tmp_path, monkeypat
     sequence = [["compute", "A3", "--format", "json", "--method", "recursion",
                  "--cache", "c.json"],
                 ["compute", "A3"],
-                ["compute", "A3", "--workers", "0"],
+                ["table", "--max-rank", "-5"],
                 ["--version"],
                 ["table", "--max-rank", "3", "--format", "csv"],
                 ["compute", "A3"]]
