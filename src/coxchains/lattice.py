@@ -16,9 +16,9 @@ export. A product's roots are its factors' roots in factor order, and its
 lattice is built in one pass over its factors'. No W-orbit is recorded:
 orbits are walked along the generators (`_image`), which act alone
 (`GeneratorAction`), one block per irreducible factor with each factor's
-order. Chain orbits are counted from atom stabilisers closed from Schreier
-generators inside their own block; a block the chain has not entered, or
-entered at a line the whole factor fixes, counts as its factor's order. The
+order. Chain orbits are counted from atom stabilisers listed coset by coset
+(Dimino) from Schreier generators in their block; a block the chain has not
+entered, or entered at a line it fixes, counts as its factor's order. The
 count above a flat depends on the flat and the chain stabiliser alone, kept
 as one interned part per block, so the scan is memoized on the two: a
 product's scan visits its factors' states, not their shuffles. States
@@ -100,14 +100,13 @@ def _primitive(row):
 
 
 def _integer_lines(model: ReflectionModel):
-    """Each root as a primitive integer vector, and integer rows whose
-    Q-span is the root's line: the vector itself and, over Q(sqrt5), its
-    product with phi. So the K-span of a set of roots is the Q-span of their
-    rows, and one integer kernel serves both fields, at twice the width over
-    Q(sqrt5) (see `ReflectionModel.vectors`)."""
-    vecs = [_primitive(v) for v in model.vectors]
+    """Per root, integer rows whose Q-span is the root's line: its vector
+    made primitive and, over Q(sqrt5), that vector's product with phi. So
+    the K-span of a set of roots is the Q-span of their rows, and one
+    integer kernel serves both fields, at twice the width over Q(sqrt5)
+    (see `ReflectionModel.vectors`)."""
     realify = model.field == FIELD_QSQRT5
-    return vecs, [[v, phi_times(v)] if realify else [v] for v in vecs]
+    return [[v, phi_times(v)] if realify else [v] for v in map(_primitive, model.vectors)]
 
 
 def _reduce(rows, pivots, row):
@@ -162,16 +161,15 @@ def _image(bits, lines) -> int:
     return sum(map(bits.__getitem__, lines))
 
 
-def _closure(vecs, lines, mask, span):
+def _closure(lines, base, mask, span):
     """The covers (hypset, spanning roots) of the flat `mask` spanned by
-    `span`, in the order of their least roots: each root off the flat is
-    reduced once against the flat's echelon form, and the roots of one
-    residue (`_residue`) are one cover, spanned by span and its least root.
-    A root in the span, possible only when mask is not closed, joins the
-    first cover."""
-    base = _echelon((), (), [row for i in span for row in lines[i]])
+    `span`, whose echelon form is `base`, in the order of their least
+    roots: each root off the flat is reduced once against base, and the
+    roots of one residue (`_residue`) are one cover, spanned by span and
+    its least root. A root in the span, possible only when mask is not
+    closed, joins the first cover."""
     covers = {}  # residue -> [hypset, least root]
-    for a in _lines((1 << len(vecs)) - 1 & ~mask):
+    for a in _lines((1 << len(lines)) - 1 & ~mask):
         key = _residue(*base, lines[a]) or next(iter(covers), None)
         covers.setdefault(key, [mask, a])[0] |= 1 << a
     return [(cover, span + (a,)) for cover, a in covers.values()]
@@ -188,18 +186,20 @@ def _dihedral_closure(m, mask, span):
 
 
 def _closure_of(model):
-    """An irreducible model's root count, its closure: (mask, span) -> the
-    covers (hypset, spanning roots) of the flat `mask` spanned by `span`,
-    and its test that every root of `mask` lies in the span of `span`."""
+    """An irreducible model's root count and its closure: (mask, span) ->
+    the covers (hypset, spanning roots) of the flat `mask` spanned by `span`,
+    and a test, on their echelon form, that each root of `mask` lies in it."""
     if isinstance(model, DihedralModel):
-        return (model.m, functools.partial(_dihedral_closure, model.m),
-                lambda mask, span: len(span) > 1 or not mask & ~sum(1 << i for i in span))
-    vecs, lines = _integer_lines(model)
+        return model.m, lambda mask, span: (_dihedral_closure(model.m, mask, span), lambda: (
+            len(span) > 1 or not mask & ~sum(1 << i for i in span)))
+    lines = _integer_lines(model)
 
-    def spanned(mask, span):
+    def closure(mask, span):
         base = _echelon((), (), [row for i in span for row in lines[i]])
-        return all(_residue(*base, lines[i]) is None for i in _lines(mask))
-    return len(vecs), functools.partial(_closure, vecs, lines), spanned
+        return _closure(lines, base, mask, span), lambda: not any(
+            any(_reduce(*base, row)) for i in _lines(mask & ~sum(1 << i for i in span))
+            for row in lines[i])
+    return len(lines), closure
 
 
 def _irreducible_lattice(model) -> IntersectionLattice:
@@ -214,7 +214,7 @@ def _irreducible_lattice(model) -> IntersectionLattice:
     rank >= 2 lies in a flat it covers. A flat's element is its spanning
     roots; `build_lattice` makes it a `Subspace`, or a dihedral flat's name.
     """
-    n, closure, _ = _closure_of(model)
+    n, closure = _closure_of(model)
     for g, p in enumerate(model.gen_perms):
         if sorted(map(abs, p)) != list(range(1, n + 1)):
             raise AssertionError(f"generator {g} is not a signed permutation of the {n} root lines")
@@ -239,7 +239,7 @@ def _irreducible_lattice(model) -> IntersectionLattice:
     for f, mask in enumerate(masks):
         if f in ups:
             continue
-        ups[f] = [add(*cover) for cover in closure(mask, spans[f])]
+        ups[f] = [add(*cover) for cover in closure(mask, spans[f])[0]]
         walk = [f]
         for y in walk:  # ends at the walk's last flat
             for bits in gens:
@@ -248,7 +248,7 @@ def _irreducible_lattice(model) -> IntersectionLattice:
                     ups[z] = [moved(bits, c) for c in ups[y]]
                     walk.append(z)
         if y != f and sorted(masks[c] for c in ups[y]) != sorted(
-                c for c, _ in closure(masks[y], spans[y])):
+                c for c, _ in closure(masks[y], spans[y])[0]):
             raise AssertionError(f"flat {spans[y]}: carried covers differ from its closure")
     below = [0] * len(masks)  # flat id -> union of the flats it covers
     for f, mask in enumerate(masks):
@@ -364,11 +364,14 @@ def _stabiliser(generators, line, order):
     the orbit. By Schreier's lemma the stabiliser is generated by
     t[c]^-1 . g . t[b] over orbit lines b and generators g, where c is the
     line of g(t[b](line)) (Seress, Permutation Group Algorithms, 2003).
-    The elements are closed from these Schreier generators, keeping one
-    only when it is not yet a member; e extends by a kept s to e . s.
-    Generators that are not symmetries can generate a far larger group, so
-    the closure stops as soon as |orbit| |Stab| passes `order`, the group
-    order it should have, and returns the product reached.
+    One that is not yet a member is kept, and the group H listed so far
+    grows coset by coset (Dimino; G. Butler, Fundamental Algorithms for
+    Permutation Groups, LNCS 559, 1991): for each representative r, from
+    the identity, and kept k with r . k not yet a member, H . (r . k) is
+    listed whole and r . k made a representative. Generators that are not
+    symmetries can generate a far larger group, so after each coset the
+    listing stops, returning the product reached, once |orbit| |Stab|
+    passes `order`, the group order it should have.
     """
     size = len(generators[0])
     identity = tuple(range(size))
@@ -376,12 +379,7 @@ def _stabiliser(generators, line, order):
     inverses = {}  # orbit line c -> transversal[c]^-1
     orbit = [line]
     elements, members = [identity], {identity}
-    kept, closed = [], 0  # every kept generator extends elements[:closed]
-
-    def add(p):
-        if p not in members:
-            members.add(p)
-            elements.append(p)
+    kept = []  # act(e) = e . k for each kept generator k
 
     for b in orbit:
         for g in generators:
@@ -397,14 +395,16 @@ def _stabiliser(generators, line, order):
             if s in members:
                 continue
             kept.append(operator.itemgetter(*s))
-            for e in elements[:closed]:
-                add(kept[-1](e))
-            while closed < len(elements) and len(orbit) * len(elements) <= order:
-                closed += 1
-                for act in kept:
-                    add(act(elements[closed - 1]))
-            if len(orbit) * len(elements) > order:
-                return len(orbit) * len(elements), elements
+            group, reps = elements[:], [identity]
+            for r in reps:
+                for x in [act(r) for act in kept]:
+                    if x not in members:
+                        coset = list(map(operator.itemgetter(*x), group))
+                        elements += coset
+                        members.update(coset)
+                        reps.append(x)
+                        if len(orbit) * len(elements) > order:
+                            return len(orbit) * len(elements), elements
     return len(orbit) * len(elements), elements
 
 
@@ -661,14 +661,14 @@ def _factor_covers(model):
     (hypset, rank step), memoized. A flat keeps the span it was first
     reached with, which must hold its roots; a cover's rank step is its
     span's length less the flat's, a product cover's step too."""
-    width, closure, spanned = _closure_of(model)
+    width, closure = _closure_of(model)
     spans = {0: ()}
 
     @functools.cache
     def closed(mask):
-        if not spanned(mask, spans[mask]):
+        out, spanned = closure(mask, spans[mask])
+        if not spanned():
             raise AssertionError("a root of a flat lies off the span it was reached with")
-        out = closure(mask, spans[mask])
         for cover, span in out:
             spans.setdefault(cover, span)
         rank = len(spans[mask])

@@ -7,9 +7,11 @@ slower, more direct computations, among them the root closure in exact
 field arithmetic from its own table of simple roots, the full group action
 table composed along a breadth-first closure of the whole group, the
 lattice with every flat closed on integers by one null-vector test per
-cover, a product lattice folded pairwise from its factors, the chain scan
-that reaches every canonical chain and the orbits of each rank from
-hypset images, whose coatom orbits the generators' line walk must count.
+cover, a product lattice folded pairwise from its factors, line
+stabilisers closed element by element, which the coset-by-coset listing
+must list, the chain scan that reaches every canonical chain, Zaslavsky's
+chamber count, which must be |W|, and the orbits of each rank from hypset
+images, whose coatom orbits the generators' line walk must count.
 The recursion's label deletion rules are checked against deleting the
 vertex from the type's standard graph and classifying the components that
 remain. The series layer's integer EGF arithmetic is checked against
@@ -48,7 +50,6 @@ from coxchains.lattice import (
     _echelon,
     _integer_lines,
     _lines,
-    _stabiliser,
     _validate_graded,
     build_lattice_with_action,
     count_maximal_chains,
@@ -644,7 +645,8 @@ def closure_matrix_lattice(model) -> IntersectionLattice:
     a flat's covers are its closures with one more root by null vectors
     (`null_vector_closure`), each recorded as found. No flat's covers are
     carried along the generators."""
-    vecs, lines = _integer_lines(model)
+    lines = _integer_lines(model)
+    vecs = [rows[0] for rows in lines]
     n = len(vecs)
     masks = [0]
     spans = [()]
@@ -852,6 +854,51 @@ def line_orbits_table(l, table) -> int:
     return orbits
 
 
+def stabiliser_by_elements(generators, line, order):
+    """|orbit| |Stab| of the line, and every element of its stabiliser,
+    closed element by element: the Schreier generators t[c]^-1 . g . t[b]
+    of a transversal t grown along the orbit, each kept only when it is not
+    yet a member, and every listed element e extended by every kept s to
+    e . s, with one membership probe per product. It stops as soon as
+    |orbit| |Stab| passes `order`, as `_stabiliser` does."""
+    size = len(generators[0])
+    identity = tuple(range(size))
+    transversal = {line: identity}
+    inverses = {}  # orbit line c -> transversal[c]^-1
+    orbit = [line]
+    elements, members = [identity], {identity}
+    kept, closed = [], 0  # every kept generator extends elements[:closed]
+
+    def add(p):
+        if p not in members:
+            members.add(p)
+            elements.append(p)
+
+    for b in orbit:
+        for g in generators:
+            gu = operator.itemgetter(*transversal[b])(g)
+            c = gu[line] % (size // 2)
+            if c not in transversal:
+                transversal[c] = gu
+                orbit.append(c)
+                continue
+            if c not in inverses:
+                inverses[c] = sorted(range(size), key=transversal[c].__getitem__)
+            s = operator.itemgetter(*gu)(inverses[c])
+            if s in members:
+                continue
+            kept.append(operator.itemgetter(*s))
+            for e in elements[:closed]:
+                add(kept[-1](e))
+            while closed < len(elements) and len(orbit) * len(elements) <= order:
+                closed += 1
+                for act in kept:
+                    add(act(elements[closed - 1]))
+            if len(orbit) * len(elements) > order:
+                return len(orbit) * len(elements), elements
+    return len(orbit) * len(elements), elements
+
+
 def scan_atoms_enumerating(covers, masks, blocks, orders, atoms):
     """The orbit sizes of the canonical maximal chains through the atoms, one
     per chain, reached prefix by prefix without a memo. A chain stabiliser
@@ -865,7 +912,7 @@ def scan_atoms_enumerating(covers, masks, blocks, orders, atoms):
 
     @lru_cache(maxsize=None)
     def stabiliser(line):
-        return _stabiliser(blocks[block_of[line]], line, orders[block_of[line]])
+        return stabiliser_by_elements(blocks[block_of[line]], line, orders[block_of[line]])
 
     @lru_cache(maxsize=None)
     def orbit_of(line):
@@ -939,3 +986,17 @@ def ordinary_quotient(f, g) -> list:
 
 def ordinary_derivative(f) -> list:
     return [(k + 1) * f[k + 1] for k in range(len(f) - 1)] or [Fraction(0)]
+
+
+def zaslavsky_chambers(l: IntersectionLattice) -> int:
+    """Zaslavsky's chamber count of a central arrangement: the sum over its
+    flats X of |mu(V, X)|, mu the Moebius function of the lattice from the
+    bottom V, with mu(V, V) = 1 and mu(V, X) = -(the sum of mu(V, Y) over
+    the flats Y below X), Y below X when its hypset is a proper subset of
+    X's. A reflection arrangement has |W| chambers. Quadratic in the flats."""
+    mu, below = [], []  # per flat in rank order: mu(V, X) and its hypset
+    for x in sorted(range(len(l.hypsets)), key=l.rank.__getitem__):
+        h = l.hypsets[x]
+        mu.append(-sum(m for m, g in zip(mu, below) if g != h and not g & ~h) if mu else 1)
+        below.append(h)
+    return sum(map(abs, mu))

@@ -80,9 +80,9 @@ def test_compute_e6_closes_at_most_50_flats(capsys, monkeypatch):
     closure = lattice._closure
     closed = []
 
-    def counted(vecs, lines, mask, span):
+    def counted(lines, base, mask, span):
         closed.append(mask)
-        return closure(vecs, lines, mask, span)
+        return closure(lines, base, mask, span)
 
     monkeypatch.setattr(lattice, "_closure", counted)
     code, out, _ = run(capsys, "compute", "E6", "--method", "bruteforce")
@@ -354,7 +354,7 @@ def test_export_lattice_builds_no_action_table(spec, digest, capsys, tmp_path,
 def test_failed_certificate_ends_in_one_error_line(capsys, monkeypatch):
     """A lattice certificate that fails ends in one error line and exit 1,
     not a traceback: here a closure that finds no covers."""
-    monkeypatch.setattr(lattice, "_closure", lambda vecs, lines, mask, span: [])
+    monkeypatch.setattr(lattice, "_closure", lambda lines, base, mask, span: [])
     code, out, err = run(capsys, "compute", "A3", "--method", "bruteforce")
     assert code == cli.EXIT_FAIL and out == ""
     assert err == "error: a root off a flat lies in none of its covers\n"

@@ -58,6 +58,8 @@ from oracles import (
     point_table,
     product_table,
     set_partitions,
+    stabiliser_by_elements,
+    zaslavsky_chambers,
 )
 from test_cli import run
 
@@ -191,6 +193,11 @@ def test_orbit_transport_equals_every_flat_closure(spec):
         assert getattr(lattice, field) == getattr(oracle, field), field
 
 
+def echelon_of(lines, span):
+    """The echelon form of the span's rows, as `_closure` takes it."""
+    return _echelon((), (), [row for i in span for row in lines[i]])
+
+
 CLOSED_SPECS = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "D4", "D5",
                 "F4", "H3", "E6"]
 
@@ -202,9 +209,10 @@ def test_one_pass_closure_equals_null_vector_closure(spec):
     flat."""
     model = build_model(spec)
     lattice = lattice_module._irreducible_lattice(model)
-    vecs, lines = _integer_lines(model)
+    lines = _integer_lines(model)
+    vecs = [rows[0] for rows in lines]
     for mask, span in zip(lattice.hypsets, lattice.elements):
-        assert (lattice_module._closure(vecs, lines, mask, span)
+        assert (lattice_module._closure(lines, echelon_of(lines, span), mask, span)
                 == null_vector_closure(vecs, lines, mask, span)), span
 
 
@@ -214,14 +222,15 @@ def test_one_pass_closure_equals_null_vector_closure_off_flats(spec):
     a walk along a generator that is no symmetry can close: a root in the
     span but off the mask joins the first cover in both."""
     model = build_model(spec)
-    vecs, lines = _integer_lines(model)
+    lines = _integer_lines(model)
+    vecs = [rows[0] for rows in lines]
     n, rank = len(vecs), model.label.rank
     for _ in range(40):
         span = tuple(sorted(rng.sample(range(n), rng.randint(0, rank))))
         mask = rng.getrandbits(n) & rng.getrandbits(n)
         if rng.random() < 0.5:
             mask |= sum(1 << i for i in span)
-        assert (lattice_module._closure(vecs, lines, mask, span)
+        assert (lattice_module._closure(lines, echelon_of(lines, span), mask, span)
                 == null_vector_closure(vecs, lines, mask, span)), (mask, span)
 
 
@@ -332,8 +341,8 @@ def at_the_bottom(change):
     bottom is its own orbit, so no orbit walk carries the change."""
     closure = lattice_module._closure
 
-    def mutant(vecs, lines, mask, span):
-        out = closure(vecs, lines, mask, span)
+    def mutant(lines, base, mask, span):
+        out = closure(lines, base, mask, span)
         return out if mask else change(out)
     return mutant
 
@@ -562,6 +571,36 @@ def test_joined_planes_fail_the_lazy_span_check(spec, monkeypatch, capsys):
     assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {OFF_SPAN}\n")
 
 
+@pytest.mark.parametrize("spec", REQUIRED_BRUTE_TIER + [s for s in DEEP_BRUTE_TIER if s != "E6"])
+def test_zaslavsky_chamber_count_is_the_group_order(spec):
+    """Zaslavsky's sum of |mu(V, X)| over the flats counts the chambers,
+    |W| for a reflection arrangement; E6 is left out, since the sum is
+    quadratic in its 4,598 flats."""
+    lattice, action = lattice_of(spec)
+    assert zaslavsky_chambers(lattice) == action.group_order
+
+
+def every_pair_a_flat(mask, span, full, out):
+    """Each atom covered by one flat per other root, so that every pair of
+    roots is a flat, closed or not."""
+    if not mask or mask & mask - 1:
+        return out
+    return [(mask | 1 << a, span + (a,)) for a in _lines(full & ~mask)]
+
+
+@pytest.mark.parametrize("spec, sizes, chambers", [("A2", (1, 3, 3, 1), 8),
+                                                   ("A3", (1, 6, 15, 1), 32),
+                                                   ("B2", (1, 4, 6, 1), 14)])
+def test_every_pair_a_flat_fails_the_chamber_count(spec, sizes, chambers, monkeypatch):
+    """Flats that are not closed, every pair of roots a flat, pass every
+    certificate of the whole build, but the lattice built has more
+    chambers than |W| (A2: 8, not 6)."""
+    mutate_closure(monkeypatch, spec, every_pair_a_flat)
+    lattice, action = build_lattice_with_action(build_model(spec))
+    assert lattice.rank_sizes() == sizes
+    assert zaslavsky_chambers(lattice) == chambers != action.group_order
+
+
 @pytest.mark.parametrize("m", range(5, 31))
 def test_dihedral_lattice_through_the_shared_build(m):
     """I2(m) is closed by the build that closes the matrix types: its bare
@@ -584,9 +623,9 @@ def test_one_closure_per_orbit_of_flats(spec, orbits, monkeypatch):
     closure = lattice_module._closure
     closed = []
 
-    def counted(vecs, lines, mask, span):
+    def counted(lines, base, mask, span):
         closed.append(mask)
-        return closure(vecs, lines, mask, span)
+        return closure(lines, base, mask, span)
 
     monkeypatch.setattr(lattice_module, "_closure", counted)
     lattice, action = build_lattice_with_action(build_model(spec))
@@ -904,6 +943,33 @@ def test_swapped_generator_lines_fail_the_lazy_scan_at_once(monkeypatch, capsys)
     assert_compute_fails_a_certificate(capsys, "B3")
 
 
+def test_swapped_generator_lines_fail_the_e6_scan_at_once(monkeypatch):
+    """The same on E6, whose line stabiliser has 1,440 elements: each of 12
+    seeded swaps of two lines in one generator fails the per-atom
+    certificate within a second. The listing stops at most one coset past
+    |W| / |orbit|, so it never lists more than |W(E6)| = 51,840 elements."""
+    model = build_model("E6")
+    closure = lattice_module._stabiliser
+    longest = [0]
+
+    def recorded(generators, line, order):
+        size, elements = closure(generators, line, order)
+        longest[0] = max(longest[0], len(elements))
+        return size, elements
+
+    monkeypatch.setattr(lattice_module, "_stabiliser", recorded)
+    swaps = random.Random(34)
+    for _ in range(12):
+        g = swaps.randrange(len(model.gen_perms))
+        i, j = swaps.sample(range(len(model.vectors)), 2)
+        start = time.perf_counter()
+        with pytest.raises(AssertionError, match=r"^atom \d+: \|orbit\| \* \|Stab\| passes "
+                                                 r"its factor's \|W\| = 51840$"):
+            count_chain_orbits_lazily(swapped(model, g, i, j))
+        assert time.perf_counter() - start < 1
+    assert 0 < longest[0] <= 51_840
+
+
 def test_chain_count_needs_elements_in_rank_order():
     """The chain count walks elements in index order, so a lattice listing
     an element before one of lower rank is refused, not miscounted: here
@@ -1016,6 +1082,30 @@ def test_no_stabiliser_list_exceeds_the_largest_factor(monkeypatch):
     lattice, action = build_lattice_with_action(build_model("D5xB3"))
     assert count_chain_orbits(lattice, action) == scanned("D5xB3")
     assert 0 < longest[0] <= 1920
+
+
+PAST_THE_LIMITS = ["A7", "D6", "B6"]  # built with the rank limit raised
+
+
+@pytest.mark.parametrize("spec", sorted({f for spec in REQUIRED_BRUTE_TIER + DEEP_BRUTE_TIER
+                                         + BRUTE_PRODUCTS for f in spec.split("x")})
+                         + PAST_THE_LIMITS)
+def test_stabiliser_lists_the_element_closures_group(spec, monkeypatch):
+    """Listed coset by coset, the stabiliser of every atom line of each
+    irreducible factor of the brute tiers and products has the |orbit|
+    |Stab| and the elements, each listed once, that the element-by-element
+    closure finds; also past the rank limits (B6's short-root line
+    stabiliser has 7,680 elements)."""
+    if spec in PAST_THE_LIMITS:
+        monkeypatch.setitem(models._MATRIX_RANK_LIMITS, spec[0], int(spec[1]))
+    action = lattice_module._action(build_model(spec))
+    (gens,), (order,) = action.blocks, action.orders
+    for line in range(len(gens[0]) // 2):
+        size, elements = lattice_module._stabiliser(gens, line, order)
+        want, listed = stabiliser_by_elements(gens, line, order)
+        assert size == want == order
+        assert len(set(elements)) == len(elements) == len(listed)
+        assert set(elements) == set(listed)
 
 
 def test_integer_null_vectors_match_field_null_space():
