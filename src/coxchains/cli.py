@@ -57,7 +57,7 @@ REQUIRED_BRUTE_TIER = (
     + [f"I2({m})" for m in range(3, 13)]
     + ["A1xA1", "A2xA1", "B2xA1"]
 )
-DEEP_BRUTE_TIER = ["A5", "B5", "D5", "F4", "E6"]
+DEEP_BRUTE_TIER = ["A5", "B5", "D5", "F4", "E6", "H4"]
 
 
 def closed_form_value(spec) -> int:

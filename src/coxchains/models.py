@@ -22,7 +22,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .field import (
     FIELD_Q,
@@ -38,6 +38,7 @@ from .graphs import (
     component_labels,
     parse_group_spec,  # noqa: F401  (perfbench's tracer patches it here)
     parse_labels,
+    spec_of_labels,
 )
 
 DEFAULT_ELEMENT_CAP = 100_000
@@ -83,7 +84,9 @@ def _pair(amb, i, j, sign=-1):
 # the exceptional simple roots times D = 2, and the ambient dimension; tuples,
 # so no caller edits them. Bourbaki's F4: e2 - e3, e3 - e4, e4, (e1 - e2 - e3
 # - e4)/2; E6: (e1 + e8 - e2 - ... - e7)/2, e1 + e2, a_k = e_{k-1} - e_{k-2};
-# H3: (0, 1, 0), (1/2, phi/2, (phi - 1)/2), (1, 0, 0), p + q phi written p, q
+# H3: (0, 1, 0), (1/2, phi/2, (phi - 1)/2), (1, 0, 0); H4: (-1, 0, 0, 0),
+# (phi, -1, 1 - phi, 0)/2, (0, 1, phi, 1 - phi)/2, (0, phi - 1, -1, phi)/2;
+# p + q phi written p, q
 _EXCEPTIONAL_ROOTS = {
     ("F", 4): (((0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)), 4),
     ("E", 6): (((1, -1, -1, -1, -1, -1, -1, 1),
@@ -93,12 +96,16 @@ _EXCEPTIONAL_ROOTS = {
                 (0, 0, -2, 2, 0, 0, 0, 0),
                 (0, 0, 0, -2, 2, 0, 0, 0)), 8),
     ("H", 3): (((0, 0, 2, 0, 0, 0), (1, 0, 0, 1, -1, 1), (2, 0, 0, 0, 0, 0)), 3),
+    ("H", 4): (((-2, 0, 0, 0, 0, 0, 0, 0),
+                (0, 1, -1, 0, 1, -1, 0, 0),
+                (0, 0, 1, 0, 0, 1, 1, -1),
+                (0, 0, -1, 1, -1, 0, 0, 1)), 4),
 }
 
 
 def _simple_roots(t: TypeLabel):
     """Simple roots per standard numbering as integer rows over {1, phi} for
-    H3, each times the common denominator D; returns (rows, ambient, D)."""
+    H3 and H4, each times the common denominator D; returns (rows, ambient, D)."""
     fam, n = t.family, t.rank
     if fam == "A":
         return [_pair(n + 1, i, i + 1) for i in range(n)], n + 1, 1
@@ -198,23 +205,10 @@ class ProductModel:
     factors: list  # of (ReflectionModel | DihedralModel, standard vertex ids tuple)
 
 
-_MATRIX_RANK_LIMITS = {"A": 6, "B": 5, "D": 5, "F": 4, "H": 3, "E": 6}
-
-
 def _build_irreducible(t: TypeLabel):
     if t.family == "I2":
-        if t.rank > 30:
-            raise UnsupportedModelError(
-                f"I2({t.rank}) exceeds the supported dihedral range (m <= 30)"
-            )
         return DihedralModel(t, t.rank,
                              [_dihedral_reflection(t.rank, a) for a in (0, 1)])
-    limit = _MATRIX_RANK_LIMITS.get(t.family)
-    if limit is None or t.rank > limit:
-        raise UnsupportedModelError(
-            f"{t} has no brute-force model (group too large); "
-            f"use the recursion method instead"
-        )
     simple, amb, scale = _simple_roots(t)
     realify = t.family == "H"
     pairs = functools.partial(_phi_pairs, realify=realify)
@@ -269,24 +263,30 @@ def build_model(g):
     """Build a reflection model for a spec string, a graph or classified labels.
 
     Irreducible types get a matrix or dihedral model; reducible groups get
-    a ProductModel over their components, numbered left to right.
+    a ProductModel over their components, numbered left to right. A type is
+    refused from its labels, before any root is closed: I2(m) past m = 30,
+    and every group past the element cap. Every |W| is at least 2^rank, so a
+    rank past the cap's bit length is refused without computing |W|.
     """
     if isinstance(g, str):
         g = parse_labels(g)
     elif isinstance(g, CoxeterGraph):
         g = component_labels(g)
-    order, offset, factors = 1, 0, []
+    for t in g:
+        if t.family == "I2" and t.rank > 30:
+            raise UnsupportedModelError(
+                f"I2({t.rank}) exceeds the supported dihedral range (m <= 30)")
+    if (sum(t.coxeter_rank for t in g) >= DEFAULT_ELEMENT_CAP.bit_length()
+            or prod(map(group_order, g)) > DEFAULT_ELEMENT_CAP):
+        raise UnsupportedModelError(
+            f"group order of {spec_of_labels(g)} exceeds the element cap "
+            f"{DEFAULT_ELEMENT_CAP}; use the recursion method instead")
+    offset, factors = 0, []
     build = functools.cache(_build_irreducible)  # one model per distinct label
     for label in g:
         n = label.coxeter_rank
         factors.append((build(label), tuple(range(offset + 1, offset + n + 1))))
         offset += n
-        order *= group_order(label)
-    if order > DEFAULT_ELEMENT_CAP:
-        raise UnsupportedModelError(
-            f"group order {order} exceeds the element cap {DEFAULT_ELEMENT_CAP}; "
-            f"use the recursion method instead"
-        )
     if len(factors) == 1:
         return factors[0][0]
     return ProductModel(factors)

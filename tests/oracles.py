@@ -518,16 +518,23 @@ def field_simple_roots(t: TypeLabel):
         a5 = [-x for x in _e_minus_e(amb, 2, 3)]
         a6 = [-x for x in _e_minus_e(amb, 3, 4)]
         return [a1, a2, a3, a4, a5, a6], amb
-    if fam == "H" and n == 3:
-        amb = 3
+    if fam == "H":
+        # tau/2 = (1 + sqrt5)/4 and 1/(2 tau) = (sqrt5 - 1)/4
         tau_half = FieldScalar.sqrt5_part(Fraction(1, 4), Fraction(1, 4))
         inv_2tau = FieldScalar.sqrt5_part(Fraction(-1, 4), Fraction(1, 4))
         half = _q(Fraction(1, 2))
+        if n == 3:
+            return [
+                [ZERO, ONE, ZERO],
+                [half, tau_half, inv_2tau],
+                [ONE, ZERO, ZERO],
+            ], 3
         return [
-            [ZERO, ONE, ZERO],
-            [half, tau_half, inv_2tau],
-            [ONE, ZERO, ZERO],
-        ], amb
+            [-ONE, ZERO, ZERO, ZERO],
+            [tau_half, -half, -inv_2tau, ZERO],
+            [ZERO, half, tau_half, -inv_2tau],
+            [ZERO, inv_2tau, -half, tau_half],
+        ], 4
     raise ValueError(f"no simple roots for {t}")
 
 

@@ -2,9 +2,11 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from coxchains import cli, graphs, lattice, recursion
 from coxchains.graphs import component_labels, parse_group_spec
 from coxchains.lattice import build_lattice
-from coxchains.models import build_model
+from coxchains.models import DEFAULT_ELEMENT_CAP, build_model
 from coxchains.series import euler_numbers
 from test_models import add_a_line_to_type_a, scale_b2_short_root
 
@@ -113,6 +115,28 @@ def test_compute_bruteforce_unsupported_exit_code(capsys):
     code, _, err = run(capsys, "compute", "E7", "--method", "bruteforce")
     assert code == cli.EXIT_UNSUPPORTED
     assert "recursion" in err
+
+
+def test_compute_bruteforce_refuses_a_huge_rank_at_once(capsys):
+    """D1000000 is refused from its rank in one error line, with no integer
+    past the cap but the spec's own: |W(D1000000)| alone takes seconds to
+    compute."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compute", "D1000000", "--method", "bruteforce")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (cli.EXIT_UNSUPPORTED, "",
+                                "error: group order of D1000000 exceeds the element cap "
+                                "100000; use the recursion method instead\n")
+    assert all(int(n) <= DEFAULT_ELEMENT_CAP
+               for n in re.findall(r"\d+", err.replace("D1000000", "")))
+
+
+@pytest.mark.parametrize("spec, value", [("H4", 12), ("D6", 178), ("A7", 272), ("B6", 272),
+                                         ("D6xA1", 1246)])
+def test_compute_counts_the_largest_types_under_the_cap(capsys, spec, value):
+    code, out, err = run(capsys, "compute", spec)
+    assert (code, out, err) == (cli.EXIT_OK, f"recursion: {value}\nbruteforce: {value}\n"
+                                             f"closed: {value}\nagreement: ok\n", "")
 
 
 def test_compute_all_skips_unsupported_bruteforce(capsys):

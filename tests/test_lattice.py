@@ -184,7 +184,7 @@ def test_rank_by_rank_build_equals_bfs_oracle(spec):
 
 
 @pytest.mark.parametrize("spec", ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3",
-                                  "B4", "B5", "D4", "D5", "F4", "H3"])
+                                  "B4", "B5", "D4", "D5", "D6", "F4", "H3", "H4"])
 def test_orbit_transport_equals_every_flat_closure(spec):
     model = build_model(spec)
     lattice = lattice_module._irreducible_lattice(model)
@@ -571,7 +571,8 @@ def test_joined_planes_fail_the_lazy_span_check(spec, monkeypatch, capsys):
     assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {OFF_SPAN}\n")
 
 
-@pytest.mark.parametrize("spec", REQUIRED_BRUTE_TIER + [s for s in DEEP_BRUTE_TIER if s != "E6"])
+@pytest.mark.parametrize("spec", REQUIRED_BRUTE_TIER + [s for s in DEEP_BRUTE_TIER if s != "E6"]
+                         + ["D6"])
 def test_zaslavsky_chamber_count_is_the_group_order(spec):
     """Zaslavsky's sum of |mu(V, X)| over the flats counts the chambers,
     |W| for a reflection arrangement; E6 is left out, since the sum is
@@ -1084,20 +1085,15 @@ def test_no_stabiliser_list_exceeds_the_largest_factor(monkeypatch):
     assert 0 < longest[0] <= 1920
 
 
-PAST_THE_LIMITS = ["A7", "D6", "B6"]  # built with the rank limit raised
-
-
 @pytest.mark.parametrize("spec", sorted({f for spec in REQUIRED_BRUTE_TIER + DEEP_BRUTE_TIER
                                          + BRUTE_PRODUCTS for f in spec.split("x")})
-                         + PAST_THE_LIMITS)
-def test_stabiliser_lists_the_element_closures_group(spec, monkeypatch):
+                         + ["A7", "D6", "B6"])
+def test_stabiliser_lists_the_element_closures_group(spec):
     """Listed coset by coset, the stabiliser of every atom line of each
     irreducible factor of the brute tiers and products has the |orbit|
     |Stab| and the elements, each listed once, that the element-by-element
-    closure finds; also past the rank limits (B6's short-root line
-    stabiliser has 7,680 elements)."""
-    if spec in PAST_THE_LIMITS:
-        monkeypatch.setitem(models._MATRIX_RANK_LIMITS, spec[0], int(spec[1]))
+    closure finds; also on A7, D6 and B6, the largest A, D and B types under
+    the element cap (B6's short-root line stabiliser has 7,680 elements)."""
     action = lattice_module._action(build_model(spec))
     (gens,), (order,) = action.blocks, action.orders
     for line in range(len(gens[0]) // 2):

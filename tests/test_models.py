@@ -9,7 +9,13 @@ import pytest
 
 from coxchains import models
 from coxchains.field import ONE, ZERO, FieldScalar, null_space
-from coxchains.graphs import TypeLabel, make_graph, parse_group_spec, parse_labels
+from coxchains.graphs import (
+    TypeLabel,
+    make_graph,
+    parse_group_spec,
+    parse_labels,
+    spec_of_labels,
+)
 from coxchains.lattice import build_lattice_with_action, count_chain_orbits_lazily
 from coxchains.models import (
     DihedralModel,
@@ -21,6 +27,7 @@ from coxchains.models import (
     phi_sign,
     reflection_count,
 )
+from coxchains.recursion import KCalculator
 from oracles import (
     contains_vector,
     essential_rank,
@@ -148,7 +155,11 @@ def test_transpositions_match_codim_one_elements():
     assert len(walls) == 6
 
 
-@pytest.mark.parametrize("spec", ["H4", "E7", "E8", "A7", "B6", "D6", "I2(31)"])
+A1_POWER_17 = "x".join(["A1"] * 17)
+
+
+@pytest.mark.parametrize("spec", ["E7", "E8", "I2(31)", "D1000000",
+                                  pytest.param(A1_POWER_17, id="A1^17")])
 def test_unsupported_models_raise(spec):
     with pytest.raises(UnsupportedModelError) as exc:
         build_model(spec)
@@ -160,6 +171,60 @@ def test_element_cap_enforced():
     # |B5 x B3| = 3840 * 48 = 184,320 exceeds DEFAULT_ELEMENT_CAP
     with pytest.raises(UnsupportedModelError):
         build_model("B5xB3")
+
+
+def refuse_to_close(t):
+    raise AssertionError(f"{t}: a refused type was closed")
+
+
+@pytest.mark.parametrize("spec", ["B5xB3", "E7", "E8xA1", "I2(31)xA2", "A2xI2(40)", A1_POWER_17])
+def test_refused_from_the_labels_before_any_root_is_closed(spec, monkeypatch):
+    monkeypatch.setattr(models, "_build_irreducible", refuse_to_close)
+    with pytest.raises(UnsupportedModelError):
+        build_model(spec)
+
+
+@pytest.mark.parametrize("spec", ["D1000000", A1_POWER_17, "A5xA5xA5xA3"])
+def test_rank_past_the_caps_bit_length_is_refused_without_its_order(spec, monkeypatch):
+    """Every |W| is at least 2^rank, so a rank sum of 17 or more is past the
+    cap: no group order is computed (|W(D1000000)| alone takes seconds)."""
+    monkeypatch.setattr(models, "group_order", refuse_to_close)
+    with pytest.raises(UnsupportedModelError) as exc:
+        build_model(spec)
+    assert str(exc.value).startswith(f"group order of {spec_of_labels(parse_labels(spec))} "
+                                     "exceeds the element cap 100000;")
+
+
+# the irreducible types below rank 40, I2(m) up to the dihedral range m <= 30
+IRREDUCIBLE = ([TypeLabel(f, n) for f, low in (("A", 1), ("B", 2), ("D", 4))
+                for n in range(low, 40)]
+               + [TypeLabel(f, n) for f, n in (("E", 6), ("E", 7), ("E", 8), ("F", 4),
+                                               ("H", 3), ("H", 4))]
+               + [TypeLabel("I2", m) for m in range(3, 31)])
+# every type of IRREDUCIBLE with |W| <= DEFAULT_ELEMENT_CAP
+UNDER_THE_CAP = ([f"A{n}" for n in range(1, 8)] + [f"B{n}" for n in range(2, 7)]
+                 + ["D4", "D5", "D6", "E6", "F4", "H3", "H4"]
+                 + [f"I2({m})" for m in range(3, 31)])
+
+
+def test_every_order_is_at_least_two_to_the_rank():
+    for t in IRREDUCIBLE:
+        assert group_order(t) >= 2 ** t.coxeter_rank, t
+
+
+def test_under_the_cap_lists_every_irreducible_type_there():
+    assert [str(t) for t in IRREDUCIBLE if group_order(t) <= models.DEFAULT_ELEMENT_CAP] \
+        == UNDER_THE_CAP
+
+
+@pytest.mark.parametrize("spec", UNDER_THE_CAP)
+def test_every_type_under_the_cap_counts_as_the_recursion(spec):
+    """Each irreducible type under the cap has a model, and its chain orbits
+    counted by the lazy scan are the recursion's K."""
+    labels = parse_labels(spec)
+    model = build_model(labels)
+    assert model.label == labels[0]
+    assert count_chain_orbits_lazily(model).orbit_count == KCalculator().k_labels(labels).value
 
 
 def test_h3_roots_live_over_qsqrt5():
@@ -204,8 +269,8 @@ def test_model_and_generator_permutations_pinned(spec):
     assert hashlib.sha256(payload.encode()).hexdigest() == MODEL_DIGESTS[spec]
 
 
-MATRIX_TYPES = ([f"A{n}" for n in range(1, 7)] + [f"B{n}" for n in range(2, 6)]
-                + ["D4", "D5", "F4", "E6", "H3"])
+MATRIX_TYPES = ([f"A{n}" for n in range(1, 8)] + [f"B{n}" for n in range(2, 7)]
+                + ["D4", "D5", "D6", "F4", "E6", "H3", "H4"])
 
 
 @pytest.mark.parametrize("spec", MATRIX_TYPES)
