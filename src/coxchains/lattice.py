@@ -26,16 +26,17 @@ merge their counts as {orbit size: number of orbits}, and the result keeps
 that histogram (`ChainOrbitCount.size_counts`), so its size follows the
 distinct orbit sizes, not the orbits: A1^16 counts its 16! in one entry.
 
-One driver counts the chain orbits, from the generators' atom-line orbits,
-over either path's covers and hypsets with two certificates, in one
-process unless `count_chain_orbits` is asked for workers. That function
+One driver (`_count_orbits`) counts the chain orbits above the canonical
+atoms of the generators' atom-line orbits (`_scan_atoms`, which maps each
+orbit of a state's covers once), over either path's covers and hypsets, in
+one process unless `count_chain_orbits` is asked for workers. That function
 scans the whole lattice, built by orbit transport, and certifies that the
 orbit sizes sum to its maximal chains. `count_chain_orbits_lazily`, the
 brute force of `compute`, closes a flat only when the scan first reads its
-covers (`_Covers`) and certifies each state instead: the maximal chains
-above a flat, summed over its canonical covers times their orbit lengths
-under the chain stabiliser, must agree between stabilisers, and the
-state's orbit sizes must sum to |W| / |Stab| times them.
+covers (`_Covers`), from an independent span, and certifies each state
+instead: the maximal chains above a flat, summed over its canonical covers
+times their orbit lengths under the chain stabiliser, must agree between
+stabilisers, and the state's orbit sizes sum to |W| / |Stab| times them.
 """
 
 from __future__ import annotations
@@ -188,17 +189,18 @@ def _dihedral_closure(m, mask, span):
 def _closure_of(model):
     """An irreducible model's root count and its closure: (mask, span) ->
     the covers (hypset, spanning roots) of the flat `mask` spanned by `span`,
-    and a test, on their echelon form, that each root of `mask` lies in it."""
+    a test, on their echelon form, that each root of `mask` lies in it, and
+    whether the span is independent (one pivot per row of its roots)."""
     if isinstance(model, DihedralModel):
         return model.m, lambda mask, span: (_dihedral_closure(model.m, mask, span), lambda: (
-            len(span) > 1 or not mask & ~sum(1 << i for i in span)))
+            len(span) > 1 or not mask & ~sum(1 << i for i in span)), len(span) <= 2)
     lines = _integer_lines(model)
 
     def closure(mask, span):
         base = _echelon((), (), [row for i in span for row in lines[i]])
         return _closure(lines, base, mask, span), lambda: not any(
             any(_reduce(*base, row)) for i in _lines(mask & ~sum(1 << i for i in span))
-            for row in lines[i])
+            for row in lines[i]), len(base[1]) == sum(len(lines[i]) for i in span)
     return len(lines), closure
 
 
@@ -473,19 +475,21 @@ def _scan_atoms(covers, masks, orbits, blocks, orders, atoms, chains=None):
     cover d = x v a to the cover holding the image of a (`cover_of`), and
     only its part in a's block moves a. A chain stabiliser is a tuple of
     part ids, one per block: None stands for the whole factor of order
-    orders[b], until the chain enters block b at a line a, where d is tested
-    over the lines orbits[a] of a's orbit and the part becomes Stab(a), or
+    orders[b], whose images of a are the lines orbits[a] of a's orbit, until
+    the chain enters block b at a line a and the part becomes Stab(a), or
     stays None if Stab(a) is the whole factor (an A1 block), so that one
-    stabiliser has one key. A part p narrows at d to the elements fixing d,
-    which are those fixing d's roots in block b, since a generator of block
-    b fixes every other root; so the part (p, masks[d] & own[b]) is interned
-    once. What lies above x depends on x and the stabiliser alone, so
-    `extend` is memoized on the two and each state is scanned once however
-    many canonical prefixes reach it. No root may be moved by two blocks,
-    each atom's line certifies its factor's order: |orbit| |Stab|, closed
-    in its block, must equal orders[b], and each chain stabiliser's order
-    must divide |W|. The result holds one entry per orbit size, however
-    many orbits the chains fall into: A1^16's 16! orbits are one entry.
+    stabiliser has one key. d is canonical when it is the least of the
+    covers that a's images reach (`ims`), and the others are passed over.
+    A part p narrows at d to the elements fixing d, which are those fixing
+    d's roots in block b, since a generator of block b fixes every other
+    root; so the part (p, masks[d] & own[b]) is interned once. What lies
+    above x depends on x and the stabiliser alone, so `extend` is memoized
+    on the two and each state is scanned once however many canonical
+    prefixes reach it. No root may be moved by two blocks, each atom's line
+    certifies its factor's order: |orbit| |Stab|, closed in its block, must
+    equal orders[b], and each chain stabiliser's order must divide |W|. The
+    result holds one entry per orbit size, however many orbits the chains
+    fall into: A1^16's 16! orbits are one entry.
 
     With a dict `chains`, each state is also certified on its own, for a
     scan that never sees the whole lattice: the length of each canonical
@@ -523,32 +527,35 @@ def _scan_atoms(covers, masks, orbits, blocks, orders, atoms, chains=None):
         if out is not None:
             return out
         ups = covers[x]
-        if not ups:
+        if chains is not None or not ups:
             s = math.prod(w if p is None else len(parts[p]) for p, w in zip(stab, orders))
             if order % s:
                 raise AssertionError(
                     f"chain stabiliser of order {s} does not divide |W| = {order}")
-            out = {order // s: 1}
+        if not ups:
+            out, below = {order // s: 1}, []
         elif len(ups) == 1:  # whatever fixes x fixes its only cover
-            out = extend(ups[0], stab)
+            out, below = extend(ups[0], stab), [(1, ups[0])]
         else:
-            nexts, below = [], []  # below: (orbit length, cover) per canonical cover
+            nexts, below, seen = [], [], set()  # below: (orbit length, canonical cover)
             cover_of = [0] * (2 * n)
             news = [_lines(masks[d] & ~masks[x]) for d in ups]
             for d, new in zip(ups, news):
                 for i in new:
                     cover_of[i] = cover_of[i + n] = d
             for d, a in zip(ups, map(operator.itemgetter(0), news)):
+                if d in seen:
+                    continue
                 b = block_of[a]
                 p = stab[b]
+                ims = list(map(cover_of.__getitem__, orbits[a] if p is None
+                               else map(operator.itemgetter(a), parts[p])))
+                if min(ims) != d:
+                    continue
+                seen.update(ims)
                 if p is None:
-                    if min(map(cover_of.__getitem__, orbits[a])) != d:
-                        continue
                     q = enter(a)[1]
                 else:
-                    ims = list(map(cover_of.__getitem__, map(operator.itemgetter(a), parts[p])))
-                    if min(ims) != d:
-                        continue
                     key = p, masks[d] & own[b]
                     if key not in narrowed:
                         narrowed[key] = len(parts)
@@ -556,20 +563,15 @@ def _scan_atoms(covers, masks, orbits, blocks, orders, atoms, chains=None):
                     q = narrowed[key]
                 nexts.append((d, stab[:b] + (q,) + stab[b + 1:]))
                 if chains is not None:  # d's orbit: the covers its images reach
-                    hit = ims if p is not None else map(cover_of.__getitem__, orbits[a])
-                    below.append((len(set(hit)), d))
+                    below.append((len(set(ims)), d))
             out = _merged(itertools.starmap(extend, nexts))
         if chains is not None:
-            if len(ups) > 1:
-                held = sum(k for k, _ in below)
-                if held != len(ups):
-                    raise AssertionError(
-                        f"flat {_lines(masks[x])}: the orbits of its canonical covers "
-                        f"hold {held} of its {len(ups)} covers")
-                ways = sum(k * chains[d] for k, d in below)
-            else:
-                ways = chains[ups[0]] if ups else 1
-            s = math.prod(w if p is None else len(parts[p]) for p, w in zip(stab, orders))
+            held = sum(k for k, _ in below)
+            if held != len(ups):
+                raise AssertionError(
+                    f"flat {_lines(masks[x])}: the orbits of its canonical covers "
+                    f"hold {held} of its {len(ups)} covers")
+            ways = sum(k * chains[d] for k, d in below) if ups else 1
             total = sum(map(operator.mul, out, out.values()))
             if chains.setdefault(x, ways) != ways:
                 raise AssertionError(
@@ -659,16 +661,19 @@ class _Covers(dict):
 def _factor_covers(model):
     """An irreducible model's root count, and its hypset -> its covers as
     (hypset, rank step), memoized. A flat keeps the span it was first
-    reached with, which must hold its roots; a cover's rank step is its
-    span's length less the flat's, a product cover's step too."""
+    reached with, which must hold its roots and be independent; a cover's
+    rank step is its span's length less the flat's, a product cover's step
+    too."""
     width, closure = _closure_of(model)
     spans = {0: ()}
 
     @functools.cache
     def closed(mask):
-        out, spanned = closure(mask, spans[mask])
+        out, spanned, independent = closure(mask, spans[mask])
         if not spanned():
             raise AssertionError("a root of a flat lies off the span it was reached with")
+        if not independent:
+            raise AssertionError("a flat was reached with dependent roots")
         for cover, span in out:
             spans.setdefault(cover, span)
         rank = len(spans[mask])
@@ -695,52 +700,43 @@ def _line_orbits(blocks) -> dict:
     return orbits
 
 
-def _scan_lines(covers, masks, orbits, blocks, orders, lines, chains=None):
-    """Scan above the atoms of these canonical lines, the bottom being flat
-    0: their {orbit size: multiplicity} and, with a dict `chains` that the
-    scan fills state by state (`_scan_atoms`), the sum over the lines of
-    |orbit| times the maximal chains above the line's atom, else None."""
-    atom = {masks[c].bit_length() - 1: c for c in covers[0]}
-    if len(atom) != len(blocks[0][0]) // 2:
-        raise AssertionError("rank-1 elements are not exactly the hyperplanes")
-    counts = _scan_atoms(covers, masks, orbits, blocks, orders,
-                         [atom[i] for i in lines], chains)
-    return counts, None if chains is None else sum(
-        len(orbits[i]) * chains[atom[i]] for i in lines)
-
-
 def _count_orbits(covers, masks, action, workers=1, total=None, chains=None) -> ChainOrbitCount:
     """Orbit count of the group action on maximal chains over the flats'
-    covers and hypsets (`_scan_lines`), each orbit counted once, at its
+    covers and hypsets, flat 0 the bottom, each orbit counted once, at its
     canonical chain: the chain that equals its own lexicographically
     smallest image. It starts at the atom of the least line of an orbit of
     atom lines, from the generators (`_line_orbits`). A canonical prefix p
     extends by a cover d to a canonical prefix exactly when no element of
     Stab(p) maps d below d (canonical augmentation: B. D. McKay,
     "Isomorph-free exhaustive generation", J. Algorithms 26, 1998), and a
-    canonical maximal chain c contributes the orbit size |W| / |Stab(c)|.
-    Besides the scan's own checks, the orbit sizes times their
-    multiplicities must sum to `total`, a built lattice's maximal chains,
-    or, with a dict `chains` certifying each state, to |orbit| times the
-    chains above each canonical atom: either fails atom-line orbits merged
-    or split. Canonical lines go round-robin to the workers, each with its
-    own memo, so the result is identical for any count."""
+    canonical maximal chain c contributes the orbit size |W| / |Stab(c)|
+    (`_scan_atoms`). Besides the scan's own checks, the orbit sizes times
+    their multiplicities must sum to `total`, a built lattice's maximal
+    chains, or, with a dict `chains` that the scan fills, to |orbit| times
+    the chains above each canonical atom: either fails atom-line orbits
+    merged or split. Canonical atoms go round-robin to the workers, each
+    with its own memo, so the result is identical for any count."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     orbits = _line_orbits(action.blocks)
     lines = sorted({o[0] for o in orbits.values()})
-    args = (covers, masks, orbits, action.blocks, action.orders)
-    if not lines:
-        scans = [({1: 1}, 1)]  # rank 0: the bottom is the only chain
-    elif workers == 1 or len(lines) <= 1:
-        scans = [_scan_lines(*args, lines, chains)]
-    else:
-        scans = _in_workers(_scan_lines, args, lines, workers)
-    counts = _merged(c for c, _ in scans)
+    counts, above = {1: 1}, 1  # rank 0: the bottom is the only chain
+    if lines:
+        atom = {masks[c].bit_length() - 1: c for c in covers[0]}
+        if len(atom) != len(orbits):
+            raise AssertionError("rank-1 elements are not exactly the hyperplanes")
+        atoms = [atom[i] for i in lines]
+        args = (covers, masks, orbits, action.blocks, action.orders)
+        if workers == 1 or len(atoms) == 1:
+            counts = _scan_atoms(*args, atoms, chains)
+        else:
+            counts = _merged(_in_workers(_scan_atoms, args, atoms, workers))
+        if chains is not None:
+            above = sum(len(orbits[i]) * chains[c] for i, c in zip(lines, atoms))
     found = sum(map(operator.mul, counts, counts.values()))
     what = "the chain count"
     if total is None:
-        total, what = sum(w for _, w in scans), "the chains above the canonical atoms"
+        total, what = above, "the chains above the canonical atoms"
     if found != total:
         raise AssertionError(f"orbit sizes do not sum to {what}")
     return ChainOrbitCount(total_chains=found, orbit_count=sum(counts.values()),

@@ -602,6 +602,23 @@ def test_every_pair_a_flat_fails_the_chamber_count(spec, sizes, chambers, monkey
     assert zaslavsky_chambers(lattice) == chambers != action.group_order
 
 
+DEPENDENT = "a flat was reached with dependent roots"
+
+
+@pytest.mark.parametrize("spec", ["A2", "B2", "B3", "H3", "I2(5)"])
+def test_every_pair_a_flat_fails_the_lazy_independence_check(spec, monkeypatch, capsys):
+    """Flats that are not closed, every pair of roots a flat: the top is
+    reached from a pair with a third root, so its span is dependent, and
+    the lazy scan refuses it, where it counted B2 = 4 (K = 2) with exit 0.
+    compute ends in one error line and exit 1."""
+    mutate_closure(monkeypatch, spec, every_pair_a_flat)
+    with pytest.raises(AssertionError) as exc:
+        count_chain_orbits_lazily(build_model(spec))
+    assert str(exc.value) == DEPENDENT
+    code, out, err = run(capsys, "compute", spec, "--method", "bruteforce")
+    assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {DEPENDENT}\n")
+
+
 @pytest.mark.parametrize("m", range(5, 31))
 def test_dihedral_lattice_through_the_shared_build(m):
     """I2(m) is closed by the build that closes the matrix types: its bare
@@ -925,6 +942,50 @@ def test_wrong_atom_orbit_record_fails_the_lazy_scan(spec, change, monkeypatch, 
     with pytest.raises(AssertionError):
         count_chain_orbits_lazily(build_model(spec))
     assert_compute_fails_a_certificate(capsys, spec)
+
+
+def scan_mutant(monkeypatch, old, new):
+    """Replace `_scan_atoms` with a copy whose source has `old`, found
+    once, replaced by `new`."""
+    source = inspect.getsource(lattice_module._scan_atoms)
+    assert source.count(old) == 1
+    namespace = dict(vars(lattice_module))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(lattice_module, "_scan_atoms", namespace["_scan_atoms"])
+
+
+HOLD = r"^flat \[[\d, ]+\]: the orbits of its canonical covers hold \d+ of its \d+ covers$"
+
+
+def assert_lazy_scan_fails(capsys, spec, message):
+    with pytest.raises(AssertionError, match=message):
+        count_chain_orbits_lazily(build_model(spec))
+    code, out, err = run(capsys, "compute", spec, "--method", "bruteforce")
+    assert (code, out) == (cli.EXIT_FAIL, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert re.match(message, err.removeprefix("error: ").removesuffix("\n"))
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "E6", "A2xA2", "B3xA2"])
+def test_orbit_length_counted_with_repeats_fails_the_hold_check(spec, monkeypatch, capsys):
+    """A canonical cover's orbit length taken as the number of images of its
+    least new root, not the distinct covers they reach: the orbits of a
+    state's canonical covers then hold more covers than it has."""
+    scan_mutant(monkeypatch, "below.append((len(set(ims)), d))", "below.append((len(ims), d))")
+    assert_lazy_scan_fails(capsys, spec, HOLD)
+
+
+def test_orbit_listed_before_the_canonicity_test_fails_the_hold_check(monkeypatch, capsys):
+    """A cover's images marked seen before it is found canonical: a cover
+    met before the least of its orbit hides that least one, and E6 has a
+    state whose canonical covers' orbits then miss some of its covers.
+    The smaller types meet each orbit's least cover first and pass."""
+    scan_mutant(monkeypatch,
+                "                if min(ims) != d:\n                    continue\n"
+                "                seen.update(ims)\n",
+                "                seen.update(ims)\n"
+                "                if min(ims) != d:\n                    continue\n")
+    assert_lazy_scan_fails(capsys, "E6", HOLD)
 
 
 def test_swapped_generator_lines_fail_the_lazy_scan_at_once(monkeypatch, capsys):
