@@ -35,7 +35,7 @@ from .lattice import (
     orbit_count_of_lines,
 )
 from .models import UnsupportedModelError, build_model, model_to_json
-from .recursion import ENGINE_VERSION, KCalculator, KResult, multinomial
+from .recursion import KCalculator, multinomial
 from .series import (
     _d_closed_forms,
     bar_d_closed_form,
@@ -70,27 +70,26 @@ def closed_form_value(spec) -> int:
     return value
 
 
-class DiskCache:
-    """JSON cache of the recursion memo, one entry per irreducible type
-    keyed by its name, stamped with the engine version so stale files are
-    ignored rather than trusted. The file holds each type's breakdown; the
-    memo holds values only, so an entry the file lacks is rebuilt from memo
-    values. The file is rewritten only when the memo holds such entries.
+ENGINE_VERSION = 3
 
-    A file that cannot be read as a cache is ignored, and an entry that is
-    ill-typed or whose value contradicts its own terms is dropped, each with
-    a one-line warning on stderr. `rejected` keeps what was ignored.
+
+class DiskCache:
+    """JSON record of recursion values, one `{"value": "<decimal>"}` entry
+    per irreducible type, stamped with the engine version so that stale
+    files are ignored. The values are checked, never trusted: `check`
+    compares them with a cold recursion's memo. A file that cannot be read
+    as a cache is ignored, and an ill-typed entry dropped, each with a
+    one-line warning on stderr; `rejected` keeps what was ignored.
     """
 
     def __init__(self, path: str):
         self.path = path
         self.rejected = []
-        self.entries = {}  # type name -> KResult, as read or written
-        self.synced = None  # memo size whose entries all match the file
+        self.values = self._load()  # type name -> int, as read
 
-    def load_into(self, calc: KCalculator) -> int:
+    def _load(self) -> dict:
         if not os.path.exists(self.path):
-            return 0
+            return {}
         try:
             with open(self.path) as fh:
                 data = json.load(fh)
@@ -99,36 +98,38 @@ class DiskCache:
         if not isinstance(data, dict):
             return self._ignore_file("the top level is not an object")
         if data.get("engine_version") != ENGINE_VERSION:
-            return 0
+            return {}
         results = data.get("results", {})
         if not isinstance(results, dict):
             return self._ignore_file('"results" is not an object')
+        values = {}
         for spec, entry in results.items():
             try:
-                self.entries[spec] = _cached_result(entry)
-                calc.memo[spec] = self.entries[spec].value
+                values[spec] = int(entry["value"])
             except (KeyError, TypeError, ValueError) as exc:
                 self.rejected.append(f"{spec} ({type(exc).__name__}: {exc})")
         if self.rejected:
             _warn(f"dropped bad entries from cache file {self.path}: "
                   + "; ".join(self.rejected))
-        else:
-            self.synced = len(calc.memo)
-        return len(results) - len(self.rejected)
+        return values
 
-    def _ignore_file(self, why: str) -> int:
+    def _ignore_file(self, why: str) -> dict:
         self.rejected.append(f"the whole file ({why})")
         _warn(f"ignoring cache file {self.path}: {why}")
-        return 0
+        return {}
 
-    def save_from(self, calc: KCalculator):
-        if len(calc.memo) == self.synced:
+    def check(self, memo: dict):
+        """Raise if a memo entry that the file holds disagrees with it."""
+        for spec, value in memo.items():
+            if self.values.get(spec, value) != value:
+                raise AssertionError(f"cached K({spec}) = {self.values[spec]} "
+                                     f"disagrees with the recursion, which gives {value}")
+
+    def save_from(self, memo: dict):
+        """Rewrite the file if the memo holds a type that it lacks."""
+        if memo.keys() <= self.values.keys():
             return
-        for spec in calc.memo.keys() - self.entries.keys():
-            self.entries[spec] = calc.k_labels(parse_labels(spec))
-        results = {spec: kr.to_json_dict(spec) for spec, kr in self.entries.items()}
-        for entry in results.values():
-            del entry["group"]
+        results = {spec: {"value": str(v)} for spec, v in {**self.values, **memo}.items()}
         data = {"engine_version": ENGINE_VERSION, "results": results}
         umask = os.umask(0)
         os.umask(umask)
@@ -141,7 +142,6 @@ class DiskCache:
                 json.dump(data, fh, indent=1, sort_keys=True)
             os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, self.path)
-            self.synced = len(calc.memo)
         except OSError as exc:
             _warn(f"could not write cache file {self.path}: {exc}")
         finally:
@@ -149,33 +149,8 @@ class DiskCache:
                 os.unlink(tmp)
 
 
-def _cached_result(entry) -> KResult:
-    """The KResult of a cache entry; raises if the entry is ill-typed or its
-    value contradicts its own terms."""
-    kr = KResult(value=int(entry["value"]), method=entry["method"],
-                 terms=[(d, int(v)) for d, v in entry["terms"]])
-    if kr.method in ("summ1", "summ2"):
-        expected = sum(v for _, v in kr.terms)
-    elif kr.method == "base-case":
-        expected = 1
-    else:
-        raise ValueError(f"unknown method {kr.method!r}")
-    if kr.value != expected:
-        raise ValueError(f"value {kr.value} contradicts its {kr.method} "
-                         f"terms, which give {expected}")
-    return kr
-
-
 def _warn(message: str):
     print(f"warning: {message}", file=sys.stderr)
-
-
-def _make_calculator(args) -> tuple:
-    calc = KCalculator()
-    cache = DiskCache(args.cache) if args.cache else None
-    if cache:
-        cache.load_into(calc)
-    return calc, cache
 
 
 def cmd_compute(args) -> int:
@@ -185,12 +160,15 @@ def cmd_compute(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     spec = spec_of_labels(labels)
-    calc, cache = _make_calculator(args)
     results = {}
-    detail = None
+    detail = cache = None
     if args.method in ("recursion", "all"):
+        calc = KCalculator()
         detail = calc.k_labels(labels)
         results["recursion"] = detail.value
+        if args.cache:  # only a request that runs the recursion reads the file
+            cache = DiskCache(args.cache)
+            cache.check(calc.memo)
     if args.method in ("closed", "all"):
         results["closed"] = closed_form_value(labels)
     if args.method in ("bruteforce", "all"):
@@ -202,7 +180,7 @@ def cmd_compute(args) -> int:
                 return EXIT_UNSUPPORTED
     agree = len(set(results.values())) <= 1
     if cache and agree:  # a value the methods dispute is not stored
-        cache.save_from(calc)
+        cache.save_from(calc.memo)
     if args.format == "json":
         payload = {
             "group": spec,
@@ -261,7 +239,7 @@ def cmd_table(args) -> int:
 
 
 def _verify_checks(args):
-    calc, cache = _make_calculator(args)
+    cache = DiskCache(args.cache) if args.cache else None
     fresh = KCalculator()
 
     def egf_identities():
@@ -332,7 +310,7 @@ def _verify_checks(args):
         if not cache or not os.path.exists(cache.path):
             return True, "no cache file"
         bad = [f"ignored {r}" for r in cache.rejected]
-        for spec, value in list(calc.memo.items()):
+        for spec, value in cache.values.items():
             try:
                 if fresh.k_value(spec) != value:
                     bad.append(f"cached K({spec}) = {value} disagrees with recomputation")

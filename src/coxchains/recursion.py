@@ -31,8 +31,6 @@ from .graphs import (
     spec_of_labels,
 )
 
-ENGINE_VERSION = 2
-
 # The fold of a fixed vertex whose involution swaps whole components.
 SWAP = "swap"
 

@@ -269,12 +269,18 @@ def test_cache_cold_then_warm_identical(capsys, tmp_path):
     code, cold, _ = run(capsys, "compute", "E8", "--method", "recursion",
                         "--cache", cache)
     assert code == cli.EXIT_OK
-    data = json.loads(open(cache).read())
-    assert data["engine_version"] == cli.ENGINE_VERSION
-    assert data["results"]["E8"]["value"] == "4056"
+    with open(cache, "rb") as fh:
+        written = fh.read()
+    data = json.loads(written)
+    assert data.keys() == {"engine_version", "results"}
+    assert data["engine_version"] == cli.ENGINE_VERSION == 3
+    assert data["results"]["E8"] == {"value": "4056"}
+    assert all(entry.keys() == {"value"} for entry in data["results"].values())
     code, warm, _ = run(capsys, "compute", "E8", "--method", "recursion",
                         "--cache", cache)
     assert cold == warm
+    with open(cache, "rb") as fh:
+        assert fh.read() == written
 
 
 def test_cache_env_variable(capsys, tmp_path, monkeypatch):
@@ -410,62 +416,75 @@ def test_unreadable_cache_file_is_ignored_with_warning(capsys, tmp_path, content
 
 def test_ill_typed_cache_entry_is_dropped(capsys, tmp_path):
     cache = tmp_path / "c.json"
-    write_cache(cache, {"A3": {"value": "x", "method": "summ2", "terms": []},
-                        "A1": {"value": "1", "method": "base-case",
-                               "terms": [["A1", "1"]]}})
+    write_cache(cache, {"A3": {"value": "x"}, "A1": {"value": "1"}})
     code, out, err = run(capsys, "compute", "A3", "--method", "recursion",
                          "--cache", str(cache))
     assert code == cli.EXIT_OK
     assert out.strip() == "2"
     assert len(err.splitlines()) == 1 and "A3" in err and "A1" not in err
+    # the rewrite replaces the dropped entry with the recursion's value
+    assert json.loads(cache.read_text())["results"] == {
+        "A1": {"value": "1"}, "A2": {"value": "1"}, "A3": {"value": "2"}}
 
 
 def test_poisoned_cache_entry_is_not_printed(capsys, tmp_path):
+    """A wrong value of the queried type is neither printed nor trusted: the
+    request ends in one error line naming it, and the file keeps its bytes."""
     cache = tmp_path / "c.json"
-    write_cache(cache, {"A3": {"value": "7", "terms": []}})
+    write_cache(cache, {"A3": {"value": "7"}})
+    before = cache.read_bytes()
     code, out, err = run(capsys, "compute", "A3", "--method", "recursion",
                          "--cache", str(cache))
-    assert code == cli.EXIT_OK
-    assert out.strip() == "2"
-    assert "A3" in err
-    assert json.loads(cache.read_text())["results"]["A3"]["value"] == "2"
+    assert (code, out) == (cli.EXIT_FAIL, "")
+    assert err == "error: cached K(A3) = 7 disagrees with the recursion, which gives 2\n"
+    assert cache.read_bytes() == before
 
 
 @pytest.mark.parametrize("spec, value, rebuilt", [("E6", 7, 82), ("E7", 768, 693)])
 def test_cache_entry_contradicting_the_entries_below_ends_in_one_error(
         capsys, tmp_path, spec, value, rebuilt):
-    """E6 set to 7, with terms that sum to it, in a file written by
-    `compute E7`: a query of E6 or E7 rebuilds its breakdown from the
-    entries below, and a value that differs from the stored one ends in one
-    error line with exit 1 instead of 82 or a wrong 693."""
+    """E6 set to 7 in a file written by `compute E7`: the file's K(spec) is
+    value, and spec's terms over the file's entries below it give rebuilt
+    (82 from E6's right terms, 693 from E6 = 7). The file is not read into
+    the recursion: a query of E6 or E7 runs cold and ends in one error line
+    naming E6, with exit 1."""
     cache = tmp_path / "c.json"
     run(capsys, "compute", "E7", "--method", "recursion", "--cache", str(cache))
     data = json.loads(cache.read_text())
-    data["results"]["E6"] = {"value": "7", "method": "summ2", "terms": [["a", "7"]]}
+    data["results"]["E6"] = {"value": "7"}
+    assert data["results"][spec] == {"value": str(value)}
     cache.write_text(json.dumps(data))
+    before = cache.read_bytes()
     code, out, err = run(capsys, "compute", spec, "--cache", str(cache))
     assert code == cli.EXIT_FAIL
     assert out == ""
-    assert err == (f"error: stored K({spec}) = {value} disagrees with its terms "
-                   f"from the entries below it, which give {rebuilt}\n")
-    assert json.loads(cache.read_text()) == data
+    assert err == "error: cached K(E6) = 7 disagrees with the recursion, which gives 82\n"
+    assert cache.read_bytes() == before
 
 
-@pytest.mark.parametrize("entry", [
-    {"value": "7", "method": "summ1", "terms": [["a", "3"], ["b", "3"]]},
-    {"value": "7", "method": "product", "terms": [["a", "2"], ["b", "3"]]},
-    {"value": "7", "method": "base-case", "terms": [["A1", "7"]]},
-    {"value": "7", "method": "guess", "terms": [["a", "7"]]},
+@pytest.mark.parametrize("query, results, wrong", [
+    ("A3", {"A3": {"value": "7"}}, ("A3", 7, 2)),
+    ("A3xA1", {"A3": {"value": "7"}}, ("A3", 7, 2)),
+    ("A3", {"A1": {"value": "7"}}, ("A1", 7, 1)),
+    # a file with the breakdown fields of engine version 2: they are not read
+    ("A3", {"A3": {"value": "2", "method": "guess", "terms": [["a", "7"]]},
+            "A2": {"value": "7", "method": "summ2", "terms": [["a", "7"]]}}, ("A2", 7, 1)),
 ], ids=["summ", "product", "base-case", "unknown-method"])
-def test_cache_entry_contradicting_its_terms_is_dropped(capsys, tmp_path, entry):
+def test_cache_entry_contradicting_its_terms_is_dropped(capsys, tmp_path, query,
+                                                        results, wrong):
+    """A well-typed wrong value, of a sum of terms, a product's factor, a
+    base case or beside fields of any kind, is caught by the cold recursion:
+    the request ends in one error line and leaves the file alone."""
     cache = tmp_path / "c.json"
-    write_cache(cache, {"A3": entry})
-    calc = cli.KCalculator()
-    disk = cli.DiskCache(str(cache))
-    assert disk.load_into(calc) == 0
-    assert calc.memo == {}
-    assert [r.split(" ")[0] for r in disk.rejected] == ["A3"]
-    assert capsys.readouterr().err.count("\n") == 1
+    write_cache(cache, results)
+    before = cache.read_bytes()
+    code, out, err = run(capsys, "compute", query, "--method", "recursion",
+                         "--cache", str(cache))
+    assert (code, out) == (cli.EXIT_FAIL, "")
+    spec, cached, fresh = wrong
+    assert err == (f"error: cached K({spec}) = {cached} disagrees with the recursion, "
+                   f"which gives {fresh}\n")
+    assert cache.read_bytes() == before
 
 
 def test_verify_names_every_bad_cache_entry(capsys, tmp_path):
@@ -555,6 +574,67 @@ def test_warm_request_leaves_cache_file_untouched(capsys, tmp_path):
     assert "E7" in json.loads(cache.read_text())["results"]
 
 
+def e6_set_to_7(capsys, path):
+    """A cache file written by `compute E7`, with E6's value set to 7."""
+    run(capsys, "compute", "E7", "--method", "recursion", "--cache", str(path))
+    data = json.loads(path.read_text())
+    data["results"]["E6"] = {"value": "7"}
+    path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize("spec", ["E8", "E6xA1"])
+def test_wrong_entry_below_a_cold_type_ends_in_one_error(capsys, tmp_path, spec):
+    """E8 and E6xA1 are computed on top of E6; its wrong cached value is
+    caught by the recursion, not trusted into a wrong answer with exit 0."""
+    cache = tmp_path / "c.json"
+    e6_set_to_7(capsys, cache)
+    before = cache.read_bytes()
+    code, out, err = run(capsys, "compute", spec, "--method", "recursion",
+                         "--cache", str(cache))
+    assert (code, out) == (cli.EXIT_FAIL, "")
+    assert err == "error: cached K(E6) = 7 disagrees with the recursion, which gives 82\n"
+    assert cache.read_bytes() == before
+
+
+def test_entry_a_request_does_not_compute_is_not_compared(capsys, tmp_path):
+    cache = tmp_path / "c.json"
+    e6_set_to_7(capsys, cache)
+    before = cache.read_bytes()
+    code, out, err = run(capsys, "compute", "D5", "--cache", str(cache))
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out == "recursion: 26\nbruteforce: 26\nclosed: 26\nagreement: ok\n"
+    assert cache.read_bytes() == before
+
+
+@pytest.mark.parametrize("method", ["closed", "bruteforce"])
+def test_request_without_recursion_touches_no_cache_file(capsys, tmp_path, method):
+    """Only a request that runs the recursion reads or writes --cache: with
+    closed forms or brute force, a new file is not created, an unwritable
+    path and an unreadable file give no warning."""
+    plain = run(capsys, "compute", "B2", "--method", method)
+    assert plain == (cli.EXIT_OK, "2\n", "")
+    unreadable = tmp_path / "bad.json"
+    unreadable.write_text("[1, 2]")
+    for path in (tmp_path / "new.json", tmp_path / "missing-dir" / "c.json", unreadable):
+        assert run(capsys, "compute", "B2", "--method", method,
+                   "--cache", str(path)) == plain, path
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+    assert unreadable.read_text() == "[1, 2]"
+
+
+def test_version_2_file_is_ignored_as_stale(capsys, tmp_path):
+    """A file of engine version 2, whose breakdown entries were trusted when
+    they agreed with their own terms, is ignored and rewritten as values."""
+    cache = tmp_path / "c.json"
+    write_cache(cache, {"E6": {"value": "7", "method": "summ2", "terms": [["a", "7"]]}},
+                version=2)
+    code, out, err = run(capsys, "compute", "E6", "--method", "recursion",
+                         "--cache", str(cache))
+    assert (code, out, err) == (cli.EXIT_OK, "82\n", "")
+    data = json.loads(cache.read_text())
+    assert data["engine_version"] == 3 and data["results"]["E6"] == {"value": "82"}
+
+
 @pytest.mark.parametrize("spec", ["A3xA6", "A6xA3"])
 def test_product_breakdown_does_not_depend_on_cache_history(capsys, tmp_path, spec):
     argv = ["compute", spec, "--method", "recursion", "--format", "json"]
@@ -586,17 +666,15 @@ def test_cache_holds_irreducible_types_only(capsys, tmp_path):
 
 
 def test_cache_entries_are_fresh_breakdowns(capsys, tmp_path):
-    """The memo holds values only; each entry the file gets is rebuilt from
-    them and equals a fresh calculator's breakdown of its type."""
+    """The file holds values only, and each entry equals a fresh
+    calculator's value of its type."""
     cache = tmp_path / "c.json"
     for spec in ("A30", "B30", "D30", "E6", "H4"):
         run(capsys, "compute", spec, "--method", "recursion", "--cache", str(cache))
     results = json.loads(cache.read_text())["results"]
     assert {"A30", "B30", "D30", "E6", "D5", "H4", "H3"} <= results.keys()
     for key, entry in results.items():
-        want = cli.KCalculator().k(key).to_json_dict(key)
-        del want["group"]
-        assert entry == want, key
+        assert entry == {"value": str(cli.KCalculator().k_value(key))}, key
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
