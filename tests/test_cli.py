@@ -296,15 +296,18 @@ def test_cache_env_variable(capsys, tmp_path, monkeypatch):
 
 
 def test_stale_engine_version_ignored(capsys, tmp_path):
+    """A file of another engine version is ignored without a warning and
+    rewritten as values: version 2's breakdown entries were trusted when
+    they agreed with their own terms, and are not read now."""
     cache = tmp_path / "stale.json"
-    cache.write_text(json.dumps({
-        "engine_version": -1,
-        "results": {"E6": {"value": "7777", "method": "summ2", "terms": []}},
-    }))
-    code, out, _ = run(capsys, "compute", "E6", "--method", "recursion",
-                       "--cache", str(cache))
-    assert code == cli.EXIT_OK
-    assert out.strip() == "82"
+    for version, e6 in ((-1, {"value": "7777", "method": "summ2", "terms": []}),
+                        (2, {"value": "7", "method": "summ2", "terms": [["a", "7"]]})):
+        write_cache(cache, {"E6": e6}, version=version)
+        code, out, err = run(capsys, "compute", "E6", "--method", "recursion",
+                             "--cache", str(cache))
+        assert (code, out, err) == (cli.EXIT_OK, "82\n", ""), version
+        data = json.loads(cache.read_text())
+        assert data["engine_version"] == 3 and data["results"]["E6"] == {"value": "82"}
 
 
 def test_verify_flags_corrupted_cache(capsys, tmp_path):
@@ -440,6 +443,15 @@ def test_poisoned_cache_entry_is_not_printed(capsys, tmp_path):
     assert cache.read_bytes() == before
 
 
+def e6_set_to_7(capsys, path) -> dict:
+    """A cache file written by `compute E7`, with E6's value set to 7."""
+    run(capsys, "compute", "E7", "--method", "recursion", "--cache", str(path))
+    data = json.loads(path.read_text())
+    data["results"]["E6"] = {"value": "7"}
+    path.write_text(json.dumps(data))
+    return data
+
+
 @pytest.mark.parametrize("spec, value, rebuilt", [("E6", 7, 82), ("E7", 768, 693)])
 def test_cache_entry_contradicting_the_entries_below_ends_in_one_error(
         capsys, tmp_path, spec, value, rebuilt):
@@ -449,11 +461,7 @@ def test_cache_entry_contradicting_the_entries_below_ends_in_one_error(
     the recursion: a query of E6 or E7 runs cold and ends in one error line
     naming E6, with exit 1."""
     cache = tmp_path / "c.json"
-    run(capsys, "compute", "E7", "--method", "recursion", "--cache", str(cache))
-    data = json.loads(cache.read_text())
-    data["results"]["E6"] = {"value": "7"}
-    assert data["results"][spec] == {"value": str(value)}
-    cache.write_text(json.dumps(data))
+    assert e6_set_to_7(capsys, cache)["results"][spec] == {"value": str(value)}
     before = cache.read_bytes()
     code, out, err = run(capsys, "compute", spec, "--cache", str(cache))
     assert code == cli.EXIT_FAIL
@@ -574,14 +582,6 @@ def test_warm_request_leaves_cache_file_untouched(capsys, tmp_path):
     assert "E7" in json.loads(cache.read_text())["results"]
 
 
-def e6_set_to_7(capsys, path):
-    """A cache file written by `compute E7`, with E6's value set to 7."""
-    run(capsys, "compute", "E7", "--method", "recursion", "--cache", str(path))
-    data = json.loads(path.read_text())
-    data["results"]["E6"] = {"value": "7"}
-    path.write_text(json.dumps(data))
-
-
 @pytest.mark.parametrize("spec", ["E8", "E6xA1"])
 def test_wrong_entry_below_a_cold_type_ends_in_one_error(capsys, tmp_path, spec):
     """E8 and E6xA1 are computed on top of E6; its wrong cached value is
@@ -620,19 +620,6 @@ def test_request_without_recursion_touches_no_cache_file(capsys, tmp_path, metho
                    "--cache", str(path)) == plain, path
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
     assert unreadable.read_text() == "[1, 2]"
-
-
-def test_version_2_file_is_ignored_as_stale(capsys, tmp_path):
-    """A file of engine version 2, whose breakdown entries were trusted when
-    they agreed with their own terms, is ignored and rewritten as values."""
-    cache = tmp_path / "c.json"
-    write_cache(cache, {"E6": {"value": "7", "method": "summ2", "terms": [["a", "7"]]}},
-                version=2)
-    code, out, err = run(capsys, "compute", "E6", "--method", "recursion",
-                         "--cache", str(cache))
-    assert (code, out, err) == (cli.EXIT_OK, "82\n", "")
-    data = json.loads(cache.read_text())
-    assert data["engine_version"] == 3 and data["results"]["E6"] == {"value": "82"}
 
 
 @pytest.mark.parametrize("spec", ["A3xA6", "A6xA3"])
