@@ -28,11 +28,12 @@ from .graphs import (
 )
 from .lattice import (
     build_lattice,
-    build_lattice_with_action,
-    count_chain_orbits,
+    build_lattice_with_action,  # noqa: F401  (perfbench's tracer patches it here)
+    count_chain_and_line_orbits_lazily,
+    count_chain_orbits,  # noqa: F401  (perfbench's tracer patches it here)
     count_chain_orbits_lazily,
     lattice_to_json,
-    orbit_count_of_lines,
+    orbit_count_of_lines,  # noqa: F401  (perfbench's tracer patches it here)
 )
 from .models import UnsupportedModelError, build_model, model_to_json
 from .recursion import KCalculator, multinomial
@@ -78,8 +79,9 @@ class DiskCache:
     per irreducible type, stamped with the engine version so that stale
     files are ignored. The values are checked, never trusted: `check`
     compares them with a cold recursion's memo. A file that cannot be read
-    as a cache is ignored, and an ill-typed entry dropped, each with a
-    one-line warning on stderr; `rejected` keeps what was ignored.
+    as a cache is ignored, and an entry whose value is not a string of ASCII
+    digits dropped, each with a one-line warning on stderr; `rejected`
+    keeps what was ignored.
     """
 
     def __init__(self, path: str):
@@ -105,7 +107,10 @@ class DiskCache:
         values = {}
         for spec, entry in results.items():
             try:
-                values[spec] = int(entry["value"])
+                value = entry["value"]
+                if not (isinstance(value, str) and value.isascii() and value.isdigit()):
+                    raise ValueError(f"{value!r} is not a decimal string")
+                values[spec] = int(value)
             except (KeyError, TypeError, ValueError) as exc:
                 self.rejected.append(f"{spec} ({type(exc).__name__}: {exc})")
         if self.rejected:
@@ -284,27 +289,16 @@ def _verify_checks(args):
         return True, ""
 
     def brute_tier(specs):
-        def run():
-            for spec in specs:
-                labels = parse_labels(spec)
-                lattice, table = build_lattice_with_action(build_model(labels))
-                brute = count_chain_orbits(lattice, table)
-                rec = fresh.k_labels(labels)
-                if brute.orbit_count != rec.value:
-                    return False, (
-                        f"{spec}: bruteforce {brute.orbit_count} != recursion "
-                        f"{rec.value}; terms {rec.terms}"
-                    )
-                if len(labels) == 1 and labels[0].coxeter_rank >= 2:
-                    lines = orbit_count_of_lines(lattice, table)
-                    if lines != len(rec.terms):
-                        return False, (
-                            f"{spec}: {lines} line orbits vs {len(rec.terms)} "
-                            f"recursion terms"
-                        )
-            return True, ""
-
-        return run
+        for spec in specs:
+            labels = parse_labels(spec)
+            brute, lines = count_chain_and_line_orbits_lazily(build_model(labels))
+            rec = fresh.k_labels(labels)
+            if brute.orbit_count != rec.value:
+                return False, (f"{spec}: bruteforce {brute.orbit_count} != recursion "
+                               f"{rec.value}; terms {rec.terms}")
+            if len(labels) == 1 and labels[0].coxeter_rank >= 2 and lines != len(rec.terms):
+                return False, f"{spec}: {lines} line orbits vs {len(rec.terms)} recursion terms"
+        return True, ""
 
     def cache_consistency():
         if not cache or not os.path.exists(cache.path):
@@ -324,11 +318,11 @@ def _verify_checks(args):
         ("closed-vs-recursion", closed_vs_recursion),
         ("bar-d", bar_d_check),
         ("parity", parity_check),
-        ("bruteforce-required-tier", brute_tier(REQUIRED_BRUTE_TIER)),
+        ("bruteforce-required-tier", functools.partial(brute_tier, REQUIRED_BRUTE_TIER)),
         ("cache-consistency", cache_consistency),
     ]
     if args.deep:
-        checks.insert(6, ("bruteforce-deep-tier", brute_tier(DEEP_BRUTE_TIER)))
+        checks.insert(6, ("bruteforce-deep-tier", functools.partial(brute_tier, DEEP_BRUTE_TIER)))
     return checks
 
 

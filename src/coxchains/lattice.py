@@ -14,29 +14,31 @@ same closures. Exact `FieldScalar` arithmetic serves the export's flat
 bases only, from the roots the model derives from its vectors for the
 export. A product's roots are its factors' roots in factor order, and its
 lattice is built in one pass over its factors'. No W-orbit is recorded:
-orbits are walked along the generators (`_image`), which act alone
-(`GeneratorAction`), one block per irreducible factor with each factor's
-order. Chain orbits are counted from atom stabilisers listed coset by coset
-(Dimino) from Schreier generators in their block; a block the chain has not
-entered, or entered at a line it fixes, counts as its factor's order. The
-count above a flat depends on the flat and the chain stabiliser alone, kept
-as one interned part per block, so the scan is memoized on the two: a
-product's scan visits its factors' states, not their shuffles. States
-merge their counts as {orbit size: number of orbits}, and the result keeps
-that histogram (`ChainOrbitCount.size_counts`), so its size follows the
-distinct orbit sizes, not the orbits: A1^16 counts its 16! in one entry.
+hypsets' orbits are walked along the generators' bit images by one walker
+(`_orbit_walks`), the generators acting alone (`GeneratorAction`), one
+block per irreducible factor with each factor's order. Chain orbits are
+counted from atom stabilisers listed coset by coset (Dimino) from Schreier
+generators in their block; a block the chain has not entered, or entered at
+a line it fixes, counts as its factor's order. The count above a flat
+depends on the flat and the chain stabiliser alone, kept as one interned
+part per block, so the scan is memoized on the two: a product's scan visits
+its factors' states, not their shuffles. States merge their counts as
+{orbit size: number of orbits}, kept as `ChainOrbitCount.size_counts`, so
+A1^16 counts its 16! orbits in one entry.
 
 One driver (`_count_orbits`) counts the chain orbits above the canonical
 atoms of the generators' atom-line orbits (`_scan_atoms`, which maps each
-orbit of a state's covers once), over either path's covers and hypsets, in
-one process unless `count_chain_orbits` is asked for workers. That function
-scans the whole lattice, built by orbit transport, and certifies that the
-orbit sizes sum to its maximal chains. `count_chain_orbits_lazily`, the
-brute force of `compute`, closes a flat only when the scan first reads its
-covers (`_Covers`), from an independent span, and certifies each state
-instead: the maximal chains above a flat, summed over its canonical covers
-times their orbit lengths under the chain stabiliser, must agree between
-stabilisers, and the state's orbit sizes sum to |W| / |Stab| times them.
+orbit of a state's covers once), over either path's covers and hypsets.
+Every command's brute force is `count_chain_orbits_lazily`; `verify` also
+walks the line orbits from the coatoms that scan closed
+(`count_chain_and_line_orbits_lazily`). That scan closes a flat only when
+it first reads its covers (`_Covers`), from an independent span, and
+certifies each state: the maximal chains above a flat, summed over its
+canonical covers times their orbit lengths under the chain stabiliser, must
+agree between stabilisers, and the state's orbit sizes sum to |W| / |Stab|
+times them. The library's `count_chain_orbits` scans a whole lattice, built by
+orbit transport, in one process unless asked for workers, and certifies
+that the orbit sizes sum to its maximal chains.
 """
 
 from __future__ import annotations
@@ -157,11 +159,6 @@ def _residue(rows, pivots, root):
     return tuple([x // g for x in res[0]])
 
 
-def _image(bits, lines) -> int:
-    """The hypset of the lines' images, bits[i] being the bit of i's image."""
-    return sum(map(bits.__getitem__, lines))
-
-
 def _closure(lines, base, mask, span):
     """The covers (hypset, spanning roots) of the flat `mask` spanned by
     `span`, whose echelon form is `base`, in the order of their least
@@ -233,7 +230,7 @@ def _irreducible_lattice(model) -> IntersectionLattice:
         return ids[mask]
 
     def moved(bits, y):
-        image = _image(bits, hyps[y])
+        image = sum(map(bits.__getitem__, hyps[y]))
         if image in ids:
             return ids[image]
         return add(image, tuple(sorted(bits[i].bit_length() - 1 for i in spans[y])))
@@ -529,7 +526,7 @@ def _scan_atoms(covers, masks, orbits, blocks, orders, atoms, chains=None):
         ups = covers[x]
         if chains is not None or not ups:
             s = math.prod(w if p is None else len(parts[p]) for p, w in zip(stab, orders))
-            if order % s:
+            if not s or order % s:
                 raise AssertionError(
                     f"chain stabiliser of order {s} does not divide |W| = {order}")
         if not ups:
@@ -681,23 +678,38 @@ def _factor_covers(model):
     return width, closed
 
 
+def _orbit_walks(blocks, seeds, within=None):
+    """The orbits of the hypsets `seeds`, one list per seed not yet walked,
+    walked from it along the generators' bit images, which a block skips on
+    a hypset holding all or none of its roots; an image off `within` raises."""
+    n = len(blocks[0][0]) // 2 if blocks else 0
+    moves = [(sum(1 << i for i in {i for g in block for i, x in enumerate(g[:n]) if x != i}),
+              [[1 << x % n for x in g[:n]] for g in block]) for block in blocks]
+    seen = set()
+    for walk in ([seed] for seed in seeds if seed not in seen):  # tested after the previous walk
+        seen.add(walk[0])
+        for h in walk:
+            for own, gens in moves:
+                if h & own in (0, own):
+                    continue
+                part, rest = _lines(h & own), h & ~own
+                for bits in gens:
+                    image = rest | sum(map(bits.__getitem__, part))
+                    if image not in seen:
+                        if within is not None and image not in within:
+                            raise AssertionError(f"a generator maps line {_lines(h)} to no line")
+                        seen.add(image)
+                        walk.append(image)
+        yield walk
+
+
 def _line_orbits(blocks) -> dict:
     """Each root line's orbit under the generators, as the sorted list of
     its lines, one list shared by the orbit."""
     n = len(blocks[0][0]) // 2 if blocks else 0
-    gens = [g for block in blocks for g in block]
-    orbits = {}
-    for i in range(n):
-        if i not in orbits:
-            orbit, seen = [i], {i}
-            for j in orbit:
-                for g in gens:
-                    k = g[j] % n
-                    if k not in seen:
-                        seen.add(k)
-                        orbit.append(k)
-            orbits.update(dict.fromkeys(orbit, sorted(orbit)))
-    return orbits
+    orbits = (sorted(h.bit_length() - 1 for h in walk)
+              for walk in _orbit_walks(blocks, [1 << i for i in range(n)]))
+    return {i: orbit for orbit in orbits for i in orbit}
 
 
 def _count_orbits(covers, masks, action, workers=1, total=None, chains=None) -> ChainOrbitCount:
@@ -747,7 +759,7 @@ def count_chain_orbits(l: IntersectionLattice, action: GeneratorAction,
                        workers: int = 1) -> ChainOrbitCount:
     """Orbit count of the group action on the maximal chains of a built
     lattice (`_count_orbits`), whose orbit sizes must sum to its chains.
-    No command sets `workers`: only perfbench's sweep `lattice.scan_w2_s`."""
+    No command calls it: only perfbench, whose sweep sets `workers`."""
     return _count_orbits(l.covers, l.hypsets, action, workers, count_maximal_chains(l))
 
 
@@ -762,30 +774,23 @@ def count_chain_orbits_lazily(model) -> ChainOrbitCount:
     return _count_orbits(covers, covers.masks, _action(model), chains={})
 
 
+def count_chain_and_line_orbits_lazily(model):
+    """`count_chain_orbits_lazily`'s count and the number of line orbits,
+    walked (`_orbit_walks`) from the coatoms that scan closed, the flats
+    whose only cover is the top: each line is the coatom of a maximal chain,
+    so the coatoms of the canonical chains meet every line orbit."""
+    covers, action = _Covers(_factors(model)), _action(model)
+    count = _count_orbits(covers, covers.masks, action, chains={})
+    top = [covers.ids[covers.full]]
+    coatoms = [covers.masks[x] for x, ups in covers.items() if ups == top]
+    return count, sum(1 for _ in _orbit_walks(action.blocks, coatoms))
+
+
 def orbit_count_of_lines(l: IntersectionLattice, action: GeneratorAction) -> int:
     """Number of group orbits among the coatoms (the lines of the lattice),
-    walked along the generators' line permutations (`_image`); an image off
-    the lines raises. A block fixes a coatom holding all or none of its own."""
-    n = len(action.blocks[0][0]) // 2 if action.blocks else 0
-    moves = [(sum(1 << i for i in {i for g in block for i in range(n) if g[i] != i}),
-              [[1 << g[i] % n for i in range(n)] for g in block]) for block in action.blocks]
+    walked along the generators (`_orbit_walks`); an image off the lines raises."""
     lines = set(itertools.compress(l.hypsets, map((l.essential_rank - 1).__eq__, l.rank)))
-    unseen, orbits = set(lines), 0
-    while unseen:
-        walk, orbits = [unseen.pop()], orbits + 1
-        for h in walk:
-            for own, gens in moves:
-                if h & own in (0, own):
-                    continue
-                part, rest = _lines(h & own), h & ~own
-                for bits in gens:
-                    image = rest | _image(bits, part)
-                    if image not in lines:
-                        raise AssertionError(f"a generator maps line {_lines(h)} to no line")
-                    if image in unseen:
-                        unseen.remove(image)
-                        walk.append(image)
-    return orbits
+    return sum(1 for _ in _orbit_walks(action.blocks, lines, lines))
 
 
 def lattice_to_json(l: IntersectionLattice) -> dict:

@@ -76,6 +76,35 @@ def test_compute_e6_by_brute_force(capsys, monkeypatch):
     assert all(51_840 % s == 0 for s in seen["count"].size_counts)
 
 
+WHOLE_LATTICE_NAMES = ("build_lattice_with_action", "count_chain_orbits", "orbit_count_of_lines")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--deep"], ["compute", "E6"], ["compute", "B2xA1", "--format", "json"],
+    ["table", "--max-rank", "8"], ["export-lattice", "A3", "{tmp}/a3.json"]],
+    ids=["verify-deep", "compute-E6", "compute-B2xA1-json", "table", "export-lattice"])
+def test_no_command_reaches_the_whole_lattice_count(argv, capsys, monkeypatch, tmp_path):
+    """The whole lattice's action, chain-orbit count and line-orbit count
+    are the library's alone: every command runs with the three names set
+    to raise, where they are defined and where `cli` imports them. verify's
+    brute tiers count each tier type once through the lazy scan."""
+    def whole_lattice(*args, **kwargs):
+        raise AssertionError("a command reached the whole-lattice count")
+
+    for name in WHOLE_LATTICE_NAMES:
+        monkeypatch.setattr(cli, name, whole_lattice)
+        monkeypatch.setattr(lattice, name, whole_lattice)
+    calls = []
+    real = cli.count_chain_and_line_orbits_lazily
+    monkeypatch.setattr(cli, "count_chain_and_line_orbits_lazily",
+                        lambda model: calls.append(model) or real(model))
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (code, err) == (cli.EXIT_OK, ""), out
+    assert "FAIL" not in out
+    tiers = len(cli.REQUIRED_BRUTE_TIER) + len(cli.DEEP_BRUTE_TIER)
+    assert len(calls) == (tiers if argv[0] == "verify" else 0)
+
+
 def test_compute_e6_closes_at_most_50_flats(capsys, monkeypatch):
     """The chain scan reads the covers of 49 flats of E6's 4,598, the bottom
     among them, and compute closes no others."""
@@ -428,6 +457,25 @@ def test_ill_typed_cache_entry_is_dropped(capsys, tmp_path):
     # the rewrite replaces the dropped entry with the recursion's value
     assert json.loads(cache.read_text())["results"] == {
         "A1": {"value": "1"}, "A2": {"value": "1"}, "A3": {"value": "2"}}
+
+
+@pytest.mark.parametrize("value", [82.7, True, "1_0", 82, " 82", "+82", "\u0668\u0662", None])
+def test_cache_value_that_is_no_decimal_string_is_dropped(value, capsys, tmp_path):
+    """A value is read only from a string of ASCII digits. Anything else,
+    where `int` read 82.7 as 82, true as 1 and "1_0" as 10, is dropped with
+    one warning line naming its entry, and verify --cache names it as
+    ignored."""
+    cache = tmp_path / "c.json"
+    write_cache(cache, {"E6": {"value": value}})
+    code, out, err = run(capsys, "compute", "E6", "--method", "recursion", "--cache", str(cache))
+    assert (code, out) == (cli.EXIT_OK, "82\n")
+    assert err.startswith(f"warning: dropped bad entries from cache file {cache}: E6 (")
+    assert err.count("\n") == 1
+    write_cache(cache, {"E6": {"value": value}})  # compute rewrote it with E6 = 82
+    args = cli.build_parser().parse_args(["verify", "--cache", str(cache)])
+    ok, detail = dict(cli._verify_checks(args))["cache-consistency"]()
+    capsys.readouterr()
+    assert not ok and detail.startswith("ignored E6 (ValueError: ")
 
 
 def test_poisoned_cache_entry_is_not_printed(capsys, tmp_path):

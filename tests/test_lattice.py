@@ -12,6 +12,7 @@ import time
 import pytest
 
 from coxchains.field import ZERO, canonical_subspace, null_space
+from coxchains.graphs import parse_labels
 from coxchains import cli
 from coxchains import lattice as lattice_module
 from coxchains import models
@@ -25,6 +26,7 @@ from coxchains.lattice import (
     _validate_graded,
     build_lattice,
     build_lattice_with_action,
+    count_chain_and_line_orbits_lazily,
     count_chain_orbits,
     count_chain_orbits_lazily,
     count_maximal_chains,
@@ -1032,6 +1034,43 @@ def test_swapped_generator_lines_fail_the_e6_scan_at_once(monkeypatch):
     assert 0 < longest[0] <= 51_840
 
 
+@pytest.mark.parametrize("spec", list(SWAP_TRIPS))
+def test_swapped_generator_lines_fail_verify(spec, monkeypatch, capsys):
+    """verify's brute tier counts through the lazy scan and walks the line
+    orbits from the coatoms that the scan closed. Each swap of two lines in
+    one generator fails the scan's per-atom certificate before the coatoms
+    are walked, so the tier never passes a wrong count: it fails, and
+    `verify` prints FAIL and exits 1."""
+    model = build_model(spec)
+    monkeypatch.setattr(cli, "REQUIRED_BRUTE_TIER", [spec])
+    message = (r"atom \d+: \|orbit\| \* \|Stab\| passes its factor's "
+               rf"\|W\| = {models.group_order(model.label)}")
+    check = dict(cli._verify_checks(cli.build_parser().parse_args(["verify"])))[
+        "bruteforce-required-tier"]
+    for g in range(len(model.gen_perms)):
+        for i, j in itertools.combinations(range(len(model.vectors)), 2):
+            monkeypatch.setattr(cli, "build_model", lambda labels, m=swapped(model, g, i, j): m)
+            with pytest.raises(AssertionError, match=f"^{message}$"):
+                check()
+    code, out, _ = run(capsys, "verify")
+    assert code == cli.EXIT_FAIL
+    assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == [
+        "bruteforce-required-tier"]
+    assert re.search(rf"FAIL  bruteforce-required-tier +\d+\.\d\ds  {message}\n", out)
+
+
+@pytest.mark.parametrize("spec", [s for s in dict.fromkeys(
+    REQUIRED_BRUTE_TIER + DEEP_BRUTE_TIER + [f"I2({m})" for m in range(5, 31)])
+    if sum(t.coxeter_rank for t in parse_labels(s)) >= 2])
+def test_lazy_line_orbits_equal_the_whole_lattice_count(spec):
+    """The line orbits walked from the coatoms that the lazy scan closed
+    are the coatom orbits of the whole lattice, and the scan's count comes
+    with them unchanged."""
+    count, lines = count_chain_and_line_orbits_lazily(build_model(spec))
+    assert count == lazily(spec)
+    assert lines == orbit_count_of_lines(*lattice_of(spec))
+
+
 def test_chain_count_needs_elements_in_rank_order():
     """The chain count walks elements in index order, so a lattice listing
     an element before one of lower rank is refused, not miscounted: here
@@ -1379,6 +1418,16 @@ def test_stabiliser_short_of_an_element_fails_the_lagrange_check(spec, monkeypat
     assert (code, out) == (cli.EXIT_FAIL, "")
     assert re.match(message, err.removeprefix("error: ").removesuffix("\n"))
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_empty_narrowed_stabiliser_fails_the_lagrange_check(monkeypatch, capsys):
+    """A part narrowed to the elements that move the cover, not those that
+    fix it, is empty where every element fixes it: its chain stabiliser has
+    order 0, which divides no |W|, and compute ends in one error line and
+    exit 1, where the check divided by zero."""
+    scan_mutant(monkeypatch, "map(d.__eq__, ims)", "map(d.__ne__, ims)")
+    assert_lazy_scan_fails(capsys, "A3", r"^chain stabiliser of order 0 does not divide "
+                                         r"\|W\| = 24$")
 
 
 def test_worker_count_does_not_change_result():
