@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
 
 
@@ -65,12 +65,6 @@ class CoxeterGraph:
     def label(self, v, w) -> int:
         return self._adjacency.get(v, {}).get(w, 2)
 
-    def neighbors(self, v):
-        return sorted(self._adjacency.get(v, ()))
-
-    def degree(self, v) -> int:
-        return len(self._adjacency.get(v, ()))
-
 
 def make_graph(vertices, edges) -> CoxeterGraph:
     norm = frozenset(
@@ -79,24 +73,27 @@ def make_graph(vertices, edges) -> CoxeterGraph:
     return CoxeterGraph(tuple(vertices), norm)
 
 
+def _is_finite(fam: str, n: int) -> bool:
+    """Whether family and rank name a finite type; I2's rank is its label."""
+    return (
+        (fam == "A" and n >= 1)
+        or (fam == "B" and n >= 2)
+        or (fam == "D" and n >= 2)
+        or (fam == "E" and n in (6, 7, 8))
+        or (fam == "F" and n == 4)
+        or (fam == "H" and n in (3, 4))
+        or (fam == "I2" and n >= 3)
+    )
+
+
 @dataclass(frozen=True)
 class TypeLabel:
     family: str  # one of A, B, D, E, F, H, I2
     rank: int    # for I2 this is the edge label m
 
     def __post_init__(self):
-        fam, n = self.family, self.rank
-        ok = (
-            (fam == "A" and n >= 1)
-            or (fam == "B" and n >= 2)
-            or (fam == "D" and n >= 2)
-            or (fam == "E" and n in (6, 7, 8))
-            or (fam == "F" and n == 4)
-            or (fam == "H" and n in (3, 4))
-            or (fam == "I2" and n >= 3)
-        )
-        if not ok:
-            raise GroupSpecError(f"not a finite type: {fam}{n}")
+        if not _is_finite(self.family, self.rank):
+            raise GroupSpecError(f"not a finite type: {self.family}{self.rank}")
 
     @property
     def coxeter_rank(self) -> int:
@@ -237,96 +234,49 @@ def connected_components(g: CoxeterGraph):
     return components
 
 
-def _path_order(g: CoxeterGraph):
-    """Vertices of a path graph in order, or None if not a path."""
-    if g.rank == 1:
-        return list(g.vertices)
-    ends = [v for v in g.vertices if g.degree(v) == 1]
-    if len(ends) != 2 or any(g.degree(v) > 2 for v in g.vertices):
-        return None
-    order = [min(ends)]
-    prev = None
-    while len(order) < g.rank:
-        nxt = [w for w in g.neighbors(order[-1]) if w != prev]
-        if len(nxt) != 1:
-            return None
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
-
-
-def _classify_path(g: CoxeterGraph, order):
-    labels = [g.label(a, b) for a, b in zip(order, order[1:])]
-    n = len(order)
-    if all(m == 3 for m in labels):
-        return TypeLabel("A", n), order
-    if n == 2:
-        m = labels[0]
-        if m == 4:
-            return TypeLabel("B", 2), order
-        return TypeLabel("I2", m), order
-    big = [m for m in labels if m != 3]
-    if len(big) != 1:
-        raise ClassificationError("more than one edge label above 3")
-    m = big[0]
-    idx = labels.index(m)
-    if idx > n - 2 - idx:  # orient so the big label sits nearer vertex 1
-        order = list(reversed(order))
-        labels = list(reversed(labels))
-        idx = labels.index(m)
-    if m == 4 and idx == 0:
-        return TypeLabel("B", n), order
-    if m == 4 and n == 4 and idx == 1:
-        return TypeLabel("F", 4), order
-    if m == 5 and idx == 0 and n in (3, 4):
-        return TypeLabel("H", n), order
-    raise ClassificationError(f"path with label {m} at position {idx} is not finite")
-
-
-def _branches(g: CoxeterGraph, center):
+@lru_cache(maxsize=64)
+def _standard_walks(rank: int, m: int):
+    """Per finite type of this rank that no alias names, I2(m) among them
+    at rank 2: (label, its sorted edge labels and degrees, its standard
+    edges, the breadth-first walk of its standard graph from vertex 1 as
+    (vertex, parent, edge label, degree) steps). Vertex 1 is a leaf of
+    every such graph, or its only vertex."""
+    families = [(f, rank) for f in "ABDEFH"] + [("I2", m)] * (rank == 2)
     out = []
-    for start in g.neighbors(center):
-        branch = [start]
-        prev = center
-        while True:
-            nxt = [w for w in g.neighbors(branch[-1]) if w != prev]
-            if not nxt:
-                break
-            if len(nxt) > 1:
-                raise ClassificationError("second branch vertex: not finite")
-            prev = branch[-1]
-            branch.append(nxt[0])
-        out.append(branch)
-    return sorted(out, key=lambda b: (len(b), b[0]))
+    for t in (TypeLabel(f, n) for f, n in families if _is_finite(f, n)):
+        if t in _ALIASES:
+            continue
+        g = standard_graph(t)
+        adj, walk, steps = g._adjacency, [(1, None)], []
+        for v, up in walk:  # a tree: every neighbour but the parent is new
+            for w in sorted(adj[v]):
+                if w != up:
+                    walk.append((w, v))
+                    steps.append((w, v, adj[v][w], len(adj[w])))
+        shape = sorted(k for *_, k in g.edges), sorted(map(len, adj.values()))
+        out.append((t, shape, g.edges, steps))
+    return out
 
 
-def _classify_fork(g: CoxeterGraph, center):
-    if any(m != 3 for _, _, m in g.edges):
-        raise ClassificationError("branch vertex with a label above 3: not finite")
-    branches = _branches(g, center)
-    if len(branches) != 3:
-        raise ClassificationError("vertex of degree > 3: not finite")
-    lens = tuple(len(b) for b in branches)
-    b1, b2, b3 = branches
-    n = g.rank
-    if lens[0] == 1 and lens[1] == 1:
-        # D_n: long branch reversed is the path 1..n-3, center is n-2
-        order = list(reversed(b3)) + [center] + [b1[0], b2[0]]
-        return TypeLabel("D", n), order
-    if lens == (1, 2, 2) and n == 6:
-        order = [b3[1], b1[0], b3[0], center, b2[0], b2[1]]
-        return TypeLabel("E", 6), order
-    if lens == (1, 2, 3) and n == 7:
-        order = [b2[1], b1[0], b2[0], center] + b3
-        return TypeLabel("E", 7), order
-    if lens == (1, 2, 4) and n == 8:
-        order = [b2[1], b1[0], b2[0], center] + b3
-        return TypeLabel("E", 8), order
-    raise ClassificationError(f"branch lengths {lens} are not of finite type")
+def _walk(adj, steps, start):
+    """{graph vertex: standard number} along the steps from start, which
+    takes vertex 1: each step sends its vertex to an unmatched neighbour
+    of its parent's image with the step's edge label and degree. None if
+    some step finds no such neighbour."""
+    iso, image = {start: 1}, {1: start}
+    for v, parent, m, d in steps:
+        w = next((w for w, k in adj[image[parent]].items()
+                  if k == m and w not in iso and len(adj[w]) == d), None)
+        if w is None:
+            return None
+        iso[w], image[v] = v, w
+    return iso
 
 
 def classify_irreducible(g: CoxeterGraph):
-    """Classify a connected nonempty graph.
+    """Classify a connected nonempty graph by matching it against the
+    standard graphs of its rank that have its edge labels and degrees,
+    each walked from every leaf of g in turn (`_walk`).
 
     Returns (TypeLabel, iso) where iso maps graph vertex ids to standard
     numbering 1..n. Raises ClassificationError for non-finite graphs.
@@ -337,19 +287,18 @@ def classify_irreducible(g: CoxeterGraph):
         raise ValueError("classify_irreducible needs a connected graph")
     if len(g.edges) != g.rank - 1:
         raise ClassificationError("graph contains a cycle: not finite")
-    forks = [v for v in g.vertices if g.degree(v) >= 3]
-    if not forks:
-        order = _path_order(g)
-        label, order = _classify_path(g, order)
-    elif len(forks) == 1:
-        label, order = _classify_fork(g, forks[0])
-    else:
-        raise ClassificationError("two branch vertices: not finite")
-    iso = {v: i + 1 for i, v in enumerate(order)}
-    mapped = {(*sorted((iso[v], iso[w])), m) for v, w, m in g.edges}
-    if mapped != set(_standard_edges(label.family, label.rank)):
-        raise ClassificationError("graph does not match any finite type")
-    return label, iso
+    adj = g._adjacency
+    labels = sorted(m for *_, m in g.edges)
+    shape = labels, sorted(map(len, adj.values()))
+    leaves = [v for v in sorted(g.vertices) if len(adj[v]) <= 1]
+    for label, signature, edges, steps in _standard_walks(g.rank, labels[0] if g.rank == 2 else 0):
+        if signature != shape:
+            continue
+        for iso in filter(None, (_walk(adj, steps, v) for v in leaves)):
+            if {(iso[v], iso[w], m) if iso[v] < iso[w] else (iso[w], iso[v], m)
+                    for v, w, m in g.edges} == edges:
+                return label, iso
+    raise ClassificationError("graph does not match any finite type")
 
 
 def longest_element_automorphism(t: TypeLabel) -> dict:

@@ -165,10 +165,12 @@ def _closure(lines, base, mask, span):
     roots: each root off the flat is reduced once against base, and the
     roots of one residue (`_residue`) are one cover, spanned by span and
     its least root. A root in the span, possible only when mask is not
-    closed, joins the first cover."""
+    closed, raises."""
     covers = {}  # residue -> [hypset, least root]
     for a in _lines((1 << len(lines)) - 1 & ~mask):
-        key = _residue(*base, lines[a]) or next(iter(covers), None)
+        key = _residue(*base, lines[a])
+        if key is None:
+            raise AssertionError("a root off a flat lies in its span")
         covers.setdefault(key, [mask, a])[0] |= 1 << a
     return [(cover, span + (a,)) for cover, a in covers.values()]
 
@@ -176,10 +178,13 @@ def _closure(lines, base, mask, span):
 def _dihedral_closure(m, mask, span):
     """The covers of an I2(m) flat, as `_closure` gives a matrix flat's: the
     bottom's are the m lines, the only cover of a line is the top, spanned
-    by the line and the least line off it, and the top has none."""
+    by the line and the least line off it, and the top has none. Two lines
+    span the plane, so a flat holding two holds every line, or raises."""
     if not mask:
         return [(1 << k, (k,)) for k in range(m)]
     off = (1 << m) - 1 & ~mask
+    if off and mask & mask - 1:
+        raise AssertionError("a root off a flat lies in its span")
     return [((1 << m) - 1, span + ((off & -off).bit_length() - 1,))] if off else []
 
 
@@ -482,11 +487,11 @@ def _scan_atoms(covers, masks, orbits, blocks, orders, atoms, chains=None):
     root; so the part (p, masks[d] & own[b]) is interned once. What lies
     above x depends on x and the stabiliser alone, so `extend` is memoized
     on the two and each state is scanned once however many canonical
-    prefixes reach it. No root may be moved by two blocks, each atom's line
-    certifies its factor's order: |orbit| |Stab|, closed in its block, must
-    equal orders[b], and each chain stabiliser's order must divide |W|. The
-    result holds one entry per orbit size, however many orbits the chains
-    fall into: A1^16's 16! orbits are one entry.
+    prefixes reach it. Each root must be moved by one block alone; each
+    atom's line certifies its factor's order: |orbit| |Stab|, closed in its
+    block, must equal orders[b], and each chain stabiliser's order must
+    divide |W|. The result holds one entry per orbit size, however many
+    orbits the chains fall into: A1^16's 16! orbits are one entry.
 
     With a dict `chains`, each state is also certified on its own, for a
     scan that never sees the whole lattice: the length of each canonical
@@ -505,6 +510,9 @@ def _scan_atoms(covers, masks, orbits, blocks, orders, atoms, chains=None):
                 raise AssertionError(
                     f"root {i} is moved by generators of blocks {block_of[i]} and {b}")
             own[b] |= 1 << i
+    unmoved = set(range(n)) - block_of.keys()
+    if unmoved:
+        raise AssertionError(f"root {min(unmoved)} is moved by no generator")
     order = math.prod(orders)
     parts, entered, narrowed = [], {}, {}  # part id -> elements; their ids by key
     memo = {}  # (flat, part id per block) -> {orbit size: multiplicity}

@@ -1,5 +1,9 @@
+import itertools
+import random
+
 import pytest
 
+from coxchains import graphs
 from coxchains.graphs import (
     ClassificationError,
     GroupSpecError,
@@ -126,6 +130,123 @@ def test_classify_rejects_big_label_on_rank3():
         classify_irreducible(g)
 
 
+def standard_image(iso, g):
+    """g's edges with each end renumbered by iso, lesser end first."""
+    return {(*sorted((iso[v], iso[w])), m) for v, w, m in g.edges}
+
+
+def test_classify_relabelled_finite_types():
+    """Every finite type up to rank 12 and I2(5)-I2(19), its vertices
+    renamed 30 times by random ids that are not contiguous and listed in
+    random order, gets its label and an iso onto its standard edges."""
+    rng = random.Random(39)
+    for t in all_finite_types(max_rank=12, max_m=19):
+        std = standard_graph(t)
+        for _ in range(30):
+            ids = dict(zip(std.vertices, rng.sample(range(10_000), t.coxeter_rank)))
+            g = make_graph(rng.sample(sorted(ids.values()), t.coxeter_rank),
+                           [(ids[v], ids[w], m) for v, w, m in std.edges])
+            label, iso = classify_irreducible(g)
+            assert label == t
+            assert sorted(iso) == sorted(g.vertices)
+            assert standard_image(iso, g) == set(std.edges), (t, ids)
+
+
+def star(*arms):
+    """Edges labelled 3 of a centre 0 with paths of the given lengths."""
+    edges, top = [], 0
+    for length in arms:
+        chain = [0, *range(top + 1, top + length + 1)]
+        edges += [(a, b, 3) for a, b in zip(chain, chain[1:])]
+        top += length
+    return edges
+
+
+def affine_diagrams(max_rank=9):
+    """{name: edges} of the affine diagrams on vertices 0..: A~n (cycles),
+    B~n, C~n and D~n up to max_rank vertices, and E~6, E~7, E~8, F~4, G~2."""
+    out = {"E~6": star(2, 2, 2), "E~7": star(1, 3, 3), "E~8": star(1, 2, 5),
+           "F~4": [(0, 1, 3), (1, 2, 3), (2, 3, 4), (3, 4, 3)], "G~2": [(0, 1, 3), (1, 2, 6)]}
+    for r in range(3, max_rank + 1):  # r vertices: the affine type of rank r - 1
+        path = [(i, i + 1, 3) for i in range(r - 1)]
+        out[f"A~{r - 1}"] = path + [(0, r - 1, 3)]
+        out[f"C~{r - 1}"] = [(0, 1, 4)] + path[1:-1] + [(r - 2, r - 1, 4)]
+        if r >= 4:
+            out[f"B~{r - 1}"] = [(0, 2, 3), (1, 2, 3)] + path[2:-1] + [(r - 2, r - 1, 4)]
+        if r >= 5:
+            out[f"D~{r - 1}"] = ([(0, 2, 3), (1, 2, 3)] + path[2:-2]
+                                 + [(r - 3, r - 2, 3), (r - 3, r - 1, 3)])
+    return out
+
+
+AFFINE = affine_diagrams()
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE))
+def test_classify_rejects_affine_diagrams(name):
+    edges = AFFINE[name]
+    g = make_graph(sorted({x for v, w, _ in edges for x in (v, w)}), edges)
+    assert len(connected_components(g)) == 1
+    with pytest.raises(ClassificationError):
+        classify_irreducible(g)
+
+
+def labelled_trees(k):
+    """The k^(k-2) trees on vertices 1..k, as edge lists, by Pruefer codes."""
+    if k == 1:
+        yield []
+        return
+    for code in itertools.product(range(1, k + 1), repeat=k - 2):
+        degree = [1] * (k + 1)
+        for v in code:
+            degree[v] += 1
+        edges = []
+        for v in code:
+            leaf = next(u for u in range(1, k + 1) if degree[u] == 1)
+            edges.append((leaf, v))
+            degree[leaf] -= 1
+            degree[v] -= 1
+        edges.append(tuple(u for u in range(1, k + 1) if degree[u] == 1))
+        yield edges
+
+
+def test_classify_every_small_tree_against_permuted_standard_graphs():
+    """Every tree on at most 5 vertices with edge labels in {3, 4, 5, 6}
+    (33,077 graphs) is classified as finite exactly when some permutation
+    of its vertices maps its edges onto a standard graph's, with that
+    graph's label and an iso onto its edges."""
+    oracle = {}  # edge set -> the label of the standard graph it permutes to
+    for t in all_finite_types(max_rank=5, max_m=6):
+        std = standard_graph(t)
+        for perm in itertools.permutations(std.vertices):
+            move = dict(zip(std.vertices, perm))
+            oracle[frozenset(standard_image(move, std))] = t
+    seen = 0
+    for k in range(1, 6):
+        for tree in labelled_trees(k):
+            for ms in itertools.product((3, 4, 5, 6), repeat=k - 1):
+                g = make_graph(range(1, k + 1), [(v, w, m) for (v, w), m in zip(tree, ms)])
+                seen += 1
+                t = oracle.get(g.edges)
+                if t is None:
+                    with pytest.raises(ClassificationError):
+                        classify_irreducible(g)
+                    continue
+                label, iso = classify_irreducible(g)
+                assert label == t
+                assert standard_image(iso, g) == set(standard_graph(t).edges)
+    assert seen == 33_077
+
+
+def test_standard_walks_are_held_in_a_bounded_cache():
+    """A session that classifies graphs of many ranks keeps a bounded number
+    of standard walks."""
+    for n in range(1, 200):
+        classify_irreducible(standard_graph(TypeLabel("B", n + 1)))
+    info = graphs._standard_walks.cache_info()
+    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize < 199
+
+
 def test_longest_element_automorphism_cases():
     def is_identity(t):
         return all(v == w for v, w in longest_element_automorphism(t).items())
@@ -181,11 +302,9 @@ def test_graph_automorphism_transport():
     g = parse_group_spec("A3xD5")
     d5 = connected_components(g)[1]
     perm = graph_automorphism(d5)
-    forks = sorted(v for v in d5.vertices if d5.degree(v) == 1 and
-                   d5.degree(d5.neighbors(v)[0]) == 3)
-    # the two fork-end vertices are swapped, the path is fixed
-    swapped = [v for v in d5.vertices if perm[v] != v]
-    assert len(swapped) == 2
+    # the two fork-end vertices (D5's 4 and 5, after A3's 3) are swapped, the
+    # path is fixed
+    assert [v for v in d5.vertices if perm[v] != v] == [7, 8]
 
 
 def test_canonical_spec_sorted():

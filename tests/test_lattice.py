@@ -5,6 +5,7 @@ import inspect
 import itertools
 import json
 import math
+import operator
 import random
 import re
 import time
@@ -200,6 +201,7 @@ def echelon_of(lines, span):
     return _echelon((), (), [row for i in span for row in lines[i]])
 
 
+IN_SPAN = "a root off a flat lies in its span"
 CLOSED_SPECS = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "D4", "D5",
                 "F4", "H3", "E6"]
 
@@ -221,19 +223,31 @@ def test_one_pass_closure_equals_null_vector_closure(spec):
 @pytest.mark.parametrize("spec", CLOSED_SPECS)
 def test_one_pass_closure_equals_null_vector_closure_off_flats(spec):
     """The same on random masks that are not flats and random spans, which
-    a walk along a generator that is no symmetry can close: a root in the
-    span but off the mask joins the first cover in both."""
+    a walk along a generator that is no symmetry can close: the closure
+    raises exactly where a root orthogonal to every null vector of the span
+    lies off the mask, and equals the null-vector closure elsewhere."""
     model = build_model(spec)
     lines = _integer_lines(model)
     vecs = [rows[0] for rows in lines]
     n, rank = len(vecs), model.label.rank
+    raised = 0
     for _ in range(40):
         span = tuple(sorted(rng.sample(range(n), rng.randint(0, rank))))
+        nulls = null_vectors(*echelon_of(lines, span), len(vecs[0]))
+        spanned = sum(1 << c for c in range(n)
+                      if not any(sum(map(operator.mul, vecs[c], v)) for v in nulls))
         mask = rng.getrandbits(n) & rng.getrandbits(n)
         if rng.random() < 0.5:
-            mask |= sum(1 << i for i in span)
-        assert (lattice_module._closure(lines, echelon_of(lines, span), mask, span)
-                == null_vector_closure(vecs, lines, mask, span)), (mask, span)
+            mask |= spanned
+        closure = functools.partial(lattice_module._closure, lines, echelon_of(lines, span),
+                                    mask, span)
+        if spanned & ~mask:
+            raised += 1
+            with pytest.raises(AssertionError, match=f"^{IN_SPAN}$"):
+                closure()
+        else:
+            assert closure() == null_vector_closure(vecs, lines, mask, span), (mask, span)
+    assert 0 < raised < 40
 
 
 def test_lines_reads_the_set_bits():
@@ -293,7 +307,7 @@ def swapped(model, g, i, j):
 # the certificates of the matrix build, by the end of their messages
 CARRIED = "carried covers differ from its closure"
 NONE_BELOW = "a root of a flat lies in no flat it covers"
-BUILD_CERTIFICATES = [CARRIED, NONE_BELOW, "a root off a flat lies in two of its covers",
+BUILD_CERTIFICATES = [CARRIED, NONE_BELOW, IN_SPAN, "a root off a flat lies in two of its covers",
                       "a root off a flat lies in none of its covers",
                       "rank-1 elements are not exactly the hyperplanes",
                       "bottom element is not unique", "top element is not unique",
@@ -302,8 +316,8 @@ BUILD_CERTIFICATES = [CARRIED, NONE_BELOW, "a root off a flat lies in two of its
 
 
 # the certificates that some swap of two lines in one generator trips
-SWAP_TRIPS = {"A3": {CARRIED, NONE_BELOW}, "B3": {CARRIED, NONE_BELOW}, "D4": {CARRIED},
-              "H3": {CARRIED, NONE_BELOW}}
+SWAP_TRIPS = {"A3": {CARRIED, NONE_BELOW, IN_SPAN}, "B3": {CARRIED, IN_SPAN},
+              "D4": {CARRIED, IN_SPAN}, "H3": {CARRIED, IN_SPAN}}
 
 
 @pytest.mark.parametrize("spec", list(SWAP_TRIPS))
@@ -505,15 +519,17 @@ BOTTOMS = "bottom element is not unique"
 TOPS = "top element is not unique"
 NO_COVER_BELOW = "non-bottom element with no cover below"
 RANK_TWO = ["A2", "B2", "I2(5)", "I2(6)"]
-# mutant -> the certificate it trips in the whole build, the one it trips in
-# the lazy scan, and the types it is tried on. On a rank-2 type two merged
-# atoms leave the image of the merged atom under a generator covered by no
-# flat; on higher ranks the whole build finds the merge earlier, as in
-# CLOSURE_MUTANTS
+# mutant -> the certificate it trips in the whole build (per type where they
+# differ), the one it trips in the lazy scan, and the types it is tried on.
+# On A2 and B2 two merged atoms leave the image of the merged atom under a
+# generator covered by no flat; I2(m)'s closure refuses the merged atom, two
+# lines that span the plane; on higher ranks the whole build finds the
+# merge earlier, as in CLOSURE_MUTANTS
 GRADED_MUTANTS = {
     spans_gain_no_root: (BOTTOMS, NOT_GRADED, RANK_TWO + ["A3", "B3", "D4", "H3"]),
     top_spanned_like_a_coatom: (TOPS, NOT_GRADED, RANK_TWO + ["A3", "B3", "D4", "H3"]),
-    two_atoms_merged: (NO_COVER_BELOW, RANK_ONE, RANK_TWO),
+    two_atoms_merged: ({"A2": NO_COVER_BELOW, "B2": NO_COVER_BELOW, "I2(5)": IN_SPAN,
+                        "I2(6)": IN_SPAN}, RANK_ONE, RANK_TWO),
 }
 
 
@@ -523,9 +539,12 @@ GRADED_MUTANTS = {
 def test_graded_mutant_fails_its_certificate(change, spec, monkeypatch, capsys, tmp_path):
     """Spans that gain no root, a top spanned like the coatom it covers, or
     two atoms merged on a rank-2 type fail the named gradedness check of
-    the whole build, and the export ends in one error line and exit 1; the
-    lazy scan fails its own check, and compute ends in one error line."""
+    the whole build (or I2(m)'s closure), and the export ends in one error
+    line and exit 1; the lazy scan fails its own check, and compute ends in
+    one error line."""
     built_message, lazy_message, _ = GRADED_MUTANTS[change]
+    if isinstance(built_message, dict):
+        built_message = built_message[spec]
     mutate_closure(monkeypatch, spec, change)
     with pytest.raises(AssertionError) as exc:
         build_lattice(build_model(spec))
@@ -591,33 +610,40 @@ def every_pair_a_flat(mask, span, full, out):
     return [(mask | 1 << a, span + (a,)) for a in _lines(full & ~mask)]
 
 
-@pytest.mark.parametrize("spec, sizes, chambers", [("A2", (1, 3, 3, 1), 8),
-                                                   ("A3", (1, 6, 15, 1), 32),
-                                                   ("B2", (1, 4, 6, 1), 14)])
-def test_every_pair_a_flat_fails_the_chamber_count(spec, sizes, chambers, monkeypatch):
-    """Flats that are not closed, every pair of roots a flat, pass every
-    certificate of the whole build, but the lattice built has more
-    chambers than |W| (A2: 8, not 6)."""
+@pytest.mark.parametrize("spec", ["A2", "A3", "B2", "B3", "D4", "H3", "I2(5)", "A4", "F4"])
+def test_every_pair_a_flat_fails_the_span_check(spec, monkeypatch, capsys, tmp_path):
+    """Flats that are not closed, every pair of roots a flat: the closure
+    of a pair whose span holds a third root refuses it, on both paths.
+    The whole build passed A2, A3 and B2 with Boolean lattices, whose
+    chambers outnumber |W| (A2: 8, not 6), and ended I2(5) in a ValueError;
+    the lazy scan counted A3 = 2 and D4 = 12 straight through. compute and
+    export-lattice end in one error line and exit 1."""
     mutate_closure(monkeypatch, spec, every_pair_a_flat)
-    lattice, action = build_lattice_with_action(build_model(spec))
-    assert lattice.rank_sizes() == sizes
-    assert zaslavsky_chambers(lattice) == chambers != action.group_order
+    for build in (build_lattice, build_lattice_with_action, count_chain_orbits_lazily):
+        with pytest.raises(AssertionError, match=f"^{IN_SPAN}$"):
+            build(build_model(spec))
+    for argv in (["compute", spec, "--method", "bruteforce"],
+                 ["export-lattice", spec, str(tmp_path / "out.json")]):
+        assert run(capsys, *argv) == (cli.EXIT_FAIL, "", f"error: {IN_SPAN}\n")
+
+
+def least_root_spans(mask, span, full, out):
+    """Each cover spanned by its flat's span and its own least root, which
+    is a root of the flat itself whenever the flat holds the cover's least."""
+    return [(c, span + (_lines(c)[0],)) for c, _ in out]
 
 
 DEPENDENT = "a flat was reached with dependent roots"
 
 
-@pytest.mark.parametrize("spec", ["A2", "B2", "B3", "H3", "I2(5)"])
-def test_every_pair_a_flat_fails_the_lazy_independence_check(spec, monkeypatch, capsys):
-    """Flats that are not closed, every pair of roots a flat: the top is
-    reached from a pair with a third root, so its span is dependent, and
-    the lazy scan refuses it, where it counted B2 = 4 (K = 2) with exit 0.
-    compute ends in one error line and exit 1."""
-    mutate_closure(monkeypatch, spec, every_pair_a_flat)
-    with pytest.raises(AssertionError) as exc:
-        count_chain_orbits_lazily(build_model(spec))
-    assert str(exc.value) == DEPENDENT
-    code, out, err = run(capsys, "compute", spec, "--method", "bruteforce")
+def test_least_root_spans_fail_the_lazy_independence_check(monkeypatch, capsys):
+    """Covers spanned by their own least root: on E6 the lazy scan first
+    closes a flat whose span repeats a root and still holds the flat's
+    roots, and refuses it as dependent; compute ends in one error line."""
+    mutate_closure(monkeypatch, "E6", least_root_spans)
+    with pytest.raises(AssertionError, match=f"^{DEPENDENT}$"):
+        count_chain_orbits_lazily(build_model("E6"))
+    code, out, err = run(capsys, "compute", "E6", "--method", "bruteforce")
     assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {DEPENDENT}\n")
 
 
@@ -990,21 +1016,55 @@ def test_orbit_listed_before_the_canonicity_test_fails_the_hold_check(monkeypatc
     assert_lazy_scan_fails(capsys, "E6", HOLD)
 
 
+def unmoved_root(model):
+    """The least root line that every generator of the model fixes, or None."""
+    return next((i for i in range(len(model.vectors))
+                 if all(p[i] == i + 1 for p in model.gen_perms)), None)
+
+
+def swap_message(model, message):
+    """The message a swapped model fails with: the scan's refusal of a root
+    that no generator moves, if there is one, before the given one."""
+    root = unmoved_root(model)
+    return message if root is None else f"root {root} is moved by no generator"
+
+
 def test_swapped_generator_lines_fail_the_lazy_scan_at_once(monkeypatch, capsys):
     """No orbit transport checks the generators on the lazy path, and one
     that is not a symmetry can generate a group far larger than |W|: each
-    swap of two lines in one generator of B3 stops the stabiliser closure
-    as |orbit| |Stab| passes 48 and fails the per-atom certificate."""
+    swap of two lines in one generator of B3 that leaves no root fixed by
+    every generator stops the stabiliser closure as |orbit| |Stab| passes
+    48 and fails the per-atom certificate; the others fail as they name
+    the root that no generator moves."""
     model = build_model("B3")
+    message = r"atom \d+: \|orbit\| \* \|Stab\| passes its factor's \|W\| = 48"
     for g in range(len(model.gen_perms)):
         for i, j in itertools.combinations(range(len(model.roots)), 2):
             start = time.perf_counter()
-            with pytest.raises(AssertionError, match=r"^atom \d+: \|orbit\| \* \|Stab\| passes "
-                                                     r"its factor's \|W\| = 48$"):
-                count_chain_orbits_lazily(swapped(model, g, i, j))
+            mutant = swapped(model, g, i, j)
+            with pytest.raises(AssertionError, match=f"^{swap_message(mutant, message)}$"):
+                count_chain_orbits_lazily(mutant)
             assert time.perf_counter() - start < 1
     monkeypatch.setattr(cli, "build_model", lambda spec: swapped(model, 0, 0, 1))
     assert_compute_fails_a_certificate(capsys, "B3")
+
+
+@pytest.mark.parametrize("count", [count_chain_orbits_lazily,
+                                   lambda model: count_chain_orbits(*build_lattice_with_action(model))],
+                         ids=["lazy", "whole"])
+def test_root_moved_by_no_generator_fails_the_scan(count, monkeypatch, capsys):
+    """B2's generator 1 with the images of lines 0 and 3 swapped fixes every
+    line, so no generator moves root 3: the scan refuses it where it finds
+    each root's block, on both paths, where it ended in a KeyError at the
+    first atom; compute ends in one error line and exit 1."""
+    model = swapped(build_model("B2"), 1, 0, 3)
+    assert unmoved_root(model) == 3
+    message = "root 3 is moved by no generator"
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        count(model)
+    monkeypatch.setattr(cli, "build_model", lambda labels: model)
+    code, out, err = run(capsys, "compute", "B2", "--method", "bruteforce")
+    assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {message}\n")
 
 
 def test_swapped_generator_lines_fail_the_e6_scan_at_once(monkeypatch):
@@ -1038,9 +1098,10 @@ def test_swapped_generator_lines_fail_the_e6_scan_at_once(monkeypatch):
 def test_swapped_generator_lines_fail_verify(spec, monkeypatch, capsys):
     """verify's brute tier counts through the lazy scan and walks the line
     orbits from the coatoms that the scan closed. Each swap of two lines in
-    one generator fails the scan's per-atom certificate before the coatoms
-    are walked, so the tier never passes a wrong count: it fails, and
-    `verify` prints FAIL and exits 1."""
+    one generator fails the scan's per-atom certificate, or its refusal of
+    a root that no generator moves, before the coatoms are walked, so the
+    tier never passes a wrong count: it fails, and `verify` prints FAIL and
+    exits 1."""
     model = build_model(spec)
     monkeypatch.setattr(cli, "REQUIRED_BRUTE_TIER", [spec])
     message = (r"atom \d+: \|orbit\| \* \|Stab\| passes its factor's "
@@ -1049,14 +1110,16 @@ def test_swapped_generator_lines_fail_verify(spec, monkeypatch, capsys):
         "bruteforce-required-tier"]
     for g in range(len(model.gen_perms)):
         for i, j in itertools.combinations(range(len(model.vectors)), 2):
-            monkeypatch.setattr(cli, "build_model", lambda labels, m=swapped(model, g, i, j): m)
-            with pytest.raises(AssertionError, match=f"^{message}$"):
+            mutant = swapped(model, g, i, j)
+            monkeypatch.setattr(cli, "build_model", lambda labels, m=mutant: m)
+            with pytest.raises(AssertionError, match=f"^{swap_message(mutant, message)}$"):
                 check()
     code, out, _ = run(capsys, "verify")
     assert code == cli.EXIT_FAIL
     assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == [
         "bruteforce-required-tier"]
-    assert re.search(rf"FAIL  bruteforce-required-tier +\d+\.\d\ds  {message}\n", out)
+    assert re.search(rf"FAIL  bruteforce-required-tier +\d+\.\d\ds  "
+                     rf"{swap_message(mutant, message)}\n", out)
 
 
 @pytest.mark.parametrize("spec", [s for s in dict.fromkeys(
