@@ -627,13 +627,62 @@ def test_every_pair_a_flat_fails_the_span_check(spec, monkeypatch, capsys, tmp_p
         assert run(capsys, *argv) == (cli.EXIT_FAIL, "", f"error: {IN_SPAN}\n")
 
 
+DEPENDENT = "a flat was reached with dependent roots"
+
+
+def spanned_roots_join_the_first_cover(monkeypatch):
+    """Closures that let a root in the span of a flat that is not closed
+    join its first cover, and an I2(m) flat of two lines but not all be
+    covered by the top, where the closures refuse both: what stands behind
+    the span check when it is passed."""
+    def closure(lines, base, mask, span):
+        covers = {}
+        for a in _lines((1 << len(lines)) - 1 & ~mask):
+            key = lattice_module._residue(*base, lines[a]) or next(iter(covers), None)
+            covers.setdefault(key, [mask, a])[0] |= 1 << a
+        return [(cover, span + (a,)) for cover, a in covers.values()]
+
+    def dihedral_closure(m, mask, span):
+        if not mask:
+            return [(1 << k, (k,)) for k in range(m)]
+        off = (1 << m) - 1 & ~mask
+        return [((1 << m) - 1, span + ((off & -off).bit_length() - 1,))] if off else []
+    monkeypatch.setattr(lattice_module, "_closure", closure)
+    monkeypatch.setattr(lattice_module, "_dihedral_closure", dihedral_closure)
+
+
+@pytest.mark.parametrize("spec, sizes, chambers", [("A2", (1, 3, 3, 1), 8),
+                                                   ("A3", (1, 6, 15, 1), 32),
+                                                   ("B2", (1, 4, 6, 1), 14)])
+def test_every_pair_a_flat_fails_the_chamber_count(spec, sizes, chambers, monkeypatch):
+    """Flats that are not closed, every pair of roots a flat, past the
+    closure's span check: they pass every other certificate of the whole
+    build, but the lattice built has more chambers than |W| (A2: 8, not 6)."""
+    spanned_roots_join_the_first_cover(monkeypatch)
+    mutate_closure(monkeypatch, spec, every_pair_a_flat)
+    lattice, action = build_lattice_with_action(build_model(spec))
+    assert lattice.rank_sizes() == sizes
+    assert zaslavsky_chambers(lattice) == chambers != action.group_order
+
+
+@pytest.mark.parametrize("spec", ["A2", "B2", "B3", "H3", "I2(5)"])
+def test_every_pair_a_flat_fails_the_lazy_independence_check(spec, monkeypatch, capsys):
+    """Flats that are not closed, every pair of roots a flat, past the
+    closure's span check: the top is reached from a pair with a third root,
+    so its span is dependent, and the lazy scan refuses it, where it counted
+    B2 = 4 (K = 2) with exit 0. compute ends in one error line and exit 1."""
+    spanned_roots_join_the_first_cover(monkeypatch)
+    mutate_closure(monkeypatch, spec, every_pair_a_flat)
+    with pytest.raises(AssertionError, match=f"^{DEPENDENT}$"):
+        count_chain_orbits_lazily(build_model(spec))
+    code, out, err = run(capsys, "compute", spec, "--method", "bruteforce")
+    assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {DEPENDENT}\n")
+
+
 def least_root_spans(mask, span, full, out):
     """Each cover spanned by its flat's span and its own least root, which
     is a root of the flat itself whenever the flat holds the cover's least."""
     return [(c, span + (_lines(c)[0],)) for c, _ in out]
-
-
-DEPENDENT = "a flat was reached with dependent roots"
 
 
 def test_least_root_spans_fail_the_lazy_independence_check(monkeypatch, capsys):
