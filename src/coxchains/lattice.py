@@ -32,13 +32,15 @@ orbit of a state's covers once), over either path's covers and hypsets.
 Every command's brute force is `count_chain_orbits_lazily`; `verify` also
 walks the line orbits from the coatoms that scan closed
 (`count_chain_and_line_orbits_lazily`). That scan closes a flat only when
-it first reads its covers (`_Covers`), from an independent span, and
-certifies each state: the maximal chains above a flat, summed over its
-canonical covers times their orbit lengths under the chain stabiliser, must
-agree between stabilisers, and the state's orbit sizes sum to |W| / |Stab|
-times them. The library's `count_chain_orbits` scans a whole lattice, built by
-orbit transport, in one process unless asked for workers, and certifies
-that the orbit sizes sum to its maximal chains.
+it first reads its covers (`_Covers`), a product flat's joined from its
+factors' flats, each closed from an independent span and certified once
+per distinct factor model (`_factor_covers`), and certifies each state: the
+maximal chains above a flat, summed over its canonical covers times their
+orbit lengths under the chain stabiliser, must agree between stabilisers,
+and the state's orbit sizes sum to |W| / |Stab| times them. The library's
+`count_chain_orbits` scans a whole lattice, built by orbit transport, in
+one process unless asked for workers, and certifies that the orbit sizes
+sum to its maximal chains.
 """
 
 from __future__ import annotations
@@ -195,7 +197,8 @@ def _closure_of(model):
     whether the span is independent (one pivot per row of its roots)."""
     if isinstance(model, DihedralModel):
         return model.m, lambda mask, span: (_dihedral_closure(model.m, mask, span), lambda: (
-            len(span) > 1 or not mask & ~sum(1 << i for i in span)), len(span) <= 2)
+            len(set(span)) > 1 or not mask & ~sum(1 << i for i in set(span))),
+            len(set(span)) == len(span) <= 2)
     lines = _integer_lines(model)
 
     def closure(mask, span):
@@ -286,11 +289,14 @@ def _irreducible_lattice(model) -> IntersectionLattice:
 
 
 def _flat_bases(model: ReflectionModel, spans):
-    """Each flat's exact `Subspace`, from its spanning roots. Equal scalars
-    are stored once: E6's 4598 bases hold 161k entries but few values."""
+    """Each flat's exact `Subspace`, from its spanning roots, which must be
+    independent. Equal scalars are stored once: E6's 4598 bases hold 161k
+    entries but few values."""
     scalars, bases = {}, []
     for span in spans:
         sub = null_space([model.roots[i] for i in span], model.ambient)
+        if sub.dim != model.ambient - len(span):
+            raise AssertionError("a flat was reached with dependent roots")
         basis = tuple(tuple(scalars.setdefault(x, x) for x in row) for row in sub.basis)
         bases.append(Subspace(sub.ambient, basis))
     return bases
@@ -620,55 +626,43 @@ class _Covers(dict):
     covers[x] lists the indices of the flats directly above flat x, found
     the first time it is read, and `masks` grows with each new flat's
     hypset, the bottom at index 0. A product flat's covers are its
-    factors', joined; a factor's come from the closure the whole build
-    uses (`_closure_of`), memoized by hypset. Each flat is certified: each
-    root off it lies in exactly one of its covers; each cover adds a root
-    to it, so no scan climbs a flat to itself, and is one rank above it,
-    a flat's rank being the length of its span when the scan first reaches
-    it, summed over the factors; and each root of a factor's flat lies in
-    that span (where the whole build finds it in a flat the flat covers)."""
+    factors' certified covers (`_factor_covers`, one per distinct factor
+    model), joined: each changes one factor's part, so they partition the
+    roots off the flat, add a root and step one rank as its factors' do."""
 
     def __init__(self, factors):
         super().__init__()
         self.masks, self.ids = [0], {0: 0}
+        models = {id(f): _factor_covers(f) for f in factors}  # each shared model once
         self.factors = []  # per factor: its first line, its roots, its covers
         shift = 0
-        for width, closed in map(_factor_covers, factors):
+        for width, closed in (models[id(f)] for f in factors):
             self.factors.append((shift, (1 << width) - 1 << shift, closed))
             shift += width
         self.full = (1 << shift) - 1
 
     def __missing__(self, x):
         mask = self.masks[x]
-        ups, union, graded = [], mask, True
+        ups = []
         for shift, own, closed in self.factors:
             rest = mask & ~own
-            for c, step in closed((mask & own) >> shift):
-                graded &= step == 1
+            for c in closed((mask & own) >> shift):
                 c = rest | c << shift
-                if union & c & ~mask:
-                    raise AssertionError("a root off a flat lies in two of its covers")
-                union |= c
                 if c not in self.ids:
                     self.ids[c] = len(self.masks)
                     self.masks.append(c)
                 ups.append(self.ids[c])
-        if union != self.full:
-            raise AssertionError("a root off a flat lies in none of its covers")
-        if not all(self.masks[u] & ~mask for u in ups):
-            raise AssertionError("a cover of a flat adds no root to it")
-        if not graded:
-            raise AssertionError("a cover of a flat is not one rank above it")
         self[x] = ups
         return ups
 
 
 def _factor_covers(model):
-    """An irreducible model's root count, and its hypset -> its covers as
-    (hypset, rank step), memoized. A flat keeps the span it was first
-    reached with, which must hold its roots and be independent; a cover's
-    rank step is its span's length less the flat's, a product cover's step
-    too."""
+    """An irreducible model's root count, and its hypset -> its covers'
+    hypsets, memoized and certified: a flat keeps the span it was first
+    reached with, which must be independent and hold its roots (the whole
+    build finds each in a flat the flat covers); each root off it lies in
+    exactly one cover; each cover adds a root to it, so no scan climbs a
+    flat to itself, and is one rank above it, a rank being a span's length."""
     width, closure = _closure_of(model)
     spans = {0: ()}
 
@@ -679,10 +673,19 @@ def _factor_covers(model):
             raise AssertionError("a root of a flat lies off the span it was reached with")
         if not independent:
             raise AssertionError("a flat was reached with dependent roots")
+        union = mask
         for cover, span in out:
+            if union & cover & ~mask:
+                raise AssertionError("a root off a flat lies in two of its covers")
+            union |= cover
             spans.setdefault(cover, span)
-        rank = len(spans[mask])
-        return [(cover, len(spans[cover]) - rank) for cover, _ in out]
+        if union != (1 << width) - 1:
+            raise AssertionError("a root off a flat lies in none of its covers")
+        if not all(cover & ~mask for cover, _ in out):
+            raise AssertionError("a cover of a flat adds no root to it")
+        if any(len(spans[cover]) != len(spans[mask]) + 1 for cover, _ in out):
+            raise AssertionError("a cover of a flat is not one rank above it")
+        return [cover for cover, _ in out]
     return width, closed
 
 
@@ -720,7 +723,7 @@ def _line_orbits(blocks) -> dict:
     return {i: orbit for orbit in orbits for i in orbit}
 
 
-def _count_orbits(covers, masks, action, workers=1, total=None, chains=None) -> ChainOrbitCount:
+def _count_orbits(covers, masks, action, workers=1, total=None) -> ChainOrbitCount:
     """Orbit count of the group action on maximal chains over the flats'
     covers and hypsets, flat 0 the bottom, each orbit counted once, at its
     canonical chain: the chain that equals its own lexicographically
@@ -732,12 +735,13 @@ def _count_orbits(covers, masks, action, workers=1, total=None, chains=None) -> 
     canonical maximal chain c contributes the orbit size |W| / |Stab(c)|
     (`_scan_atoms`). Besides the scan's own checks, the orbit sizes times
     their multiplicities must sum to `total`, a built lattice's maximal
-    chains, or, with a dict `chains` that the scan fills, to |orbit| times
-    the chains above each canonical atom: either fails atom-line orbits
-    merged or split. Canonical atoms go round-robin to the workers, each
-    with its own memo, so the result is identical for any count."""
+    chains, or, given none, to |orbit| times the chains above each canonical
+    atom, certified state by state: either fails atom-line orbits merged or
+    split. Canonical atoms go round-robin to the workers, each with its own
+    memo, so the result is identical for any count."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    chains = {} if total is None else None
     orbits = _line_orbits(action.blocks)
     lines = sorted({o[0] for o in orbits.values()})
     counts, above = {1: 1}, 1  # rank 0: the bottom is the only chain
@@ -777,9 +781,10 @@ def count_chain_orbits_lazily(model) -> ChainOrbitCount:
     covers it reads (`_Covers`), so E6 closes 49 of its 4,598 flats, the
     bottom among them, in one process with one memo. The chain-count sum
     needs the whole lattice, so each state is certified on its own instead
-    (`_scan_atoms` with `chains`)."""
+    (`_scan_atoms` with `chains`), and each distinct factor flat once
+    (`_factor_covers`)."""
     covers = _Covers(_factors(model))
-    return _count_orbits(covers, covers.masks, _action(model), chains={})
+    return _count_orbits(covers, covers.masks, _action(model))
 
 
 def count_chain_and_line_orbits_lazily(model):
@@ -788,7 +793,7 @@ def count_chain_and_line_orbits_lazily(model):
     whose only cover is the top: each line is the coatom of a maximal chain,
     so the coatoms of the canonical chains meet every line orbit."""
     covers, action = _Covers(_factors(model)), _action(model)
-    count = _count_orbits(covers, covers.masks, action, chains={})
+    count = _count_orbits(covers, covers.masks, action)
     top = [covers.ids[covers.full]]
     coatoms = [covers.masks[x] for x, ups in covers.items() if ups == top]
     return count, sum(1 for _ in _orbit_walks(action.blocks, coatoms))

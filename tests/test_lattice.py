@@ -285,6 +285,24 @@ def test_repeated_factor_is_built_once(monkeypatch):
     assert lattice.rank_sizes() == (1, 12, 58, 144, 195, 144, 58, 12, 1)
 
 
+@pytest.mark.parametrize("spec, flats", [("A2xA2xA2xA2xA2xA2", 3), ("H3xH3", 7),
+                                         ("D4xD4", 13)])
+def test_lazy_scan_closes_each_factor_flat_once(spec, flats, monkeypatch):
+    """The lazy scan of a repeated factor closes each factor hypset once,
+    through one closure for every copy: A2^6 closes 3 A2 flats, not one set
+    per copy (18), and no product flat is closed on its own."""
+    closure, calls = lattice_module._closure, []
+
+    def counted(lines, base, mask, span):
+        calls.append((id(lines), mask))
+        return closure(lines, base, mask, span)
+
+    monkeypatch.setattr(lattice_module, "_closure", counted)
+    count_chain_orbits_lazily(build_model(spec))
+    assert len(calls) == len(set(calls)) == flats
+    assert len({lines for lines, _ in calls}) == 1
+
+
 def test_e6_lattice_invariants():
     """E6 without the every-flat closure: its flat count, maximal chains
     and chain orbits."""
@@ -455,6 +473,28 @@ def test_whole_arrangement_mutant_fails_its_certificate(spec, change, monkeypatc
     assert str(exc.value) == lazy_message
     code, out, err = run(capsys, "compute", spec, "--method", "bruteforce")
     assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {lazy_message}\n")
+
+
+@pytest.mark.parametrize("spec", ["H3xI2(5)", "I2(5)xH3"])
+@pytest.mark.parametrize("change", list(CLOSURE_MUTANTS) + list(WHOLE_MUTANTS),
+                         ids=lambda f: f.__name__)
+def test_factor_mutant_fails_the_product_scan(spec, change, monkeypatch, capsys):
+    """A faulty matrix closure fails a product's lazy scan with the message
+    it gives on H3 alone, whichever side H3 is on: the I2(5) factor closes
+    through its own closure, so only H3's flats are wrong, and the product
+    flats, joined from the factors' certified covers, need no check of
+    their own. compute ends in one error line and exit 1."""
+    if change in CLOSURE_MUTANTS:
+        monkeypatch.setattr(lattice_module, "_closure", at_the_bottom(change))
+        message = CLOSURE_MUTANTS[change][1]
+    else:
+        mutate_closure(monkeypatch, "H3", change)
+        message = WHOLE_MUTANTS[change][1]
+    with pytest.raises(AssertionError) as exc:
+        count_chain_orbits_lazily(build_model(spec))
+    assert str(exc.value) == message
+    code, out, err = run(capsys, "compute", spec, "--method", "bruteforce")
+    assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {message}\n")
 
 
 def send_long_atoms_to_the_top(monkeypatch):
@@ -694,6 +734,53 @@ def test_least_root_spans_fail_the_lazy_independence_check(monkeypatch, capsys):
         count_chain_orbits_lazily(build_model("E6"))
     code, out, err = run(capsys, "compute", "E6", "--method", "bruteforce")
     assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {DEPENDENT}\n")
+
+
+@pytest.mark.parametrize("spec", ["A2", "B2"])
+def test_least_root_spans_fail_the_export(spec, monkeypatch, capsys, tmp_path):
+    """Covers spanned by their own least root pass every certificate of
+    the whole build on A2 and B2, whose top is then reached from a span
+    that repeats a root; its exact basis has the wrong dimension (A2: two
+    vectors, where one is right), so the export refuses it and writes no
+    file.
+    Products and I2(m) export no bases, so `export-lattice A2xA1` still
+    writes its keys and codims under this mutant, and they are right."""
+    expected = lattice_to_json(build_lattice(build_model("A2xA1")))
+    mutate_closure(monkeypatch, spec, least_root_spans)
+    path = tmp_path / "out.json"
+    assert run(capsys, "export-lattice", spec, str(path)) == (
+        cli.EXIT_FAIL, "", f"error: {DEPENDENT}\n")
+    assert not path.exists()
+    assert run(capsys, "export-lattice", "A2xA1", str(path))[0] == cli.EXIT_OK
+    assert json.loads(path.read_text())["lattice"] == expected
+
+
+@pytest.mark.parametrize("spec", ["I2(5)", "I2(6)"])
+def test_least_root_spans_fail_the_dihedral_span_check(spec, monkeypatch, capsys):
+    """Covers spanned by their own least root reach I2(m)'s top from the
+    span (0, 0), one line twice: its span check counts distinct lines, so
+    the lazy scan refuses the top as off its span, as A2 and B2 do, where
+    it counted I2(5) = 1 and I2(6) = 2; compute ends in one error line."""
+    mutate_closure(monkeypatch, spec, least_root_spans)
+    with pytest.raises(AssertionError, match=f"^{OFF_SPAN}$"):
+        count_chain_orbits_lazily(build_model(spec))
+    code, out, err = run(capsys, "compute", spec, "--method", "bruteforce")
+    assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {OFF_SPAN}\n")
+
+
+@pytest.mark.parametrize("spec", ["A2", "H3", "I2(5)", "I2(6)"])
+def test_closure_span_tests_count_distinct_roots(spec):
+    """A span that repeats a root is dependent and spans that root's line
+    alone, in I2(m)'s closure as in the matrix closure's echelon form:
+    I2(m)'s tests counted the span's length, so (0, 0) passed as an
+    independent span of the plane."""
+    _, closure = lattice_module._closure_of(build_model(spec))
+    for span, independent in [((0,), True), ((0, 0), False)]:
+        _, spanned, found = closure(1, span)
+        assert spanned() and found == independent
+    if spec.startswith("I2"):
+        assert not closure(2, (0, 0))[1]()
+        assert not closure((1 << int(spec[3:-1])) - 1, (0, 0))[1]()
 
 
 @pytest.mark.parametrize("m", range(5, 31))
