@@ -16,7 +16,8 @@ export. A product's roots are its factors' roots in factor order, and its
 lattice is built in one pass over its factors'. No W-orbit is recorded:
 hypsets' orbits are walked along the generators' bit images by one walker
 (`_orbit_walks`), the generators acting alone (`GeneratorAction`), one
-block per irreducible factor with each factor's order. Chain orbits are
+block per irreducible factor with each factor's order, its generators
+certified as isometries of its roots (`_check_isometries`). Chain orbits are
 counted from atom stabilisers listed coset by coset (Dimino) from Schreier
 generators in their block; a block the chain has not entered, or entered at
 a line it fixes, counts as its factor's order. The count above a flat
@@ -209,16 +210,36 @@ def _closure_of(model):
     return len(lines), closure
 
 
+def _check_covers(mask, rank, covers, full):
+    """Certify a flat's covers, (hypset, rank) pairs: they partition the roots
+    off it up to `full`, each adds a root, so no scan climbs a flat to itself,
+    and each is one rank above it. Failures are raised in that order."""
+    union, idle, skips = mask, False, False
+    for cover, r in covers:
+        if union & cover & ~mask:
+            raise AssertionError("a root off a flat lies in two of its covers")
+        union |= cover
+        idle = idle or not cover & ~mask
+        skips = skips or r != rank + 1
+    if union != full:
+        raise AssertionError("a root off a flat lies in none of its covers")
+    if idle:
+        raise AssertionError("a cover of a flat adds no root to it")
+    if skips:
+        raise AssertionError("a cover of a flat is not one rank above it")
+
+
 def _irreducible_lattice(model) -> IntersectionLattice:
     """Build rank by rank, closing one flat per W-orbit (`_closure_of`).
 
     In FIFO order, a flat no earlier orbit reached is closed and its orbit
     walked breadth-first along the generators' line permutations: p gives
     p(y) the covers p(c) of y's covers c, and a new flat the sorted image
-    of y's span. Three checks certify that each generator is a symmetry:
-    the walk's last flat, closed again, has the carried covers; each root
-    off a flat lies in exactly one of its covers; each root of a flat of
-    rank >= 2 lies in a flat it covers. A flat's element is its spanning
+    of y's span. Four checks, in this order, certify that each generator is
+    a symmetry: the walk's last flat, closed again, has the carried covers;
+    every flat's covers pass `_check_covers`, a rank being a span's length;
+    each root of a flat of rank >= 2 lies in a flat it covers; each flat but
+    the bottom covers one. A flat's element is its spanning
     roots; `build_lattice` makes it a `Subspace`, or a dihedral flat's name.
     """
     n, closure = _closure_of(model)
@@ -257,18 +278,16 @@ def _irreducible_lattice(model) -> IntersectionLattice:
         if y != f and sorted(masks[c] for c in ups[y]) != sorted(
                 c for c, _ in closure(masks[y], spans[y])[0]):
             raise AssertionError(f"flat {spans[y]}: carried covers differ from its closure")
+    flats = [(mask, len(span)) for mask, span in zip(masks, spans)]  # (hypset, rank)
     below = [0] * len(masks)  # flat id -> union of the flats it covers
     for f, mask in enumerate(masks):
-        union = mask
+        _check_covers(*flats[f], list(map(flats.__getitem__, ups[f])), (1 << n) - 1)
         for c in ups[f]:
-            if union & masks[c] & ~mask:
-                raise AssertionError("a root off a flat lies in two of its covers")
-            union |= masks[c]
             below[c] |= mask
-        if union != (1 << n) - 1:
-            raise AssertionError("a root off a flat lies in none of its covers")
     if any(d != m and len(s) > 1 for m, d, s in zip(masks, below, spans)):
         raise AssertionError("a root of a flat lies in no flat it covers")
+    if len(set().union(*ups.values())) != len(masks) - 1:  # all but the bottom
+        raise AssertionError("non-bottom element with no cover below")
     order = sorted(range(len(masks)), key=lambda f: (len(spans[f]), hyps[f]))
     position = {f: i for i, f in enumerate(order)}
     rank = [len(spans[f]) for f in order]
@@ -282,7 +301,6 @@ def _irreducible_lattice(model) -> IntersectionLattice:
         essential_rank=rank[-1],
         hypsets=[masks[f] for f in order],
     )
-    _validate_graded(lattice)
     if rank.count(1) != n:
         raise AssertionError("rank-1 elements are not exactly the hyperplanes")
     return lattice
@@ -300,17 +318,6 @@ def _flat_bases(model: ReflectionModel, spans):
         basis = tuple(tuple(scalars.setdefault(x, x) for x in row) for row in sub.basis)
         bases.append(Subspace(sub.ambient, basis))
     return bases
-
-
-def _validate_graded(l: IntersectionLattice):
-    if l.rank.count(0) != 1:
-        raise AssertionError("bottom element is not unique")
-    if l.rank.count(l.essential_rank) != 1:
-        raise AssertionError("top element is not unique")
-    if any(l.rank[j] != r + 1 for r, ups in zip(l.rank, l.covers) for j in ups):
-        raise AssertionError("cover relation skips a rank")
-    if len(set().union(*l.covers)) != len(l.elements) - 1:  # all but the bottom
-        raise AssertionError("non-bottom element with no cover below")
 
 
 def _product_lattice(lats) -> IntersectionLattice:
@@ -422,10 +429,36 @@ def _factors(model) -> list:
     return [f for f, _ in model.factors] if isinstance(model, ProductModel) else [model]
 
 
+def _check_isometries(model):
+    """Refuse a generator s that is no isometry of the roots. I2(m)'s must send
+    line k to c + k or c - k mod m. A matrix model's must keep <s a, s b> = <a, b>,
+    signs included, for each simple root a and root b, exact over {1, phi} as
+    (u.v, u.(phi v)): the simple roots span the roots, so s is then a -> s a."""
+    n = len(model.gen_perms[0])
+    if isinstance(model, ReflectionModel):
+        vecs = model.vectors
+        phis = list(map(phi_times, vecs)) if model.field == FIELD_QSQRT5 else [()] * n
+
+        @functools.cache
+        def gram(i):  # <root i, point j> at j, <-root i, point j> at j + n (point j + n: -root j)
+            row = [(sum(map(operator.mul, vecs[i], v)), sum(map(operator.mul, vecs[i], w)))
+                   for v, w in zip(vecs, phis)]
+            return row + [(-a, -b) for a, b in row] + row
+    for g, perm in enumerate(model.gen_perms):
+        p = [abs(x) - 1 + n * (x < 0) for x in perm]  # root i -> its image point
+        if not (any([(q - p[0]) * e % n for q in p] == list(range(n)) for e in (1, -1))
+                if isinstance(model, DihedralModel) else all(
+                    list(map(gram(x % n)[x // n * n:].__getitem__, p)) == gram(s)[:n]
+                    for s, x in enumerate(p[:model.label.rank]))):
+            raise AssertionError(f"generator {g} is not an isometry of the roots")
+
+
 def _action(model) -> GeneratorAction:
     """Each factor's generators as permutations of the product's 2n signed
     roots, which are its factors' roots in factor order."""
     factors = _factors(model)
+    for f in {id(f): f for f in factors}.values():
+        _check_isometries(f)
     sizes = [len(f.gen_perms[0]) for f in factors]
     total = sum(sizes)
     blocks = []
@@ -660,9 +693,9 @@ def _factor_covers(model):
     """An irreducible model's root count, and its hypset -> its covers'
     hypsets, memoized and certified: a flat keeps the span it was first
     reached with, which must be independent and hold its roots (the whole
-    build finds each in a flat the flat covers); each root off it lies in
-    exactly one cover; each cover adds a root to it, so no scan climbs a
-    flat to itself, and is one rank above it, a rank being a span's length."""
+    build finds each in a flat the flat covers); then its covers pass the
+    check the whole build makes on every flat (`_check_covers`), a rank
+    being a span's length."""
     width, closure = _closure_of(model)
     spans = {0: ()}
 
@@ -673,18 +706,8 @@ def _factor_covers(model):
             raise AssertionError("a root of a flat lies off the span it was reached with")
         if not independent:
             raise AssertionError("a flat was reached with dependent roots")
-        union = mask
-        for cover, span in out:
-            if union & cover & ~mask:
-                raise AssertionError("a root off a flat lies in two of its covers")
-            union |= cover
-            spans.setdefault(cover, span)
-        if union != (1 << width) - 1:
-            raise AssertionError("a root off a flat lies in none of its covers")
-        if not all(cover & ~mask for cover, _ in out):
-            raise AssertionError("a cover of a flat adds no root to it")
-        if any(len(spans[cover]) != len(spans[mask]) + 1 for cover, _ in out):
-            raise AssertionError("a cover of a flat is not one rank above it")
+        covers = [(c, len(spans.setdefault(c, span))) for c, span in out]
+        _check_covers(mask, len(spans[mask]), covers, (1 << width) - 1)
         return [cover for cover, _ in out]
     return width, closed
 

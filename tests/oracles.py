@@ -10,7 +10,8 @@ lattice with every flat closed on integers by one null-vector test per
 cover, a product lattice folded pairwise from its factors, line
 stabilisers closed element by element, which the coset-by-coset listing
 must list, the chain scan that reaches every canonical chain, Zaslavsky's
-chamber count, which must be |W|, and the orbits of each rank from hypset
+chamber count, which must be |W|, the gradedness check that the whole
+build's per-flat cover check implies, and the orbits of each rank from hypset
 images, whose coatom orbits the generators' line walk must count.
 The recursion's label deletion rules are checked against deleting the
 vertex from the type's standard graph and classifying the components that
@@ -50,7 +51,6 @@ from coxchains.lattice import (
     _echelon,
     _integer_lines,
     _lines,
-    _validate_graded,
     build_lattice_with_action,
     count_maximal_chains,
 )
@@ -645,6 +645,17 @@ def null_vector_closure(vecs, lines, mask, span):
         seen |= cover
         out.append((cover, span + (a,)))
     return out
+
+
+def _validate_graded(l: IntersectionLattice):
+    if l.rank.count(0) != 1:
+        raise AssertionError("bottom element is not unique")
+    if l.rank.count(l.essential_rank) != 1:
+        raise AssertionError("top element is not unique")
+    if any(l.rank[j] != r + 1 for r, ups in zip(l.rank, l.covers) for j in ups):
+        raise AssertionError("cover relation skips a rank")
+    if len(set().union(*l.covers)) != len(l.elements) - 1:  # all but the bottom
+        raise AssertionError("non-bottom element with no cover below")
 
 
 def closure_matrix_lattice(model) -> IntersectionLattice:

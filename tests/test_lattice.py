@@ -24,7 +24,6 @@ from coxchains.lattice import (
     _echelon,
     _integer_lines,
     _lines,
-    _validate_graded,
     build_lattice,
     build_lattice_with_action,
     count_chain_and_line_orbits_lazily,
@@ -38,6 +37,7 @@ from coxchains.models import build_model
 from coxchains.recursion import KCalculator
 from oracles import (
     GroupActionTable,
+    _validate_graded,
     apply_matrix,
     bfs_orbits,
     bits,
@@ -327,9 +327,9 @@ CARRIED = "carried covers differ from its closure"
 NONE_BELOW = "a root of a flat lies in no flat it covers"
 BUILD_CERTIFICATES = [CARRIED, NONE_BELOW, IN_SPAN, "a root off a flat lies in two of its covers",
                       "a root off a flat lies in none of its covers",
+                      "a cover of a flat adds no root to it",
+                      "a cover of a flat is not one rank above it",
                       "rank-1 elements are not exactly the hyperplanes",
-                      "bottom element is not unique", "top element is not unique",
-                      "cover relation skips a rank", "non-top element with no cover above",
                       "non-bottom element with no cover below"]
 
 
@@ -448,11 +448,9 @@ def bottom_covered_by_the_top(mask, span, full, out):
     return out if mask else [(full, (0,))]
 
 
-SKIPS = "cover relation skips a rank"
 ADDS_NONE = "a cover of a flat adds no root to it"
 # mutant -> the certificate it trips in the whole build and in the lazy scan
-WHOLE_MUTANTS = {top_covers_itself: (SKIPS, ADDS_NONE),
-                 bottom_covered_by_the_top: (RANK_ONE, RANK_ONE)}
+WHOLE_MUTANTS = {top_covers_itself: ADDS_NONE, bottom_covered_by_the_top: RANK_ONE}
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "D4", "H3", "I2(5)", "I2(6)"])
@@ -460,19 +458,19 @@ WHOLE_MUTANTS = {top_covers_itself: (SKIPS, ADDS_NONE),
 def test_whole_arrangement_mutant_fails_its_certificate(spec, change, monkeypatch, capsys):
     """A top that covers itself, or a bottom whose one cover is the whole
     arrangement, fails the named certificate in the whole build and in the
-    lazy scan, through the closure that both share, dihedral or matrix;
-    compute ends in one error line and exit 1, not in a recursion that
-    ends in a traceback."""
-    built_message, lazy_message = WHOLE_MUTANTS[change]
+    lazy scan, through the closure and the cover check that both share,
+    dihedral or matrix; compute ends in one error line and exit 1, not in a
+    recursion that ends in a traceback."""
+    message = WHOLE_MUTANTS[change]
     mutate_closure(monkeypatch, spec, change)
     with pytest.raises(AssertionError) as exc:
         build_lattice_with_action(build_model(spec))
-    assert str(exc.value) == built_message
+    assert str(exc.value) == message
     with pytest.raises(AssertionError) as exc:
         count_chain_orbits_lazily(build_model(spec))
-    assert str(exc.value) == lazy_message
+    assert str(exc.value) == message
     code, out, err = run(capsys, "compute", spec, "--method", "bruteforce")
-    assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {lazy_message}\n")
+    assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("spec", ["H3xI2(5)", "I2(5)xH3"])
@@ -489,7 +487,7 @@ def test_factor_mutant_fails_the_product_scan(spec, change, monkeypatch, capsys)
         message = CLOSURE_MUTANTS[change][1]
     else:
         mutate_closure(monkeypatch, "H3", change)
-        message = WHOLE_MUTANTS[change][1]
+        message = WHOLE_MUTANTS[change]
     with pytest.raises(AssertionError) as exc:
         count_chain_orbits_lazily(build_model(spec))
     assert str(exc.value) == message
@@ -512,19 +510,20 @@ def send_long_atoms_to_the_top(monkeypatch):
     mutate_closure(monkeypatch, "B3", to_the_top)
 
 
+NOT_GRADED = "a cover of a flat is not one rank above it"
+
+
 def test_atom_orbit_sent_to_the_top_is_never_agreed(monkeypatch, capsys):
     """B3's six long-root atoms covered by the top alone: the whole build
-    finds a root of the top in no flat it covers, and compute does not
-    report agreement."""
+    reaches the top from a long-root atom, at rank 2, so the top is not one
+    rank above the planes it covers, and compute does not report
+    agreement."""
     send_long_atoms_to_the_top(monkeypatch)
     with pytest.raises(AssertionError) as exc:
         build_lattice_with_action(build_model("B3"))
-    assert str(exc.value) == NONE_BELOW
+    assert str(exc.value) == NOT_GRADED
     code, out, _ = run(capsys, "compute", "B3")
     assert code != cli.EXIT_OK and "agreement: ok" not in out
-
-
-NOT_GRADED = "a cover of a flat is not one rank above it"
 
 
 def test_atom_orbit_sent_to_the_top_fails_the_lazy_rank_check(monkeypatch, capsys):
@@ -555,34 +554,34 @@ def two_atoms_merged(mask, span, full, out):
     return [(c0 | c1, s0)] + rest
 
 
-BOTTOMS = "bottom element is not unique"
-TOPS = "top element is not unique"
 NO_COVER_BELOW = "non-bottom element with no cover below"
 RANK_TWO = ["A2", "B2", "I2(5)", "I2(6)"]
-# mutant -> the certificate it trips in the whole build (per type where they
-# differ), the one it trips in the lazy scan, and the types it is tried on.
-# On A2 and B2 two merged atoms leave the image of the merged atom under a
-# generator covered by no flat; I2(m)'s closure refuses the merged atom, two
-# lines that span the plane; on higher ranks the whole build finds the
-# merge earlier, as in CLOSURE_MUTANTS
+# mutant -> the certificate it trips on both paths, or the one it trips in
+# the whole build (per type where they differ) and the one it trips in the
+# lazy scan; and the types it is tried on. On A2 and B2 two merged atoms
+# leave the image of the merged atom under a generator covered by no flat;
+# I2(m)'s closure refuses the merged atom, two lines that span the plane;
+# on higher ranks the whole build finds the merge earlier, as in
+# CLOSURE_MUTANTS
 GRADED_MUTANTS = {
-    spans_gain_no_root: (BOTTOMS, NOT_GRADED, RANK_TWO + ["A3", "B3", "D4", "H3"]),
-    top_spanned_like_a_coatom: (TOPS, NOT_GRADED, RANK_TWO + ["A3", "B3", "D4", "H3"]),
-    two_atoms_merged: ({"A2": NO_COVER_BELOW, "B2": NO_COVER_BELOW, "I2(5)": IN_SPAN,
-                        "I2(6)": IN_SPAN}, RANK_ONE, RANK_TWO),
+    spans_gain_no_root: (NOT_GRADED, RANK_TWO + ["A3", "B3", "D4", "H3"]),
+    top_spanned_like_a_coatom: (NOT_GRADED, RANK_TWO + ["A3", "B3", "D4", "H3"]),
+    two_atoms_merged: (({"A2": NO_COVER_BELOW, "B2": NO_COVER_BELOW, "I2(5)": IN_SPAN,
+                         "I2(6)": IN_SPAN}, RANK_ONE), RANK_TWO),
 }
 
 
-@pytest.mark.parametrize("change, spec", [(c, s) for c, (*_, specs) in GRADED_MUTANTS.items()
+@pytest.mark.parametrize("change, spec", [(c, s) for c, (_, specs) in GRADED_MUTANTS.items()
                                           for s in specs],
                          ids=lambda x: getattr(x, "__name__", x))
 def test_graded_mutant_fails_its_certificate(change, spec, monkeypatch, capsys, tmp_path):
-    """Spans that gain no root, a top spanned like the coatom it covers, or
-    two atoms merged on a rank-2 type fail the named gradedness check of
-    the whole build (or I2(m)'s closure), and the export ends in one error
-    line and exit 1; the lazy scan fails its own check, and compute ends in
-    one error line."""
-    built_message, lazy_message, _ = GRADED_MUTANTS[change]
+    """Spans that gain no root, or a top spanned like the coatom it covers,
+    fail the rank check that both paths share; two atoms merged on a rank-2
+    type fail a check of the whole build (or I2(m)'s closure) and the lazy
+    rank-1 check. The export and compute each end in one error line and
+    exit 1."""
+    messages, _ = GRADED_MUTANTS[change]
+    built_message, lazy_message = (messages, messages) if isinstance(messages, str) else messages
     if isinstance(built_message, dict):
         built_message = built_message[spec]
     mutate_closure(monkeypatch, spec, change)
@@ -596,6 +595,56 @@ def test_graded_mutant_fails_its_certificate(change, spec, monkeypatch, capsys, 
     assert str(exc.value) == lazy_message
     code, out, err = run(capsys, "compute", spec, "--method", "bruteforce")
     assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {lazy_message}\n")
+
+
+def invariant_mutant(rng, full, rank):
+    """A `_closure` mutant drawn at random: one of six changes made to every
+    cover that adds j roots to a flat of rank r, a choice the generators
+    keep, so the change is carried along each orbit alike. Each cover is
+    spanned by its greatest new root, or one root more than its flat's
+    span, or its flat's span; loses its greatest new root, or becomes the
+    whole arrangement; or all of them are merged into one."""
+    r, j, change = rng.randrange(rank), rng.randrange(1, 4), rng.randrange(6)
+    closure = lattice_module._closure
+
+    def mutant(lines, base, mask, span):
+        out = closure(lines, base, mask, span)
+        hit = [k for k, (c, _) in enumerate(out) if bin(c & ~mask).count("1") == j]
+        if len(span) != r or not hit:
+            return out
+        if change == 5:
+            merged = functools.reduce(operator.or_, (out[k][0] for k in hit))
+            return [(merged, out[hit[0]][1])] + [x for k, x in enumerate(out) if k not in hit]
+        new = list(out)
+        for k in hit:
+            c, s = out[k]
+            top = (c & ~mask).bit_length() - 1
+            new[k] = [(c, s[:-1] + (top,)), (c, s + (top,)), (c, span),
+                      (c & ~(1 << top), s), (full, s)][change]
+        return new
+    return mutant
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "H3"])
+def test_whole_build_accepts_only_graded_lattices(spec, monkeypatch):
+    """The whole build makes no bottom, top or skipped-rank check of its own:
+    its per-flat cover check implies them. So under 60 seeded random closure
+    mutants each, every lattice it accepts passes the oracle's full
+    gradedness check, and every mutant it refuses ends in an AssertionError."""
+    model, rng = build_model(spec), random.Random(f"graded {spec}")
+    full, outcomes = (1 << len(model.vectors)) - 1, collections.Counter()
+    for _ in range(60):
+        monkeypatch.setattr(lattice_module, "_closure",
+                            invariant_mutant(rng, full, model.label.rank))
+        try:
+            lattice = lattice_module._irreducible_lattice(model)
+        except AssertionError:
+            outcomes["refused"] += 1
+        else:
+            _validate_graded(lattice)
+            outcomes["accepted"] += 1
+        monkeypatch.undo()
+    assert outcomes["accepted"] and outcomes["refused"]
 
 
 def two_root_planes_joined(mask, span, full, out):
@@ -613,18 +662,23 @@ def two_root_planes_joined(mask, span, full, out):
 OFF_SPAN = "a root of a flat lies off the span it was reached with"
 
 
+# the whole build's message where it is not NONE_BELOW
+JOINED_PLANES_BUILT = {"A4": NOT_GRADED, "B4": NOT_GRADED}
+
+
 @pytest.mark.parametrize("spec", ["B3", "D4", "A4", "B4", "F4"])
 def test_joined_planes_fail_the_lazy_span_check(spec, monkeypatch, capsys):
-    """Two-root planes above an atom joined into one cover: each cover is
-    still one rank above its flat, so the lazy scan's rank check passes,
-    and the whole build finds a root of the joined flat in no flat it
-    covers. The lazy scan finds a root of the joined flat off its span,
-    and compute ends in one error line and exit 1; without that check D4
-    printed 4, not 12, with exit 0."""
+    """Two-root planes above an atom joined into one cover: each cover of
+    an atom is still one rank above it, so the lazy scan's rank check
+    passes there. The whole build finds a root of the joined flat in no
+    flat it covers, or first, on A4 and B4, a flat with a cover that is not
+    one rank above it. The lazy scan finds a root of the joined flat off
+    its span, and compute ends in one error line and exit 1; without that
+    check D4 printed 4, not 12, with exit 0."""
     mutate_closure(monkeypatch, spec, two_root_planes_joined)
     with pytest.raises(AssertionError) as exc:
         build_lattice_with_action(build_model(spec))
-    assert str(exc.value) == NONE_BELOW
+    assert str(exc.value) == JOINED_PLANES_BUILT.get(spec, NONE_BELOW)
     with pytest.raises(AssertionError) as exc:
         count_chain_orbits_lazily(build_model(spec))
     assert str(exc.value) == OFF_SPAN
@@ -1158,44 +1212,60 @@ def unmoved_root(model):
                  if all(p[i] == i + 1 for p in model.gen_perms)), None)
 
 
-def swap_message(model, message):
-    """The message a swapped model fails with: the scan's refusal of a root
-    that no generator moves, if there is one, before the given one."""
-    root = unmoved_root(model)
-    return message if root is None else f"root {root} is moved by no generator"
+def no_isometry(g):
+    return f"generator {g} is not an isometry of the roots"
+
+
+BOTH_PATHS = pytest.mark.parametrize(
+    "count", [count_chain_orbits_lazily,
+              lambda model: count_chain_orbits(*build_lattice_with_action(model))],
+    ids=["lazy", "whole"])
+
+
+@BOTH_PATHS
+@pytest.mark.parametrize("spec, g, i, j", [("B2", 0, 1, 2), ("I2(6)", 0, 1, 5)])
+def test_generator_that_is_no_isometry_is_refused(spec, g, i, j, count, monkeypatch, capsys):
+    """B2's generator 0 with lines 1 and 2 swapped, or I2(6)'s with lines 1
+    and 5 swapped: on a rank-2 type every permutation of the lines is a
+    lattice automorphism, so the group it makes has order |W| and passed
+    every other certificate, and both paths counted 3 orbits, where K = 2.
+    Each generator is checked to be an isometry of the roots, on both
+    paths, and compute ends in one error line and exit 1."""
+    model = swapped(build_model(spec), g, i, j)
+    with pytest.raises(AssertionError, match=f"^{no_isometry(g)}$"):
+        count(model)
+    monkeypatch.setattr(cli, "build_model", lambda labels: model)
+    code, out, err = run(capsys, "compute", spec, "--method", "bruteforce")
+    assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {no_isometry(g)}\n")
 
 
 def test_swapped_generator_lines_fail_the_lazy_scan_at_once(monkeypatch, capsys):
     """No orbit transport checks the generators on the lazy path, and one
     that is not a symmetry can generate a group far larger than |W|: each
-    swap of two lines in one generator of B3 that leaves no root fixed by
-    every generator stops the stabiliser closure as |orbit| |Stab| passes
-    48 and fails the per-atom certificate; the others fail as they name
-    the root that no generator moves."""
+    swap of two lines in one generator of B3 is refused as no isometry of
+    the roots before any stabiliser is listed."""
     model = build_model("B3")
-    message = r"atom \d+: \|orbit\| \* \|Stab\| passes its factor's \|W\| = 48"
     for g in range(len(model.gen_perms)):
         for i, j in itertools.combinations(range(len(model.roots)), 2):
             start = time.perf_counter()
-            mutant = swapped(model, g, i, j)
-            with pytest.raises(AssertionError, match=f"^{swap_message(mutant, message)}$"):
-                count_chain_orbits_lazily(mutant)
+            with pytest.raises(AssertionError, match=f"^{no_isometry(g)}$"):
+                count_chain_orbits_lazily(swapped(model, g, i, j))
             assert time.perf_counter() - start < 1
     monkeypatch.setattr(cli, "build_model", lambda spec: swapped(model, 0, 0, 1))
     assert_compute_fails_a_certificate(capsys, "B3")
 
 
-@pytest.mark.parametrize("count", [count_chain_orbits_lazily,
-                                   lambda model: count_chain_orbits(*build_lattice_with_action(model))],
-                         ids=["lazy", "whole"])
+@BOTH_PATHS
 def test_root_moved_by_no_generator_fails_the_scan(count, monkeypatch, capsys):
-    """B2's generator 1 with the images of lines 0 and 3 swapped fixes every
-    line, so no generator moves root 3: the scan refuses it where it finds
-    each root's block, on both paths, where it ended in a KeyError at the
-    first atom; compute ends in one error line and exit 1."""
-    model = swapped(build_model("B2"), 1, 0, 3)
-    assert unmoved_root(model) == 3
-    message = "root 3 is moved by no generator"
+    """B2's generator 1 replaced by the identity, an isometry, leaves the
+    root e2 moved by no generator: the scan refuses it where it finds each
+    root's block, on both paths, where it ended in a KeyError at the first
+    atom; compute ends in one error line and exit 1."""
+    model = build_model("B2")
+    model = dataclasses.replace(model, gen_perms=[model.gen_perms[0], (1, 2, 3, 4)])
+    root = unmoved_root(model)
+    assert model.vectors[root] == (0, 1)
+    message = f"root {root} is moved by no generator"
     with pytest.raises(AssertionError, match=f"^{message}$"):
         count(model)
     monkeypatch.setattr(cli, "build_model", lambda labels: model)
@@ -1204,11 +1274,52 @@ def test_root_moved_by_no_generator_fails_the_scan(count, monkeypatch, capsys):
 
 
 def test_swapped_generator_lines_fail_the_e6_scan_at_once(monkeypatch):
-    """The same on E6, whose line stabiliser has 1,440 elements: each of 12
-    seeded swaps of two lines in one generator fails the per-atom
-    certificate within a second. The listing stops at most one coset past
-    |W| / |orbit|, so it never lists more than |W(E6)| = 51,840 elements."""
+    """The same on E6: each of 12 seeded swaps of two lines in one
+    generator is refused as no isometry within a second, before any line
+    stabiliser is listed."""
     model = build_model("E6")
+    listed = []
+    monkeypatch.setattr(lattice_module, "_stabiliser", lambda *args: listed.append(args))
+    swaps = random.Random(34)
+    for _ in range(12):
+        g = swaps.randrange(len(model.gen_perms))
+        i, j = swaps.sample(range(len(model.vectors)), 2)
+        start = time.perf_counter()
+        with pytest.raises(AssertionError, match=f"^{no_isometry(g)}$"):
+            count_chain_orbits_lazily(swapped(model, g, i, j))
+        assert time.perf_counter() - start < 1
+    assert not listed
+
+
+def fork_swap_for_generator_2(model):
+    """D4 with generator 2, the reflection in e3 - e4, replaced by e4 -> -e4,
+    which swaps the fork's simple roots e3 - e4 and e3 + e4."""
+    index = {v: i + 1 for i, v in enumerate(model.vectors)}
+    perm = [index.get(w) or -index[tuple(-x for x in w)]
+            for w in ((*v[:-1], -v[-1]) for v in model.vectors)]
+    return dataclasses.replace(model, gen_perms=[*model.gen_perms[:2], tuple(perm),
+                                                 *model.gen_perms[3:]])
+
+
+def minus_generator_0(model):
+    """E6 with generator 0, a reflection s, replaced by -s; -1 is not in W(E6)."""
+    return dataclasses.replace(model, gen_perms=[tuple(-x for x in model.gen_perms[0]),
+                                                 *model.gen_perms[1:]])
+
+
+@BOTH_PATHS
+@pytest.mark.parametrize("spec, change", [("D4", fork_swap_for_generator_2),
+                                          ("E6", minus_generator_0)],
+                         ids=["D4-fork_swap", "E6-minus_s"])
+def test_isometry_outside_w_fails_the_atom_certificate(spec, change, count, monkeypatch, capsys):
+    """A generator replaced by an isometry of the roots that is not in W
+    passes the isometry check but makes a group twice |W|: W(B4) for D4's
+    fork swap, W(E6) x {1, -1} for -s. The stabiliser listing of the first
+    canonical atom's line stops as |orbit| |Stab| passes |W|, tested after
+    each coset, so it never lists more than |W| elements, and the per-atom
+    certificate fails on both paths; compute ends in one error line."""
+    model = change(build_model(spec))
+    order = models.group_order(model.label)
     closure = lattice_module._stabiliser
     longest = [0]
 
@@ -1218,44 +1329,39 @@ def test_swapped_generator_lines_fail_the_e6_scan_at_once(monkeypatch):
         return size, elements
 
     monkeypatch.setattr(lattice_module, "_stabiliser", recorded)
-    swaps = random.Random(34)
-    for _ in range(12):
-        g = swaps.randrange(len(model.gen_perms))
-        i, j = swaps.sample(range(len(model.vectors)), 2)
-        start = time.perf_counter()
-        with pytest.raises(AssertionError, match=r"^atom \d+: \|orbit\| \* \|Stab\| passes "
-                                                 r"its factor's \|W\| = 51840$"):
-            count_chain_orbits_lazily(swapped(model, g, i, j))
-        assert time.perf_counter() - start < 1
-    assert 0 < longest[0] <= 51_840
+    message = rf"^atom \d+: \|orbit\| \* \|Stab\| passes its factor's \|W\| = {order}$"
+    with pytest.raises(AssertionError, match=message):
+        count(model)
+    assert 0 < longest[0] <= order
+    monkeypatch.setattr(cli, "build_model", lambda labels: model)
+    code, out, err = run(capsys, "compute", spec, "--method", "bruteforce")
+    assert (code, out) == (cli.EXIT_FAIL, "")
+    assert re.match(message, err.removeprefix("error: ").removesuffix("\n"))
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("spec", list(SWAP_TRIPS))
 def test_swapped_generator_lines_fail_verify(spec, monkeypatch, capsys):
     """verify's brute tier counts through the lazy scan and walks the line
     orbits from the coatoms that the scan closed. Each swap of two lines in
-    one generator fails the scan's per-atom certificate, or its refusal of
-    a root that no generator moves, before the coatoms are walked, so the
-    tier never passes a wrong count: it fails, and `verify` prints FAIL and
-    exits 1."""
+    one generator is refused as no isometry of the roots before the
+    coatoms are walked, so the tier never passes a wrong count: it fails,
+    and `verify` prints FAIL and exits 1."""
     model = build_model(spec)
     monkeypatch.setattr(cli, "REQUIRED_BRUTE_TIER", [spec])
-    message = (r"atom \d+: \|orbit\| \* \|Stab\| passes its factor's "
-               rf"\|W\| = {models.group_order(model.label)}")
     check = dict(cli._verify_checks(cli.build_parser().parse_args(["verify"])))[
         "bruteforce-required-tier"]
     for g in range(len(model.gen_perms)):
         for i, j in itertools.combinations(range(len(model.vectors)), 2):
             mutant = swapped(model, g, i, j)
             monkeypatch.setattr(cli, "build_model", lambda labels, m=mutant: m)
-            with pytest.raises(AssertionError, match=f"^{swap_message(mutant, message)}$"):
+            with pytest.raises(AssertionError, match=f"^{no_isometry(g)}$"):
                 check()
     code, out, _ = run(capsys, "verify")
     assert code == cli.EXIT_FAIL
     assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == [
         "bruteforce-required-tier"]
-    assert re.search(rf"FAIL  bruteforce-required-tier +\d+\.\d\ds  "
-                     rf"{swap_message(mutant, message)}\n", out)
+    assert re.search(rf"FAIL  bruteforce-required-tier +\d+\.\d\ds  {no_isometry(g)}\n", out)
 
 
 @pytest.mark.parametrize("spec", [s for s in dict.fromkeys(
