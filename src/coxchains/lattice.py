@@ -2,30 +2,31 @@
 
 A lattice element is identified with the set of reflecting hyperplanes
 containing it, kept as a bitmask of root indices (`hypsets`); a group
-element permutes root lines, hence hypsets. Every irreducible lattice has
-one build: one flat per W-orbit is closed by its model's closure, on plain
-integers for a matrix model (its integer root vectors made primitive, over
-Q(sqrt5) each with its product with phi, each root off the flat reduced
-once against the flat's fraction-free echelon form, the roots of one
-residue line one cover) and by index for I2(m) (its lines, then its top);
-the rest of its orbit, with its covers, is carried along the generators'
-line permutations and certified. The lazy scan closes its flats with the
-same closures. Exact `FieldScalar` arithmetic serves the export's flat
-bases only, from the roots the model derives from its vectors for the
-export. A product's roots are its factors' roots in factor order, and its
-lattice is built in one pass over its factors'. No W-orbit is recorded:
-hypsets' orbits are walked along the generators' bit images by one walker
-(`_orbit_walks`), the generators acting alone (`GeneratorAction`), one
-block per irreducible factor with each factor's order, its generators
-certified as isometries of its roots (`_check_isometries`). Chain orbits are
-counted from atom stabilisers listed coset by coset (Dimino) from Schreier
-generators in their block; a block the chain has not entered, or entered at
-a line it fixes, counts as its factor's order. The count above a flat
-depends on the flat and the chain stabiliser alone, kept as one interned
-part per block, so the scan is memoized on the two: a product's scan visits
-its factors' states, not their shuffles. States merge their counts as
-{orbit size: number of orbits}, kept as `ChainOrbitCount.size_counts`, so
-A1^16 counts its 16! orbits in one entry.
+element permutes root lines, hence hypsets. Both builds of an irreducible
+lattice, whole and lazy, certify its generators as signed permutations and
+isometries of its roots (`_check_generators`), then close and certify
+flats with one closer (`_factor_covers`) through the model's closure: on
+plain integers for a matrix model (its integer root vectors made
+primitive, over Q(sqrt5) each with its product with phi, each root off the
+flat reduced once against the flat's fraction-free echelon form, the roots
+of one residue line one cover) and by index for I2(m) (its lines, then its
+top). The whole build closes one flat per W-orbit and carries the rest of
+its orbit, with its covers, along the generators' line permutations,
+checking the span each carried flat keeps. Exact `FieldScalar` arithmetic
+serves the export's flat bases only. A product's roots are its factors'
+roots in factor order, and its lattice is built in one pass over its
+factors'. No W-orbit is recorded: hypsets' orbits are walked along the
+generators' bit images by one walker (`_orbit_walks`), the generators
+acting alone (`GeneratorAction`), one block per irreducible factor with
+each factor's order. Chain orbits are counted from atom stabilisers listed
+coset by coset (Dimino) from Schreier generators in their block; a block
+the chain has not entered, or entered at a line it fixes, counts as its
+factor's order. The count above a flat depends on the flat and the chain
+stabiliser alone, kept as one interned part per block, so the scan is
+memoized on the two: a product's scan visits its factors' states, not
+their shuffles. States merge their counts as {orbit size: number of
+orbits}, kept as `ChainOrbitCount.size_counts`, so A1^16 counts its 16!
+orbits in one entry.
 
 One driver (`_count_orbits`) counts the chain orbits above the canonical
 atoms of the generators' atom-line orbits (`_scan_atoms`, which maps each
@@ -34,14 +35,13 @@ Every command's brute force is `count_chain_orbits_lazily`; `verify` also
 walks the line orbits from the coatoms that scan closed
 (`count_chain_and_line_orbits_lazily`). That scan closes a flat only when
 it first reads its covers (`_Covers`), a product flat's joined from its
-factors' flats, each closed from an independent span and certified once
-per distinct factor model (`_factor_covers`), and certifies each state: the
-maximal chains above a flat, summed over its canonical covers times their
-orbit lengths under the chain stabiliser, must agree between stabilisers,
-and the state's orbit sizes sum to |W| / |Stab| times them. The library's
-`count_chain_orbits` scans a whole lattice, built by orbit transport, in
-one process unless asked for workers, and certifies that the orbit sizes
-sum to its maximal chains.
+factors' flats, each closed and certified once per distinct factor model,
+and certifies each state: the maximal chains above a flat, summed over its
+canonical covers times their orbit lengths under the chain stabiliser, must
+agree between stabilisers, and the state's orbit sizes sum to |W| / |Stab|
+times them. The library's `count_chain_orbits` scans a whole lattice, built
+by orbit transport, in one process unless asked for workers, and certifies
+that the orbit sizes sum to its maximal chains.
 """
 
 from __future__ import annotations
@@ -193,29 +193,33 @@ def _dihedral_closure(m, mask, span):
 
 def _closure_of(model):
     """An irreducible model's root count and its closure: (mask, span) ->
-    the covers (hypset, spanning roots) of the flat `mask` spanned by `span`,
-    a test, on their echelon form, that each root of `mask` lies in it, and
-    whether the span is independent (one pivot per row of its roots)."""
+    a thunk for the covers (hypset, spanning roots) of the flat `mask`
+    spanned by `span`, a test that each root of `mask` lies in the span,
+    and whether it is independent (one pivot per row of its roots)."""
     if isinstance(model, DihedralModel):
-        return model.m, lambda mask, span: (_dihedral_closure(model.m, mask, span), lambda: (
-            len(set(span)) > 1 or not mask & ~sum(1 << i for i in set(span))),
+        return model.m, lambda mask, span: (
+            lambda: _dihedral_closure(model.m, mask, span),
+            lambda: len(set(span)) > 1 or not mask & ~sum(1 << i for i in set(span)),
             len(set(span)) == len(span) <= 2)
     lines = _integer_lines(model)
 
     def closure(mask, span):
         base = _echelon((), (), [row for i in span for row in lines[i]])
-        return _closure(lines, base, mask, span), lambda: not any(
-            any(_reduce(*base, row)) for i in _lines(mask & ~sum(1 << i for i in span))
+        return lambda: _closure(lines, base, mask, span), lambda: not any(
+            any(_reduce(*base, row)) for i in _lines(mask & ~sum(1 << i for i in set(span)))
             for row in lines[i]), len(base[1]) == sum(len(lines[i]) for i in span)
     return len(lines), closure
 
 
 def _check_covers(mask, rank, covers, full):
-    """Certify a flat's covers, (hypset, rank) pairs: they partition the roots
-    off it up to `full`, each adds a root, so no scan climbs a flat to itself,
-    and each is one rank above it. Failures are raised in that order."""
+    """Certify a flat's covers, (hypset, rank) pairs: each holds it, they
+    partition the roots off it up to `full`, each adds a root, so no scan
+    climbs a flat to itself, and each is one rank above it. Failures are
+    raised in that order, the first two cover by cover."""
     union, idle, skips = mask, False, False
     for cover, r in covers:
+        if mask & ~cover:
+            raise AssertionError("a cover of a flat does not hold it")
         if union & cover & ~mask:
             raise AssertionError("a root off a flat lies in two of its covers")
         union |= cover
@@ -230,70 +234,59 @@ def _check_covers(mask, rank, covers, full):
 
 
 def _irreducible_lattice(model) -> IntersectionLattice:
-    """Build rank by rank, closing one flat per W-orbit (`_closure_of`).
+    """Build rank by rank, closing one flat per W-orbit (`_factor_covers`).
 
-    In FIFO order, a flat no earlier orbit reached is closed and its orbit
-    walked breadth-first along the generators' line permutations: p gives
-    p(y) the covers p(c) of y's covers c, and a new flat the sorted image
-    of y's span. Four checks, in this order, certify that each generator is
-    a symmetry: the walk's last flat, closed again, has the carried covers;
-    every flat's covers pass `_check_covers`, a rank being a span's length;
-    each root of a flat of rank >= 2 lies in a flat it covers; each flat but
-    the bottom covers one. A flat's element is its spanning
-    roots; `build_lattice` makes it a `Subspace`, or a dihedral flat's name.
+    In FIFO order, a flat no earlier orbit reached is closed and certified,
+    and its orbit walked breadth-first along the generators' line
+    permutations: p gives p(y) the covers p(c) of y's covers c, and a new
+    flat the sorted image of y's span, in the record the closure reads.
+    Each p, certified as a signed permutation and an isometry of the roots,
+    maps flats to flats and covers to covers. The walk first reaches p(y)
+    from a certified y, so the span p(y) keeps, perhaps recorded as a
+    closed flat's cover, is checked there against the image of y's
+    (`carried`). A flat's element is its spanning roots; `build_lattice`
+    makes it a `Subspace`, or a dihedral flat's name.
     """
-    n, closure = _closure_of(model)
-    for g, p in enumerate(model.gen_perms):
-        if sorted(map(abs, p)) != list(range(1, n + 1)):
-            raise AssertionError(f"generator {g} is not a signed permutation of the {n} root lines")
+    _, closed, spans, carried = _factor_covers(model)
     gens = [[1 << abs(x) - 1 for x in p] for p in model.gen_perms]  # line i -> bit
-    masks, hyps, spans = [0], [[]], [()]  # per flat: hypset, its roots, a span
+    masks, hyps = [0], [[]]  # per flat: hypset, its roots
     ups, ids = {}, {0: 0}  # flat id -> ids of the flats covering it; hypset -> id
 
-    def add(mask, span):
+    def add(mask):
         if mask not in ids:
             ids[mask] = len(masks)
             masks.append(mask)
             hyps.append(_lines(mask))
-            spans.append(span)
         return ids[mask]
 
+    def image(bits, y):  # of y's span
+        return tuple(sorted(bits[i].bit_length() - 1 for i in spans[masks[y]]))
+
     def moved(bits, y):
-        image = sum(map(bits.__getitem__, hyps[y]))
-        if image in ids:
-            return ids[image]
-        return add(image, tuple(sorted(bits[i].bit_length() - 1 for i in spans[y])))
+        mask = sum(map(bits.__getitem__, hyps[y]))
+        if mask not in spans:
+            spans[mask] = image(bits, y)
+        return add(mask)
 
     for f, mask in enumerate(masks):
         if f in ups:
             continue
-        ups[f] = [add(*cover) for cover in closure(mask, spans[f])[0]]
+        ups[f] = list(map(add, closed(mask)))
         walk = [f]
-        for y in walk:  # ends at the walk's last flat
+        for y in walk:
             for bits in gens:
                 z = moved(bits, y)
                 if z not in ups:
+                    carried(masks[z], image(bits, y))
                     ups[z] = [moved(bits, c) for c in ups[y]]
                     walk.append(z)
-        if y != f and sorted(masks[c] for c in ups[y]) != sorted(
-                c for c, _ in closure(masks[y], spans[y])[0]):
-            raise AssertionError(f"flat {spans[y]}: carried covers differ from its closure")
-    flats = [(mask, len(span)) for mask, span in zip(masks, spans)]  # (hypset, rank)
-    below = [0] * len(masks)  # flat id -> union of the flats it covers
-    for f, mask in enumerate(masks):
-        _check_covers(*flats[f], list(map(flats.__getitem__, ups[f])), (1 << n) - 1)
-        for c in ups[f]:
-            below[c] |= mask
-    if any(d != m and len(s) > 1 for m, d, s in zip(masks, below, spans)):
-        raise AssertionError("a root of a flat lies in no flat it covers")
-    if len(set().union(*ups.values())) != len(masks) - 1:  # all but the bottom
-        raise AssertionError("non-bottom element with no cover below")
-    order = sorted(range(len(masks)), key=lambda f: (len(spans[f]), hyps[f]))
+    span = [spans[mask] for mask in masks]
+    order = sorted(range(len(masks)), key=lambda f: (len(span[f]), hyps[f]))
     position = {f: i for i, f in enumerate(order)}
-    rank = [len(spans[f]) for f in order]
-    lattice = IntersectionLattice(
+    rank = [len(span[f]) for f in order]
+    return IntersectionLattice(
         kind="dihedral" if isinstance(model, DihedralModel) else "matrix",
-        elements=[spans[f] for f in order],
+        elements=[span[f] for f in order],
         rank=rank,
         covers=[sorted(position[c] for c in ups[f]) for f in order],
         bottom=0,
@@ -301,9 +294,6 @@ def _irreducible_lattice(model) -> IntersectionLattice:
         essential_rank=rank[-1],
         hypsets=[masks[f] for f in order],
     )
-    if rank.count(1) != n:
-        raise AssertionError("rank-1 elements are not exactly the hyperplanes")
-    return lattice
 
 
 def _flat_bases(model: ReflectionModel, spans):
@@ -429,12 +419,12 @@ def _factors(model) -> list:
     return [f for f, _ in model.factors] if isinstance(model, ProductModel) else [model]
 
 
-def _check_isometries(model):
-    """Refuse a generator s that is no isometry of the roots. I2(m)'s must send
-    line k to c + k or c - k mod m. A matrix model's must keep <s a, s b> = <a, b>,
-    signs included, for each simple root a and root b, exact over {1, phi} as
+def _check_generators(model, n):
+    """Refuse a generator s that is no signed permutation of the n root lines,
+    then one that is no isometry of the roots. I2(m)'s must send line k to
+    c + k or c - k mod m. A matrix model's must keep <s a, s b> = <a, b>, signs
+    included, for each simple root a and root b, exact over {1, phi} as
     (u.v, u.(phi v)): the simple roots span the roots, so s is then a -> s a."""
-    n = len(model.gen_perms[0])
     if isinstance(model, ReflectionModel):
         vecs = model.vectors
         phis = list(map(phi_times, vecs)) if model.field == FIELD_QSQRT5 else [()] * n
@@ -445,6 +435,8 @@ def _check_isometries(model):
                    for v, w in zip(vecs, phis)]
             return row + [(-a, -b) for a, b in row] + row
     for g, perm in enumerate(model.gen_perms):
+        if sorted(map(abs, perm)) != list(range(1, n + 1)):
+            raise AssertionError(f"generator {g} is not a signed permutation of the {n} root lines")
         p = [abs(x) - 1 + n * (x < 0) for x in perm]  # root i -> its image point
         if not (any([(q - p[0]) * e % n for q in p] == list(range(n)) for e in (1, -1))
                 if isinstance(model, DihedralModel) else all(
@@ -455,10 +447,9 @@ def _check_isometries(model):
 
 def _action(model) -> GeneratorAction:
     """Each factor's generators as permutations of the product's 2n signed
-    roots, which are its factors' roots in factor order."""
+    roots, which are its factors' roots in factor order. Every caller builds
+    or scans the lattice first, which certifies them (`_check_generators`)."""
     factors = _factors(model)
-    for f in {id(f): f for f in factors}.values():
-        _check_isometries(f)
     sizes = [len(f.gen_perms[0]) for f in factors]
     total = sum(sizes)
     blocks = []
@@ -669,7 +660,7 @@ class _Covers(dict):
         models = {id(f): _factor_covers(f) for f in factors}  # each shared model once
         self.factors = []  # per factor: its first line, its roots, its covers
         shift = 0
-        for width, closed in (models[id(f)] for f in factors):
+        for width, closed, *_ in (models[id(f)] for f in factors):
             self.factors.append((shift, (1 << width) - 1 << shift, closed))
             shift += width
         self.full = (1 << shift) - 1
@@ -690,26 +681,42 @@ class _Covers(dict):
 
 
 def _factor_covers(model):
-    """An irreducible model's root count, and its hypset -> its covers'
-    hypsets, memoized and certified: a flat keeps the span it was first
-    reached with, which must be independent and hold its roots (the whole
-    build finds each in a flat the flat covers); then its covers pass the
-    check the whole build makes on every flat (`_check_covers`), a rank
-    being a span's length."""
+    """An irreducible model's root count, its hypset -> its covers' hypsets,
+    memoized and certified, its hypset -> span record and the whole build's
+    check of a carried flat's span. Its generators are certified first
+    (`_check_generators`). A flat keeps the span it was first reached with,
+    which must be independent and hold its roots, and no root off it lies
+    in that span (`_closure`); then its covers pass `_check_covers`, a rank
+    being a span's length. So a closed flat is the roots of a subspace of
+    its span's dimension, and its covers are its covers in the lattice. A
+    carried flat's span must be the image of the certified span it was
+    carried from, or lie in the flat and pass the same two span tests."""
     width, closure = _closure_of(model)
+    _check_generators(model, width)
     spans = {0: ()}
 
-    @functools.cache
-    def closed(mask):
-        out, spanned, independent = closure(mask, spans[mask])
+    def certify(spanned, independent):
         if not spanned():
             raise AssertionError("a root of a flat lies off the span it was reached with")
         if not independent:
             raise AssertionError("a flat was reached with dependent roots")
+
+    @functools.cache
+    def closed(mask):
+        out, *tests = closure(mask, spans[mask])
+        out = out()
+        certify(*tests)
         covers = [(c, len(spans.setdefault(c, span))) for c, span in out]
         _check_covers(mask, len(spans[mask]), covers, (1 << width) - 1)
         return [cover for cover, _ in out]
-    return width, closed
+
+    def carried(mask, image):
+        span = spans.setdefault(mask, image)
+        if span != image:
+            if sum(1 << i for i in set(span)) & ~mask:
+                raise AssertionError("a root off a flat lies in its span")
+            certify(*closure(mask, span)[1:])
+    return width, closed, spans, carried
 
 
 def _orbit_walks(blocks, seeds, within=None):

@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -291,6 +292,41 @@ def test_table_csv_contract_and_determinism(capsys):
 def test_closed_form_value_handles_products():
     assert cli.closed_form_value("B2xA1") == 6
     assert cli.closed_form_value("1") == 1
+
+
+def test_closed_forms_run_no_code_of_the_recursion(capsys, monkeypatch):
+    """`compute --method closed` shares no code with the recursion, so a
+    fault there cannot make `--method all` agree wrongly: every function
+    that `coxchains.recursion` defines raises, in that module and wherever
+    cli binds it, and D12xB9xA7 still prints the recursion's value. cli
+    glued the factors with the recursion's `multinomial`."""
+    value = run(capsys, "compute", "D12xB9xA7", "--method", "recursion")[1]
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("the recursion's code ran")
+
+    for name, f in vars(recursion).copy().items():
+        if inspect.isfunction(f) and f.__module__ == recursion.__name__:
+            monkeypatch.setattr(recursion, name, broken)
+            for bound, g in vars(cli).copy().items():
+                if g is f:
+                    monkeypatch.setattr(cli, bound, broken)
+    assert run(capsys, "compute", "D12xB9xA7", "--method", "closed") == (cli.EXIT_OK, value, "")
+
+
+def test_parity_check_reads_the_recursion(capsys, monkeypatch):
+    """verify's parity check compares the recursion's K(D_n) - Kbar(D_n)
+    with T_n, n <= 12: a recursion K(D6) off by one fails it, and `verify`
+    exits 1. It compared two closed forms over the same zigzag numbers, so
+    it passed."""
+    k_value = recursion.KCalculator.k_value
+    monkeypatch.setattr(recursion.KCalculator, "k_value",
+                        lambda self, g: k_value(self, g) + (g == "D6"))
+    check = dict(cli._verify_checks(cli.build_parser().parse_args(["verify"])))["parity"]
+    assert check() == (False, "d_6 - bar d_6 = 62, expected 61")
+    code, out, _ = run(capsys, "verify")
+    assert code == cli.EXIT_FAIL
+    assert re.search(r"^FAIL  parity +\d+\.\d\ds  d_6 - bar d_6 = 62, expected 61$", out, re.M)
 
 
 def test_cache_cold_then_warm_identical(capsys, tmp_path):

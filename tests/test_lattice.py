@@ -202,6 +202,8 @@ def echelon_of(lines, span):
 
 
 IN_SPAN = "a root off a flat lies in its span"
+OFF_SPAN = "a root of a flat lies off the span it was reached with"
+DEPENDENT = "a flat was reached with dependent roots"
 CLOSED_SPECS = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "D4", "D5",
                 "F4", "H3", "E6"]
 
@@ -323,19 +325,17 @@ def swapped(model, g, i, j):
 
 
 # the certificates of the matrix build, by the end of their messages
-CARRIED = "carried covers differ from its closure"
-NONE_BELOW = "a root of a flat lies in no flat it covers"
-BUILD_CERTIFICATES = [CARRIED, NONE_BELOW, IN_SPAN, "a root off a flat lies in two of its covers",
+NOT_ISOMETRY = "is not an isometry of the roots"
+BUILD_CERTIFICATES = [NOT_ISOMETRY, IN_SPAN, OFF_SPAN, DEPENDENT,
+                      "a cover of a flat does not hold it",
+                      "a root off a flat lies in two of its covers",
                       "a root off a flat lies in none of its covers",
                       "a cover of a flat adds no root to it",
-                      "a cover of a flat is not one rank above it",
-                      "rank-1 elements are not exactly the hyperplanes",
-                      "non-bottom element with no cover below"]
+                      "a cover of a flat is not one rank above it"]
 
 
 # the certificates that some swap of two lines in one generator trips
-SWAP_TRIPS = {"A3": {CARRIED, NONE_BELOW, IN_SPAN}, "B3": {CARRIED, IN_SPAN},
-              "D4": {CARRIED, IN_SPAN}, "H3": {CARRIED, IN_SPAN}}
+SWAP_TRIPS = {spec: {NOT_ISOMETRY} for spec in ["A3", "B3", "D4", "H3"]}
 
 
 @pytest.mark.parametrize("spec", list(SWAP_TRIPS))
@@ -343,7 +343,8 @@ def test_swapped_generator_lines_fail_the_build(spec):
     """Transport along a permutation that is not a symmetry of the
     arrangement must not pass: every swap of two lines in any one generator
     fails one of the build's certificates, and these are the ones some swap
-    trips."""
+    trips. The generators are certified before any flat is closed, so each
+    swap is refused as no isometry of the roots."""
     model = build_model(spec)
     seen = set()
     for g in range(len(model.gen_perms)):
@@ -356,18 +357,22 @@ def test_swapped_generator_lines_fail_the_build(spec):
     assert seen == SWAP_TRIPS[spec]
 
 
-@pytest.mark.parametrize("build", [build_lattice_with_action, build_lattice])
+@pytest.mark.parametrize("build", [build_lattice_with_action, build_lattice,
+                                   count_chain_orbits_lazily])
 def test_generator_that_is_no_permutation_fails_the_build(build):
     """A generator that sends two root lines to one, here A3's second with
-    entry 5 set to entry 0, is refused by name before any flat is carried
-    along it, where the carry indexed past the root lines."""
+    entry 5 set to 6, the value of entry 0, or sends a line to none, entry 5
+    set to 0, is refused by name on every path before its isometry test,
+    where a 0 read the Gram rows at a negative index, and before any flat
+    is carried along it, where the carry indexed past the root lines."""
     model = build_model("A3")
-    perms = list(model.gen_perms)
-    perms[1] = perms[1][:5] + perms[1][:1]
-    assert perms[1] == (6, -2, 4, 3, 5, 6)
-    with pytest.raises(AssertionError, match="^generator 1 is not a signed permutation "
-                                             "of the 6 root lines$"):
-        build(dataclasses.replace(model, gen_perms=perms))
+    assert model.gen_perms[1] == (6, -2, 4, 3, 5, 1)
+    for entry in (6, 0):
+        perms = list(model.gen_perms)
+        perms[1] = perms[1][:5] + (entry,)
+        with pytest.raises(AssertionError, match="^generator 1 is not a signed permutation "
+                                                 "of the 6 root lines$"):
+            build(dataclasses.replace(model, gen_perms=perms))
 
 
 def at_the_bottom(change):
@@ -400,11 +405,10 @@ NONE_OF = "a root off a flat lies in none of its covers"
 TWO_OF = "a root off a flat lies in two of its covers"
 RANK_ONE = "rank-1 elements are not exactly the hyperplanes"
 # mutant -> the certificate it trips in the whole build and in the lazy scan.
-# The whole build closes the covers of the merged two-root atom too, and a
-# root of each lies in no flat it covers, a check it makes before counting
-# the rank-1 flats
+# The whole build closes the merged two-root atom, one of whose roots lies
+# off its one-root span; the lazy scan counts the rank-1 flats first
 CLOSURE_MUTANTS = {drop_a_root: (NONE_OF, NONE_OF), a_root_in_two: (TWO_OF, TWO_OF),
-                   merge_two_atoms: (NONE_BELOW, RANK_ONE)}
+                   merge_two_atoms: (OFF_SPAN, RANK_ONE)}
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "D4", "H3"])
@@ -449,8 +453,11 @@ def bottom_covered_by_the_top(mask, span, full, out):
 
 
 ADDS_NONE = "a cover of a flat adds no root to it"
-# mutant -> the certificate it trips in the whole build and in the lazy scan
-WHOLE_MUTANTS = {top_covers_itself: ADDS_NONE, bottom_covered_by_the_top: RANK_ONE}
+# mutant -> the certificate it trips in the whole build and in the lazy scan.
+# The whole build closes the top spanned by one root, which holds roots off
+# that span; the lazy scan counts the rank-1 flats first
+WHOLE_MUTANTS = {top_covers_itself: (ADDS_NONE, ADDS_NONE),
+                 bottom_covered_by_the_top: (OFF_SPAN, RANK_ONE)}
 
 
 @pytest.mark.parametrize("spec", ["A3", "B3", "D4", "H3", "I2(5)", "I2(6)"])
@@ -461,16 +468,16 @@ def test_whole_arrangement_mutant_fails_its_certificate(spec, change, monkeypatc
     lazy scan, through the closure and the cover check that both share,
     dihedral or matrix; compute ends in one error line and exit 1, not in a
     recursion that ends in a traceback."""
-    message = WHOLE_MUTANTS[change]
+    built_message, lazy_message = WHOLE_MUTANTS[change]
     mutate_closure(monkeypatch, spec, change)
     with pytest.raises(AssertionError) as exc:
         build_lattice_with_action(build_model(spec))
-    assert str(exc.value) == message
+    assert str(exc.value) == built_message
     with pytest.raises(AssertionError) as exc:
         count_chain_orbits_lazily(build_model(spec))
-    assert str(exc.value) == message
+    assert str(exc.value) == lazy_message
     code, out, err = run(capsys, "compute", spec, "--method", "bruteforce")
-    assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {message}\n")
+    assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {lazy_message}\n")
 
 
 @pytest.mark.parametrize("spec", ["H3xI2(5)", "I2(5)xH3"])
@@ -487,7 +494,7 @@ def test_factor_mutant_fails_the_product_scan(spec, change, monkeypatch, capsys)
         message = CLOSURE_MUTANTS[change][1]
     else:
         mutate_closure(monkeypatch, "H3", change)
-        message = WHOLE_MUTANTS[change]
+        message = WHOLE_MUTANTS[change][1]
     with pytest.raises(AssertionError) as exc:
         count_chain_orbits_lazily(build_model(spec))
     assert str(exc.value) == message
@@ -554,19 +561,18 @@ def two_atoms_merged(mask, span, full, out):
     return [(c0 | c1, s0)] + rest
 
 
-NO_COVER_BELOW = "non-bottom element with no cover below"
 RANK_TWO = ["A2", "B2", "I2(5)", "I2(6)"]
 # mutant -> the certificate it trips on both paths, or the one it trips in
 # the whole build (per type where they differ) and the one it trips in the
-# lazy scan; and the types it is tried on. On A2 and B2 two merged atoms
-# leave the image of the merged atom under a generator covered by no flat;
+# lazy scan; and the types it is tried on. On A2 and B2 the whole build
+# closes the merged atom, one of whose roots lies off its one-root span;
 # I2(m)'s closure refuses the merged atom, two lines that span the plane;
-# on higher ranks the whole build finds the merge earlier, as in
+# on higher ranks the whole build finds the merge the same way, as in
 # CLOSURE_MUTANTS
 GRADED_MUTANTS = {
     spans_gain_no_root: (NOT_GRADED, RANK_TWO + ["A3", "B3", "D4", "H3"]),
     top_spanned_like_a_coatom: (NOT_GRADED, RANK_TWO + ["A3", "B3", "D4", "H3"]),
-    two_atoms_merged: (({"A2": NO_COVER_BELOW, "B2": NO_COVER_BELOW, "I2(5)": IN_SPAN,
+    two_atoms_merged: (({"A2": OFF_SPAN, "B2": OFF_SPAN, "I2(5)": IN_SPAN,
                          "I2(6)": IN_SPAN}, RANK_ONE), RANK_TWO),
 }
 
@@ -577,9 +583,9 @@ GRADED_MUTANTS = {
 def test_graded_mutant_fails_its_certificate(change, spec, monkeypatch, capsys, tmp_path):
     """Spans that gain no root, or a top spanned like the coatom it covers,
     fail the rank check that both paths share; two atoms merged on a rank-2
-    type fail a check of the whole build (or I2(m)'s closure) and the lazy
-    rank-1 check. The export and compute each end in one error line and
-    exit 1."""
+    type fail the span check of the closed merged atom (or I2(m)'s closure)
+    in the whole build and the lazy rank-1 check. The export and compute
+    each end in one error line and exit 1."""
     messages, _ = GRADED_MUTANTS[change]
     built_message, lazy_message = (messages, messages) if isinstance(messages, str) else messages
     if isinstance(built_message, dict):
@@ -625,25 +631,44 @@ def invariant_mutant(rng, full, rank):
     return mutant
 
 
-@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "H3"])
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "H3", "B4", "F4"])
 def test_whole_build_accepts_only_graded_lattices(spec, monkeypatch):
-    """The whole build makes no bottom, top or skipped-rank check of its own:
-    its per-flat cover check implies them. So under 60 seeded random closure
-    mutants each, every lattice it accepts passes the oracle's full
-    gradedness check, and every mutant it refuses ends in an AssertionError."""
+    """The whole build makes no bottom, top, skipped-rank or carried-cover
+    check of its own: the closer's checks on each closed flat, the check of
+    each carried flat's span and the generator certificate imply them. So
+    under 200 seeded random closure mutants each, every lattice it accepts
+    is the lattice built without the mutant, each flat spanned by roots
+    that span the same subspace, every mutant it refuses ends in an
+    AssertionError, and no mutant makes it close more flats than one per
+    orbit of the true lattice. D4's mutants 1 and 112, which merge the
+    one-root covers of every plane, were accepted with 63 flats of 72."""
+    def shape(lattice):
+        return {k: v for k, v in vars(lattice).items() if k != "elements"}
+
     model, rng = build_model(spec), random.Random(f"graded {spec}")
+    closure, closed = lattice_module._closure, []
+    monkeypatch.setattr(lattice_module, "_closure", lambda *args: closed.append(args) or
+                        closure(*args))
+    true = lattice_module._irreducible_lattice(model)
+    orbits = len(closed)
+    monkeypatch.undo()
     full, outcomes = (1 << len(model.vectors)) - 1, collections.Counter()
-    for _ in range(60):
-        monkeypatch.setattr(lattice_module, "_closure",
-                            invariant_mutant(rng, full, model.label.rank))
+    for _ in range(200):
+        mutant, closed = invariant_mutant(rng, full, model.label.rank), []
+        monkeypatch.setattr(lattice_module, "_closure", lambda *args: closed.append(args) or
+                            mutant(*args))
         try:
             lattice = lattice_module._irreducible_lattice(model)
         except AssertionError:
             outcomes["refused"] += 1
         else:
-            _validate_graded(lattice)
+            assert shape(lattice) == shape(true)
+            moved = [(s, t) for s, t in zip(lattice.elements, true.elements) if s != t]
+            assert (lattice_module._flat_bases(model, [s for s, _ in moved])
+                    == lattice_module._flat_bases(model, [t for _, t in moved]))
             outcomes["accepted"] += 1
         monkeypatch.undo()
+        assert len(closed) <= orbits
     assert outcomes["accepted"] and outcomes["refused"]
 
 
@@ -659,10 +684,7 @@ def two_root_planes_joined(mask, span, full, out):
             if c == planes[0] or c not in planes]
 
 
-OFF_SPAN = "a root of a flat lies off the span it was reached with"
-
-
-# the whole build's message where it is not NONE_BELOW
+# the whole build's message where it is not OFF_SPAN
 JOINED_PLANES_BUILT = {"A4": NOT_GRADED, "B4": NOT_GRADED}
 
 
@@ -670,20 +692,55 @@ JOINED_PLANES_BUILT = {"A4": NOT_GRADED, "B4": NOT_GRADED}
 def test_joined_planes_fail_the_lazy_span_check(spec, monkeypatch, capsys):
     """Two-root planes above an atom joined into one cover: each cover of
     an atom is still one rank above it, so the lazy scan's rank check
-    passes there. The whole build finds a root of the joined flat in no
-    flat it covers, or first, on A4 and B4, a flat with a cover that is not
-    one rank above it. The lazy scan finds a root of the joined flat off
-    its span, and compute ends in one error line and exit 1; without that
-    check D4 printed 4, not 12, with exit 0."""
+    passes there. Both paths find a root of the joined flat off its span,
+    the whole build first, on A4 and B4, a flat with a cover that is not
+    one rank above it, and compute ends in one error line and exit 1;
+    without that check the lazy scan printed D4 = 4, not 12, with exit 0."""
     mutate_closure(monkeypatch, spec, two_root_planes_joined)
     with pytest.raises(AssertionError) as exc:
         build_lattice_with_action(build_model(spec))
-    assert str(exc.value) == JOINED_PLANES_BUILT.get(spec, NONE_BELOW)
+    assert str(exc.value) == JOINED_PLANES_BUILT.get(spec, OFF_SPAN)
     with pytest.raises(AssertionError) as exc:
         count_chain_orbits_lazily(build_model(spec))
     assert str(exc.value) == OFF_SPAN
     code, out, err = run(capsys, "compute", spec, "--method", "bruteforce")
     assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {OFF_SPAN}\n")
+
+
+def planes_through_the_greater_root(monkeypatch):
+    """Cover each two-root flat of rank 2 by the other planes through its
+    greater root q, each spanned by q and two more of its roots: they
+    partition the roots off the flat and their spans are one root longer
+    than its span, but they do not hold it, and each span is dependent."""
+    closure = lattice_module._closure
+
+    def mutant(lines, base, mask, span):
+        if bin(mask).count("1") != 2 or len(span) != 2:
+            return closure(lines, base, mask, span)
+        q = mask.bit_length() - 1
+        planes = closure(lines, echelon_of(lines, (q,)), 1 << q, (q,))
+        return [(c, (q, *_lines(c & ~(1 << q))[:2])) for c, _ in planes if c != mask]
+    monkeypatch.setattr(lattice_module, "_closure", mutant)
+
+
+HOLDS_NOT = "a cover of a flat does not hold it"
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "D4", "H3"])
+def test_covers_that_do_not_hold_their_flat_fail_the_cover_check(spec, monkeypatch, capsys):
+    """Planes through one root of a two-root plane, given as its covers:
+    only containment tells them from its covers. Without that check the
+    lazy scan refused them later, as reached with dependent roots on A3
+    and B3 or as not one rank above a flat, and the whole build by its
+    rank check or its check of carried covers against a second closure.
+    Both paths now refuse them by name, and compute ends in one error line
+    and exit 1."""
+    planes_through_the_greater_root(monkeypatch)
+    for count in (count_chain_orbits_lazily, build_lattice_with_action):
+        with pytest.raises(AssertionError, match=f"^{HOLDS_NOT}$"):
+            count(build_model(spec))
+    code, out, err = run(capsys, "compute", spec, "--method", "bruteforce")
+    assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {HOLDS_NOT}\n")
 
 
 @pytest.mark.parametrize("spec", REQUIRED_BRUTE_TIER + [s for s in DEEP_BRUTE_TIER if s != "E6"]
@@ -721,9 +778,6 @@ def test_every_pair_a_flat_fails_the_span_check(spec, monkeypatch, capsys, tmp_p
         assert run(capsys, *argv) == (cli.EXIT_FAIL, "", f"error: {IN_SPAN}\n")
 
 
-DEPENDENT = "a flat was reached with dependent roots"
-
-
 def spanned_roots_join_the_first_cover(monkeypatch):
     """Closures that let a root in the span of a flat that is not closed
     join its first cover, and an I2(m) flat of two lines but not all be
@@ -750,10 +804,17 @@ def spanned_roots_join_the_first_cover(monkeypatch):
                                                    ("B2", (1, 4, 6, 1), 14)])
 def test_every_pair_a_flat_fails_the_chamber_count(spec, sizes, chambers, monkeypatch):
     """Flats that are not closed, every pair of roots a flat, past the
-    closure's span check: they pass every other certificate of the whole
-    build, but the lattice built has more chambers than |W| (A2: 8, not 6)."""
+    closure's span check: the lattice of these rank sizes has more chambers
+    than |W| (A2: 8, not 6). The whole build used to accept it on all three
+    types; on A2 and B2 it now closes the top from a pair and a third root,
+    a dependent span, and refuses it. A3's top is reached from three
+    independent roots, so only the chamber count tells its lattice wrong."""
     spanned_roots_join_the_first_cover(monkeypatch)
     mutate_closure(monkeypatch, spec, every_pair_a_flat)
+    if spec != "A3":
+        with pytest.raises(AssertionError, match=f"^{DEPENDENT}$"):
+            build_lattice_with_action(build_model(spec))
+        return
     lattice, action = build_lattice_with_action(build_model(spec))
     assert lattice.rank_sizes() == sizes
     assert zaslavsky_chambers(lattice) == chambers != action.group_order
@@ -781,32 +842,74 @@ def least_root_spans(mask, span, full, out):
 
 def test_least_root_spans_fail_the_lazy_independence_check(monkeypatch, capsys):
     """Covers spanned by their own least root: on E6 the lazy scan first
-    closes a flat whose span repeats a root and still holds the flat's
-    roots, and refuses it as dependent; compute ends in one error line."""
+    closes a flat whose span repeats a root. Its span test counts each
+    root once, so the flat's roots lie off that span, and the scan refuses
+    it there, before its independence test; compute ends in one error
+    line. It was refused as dependent while the span test counted the
+    repeated root twice."""
     mutate_closure(monkeypatch, "E6", least_root_spans)
-    with pytest.raises(AssertionError, match=f"^{DEPENDENT}$"):
+    with pytest.raises(AssertionError, match=f"^{OFF_SPAN}$"):
         count_chain_orbits_lazily(build_model("E6"))
     code, out, err = run(capsys, "compute", "E6", "--method", "bruteforce")
-    assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {DEPENDENT}\n")
+    assert (code, out, err) == (cli.EXIT_FAIL, "", f"error: {OFF_SPAN}\n")
 
 
 @pytest.mark.parametrize("spec", ["A2", "B2"])
 def test_least_root_spans_fail_the_export(spec, monkeypatch, capsys, tmp_path):
-    """Covers spanned by their own least root pass every certificate of
-    the whole build on A2 and B2, whose top is then reached from a span
-    that repeats a root; its exact basis has the wrong dimension (A2: two
-    vectors, where one is right), so the export refuses it and writes no
-    file.
-    Products and I2(m) export no bases, so `export-lattice A2xA1` still
-    writes its keys and codims under this mutant, and they are right."""
-    expected = lattice_to_json(build_lattice(build_model("A2xA1")))
+    """Covers spanned by their own least root reach the top of A2 and B2
+    from a span that repeats a root. The whole build closes the top from
+    that span, which holds the top's roots off it, so the export refuses
+    it and writes no file, where the build passed it and the export's
+    exact basis found it dependent. A product's factors are closed by the
+    same closer, so `export-lattice A2xA1`, which exports no bases and was
+    written under this mutant, is refused the same way."""
     mutate_closure(monkeypatch, spec, least_root_spans)
     path = tmp_path / "out.json"
+    for export in (spec, "A2xA1"):
+        assert run(capsys, "export-lattice", export, str(path)) == (
+            cli.EXIT_FAIL, "", f"error: {OFF_SPAN}\n")
+        assert not path.exists()
+
+
+def last_atom_spanned_by_root_0(mask, span, full, out):
+    """The atom of the greatest root spanned by root 0, which lies off it."""
+    return out if mask else [(c, (0,) if c == full + 1 >> 1 else s) for c, s in out]
+
+
+def last_plane_spanned_by_its_atom_twice(mask, span, full, out):
+    """At each atom, its last cover spanned by the atom's root twice."""
+    if not mask or mask & mask - 1:
+        return out
+    *rest, (c, _) = out
+    return rest + [(c, span + span)]
+
+
+# mutant -> the message the whole build refuses it with, and the types
+CARRIED_SPAN_MUTANTS = {
+    last_atom_spanned_by_root_0: (IN_SPAN, ["A2", "A3", "B3", "D4", "H3", "F4", "I2(5)"]),
+    last_plane_spanned_by_its_atom_twice: (OFF_SPAN, ["A3", "B3", "H3", "F4"]),
+}
+
+
+@pytest.mark.parametrize("change, spec", [(c, s) for c, (_, specs) in
+                                          CARRIED_SPAN_MUTANTS.items() for s in specs],
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_wrong_span_of_a_carried_flat_fails_the_build(change, spec, monkeypatch, capsys,
+                                                      tmp_path):
+    """A closed flat's cover recorded with a span that is not its own, a
+    root off it or a root twice, and then reached by an orbit walk before
+    its turn to be closed: the walk checks the span it keeps against the
+    image of the span it came from, so the whole build refuses it, where it
+    was never closed and the export wrote the wrong span's basis with exit
+    0. The lazy scan never reads the span of a flat it does not close."""
+    message, _ = CARRIED_SPAN_MUTANTS[change]
+    mutate_closure(monkeypatch, spec, change)
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        build_lattice_with_action(build_model(spec))
+    path = tmp_path / "out.json"
     assert run(capsys, "export-lattice", spec, str(path)) == (
-        cli.EXIT_FAIL, "", f"error: {DEPENDENT}\n")
+        cli.EXIT_FAIL, "", f"error: {message}\n")
     assert not path.exists()
-    assert run(capsys, "export-lattice", "A2xA1", str(path))[0] == cli.EXIT_OK
-    assert json.loads(path.read_text())["lattice"] == expected
 
 
 @pytest.mark.parametrize("spec", ["I2(5)", "I2(6)"])
@@ -850,12 +953,12 @@ def test_dihedral_lattice_through_the_shared_build(m):
     assert build_lattice(model).elements == ["V", *(f"L{k}" for k in range(m)), "0"]
 
 
-@pytest.mark.parametrize("spec, orbits",[("A3", 5), ("A6", 15), ("E6", 17)])
+@pytest.mark.parametrize("spec, orbits", [("A3", 5), ("A6", 15), ("E6", 17), ("H4", 10)])
 def test_one_closure_per_orbit_of_flats(spec, orbits, monkeypatch):
-    """The build closes one flat per W-orbit by linear algebra (p(n + 1)
-    orbits on A_n), plus one certificate closure in each orbit of more than
-    one flat, the orbits read off the generators by the `bfs_orbits`
-    oracle; a fallback to closing every flat would show here."""
+    """The build closes exactly one flat per W-orbit by linear algebra
+    (p(n + 1) orbits on A_n), the orbits read off the generators by the
+    `bfs_orbits` oracle, and carries the rest with no second closure; a
+    fallback to closing every flat would show here."""
     closure = lattice_module._closure
     closed = []
 
@@ -869,11 +972,7 @@ def test_one_closure_per_orbit_of_flats(spec, orbits, monkeypatch):
     reps = sorted(set(orbit))
     assert len(reps) == orbits
     orbit_of = dict(zip(lattice.hypsets, orbit))
-    calls = [orbit_of[mask] for mask in closed]
-    firsts = {k: calls.index(k) for k in set(calls)}
-    certificates = [k for pos, k in enumerate(calls) if pos != firsts[k]]
-    assert len(firsts) == orbits
-    assert sorted(certificates) == [k for k in reps if orbit.count(k) > 1]
+    assert sorted(orbit_of[mask] for mask in closed) == reps
 
 
 def hypset_image_table(model, lattice):
