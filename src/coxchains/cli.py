@@ -2,10 +2,12 @@
 
 Commands: compute, table, verify, export-lattice. Exit codes are part of
 the contract: 0 success, 2 parse or usage error (an invalid flag, an
-unwritable export path), 3 brute force unsupported for the requested type,
-4 method disagreement, 1 verification failure or a failed certificate or
-cached value (one error line), 141 (128 + SIGPIPE, what a shell reports
-for a filter) when the reader of standard output closed it early.
+unwritable export path), 3 every requested method refuses the type (brute
+force past its element cap, the recursion or the closed forms past their
+rank-sum bound), 4 method disagreement, 1 verification failure or a failed
+certificate or cached value (one error line), 141 (128 + SIGPIPE, what a
+shell reports for a filter) when the reader of standard output closed it
+early.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .lattice import (
     lattice_to_json,
     orbit_count_of_lines,  # noqa: F401  (perfbench's tracer patches it here)
 )
-from .models import UnsupportedModelError, build_model, model_to_json
+from .models import DEFAULT_ELEMENT_CAP, UnsupportedModelError, build_model, model_to_json
 from .recursion import KCalculator
 from .series import (
     _d_closed_forms,
@@ -60,6 +62,10 @@ REQUIRED_BRUTE_TIER = (
     + ["A1xA1", "A2xA1", "B2xA1"]
 )
 DEEP_BRUTE_TIER = ["A5", "B5", "D5", "F4", "E6", "H4"]
+# The largest rank sum each method takes, and `table --max-rank` the closed
+# forms': the slowest spec at each bound, D_n, runs in about 3 s as a process
+# (2-core machine, Python 3.11), and the work grows about as n^3.
+RANK_BOUNDS = {"recursion": 800, "closed": 2000}
 
 
 def closed_form_value(spec) -> int:
@@ -166,16 +172,24 @@ def cmd_compute(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     spec = spec_of_labels(labels)
+    rank_sum = sum(t.coxeter_rank for t in labels)
+    past = [m for m, b in RANK_BOUNDS.items() if args.method in (m, "all") and rank_sum > b]
+    if past == [args.method] or len(past) == len(RANK_BOUNDS):  # so past brute force's cap
+        where = (f"the {past[0]} method's bound of {RANK_BOUNDS[past[0]]}" if len(past) == 1
+                 else "every method's bound: " + ", ".join(f"{m} {RANK_BOUNDS[m]}" for m in past)
+                 + f", bruteforce {DEFAULT_ELEMENT_CAP} group elements")
+        print(f"error: {spec} has rank sum {rank_sum}, past {where}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     results = {}
     detail = cache = None
-    if args.method in ("recursion", "all"):
+    if args.method in ("recursion", "all") and "recursion" not in past:
         calc = KCalculator()
         detail = calc.k_labels(labels)
         results["recursion"] = detail.value
         if args.cache:  # only a request that runs the recursion reads the file
             cache = DiskCache(args.cache)
             cache.check(calc.memo)
-    if args.method in ("closed", "all"):
+    if args.method in ("closed", "all") and "closed" not in past:
         results["closed"] = closed_form_value(labels)
     if args.method in ("bruteforce", "all"):
         try:
@@ -185,14 +199,13 @@ def cmd_compute(args) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_UNSUPPORTED
     agree = len(set(results.values())) <= 1
+    unchecked = args.method == "all" and len(results) < 2  # the others refused
     if cache and agree:  # a value the methods dispute is not stored
         cache.save_from(calc.memo)
     if args.format == "json":
-        payload = {
-            "group": spec,
-            "results": {m: str(v) for m, v in sorted(results.items())},
-            "agreement": agree,
-        }
+        payload = {"group": spec, "results": {m: str(v) for m, v in sorted(results.items())}}
+        if not unchecked:
+            payload["agreement"] = agree
         if detail is not None:
             payload["recursion_detail"] = detail.to_json_dict(spec)
         print(json.dumps(payload, indent=1, sort_keys=True))
@@ -200,7 +213,7 @@ def cmd_compute(args) -> int:
         for m in ("recursion", "bruteforce", "closed"):
             if m in results:
                 print(f"{m}: {results[m]}")
-        print("agreement: " + ("ok" if agree else "MISMATCH"))
+        print("agreement: " + ("one method" if unchecked else "ok" if agree else "MISMATCH"))
     else:
         print(next(iter(results.values())))
     if not agree:
@@ -307,7 +320,11 @@ def _verify_checks(args):
         bad = [f"ignored {r}" for r in cache.rejected]
         for spec, value in cache.values.items():
             try:
-                if fresh.k_value(spec) != value:
+                ranks = sum(t.coxeter_rank for t in parse_labels(spec))
+                if ranks > RANK_BOUNDS["recursion"]:  # not recomputed, as compute would refuse it
+                    bad.append(f"cached key {spec!r} has rank sum {ranks}, past the recursion "
+                               f"method's bound of {RANK_BOUNDS['recursion']}")
+                elif fresh.k_value(spec) != value:
                     bad.append(f"cached K({spec}) = {value} disagrees with recomputation")
             except GroupSpecError as exc:
                 bad.append(f"cached key {spec!r} is not a group spec ({exc})")
@@ -371,8 +388,8 @@ def cmd_export_lattice(args) -> int:
     return EXIT_OK
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer >= low, else a usage error (exit 2)."""
+def _int_in(low: int, high: int):
+    """argparse type: an integer from low to high, else a usage error (exit 2)."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -380,6 +397,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
     return parse
 
@@ -404,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("table", help="closed-form value table")
-    p.add_argument("--max-rank", type=_int_at_least(0), default=12)
+    p.add_argument("--max-rank", type=_int_in(0, RANK_BOUNDS["closed"]), default=12)
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.set_defaults(fn=cmd_table)
 

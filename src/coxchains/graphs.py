@@ -137,12 +137,9 @@ def _standard_edges(family: str, n: int):
     raise GroupSpecError(f"unknown family {family}")
 
 
-def standard_graph(t: TypeLabel, offset: int = 0) -> CoxeterGraph:
-    """Graph of a finite type in standard numbering, vertex ids shifted by offset."""
-    n = t.coxeter_rank
-    vertices = [offset + i for i in range(1, n + 1)]
-    edges = [(offset + a, offset + b, m) for a, b, m in _standard_edges(t.family, t.rank)]
-    return make_graph(vertices, edges)
+def standard_graph(t: TypeLabel) -> CoxeterGraph:
+    """Graph of a finite type in standard numbering, vertex ids 1..rank."""
+    return make_graph(range(1, t.coxeter_rank + 1), _standard_edges(t.family, t.rank))
 
 
 def _parse_term(term: str) -> TypeLabel:
@@ -201,12 +198,11 @@ def parse_group_spec(text: str) -> CoxeterGraph:
     """Parse a spec like "D5xA2" or "I2(7)xB3" into its Coxeter graph."""
     vertices = []
     edges = []
-    offset = 0
     for label in parse_labels(text):
-        g = standard_graph(label, offset=offset)
-        vertices.extend(g.vertices)
-        edges.extend(g.edges)
-        offset += label.coxeter_rank
+        offset = len(vertices)
+        vertices.extend(range(offset + 1, offset + label.coxeter_rank + 1))
+        edges.extend((offset + a, offset + b, m)
+                     for a, b, m in _standard_edges(label.family, label.rank))
     return make_graph(vertices, edges)
 
 
@@ -221,17 +217,21 @@ def _reached(g: CoxeterGraph, start) -> set:
     return seen
 
 
-def connected_components(g: CoxeterGraph):
-    """Component subgraphs, which keep the original vertex ids, ordered by
-    smallest vertex id."""
-    adj, seen, components = g._adjacency, set(), []
+def _components(g: CoxeterGraph):
+    """(sorted vertex ids, edges) per component, ordered by smallest vertex id."""
+    adj, seen = g._adjacency, set()
     for start in sorted(g.vertices):
         if start not in seen:
             part = _reached(g, start)
             seen |= part
-            edges = frozenset((v, w, m) for v in part for w, m in adj[v].items() if v < w)
-            components.append(CoxeterGraph(tuple(sorted(part)), edges))
-    return components
+            yield (tuple(sorted(part)),
+                   [(v, w, m) for v in part for w, m in adj[v].items() if v < w])
+
+
+def connected_components(g: CoxeterGraph):
+    """Component subgraphs, which keep the original vertex ids, ordered by
+    smallest vertex id."""
+    return [CoxeterGraph(vertices, frozenset(edges)) for vertices, edges in _components(g)]
 
 
 @lru_cache(maxsize=64)
@@ -265,9 +265,10 @@ def _walk(adj, steps, start):
     some step finds no such neighbour."""
     iso, image = {start: 1}, {1: start}
     for v, parent, m, d in steps:
-        w = next((w for w, k in adj[image[parent]].items()
-                  if k == m and w not in iso and len(adj[w]) == d), None)
-        if w is None:
+        for w, k in adj[image[parent]].items():
+            if k == m and w not in iso and len(adj[w]) == d:
+                break
+        else:
             return None
         iso[w], image[v] = v, w
     return iso
@@ -285,18 +286,24 @@ def classify_irreducible(g: CoxeterGraph):
         raise ValueError("classify_irreducible needs a nonempty graph")
     if len(_reached(g, g.vertices[0])) != g.rank:
         raise ValueError("classify_irreducible needs a connected graph")
-    if len(g.edges) != g.rank - 1:
+    return _classify(g._adjacency, sorted(g.vertices), g.edges)
+
+
+def _classify(adj, vertices, edges):
+    """classify_irreducible of a component of a graph with adjacency adj:
+    its sorted vertex ids and its edges, each (v, w, m) with v < w."""
+    rank = len(vertices)
+    if len(edges) != rank - 1:
         raise ClassificationError("graph contains a cycle: not finite")
-    adj = g._adjacency
-    labels = sorted(m for *_, m in g.edges)
-    shape = labels, sorted(map(len, adj.values()))
-    leaves = [v for v in sorted(g.vertices) if len(adj[v]) <= 1]
-    for label, signature, edges, steps in _standard_walks(g.rank, labels[0] if g.rank == 2 else 0):
+    labels = sorted(m for *_, m in edges)
+    shape = labels, sorted(len(adj[v]) for v in vertices)
+    leaves = [v for v in vertices if len(adj[v]) <= 1]
+    for label, signature, standard, steps in _standard_walks(rank, labels[0] if rank == 2 else 0):
         if signature != shape:
             continue
         for iso in filter(None, (_walk(adj, steps, v) for v in leaves)):
             if {(iso[v], iso[w], m) if iso[v] < iso[w] else (iso[w], iso[v], m)
-                    for v, w, m in g.edges} == edges:
+                    for v, w, m in edges} == standard:
                 return label, iso
     raise ClassificationError("graph does not match any finite type")
 
@@ -322,15 +329,20 @@ def longest_element_automorphism(t: TypeLabel) -> dict:
 
 
 def component_labels(g: CoxeterGraph):
-    return [classify_irreducible(c)[0] for c in connected_components(g)]
+    """The classified type of each component, ordered by smallest vertex id;
+    each component is connected as found, so it is not walked again."""
+    return [_classify(g._adjacency, vertices, edges)[0] for vertices, edges in _components(g)]
+
+
+_BY_TYPE = attrgetter("family", "rank")
 
 
 def spec_of_labels(labels) -> str:
     """Canonical spec of a product of classified types: names sorted by
     family then rank, joined by x; "1" for the trivial group."""
     if len(labels) < 2:
-        return str(labels[0]) if labels else "1"
-    return "x".join(map(str, sorted(labels, key=attrgetter("family", "rank"))))
+        return labels[0].name if labels else "1"
+    return "x".join([t.name for t in sorted(labels, key=_BY_TYPE)])
 
 
 def canonical_spec(g: CoxeterGraph) -> str:

@@ -423,16 +423,27 @@ def _check_generators(model, n):
     """Refuse a generator s that is no signed permutation of the n root lines,
     then one that is no isometry of the roots. I2(m)'s must send line k to
     c + k or c - k mod m. A matrix model's must keep <s a, s b> = <a, b>, signs
-    included, for each simple root a and root b, exact over {1, phi} as
-    (u.v, u.(phi v)): the simple roots span the roots, so s is then a -> s a."""
+    included, for each simple root a and root b, exact as u.v over Q and as
+    (u.v, u.(phi v)) over {1, phi}: the simple roots span the roots, so s is
+    then a -> s a."""
     if isinstance(model, ReflectionModel):
         vecs = model.vectors
-        phis = list(map(phi_times, vecs)) if model.field == FIELD_QSQRT5 else [()] * n
+        cols = list(zip(*vecs))  # per coordinate, its column over the roots
+        phi_cols = list(zip(*map(phi_times, vecs))) if model.field == FIELD_QSQRT5 else None
+
+        def dots(u, columns):  # u.v for every root v: one pass per nonzero coordinate of u
+            out = [0] * n
+            for x, column in zip(u, columns):
+                if x:
+                    out = list(map(operator.add, out, map(x.__mul__, column)))
+            return out
 
         @functools.cache
         def gram(i):  # <root i, point j> at j, <-root i, point j> at j + n (point j + n: -root j)
-            row = [(sum(map(operator.mul, vecs[i], v)), sum(map(operator.mul, vecs[i], w)))
-                   for v, w in zip(vecs, phis)]
+            row = dots(vecs[i], cols)
+            if phi_cols is None:
+                return row + list(map(operator.neg, row)) + row
+            row = list(zip(row, dots(vecs[i], phi_cols)))
             return row + [(-a, -b) for a, b in row] + row
     for g, perm in enumerate(model.gen_perms):
         if sorted(map(abs, perm)) != list(range(1, n + 1)):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
-from operator import add
+from operator import add, mul
 
 from .graphs import (
     TypeLabel,
@@ -162,30 +162,33 @@ class KCalculator:
         return _DELETION_RULES[t.family](t.rank, v)
 
     def _terms(self, t: TypeLabel):
-        """(name, labels, fold, value) per orbit {v, w}, v <= w, of the
-        involution: what deleting v leaves, and that term of K(t)."""
+        """(v, w, labels, fold, coeff, value) per orbit {v, w}, v <= w, of
+        the involution: what deleting v leaves, the multinomial of its
+        ranks, and that term of K(t)."""
         for v, w in sorted(longest_element_automorphism(t).items()):
             if v <= w:
                 labels, fold = self._deleted(t, v)
-                value = (self._value(labels) if fold is None
-                         else self._fixed_vertex_value(labels, fold))
-                yield f"vertex {v}" if w == v else f"orbit {{{v},{w}}}", labels, fold, value
+                coeff = multinomial([label.coxeter_rank for label in labels])
+                yield v, w, labels, fold, coeff, self._term_value(labels, fold, coeff)
 
     def _breakdown(self, t: TypeLabel) -> KResult:
         """K of an irreducible type with one term per orbit of coatom lines."""
         if t.coxeter_rank == 1:
             return KResult(1, "base-case", [(str(t), 1)])
-        terms = [(f"{name}: {_describe(labels, fold)}", value)
-                 for name, labels, fold, value in self._terms(t)]
-        central = all(v == w for v, w in longest_element_automorphism(t).items())
-        return KResult(sum(v for _, v in terms), "summ1" if central else "summ2", terms)
+        terms = list(self._terms(t))
+        central = all(v == w for v, w, *_ in terms)
+        return KResult(sum(term[-1] for term in terms), "summ1" if central else "summ2",
+                       [((f"vertex {v}" if v == w else f"orbit {{{v},{w}}}")
+                         + f": {_describe(labels, fold, coeff)}", value)
+                        for v, w, labels, fold, coeff, value in terms])
 
-    def _fixed_vertex_value(self, labels, fold) -> int:
-        """Term of a vertex fixed by a non-trivial involution, from the
-        labels left by deleting it and the involution's fold on them."""
-        if fold == SWAP:
-            # the involution shuffles whole components: halved count
-            return _halved(self._value(labels), labels)
+    def _term_value(self, labels, fold, coeff) -> int:
+        """The term of a deletion that leaves labels, whose ranks' multinomial
+        is coeff, under the involution's fold on them (see _DELETION_RULES)."""
+        if fold is None or fold == SWAP:
+            value = coeff * prod(map(self._k_type, labels))
+            # a fixed vertex whose involution shuffles whole components: halved
+            return value if fold is None else _halved(value, labels)
         for label, twisted in zip(labels, fold):
             if twisted and (label.family != "D" or label.rank % 2):
                 raise AssertionError(
@@ -193,9 +196,8 @@ class KCalculator:
                     f"nor the longest-element automorphism, and only D_even "
                     f"admits the augmented substitution"
                 )
-        factors = [self.k_bar(t.rank) if twisted else self._k_type(t)
-                   for t, twisted in zip(labels, fold)]
-        return multinomial([t.coxeter_rank for t in labels]) * prod(factors)
+        return coeff * prod(self.k_bar(t.rank) if twisted else self._k_type(t)
+                            for t, twisted in zip(labels, fold))
 
     def k_bar(self, n: int) -> int:
         """Augmented count for D_n: chain orbits under the group extended by
@@ -239,16 +241,14 @@ def _halved(kh: int, labels) -> int:
     return kh // 2
 
 
-def _describe(labels, fold) -> str:
-    """How a coatom-orbit term is computed, as the breakdown prints it."""
+def _describe(labels, fold, coeff: int) -> str:
+    """How a coatom-orbit term is computed, as the breakdown prints it;
+    coeff is the multinomial of the labels' ranks."""
     if fold is None or fold == SWAP:
         return ("1/2 " if fold else "") + f"K({spec_of_labels(labels)})"
-    descs = [f"Kbar(D{t.rank})" if twisted else f"K({t})"
-             for t, twisted in zip(labels, fold)]
-    if len(labels) > 1:
-        coeff = multinomial([t.coxeter_rank for t in labels])
-        return f"{coeff} * " + " * ".join(descs)
-    return "".join(descs) or "K(1)"
+    descs = " * ".join(f"Kbar(D{t.rank})" if twisted else f"K({t.name})"
+                       for t, twisted in zip(labels, fold))
+    return f"{coeff} * {descs}" if len(labels) > 1 else descs or "K(1)"
 
 
 # The rules hand out one interned label per type, so a label's name is
@@ -287,10 +287,13 @@ def _a_deleted(n: int, v: int):
 
 # Rank rules: K at rank r from int tables of lower ranks, one summand per
 # term of the family's deletion rule, vertex v = i + 1 weighed by c[i] =
-# C(r-1, i) from the Pascal row c. The rank stays the last argument.
+# C(r-1, i) from the Pascal row c. Each sum over i is one C-level dot
+# product of c, a table read upwards and a table read downwards from
+# index r-1-i; the table being filled holds ranks below r only. The rank
+# stays the last argument.
 def _a_value(a: list, c: list, r: int) -> int:
-    h = r // 2
-    value = sum(c[i] * a[i] * a[r - 1 - i] for i in range(h))
+    h = r // 2  # i < h: a[r-1] down to a[r-h], and r-1-h >= 0 keeps the stop
+    value = sum(map(mul, map(mul, c[:h], a), a[r - 1:r - 1 - h:-1]))
     if r % 2:  # the middle vertex: A1 leaves nothing, a longer path two swapped halves
         value += 1 if r == 1 else _halved(c[h] * a[h] ** 2, [_label("A", h)] * 2)
     return value
@@ -304,7 +307,7 @@ def _b_deleted(n: int, v: int):
 
 
 def _b_value(a: list, b: list, c: list, r: int) -> int:
-    return sum(c[i] * b[i] * a[r - 1 - i] for i in range(r))
+    return sum(map(mul, map(mul, c, b), a[r - 1::-1]))  # i < r: a[r-1] down to a[0]
 
 
 def _d_deleted(n: int, v: int):
@@ -326,11 +329,13 @@ def _d_deleted(n: int, v: int):
 def _d_value(a: list, parts: list, c: list, r: int) -> int:
     """parts[r - v] counts the D part left by path vertex v: K at even r,
     and at odd r k_bar, which at r - v = 2 is half of K(A1 x A1) = 2."""
-    return (2 - r % 2) * a[r - 1] + sum(c[i] * a[i] * parts[r - 1 - i] for i in range(r - 2))
+    # i < r-2: parts[r-1] down to parts[2]
+    return (2 - r % 2) * a[r - 1] + sum(map(mul, map(mul, c[:r - 2], a), parts[r - 1:1:-1]))
 
 
 def _bar_d_value(a: list, kb: list, c: list, r: int) -> int:
-    value = a[r - 1] + sum(c[i] * kb[i] * a[r - 1 - i] for i in range(2, r))
+    # 2 <= i < r: a[r-3] down to a[0]; at r = 2, c[2:] is empty and ends the sum
+    value = a[r - 1] + sum(map(mul, map(mul, c[2:], kb[2:]), a[r - 3::-1]))
     closed = 2 * a[r + 1] - (r + 1) * a[r]
     if value != closed:
         raise AssertionError(f"bar d_{r}: recursion gives {value}, closed form gives {closed}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from operator import add
+from operator import add, eq, mul, neg, sub
 
 from .graphs import TypeLabel
 
@@ -44,17 +44,17 @@ class EgfSeries:
     def __add__(self, other):
         if (other := _coerce(other, self.order)) is None:
             return NotImplemented
-        return EgfSeries(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
+        return EgfSeries(tuple(map(add, self.coefficients, other.coefficients)))
 
     __radd__ = __add__  # an int plus a series: addition commutes
 
     def __neg__(self):
-        return EgfSeries(tuple(-c for c in self.coefficients))
+        return EgfSeries(tuple(map(neg, self.coefficients)))
 
     def __sub__(self, other):
         if (other := _coerce(other, self.order)) is None:
             return NotImplemented
-        return self + (-other)
+        return EgfSeries(tuple(map(sub, self.coefficients, other.coefficients)))
 
     def __rsub__(self, other):
         if (other := _coerce(other, self.order)) is None:
@@ -67,8 +67,10 @@ class EgfSeries:
         if not isinstance(other, EgfSeries):
             return NotImplemented
         f, g = self.coefficients, other.coefficients
+        # index m: one C-level dot product of C(m, .), f read upwards and g
+        # read downwards from g[m]
         return EgfSeries(tuple(
-            sum(c * x * y for c, x, y in zip(row, f, g[m::-1]) if x)
+            sum(map(mul, map(mul, row, f), g[m::-1]))
             for m, row in enumerate(_pascal_rows(min(self.order, other.order)))
         ))
 
@@ -82,9 +84,10 @@ class EgfSeries:
         f, g = self.coefficients, other.coefficients
         if g[0] not in (1, -1):
             raise ZeroDivisionError("series division needs an invertible constant term")
-        out = []
+        out, tail = [], g[1:]
         for k, row in enumerate(_pascal_rows(min(self.order, other.order))):
-            acc = f[k] - sum(c * x * y for c, x, y in zip(row[1:], g[1:], out[::-1]) if x)
+            # C(k, j) g[j] out[k-j] for 1 <= j <= k: out holds indices below k
+            acc = f[k] - sum(map(mul, map(mul, row[1:], tail), out[::-1]))
             out.append(acc * g[0])
         return EgfSeries(tuple(out))
 
@@ -97,7 +100,7 @@ class EgfSeries:
     def __eq__(self, other):
         if not isinstance(other, EgfSeries):
             return NotImplemented
-        return all(a == b for a, b in zip(self.coefficients, other.coefficients))
+        return all(map(eq, self.coefficients, other.coefficients))
 
     def __hash__(self):
         # equal series share their common prefix, so hash only a_0

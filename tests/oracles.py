@@ -17,7 +17,9 @@ The recursion's label deletion rules are checked against deleting the
 vertex from the type's standard graph and classifying the components that
 remain. The series layer's integer EGF arithmetic is checked against
 Cauchy products, long division and derivatives of ordinary Fraction
-coefficients.
+coefficients. The rank rules' and the EGF product's and quotient's binomial
+convolutions, one C-level dot product each in the package, are checked
+against the same sums taken term by term in generators.
 """
 
 import collections
@@ -981,6 +983,45 @@ def count_chain_orbits_enumerating(l, action) -> ChainOrbitCount:
         raise AssertionError("orbit sizes do not sum to the chain count")
     return ChainOrbitCount(total_chains=sum(sizes), orbit_count=len(sizes),
                            size_counts=size_histogram(sizes))
+
+
+# The recursion's rank rules with each binomial convolution summed term by
+# term: K at rank r from tables of lower ranks and the Pascal row
+# c = C(r-1, .), the rank last, as `recursion._a_value` and the others take
+# them (the package's bar d rule also meets its closed form).
+def a_rank_rule(a, c, r) -> int:
+    h = r // 2
+    value = sum(c[i] * a[i] * a[r - 1 - i] for i in range(h))
+    if r % 2:  # the middle vertex: A1 leaves nothing, a longer path two swapped halves
+        value += 1 if r == 1 else c[h] * a[h] ** 2 // 2
+    return value
+
+
+def b_rank_rule(a, b, c, r) -> int:
+    return sum(c[i] * b[i] * a[r - 1 - i] for i in range(r))
+
+
+def d_rank_rule(a, parts, c, r) -> int:
+    return (2 - r % 2) * a[r - 1] + sum(c[i] * a[i] * parts[r - 1 - i] for i in range(r - 2))
+
+
+def bar_d_rank_rule(a, kb, c, r) -> int:
+    return a[r - 1] + sum(c[i] * kb[i] * a[r - 1 - i] for i in range(2, r))
+
+
+def egf_product_terms(f, g) -> tuple:
+    """EGF coefficients of the product, sum C(m, k) f_k g_(m-k), term by term."""
+    return tuple(sum(math.comb(m, k) * f[k] * g[m - k] for k in range(m + 1) if f[k])
+                 for m in range(min(len(f), len(g))))
+
+
+def egf_quotient_terms(f, g) -> tuple:
+    """EGF coefficients of f / g for a unit g[0], term by term."""
+    out = []
+    for k in range(min(len(f), len(g))):
+        acc = f[k] - sum(math.comb(k, j) * g[j] * out[k - j] for j in range(1, k + 1) if g[j])
+        out.append(acc * g[0])
+    return tuple(out)
 
 
 def ordinary_product(f, g) -> list:

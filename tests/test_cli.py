@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,20 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# `compute SPEC --format json` as printed by the recursion that summed each
+# binomial convolution term by term, one list of lines per spec
+COMPUTE_JSON_OUTPUTS = json.loads(
+    (Path(__file__).parent / "compute_json_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("spec", COMPUTE_JSON_OUTPUTS)
+def test_compute_json_prints_what_the_term_by_term_recursion_printed(capsys, spec):
+    """Every value and every term of the breakdown, byte for byte."""
+    code, out, err = run(capsys, "compute", spec, "--format", "json")
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out == "\n".join(COMPUTE_JSON_OUTPUTS[spec]) + "\n"
 
 
 def test_compute_recursion_plain_value(capsys):
@@ -216,10 +231,12 @@ def test_disputed_value_is_not_cached(capsys, monkeypatch, tmp_path):
 
 
 def _classifications(fn, *args):
-    """fn(*args) and its calls of graphs.component_labels and
-    graphs.classify_irreducible, under any name a module imported them by."""
+    """fn(*args) and its calls of graphs.component_labels, under any name a
+    module imported it by, and the graphs it classified: calls of
+    graphs._classify, which classify_irreducible and component_labels both
+    run once per graph or component."""
     names = {graphs.component_labels.__code__: "component_labels",
-             graphs.classify_irreducible.__code__: "classify_irreducible"}
+             graphs._classify.__code__: "classify"}
     calls, outer = Counter(), sys.getprofile()
 
     def profile(frame, event, arg):
@@ -247,7 +264,7 @@ def test_compute_classifies_the_spec_once(capsys):
     # a graph given to the library is classified once per component
     model, calls = _classifications(build_model, parse_group_spec("D3xA1"))
     assert len(model.factors) == 2
-    assert calls == Counter(component_labels=1, classify_irreducible=2)
+    assert calls == Counter(component_labels=1, classify=2)
 
 
 def test_verify_required_brute_tier_classifies_nothing():
@@ -626,6 +643,59 @@ def test_out_of_range_flags_are_usage_errors(capsys, argv):
     err = capsys.readouterr().err
     assert exc.value.code == cli.EXIT_PARSE
     assert "must be >=" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_table_past_the_closed_forms_bound_is_a_usage_error(capsys, fmt):
+    bound = cli.RANK_BOUNDS["closed"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--max-rank", str(bound + 1), "--format", fmt])
+    assert exc.value.code == cli.EXIT_PARSE
+    assert f"must be <= {bound}, got {bound + 1}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method, line", [
+    ("recursion", "past the recursion method's bound of 800"),
+    ("closed", "past the closed method's bound of 2000"),
+    ("all", "past every method's bound: recursion 800, closed 2000, "
+            "bruteforce 100000 group elements"),
+])
+def test_compute_past_the_rank_bounds_is_refused_at_once(capsys, method, line):
+    """A rank sum past a method's bound is refused from the labels in one
+    error line, with exit 3; under --method all only when every method is."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compute", "D1000000", "--method", method)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (cli.EXIT_UNSUPPORTED, "",
+                                f"error: D1000000 has rank sum 1000000, {line}\n")
+
+
+def test_compute_all_skips_the_methods_past_their_bounds(capsys, tmp_path):
+    """D800xA1 is past the recursion's bound only, and far past brute
+    force's cap: --method all prints the closed form alone, says that no
+    second method checked it (json leaves `agreement` out) and opens no
+    cache file. A rank sum at the bound runs the recursion."""
+    cache = tmp_path / "k.json"
+    value = cli.closed_form_value("D800xA1")
+    code, out, err = run(capsys, "compute", "D800xA1", "--cache", str(cache))
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out == f"closed: {value}\nagreement: one method\n"
+    assert not cache.exists()
+    code, out, err = run(capsys, "compute", "D800xA1", "--format", "json")
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert json.loads(out) == {"group": "A1xD800", "results": {"closed": str(value)}}
+    code, out, _ = run(capsys, "compute", "A400xB400", "--method", "recursion")
+    assert (code, out) == (cli.EXIT_OK, f"{cli.closed_form_value('A400xB400')}\n")
+
+
+def test_verify_refuses_a_cached_key_past_the_recursions_bound(capsys, tmp_path):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"engine_version": cli.ENGINE_VERSION,
+                                "results": {"D1000000": {"value": "5"}, "A3": {"value": "2"}}}))
+    code, out, _ = run(capsys, "verify", "--cache", str(path))
+    [line] = [l for l in out.splitlines() if "cache-consistency" in l]
+    assert code == cli.EXIT_FAIL and line.startswith("FAIL") and line.endswith(
+        "cached key 'D1000000' has rank sum 1000000, past the recursion method's bound of 800")
 
 
 @pytest.mark.parametrize("command", [["compute", "A3"], ["verify"]])

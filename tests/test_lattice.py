@@ -871,6 +871,31 @@ def test_least_root_spans_fail_the_export(spec, monkeypatch, capsys, tmp_path):
         assert not path.exists()
 
 
+def exact_root_2_as_root_0(spec):
+    """The spec's model with its exact root 2 set equal to root 0. The
+    build reads the integer vectors, which are left as they are, so only
+    the export's exact bases read the changed root."""
+    model = build_model(spec)
+    model.roots = [*model.roots[:2], model.roots[0], *model.roots[3:]]
+    return model
+
+
+@pytest.mark.parametrize("spec", ["A3", "B3", "H3", "E6"])
+def test_exact_roots_off_the_integer_vectors_fail_the_export(spec, monkeypatch, capsys,
+                                                             tmp_path):
+    """The export's dimension check: a flat spanned by roots 0 and 2 has
+    a basis of one dimension too many once root 2 is root 0 in the exact
+    roots. build_lattice refuses it, and export-lattice ends in one error
+    line with exit 1 and writes no file."""
+    with pytest.raises(AssertionError, match=f"^{DEPENDENT}$"):
+        build_lattice(exact_root_2_as_root_0(spec))
+    monkeypatch.setattr(cli, "build_model", lambda labels: exact_root_2_as_root_0(spec))
+    path = tmp_path / "out.json"
+    assert run(capsys, "export-lattice", spec, str(path)) == (
+        cli.EXIT_FAIL, "", f"error: {DEPENDENT}\n")
+    assert not path.exists()
+
+
 def last_atom_spanned_by_root_0(mask, span, full, out):
     """The atom of the greatest root spanned by root 0, which lies off it."""
     return out if mask else [(c, (0,) if c == full + 1 >> 1 else s) for c, s in out]

@@ -10,8 +10,22 @@ import pytest
 from coxchains import cli, graphs, recursion
 from coxchains.graphs import TypeLabel, component_labels, make_graph, parse_group_spec
 from coxchains.recursion import SWAP, KCalculator, multinomial
-from coxchains.series import d_closed_form, euler_numbers, k_closed_form, verify_identities
-from oracles import GraphDeletionCalculator, graph_automorphism, graph_deleted_labels
+from coxchains.series import (
+    _d_closed_forms,
+    d_closed_form,
+    euler_numbers,
+    k_closed_form,
+    verify_identities,
+)
+from oracles import (
+    GraphDeletionCalculator,
+    a_rank_rule,
+    b_rank_rule,
+    bar_d_rank_rule,
+    d_rank_rule,
+    graph_automorphism,
+    graph_deleted_labels,
+)
 
 D_VALUES = {2: 2, 3: 2, 4: 12, 5: 26, 6: 178, 7: 594, 8: 4792, 9: 21682,
              10: 202374, 11: 1160026, 12: 12303332}
@@ -241,9 +255,10 @@ def test_relabelled_graph_matches_spec(spec, ids):
 
 
 def _classified(calc, spec):
-    """calc.k(spec) and the number of calls of graphs.classify_irreducible it
-    made, under any name a module imported it by."""
-    code, calls, outer = graphs.classify_irreducible.__code__, 0, sys.getprofile()
+    """calc.k(spec) and the number of graphs it classified: calls of
+    graphs._classify, which classify_irreducible and component_labels both
+    run once per graph or component."""
+    code, calls, outer = graphs._classify.__code__, 0, sys.getprofile()
 
     def profile(frame, event, arg):
         nonlocal calls
@@ -416,6 +431,37 @@ def test_walk_builds_rows_only_at_misses(monkeypatch):
     calls.clear()
     calc._fill(TypeLabel("B", 12))
     assert not calls
+
+
+def _rule_tables(top: int):
+    """The tables the rank rules read, from the closed forms, through rank
+    top: K(A_r), K(B_r), d_r and the k_bar(r) of the bar table (bar d_r at
+    even r, d_r at odd r), with the entries below rank 2 that the package
+    puts there."""
+    t = euler_numbers(top + 2)
+    ds = [(0, 0)] * 2 + [_d_closed_forms(t, r) for r in range(2, top + 1)]
+    return (t, [1] + t[2:], [d for d, _ in ds],
+            [bar if r % 2 == 0 else d for r, (d, bar) in enumerate(ds)])
+
+
+def test_rank_rules_equal_their_term_by_term_sums_through_rank_200():
+    """Each rank rule's dot product reads the slices that the term-by-term
+    sum of tests/oracles.py reads, at every rank 1-200 (bar d from 2, where
+    it is defined), with the table being filled cut to the ranks below r
+    as the walk passes it and the A table read whole, as B, D and bar d
+    read it; and each gives the closed form where the package calls it."""
+    a, b, d, kb = _rule_tables(200)
+    for r in range(1, 201):
+        c = [comb(r - 1, i) for i in range(r)]
+        assert recursion._a_value(a[:r], c, r) == a_rank_rule(a[:r], c, r) == a[r], r
+        assert recursion._b_value(a, b[:r], c, r) == b_rank_rule(a, b[:r], c, r) == b[r], r
+        for parts in (d, kb):
+            assert recursion._d_value(a, parts[:r], c, r) == d_rank_rule(a, parts[:r], c, r), r
+        if r >= 4:  # an even D reads d, an odd D the bar table
+            assert recursion._d_value(a, (kb if r % 2 else d)[:r], c, r) == d[r], r
+        if r >= 2:
+            assert (recursion._bar_d_value(a, kb[:r], c, r) == bar_d_rank_rule(a, kb[:r], c, r)
+                    == kb[r]), r
 
 
 def _mutate(monkeypatch, rule, at=None):

@@ -4,7 +4,13 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from oracles import ordinary_derivative, ordinary_product, ordinary_quotient
+from oracles import (
+    egf_product_terms,
+    egf_quotient_terms,
+    ordinary_derivative,
+    ordinary_product,
+    ordinary_quotient,
+)
 
 from coxchains import series
 from coxchains.graphs import TypeLabel
@@ -181,6 +187,21 @@ def test_series_arithmetic_matches_ordinary_oracle():
         else:
             with pytest.raises(ZeroDivisionError):
                 f / g
+
+
+def test_convolutions_equal_their_term_by_term_sums_through_order_200():
+    """The EGF product and quotient, one C-level dot product per index,
+    equal the term-by-term sums of tests/oracles.py at every order 1-200,
+    zero coefficients included. Index m of either sum reads indices <= m
+    only, so the sums are taken once, at order 200, and cut to each order."""
+    pick = random.Random(200)
+    f = tuple(pick.choice([0, 0, 1, -1, pick.randint(-10**6, 10**6)]) for _ in range(201))
+    g = (pick.choice([1, -1]),) + tuple(pick.choice([0, 0, 1, -2]) for _ in range(200))
+    product, quotient = egf_product_terms(f, g), egf_quotient_terms(f, g)
+    for n in range(1, 201):
+        fs, gs = EgfSeries(f[:n + 1]), EgfSeries(g[:n + 1])
+        assert (fs * gs).coefficients == product[:n + 1], n
+        assert (fs / gs).coefficients == quotient[:n + 1], n
 
 
 def test_quotients_by_a_unit_constant_term_stay_integer():
