@@ -3,11 +3,11 @@
 Commands: compute, table, verify, export-lattice. Exit codes are part of
 the contract: 0 success, 2 parse or usage error (an invalid flag, an
 unwritable export path), 3 every requested method refuses the type (brute
-force past its element cap, the recursion or the closed forms past their
-rank-sum bound), 4 method disagreement, 1 verification failure or a failed
-certificate or cached value (one error line), 141 (128 + SIGPIPE, what a
-shell reports for a filter) when the reader of standard output closed it
-early.
+force past its element cap or dihedral range, the recursion or the closed
+forms past their rank-sum bound), 4 method disagreement, 1 verification
+failure or a failed certificate or cached value (one error line), 141 (128 +
+SIGPIPE, what a shell reports for a filter) when the reader of standard
+output closed it early.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .lattice import (
     lattice_to_json,
     orbit_count_of_lines,  # noqa: F401  (perfbench's tracer patches it here)
 )
-from .models import DEFAULT_ELEMENT_CAP, UnsupportedModelError, build_model, model_to_json
+from .models import bruteforce_refusal, build_model, model_to_json
 from .recursion import KCalculator
 from .series import (
     _d_closed_forms,
@@ -68,6 +68,18 @@ DEEP_BRUTE_TIER = ["A5", "B5", "D5", "F4", "E6", "H4"]
 RANK_BOUNDS = {"recursion": 800, "closed": 2000}
 
 
+def _refusal(method: str, labels) -> str | None:
+    """Why a method refuses the labels, or None: brute force by `models`'
+    rule, the recursion and the closed forms past their rank-sum bound."""
+    if method == "bruteforce":
+        return bruteforce_refusal(labels)
+    rank_sum = sum(t.coxeter_rank for t in labels)
+    if rank_sum > RANK_BOUNDS[method]:
+        return (f"{spec_of_labels(labels)} has rank sum {rank_sum}, "
+                f"past the {method} method's bound of {RANK_BOUNDS[method]}")
+    return None
+
+
 def closed_form_value(spec) -> int:
     """Closed-form K of a spec string or of its component labels: the
     components' closed forms times the shuffles of their ranks r_i,
@@ -87,13 +99,11 @@ class DiskCache:
     files are ignored. The values are checked, never trusted: `check`
     compares them with a cold recursion's memo. A file that cannot be read
     as a cache is ignored, and an entry whose value is not a string of ASCII
-    digits dropped, each with a one-line warning on stderr; `rejected`
-    keeps what was ignored.
+    digits dropped, each with a one-line warning on stderr.
     """
 
     def __init__(self, path: str):
         self.path = path
-        self.rejected = []
         self.values = self._load()  # type name -> int, as read
 
     def _load(self) -> dict:
@@ -102,7 +112,7 @@ class DiskCache:
         try:
             with open(self.path) as fh:
                 data = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # the last: nested too deep
             return self._ignore_file(f"unreadable ({exc})")
         if not isinstance(data, dict):
             return self._ignore_file("the top level is not an object")
@@ -111,7 +121,7 @@ class DiskCache:
         results = data.get("results", {})
         if not isinstance(results, dict):
             return self._ignore_file('"results" is not an object')
-        values = {}
+        values, rejected = {}, []
         for spec, entry in results.items():
             try:
                 value = entry["value"]
@@ -119,14 +129,12 @@ class DiskCache:
                     raise ValueError(f"{value!r} is not a decimal string")
                 values[spec] = int(value)
             except (KeyError, TypeError, ValueError) as exc:
-                self.rejected.append(f"{spec} ({type(exc).__name__}: {exc})")
-        if self.rejected:
-            _warn(f"dropped bad entries from cache file {self.path}: "
-                  + "; ".join(self.rejected))
+                rejected.append(f"{spec} ({type(exc).__name__}: {exc})")
+        if rejected:
+            _warn(f"dropped bad entries from cache file {self.path}: " + "; ".join(rejected))
         return values
 
     def _ignore_file(self, why: str) -> dict:
-        self.rejected.append(f"the whole file ({why})")
         _warn(f"ignoring cache file {self.path}: {why}")
         return {}
 
@@ -172,32 +180,27 @@ def cmd_compute(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     spec = spec_of_labels(labels)
-    rank_sum = sum(t.coxeter_rank for t in labels)
-    past = [m for m, b in RANK_BOUNDS.items() if args.method in (m, "all") and rank_sum > b]
-    if past == [args.method] or len(past) == len(RANK_BOUNDS):  # so past brute force's cap
-        where = (f"the {past[0]} method's bound of {RANK_BOUNDS[past[0]]}" if len(past) == 1
-                 else "every method's bound: " + ", ".join(f"{m} {RANK_BOUNDS[m]}" for m in past)
-                 + f", bruteforce {DEFAULT_ELEMENT_CAP} group elements")
-        print(f"error: {spec} has rank sum {rank_sum}, past {where}", file=sys.stderr)
+    # in the order --method all prints them
+    refusals = {m: _refusal(m, labels) for m in ("recursion", "bruteforce", "closed")
+                if args.method in (m, "all")}
+    if all(refusals.values()):
+        hint = "" if _refusal("recursion", labels) else "; use the recursion method instead"
+        print(f"error: {'; '.join(refusals.values())}{hint}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    run = [m for m, why in refusals.items() if not why]
     results = {}
     detail = cache = None
-    if args.method in ("recursion", "all") and "recursion" not in past:
+    if "recursion" in run:
         calc = KCalculator()
         detail = calc.k_labels(labels)
         results["recursion"] = detail.value
         if args.cache:  # only a request that runs the recursion reads the file
             cache = DiskCache(args.cache)
             cache.check(calc.memo)
-    if args.method in ("closed", "all") and "closed" not in past:
+    if "closed" in run:
         results["closed"] = closed_form_value(labels)
-    if args.method in ("bruteforce", "all"):
-        try:
-            results["bruteforce"] = count_chain_orbits_lazily(build_model(labels)).orbit_count
-        except UnsupportedModelError as exc:
-            if args.method == "bruteforce":
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_UNSUPPORTED
+    if "bruteforce" in run:
+        results["bruteforce"] = count_chain_orbits_lazily(build_model(labels)).orbit_count
     agree = len(set(results.values())) <= 1
     unchecked = args.method == "all" and len(results) < 2  # the others refused
     if cache and agree:  # a value the methods dispute is not stored
@@ -258,7 +261,6 @@ def cmd_table(args) -> int:
 
 
 def _verify_checks(args):
-    cache = DiskCache(args.cache) if args.cache else None
     fresh = KCalculator()
 
     def egf_identities():
@@ -314,22 +316,6 @@ def _verify_checks(args):
                 return False, f"{spec}: {lines} line orbits vs {len(rec.terms)} recursion terms"
         return True, ""
 
-    def cache_consistency():
-        if not cache or not os.path.exists(cache.path):
-            return True, "no cache file"
-        bad = [f"ignored {r}" for r in cache.rejected]
-        for spec, value in cache.values.items():
-            try:
-                ranks = sum(t.coxeter_rank for t in parse_labels(spec))
-                if ranks > RANK_BOUNDS["recursion"]:  # not recomputed, as compute would refuse it
-                    bad.append(f"cached key {spec!r} has rank sum {ranks}, past the recursion "
-                               f"method's bound of {RANK_BOUNDS['recursion']}")
-                elif fresh.k_value(spec) != value:
-                    bad.append(f"cached K({spec}) = {value} disagrees with recomputation")
-            except GroupSpecError as exc:
-                bad.append(f"cached key {spec!r} is not a group spec ({exc})")
-        return not bad, "; ".join(bad)
-
     checks = [
         ("egf-identities", egf_identities),
         ("seidel-vs-series", seidel_vs_series),
@@ -337,10 +323,9 @@ def _verify_checks(args):
         ("bar-d", bar_d_check),
         ("parity", parity_check),
         ("bruteforce-required-tier", functools.partial(brute_tier, REQUIRED_BRUTE_TIER)),
-        ("cache-consistency", cache_consistency),
     ]
     if args.deep:
-        checks.insert(6, ("bruteforce-deep-tier", functools.partial(brute_tier, DEEP_BRUTE_TIER)))
+        checks.append(("bruteforce-deep-tier", functools.partial(brute_tier, DEEP_BRUTE_TIER)))
     return checks
 
 
@@ -369,12 +354,12 @@ def cmd_export_lattice(args) -> int:
     except GroupSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        model = build_model(labels)
-        lattice = build_lattice(model)
-    except UnsupportedModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    reason = bruteforce_refusal(labels)
+    if reason:  # no hint: the recursion exports no lattice
+        print(f"error: {reason}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    model = build_model(labels)
+    lattice = build_lattice(model)
     payload = {"group": spec_of_labels(labels), "lattice": lattice_to_json(lattice)}
     if args.include_model:
         payload["model"] = model_to_json(model)
@@ -430,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the cross-validation suite")
     p.add_argument("--deep", action="store_true",
                    help="include the rank-5, F4 and E6 brute-force tier")
-    p.add_argument("--cache")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("export-lattice", help="dump an intersection lattice as JSON")

@@ -259,28 +259,35 @@ def _build_irreducible(t: TypeLabel):
                            list(zip(*map(images.__getitem__, vecs))), vecs, scale)
 
 
+def bruteforce_refusal(labels) -> str | None:
+    """Why brute force refuses the labels, or None, from the labels alone:
+    I2(m) past m = 30, and every group past the element cap. Every |W| is at
+    least 2^rank, so a rank past the cap's bit length is refused without
+    computing |W|."""
+    for t in labels:
+        if t.family == "I2" and t.rank > 30:
+            return f"I2({t.rank}) exceeds the supported dihedral range (m <= 30)"
+    if (sum(t.coxeter_rank for t in labels) >= DEFAULT_ELEMENT_CAP.bit_length()
+            or prod(map(group_order, labels)) > DEFAULT_ELEMENT_CAP):
+        return (f"group order of {spec_of_labels(labels)} exceeds the element cap "
+                f"{DEFAULT_ELEMENT_CAP}")
+    return None
+
+
 def build_model(g):
     """Build a reflection model for a spec string, a graph or classified labels.
 
     Irreducible types get a matrix or dihedral model; reducible groups get
-    a ProductModel over their components, numbered left to right. A type is
-    refused from its labels, before any root is closed: I2(m) past m = 30,
-    and every group past the element cap. Every |W| is at least 2^rank, so a
-    rank past the cap's bit length is refused without computing |W|.
+    a ProductModel over their components, numbered left to right. A type
+    that `bruteforce_refusal` refuses is refused before any root is closed.
     """
     if isinstance(g, str):
         g = parse_labels(g)
     elif isinstance(g, CoxeterGraph):
         g = component_labels(g)
-    for t in g:
-        if t.family == "I2" and t.rank > 30:
-            raise UnsupportedModelError(
-                f"I2({t.rank}) exceeds the supported dihedral range (m <= 30)")
-    if (sum(t.coxeter_rank for t in g) >= DEFAULT_ELEMENT_CAP.bit_length()
-            or prod(map(group_order, g)) > DEFAULT_ELEMENT_CAP):
-        raise UnsupportedModelError(
-            f"group order of {spec_of_labels(g)} exceeds the element cap "
-            f"{DEFAULT_ELEMENT_CAP}; use the recursion method instead")
+    reason = bruteforce_refusal(g)
+    if reason:
+        raise UnsupportedModelError(f"{reason}; use the recursion method instead")
     offset, factors = 0, []
     build = functools.cache(_build_irreducible)  # one model per distinct label
     for label in g:

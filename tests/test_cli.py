@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import inspect
+import itertools
 import json
 import os
 import re
@@ -13,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from coxchains import cli, graphs, lattice, recursion
-from coxchains.graphs import component_labels, parse_group_spec
+from coxchains import cli, graphs, lattice, models, recursion
+from coxchains.graphs import component_labels, parse_group_spec, parse_labels
 from coxchains.lattice import build_lattice
 from coxchains.models import DEFAULT_ELEMENT_CAP, build_model
 from coxchains.series import euler_numbers
@@ -165,13 +166,13 @@ def test_compute_bruteforce_unsupported_exit_code(capsys):
 def test_compute_bruteforce_refuses_a_huge_rank_at_once(capsys):
     """D1000000 is refused from its rank in one error line, with no integer
     past the cap but the spec's own: |W(D1000000)| alone takes seconds to
-    compute."""
+    compute. The recursion refuses it too, so the line sends nobody there."""
     start = time.perf_counter()
     code, out, err = run(capsys, "compute", "D1000000", "--method", "bruteforce")
     assert time.perf_counter() - start < 0.5
     assert (code, out, err) == (cli.EXIT_UNSUPPORTED, "",
                                 "error: group order of D1000000 exceeds the element cap "
-                                "100000; use the recursion method instead\n")
+                                "100000\n")
     assert all(int(n) <= DEFAULT_ELEMENT_CAP
                for n in re.findall(r"\d+", err.replace("D1000000", "")))
 
@@ -392,21 +393,6 @@ def test_stale_engine_version_ignored(capsys, tmp_path):
         assert data["engine_version"] == 3 and data["results"]["E6"] == {"value": "82"}
 
 
-def test_verify_flags_corrupted_cache(capsys, tmp_path):
-    cache = tmp_path / "bad.json"
-    cache.write_text(json.dumps({
-        "engine_version": cli.ENGINE_VERSION,
-        "results": {"E6": {"value": "7777", "method": "summ2", "terms": []}},
-    }))
-    code = cli.main(["verify", "--cache", str(cache)])
-    out = capsys.readouterr().out
-    assert code == cli.EXIT_FAIL
-    assert "FAIL" in out and "cache-consistency" in out
-    fail_line = next(l for l in out.splitlines()
-                     if l.startswith("FAIL") and "cache-consistency" in l)
-    assert "E6" in fail_line
-
-
 def test_export_lattice(capsys, tmp_path):
     out_path = tmp_path / "a3.json"
     code = cli.main(["export-lattice", "A3", str(out_path), "--include-model"])
@@ -419,9 +405,12 @@ def test_export_lattice(capsys, tmp_path):
 
 
 def test_export_lattice_unsupported(capsys, tmp_path):
-    code = cli.main(["export-lattice", "E8", str(tmp_path / "x.json")])
-    capsys.readouterr()
-    assert code == cli.EXIT_UNSUPPORTED
+    """Brute force's refusal in one line, with no hint: the recursion
+    exports no lattice."""
+    code, out, err = run(capsys, "export-lattice", "E8", str(tmp_path / "x.json"))
+    assert (code, out, err) == (cli.EXIT_UNSUPPORTED, "",
+                                "error: group order of E8 exceeds the element cap 100000\n")
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_export_lattice_unwritable_path(capsys, tmp_path):
@@ -499,6 +488,21 @@ def test_unreadable_cache_file_is_ignored_with_warning(capsys, tmp_path, content
     assert err.startswith("warning: ignoring cache file") and reason in err
 
 
+@pytest.mark.parametrize("depth", [990, 100_000])
+def test_nested_cache_file_is_ignored_with_one_warning(capsys, tmp_path, depth):
+    """A file of nested lists deeper than the JSON decoder recurses (990, 2 KB,
+    is past it as a command on Python 3.11) is not a cache: one warning line,
+    not a traceback, and the value is computed."""
+    cache = tmp_path / "c.json"
+    cache.write_text("[" * depth + "]" * depth)
+    code, out, err = run(capsys, "compute", "A3", "--method", "recursion",
+                         "--cache", str(cache))
+    assert (code, out) == (cli.EXIT_OK, "2\n")
+    assert err.startswith(f"warning: ignoring cache file {cache}: ") and err.count("\n") == 1
+    if depth > 10_000:  # past every Python's decoder
+        assert f"{cache}: unreadable (" in err
+
+
 def test_ill_typed_cache_entry_is_dropped(capsys, tmp_path):
     cache = tmp_path / "c.json"
     write_cache(cache, {"A3": {"value": "x"}, "A1": {"value": "1"}})
@@ -516,19 +520,13 @@ def test_ill_typed_cache_entry_is_dropped(capsys, tmp_path):
 def test_cache_value_that_is_no_decimal_string_is_dropped(value, capsys, tmp_path):
     """A value is read only from a string of ASCII digits. Anything else,
     where `int` read 82.7 as 82, true as 1 and "1_0" as 10, is dropped with
-    one warning line naming its entry, and verify --cache names it as
-    ignored."""
+    one warning line naming its entry."""
     cache = tmp_path / "c.json"
     write_cache(cache, {"E6": {"value": value}})
     code, out, err = run(capsys, "compute", "E6", "--method", "recursion", "--cache", str(cache))
     assert (code, out) == (cli.EXIT_OK, "82\n")
     assert err.startswith(f"warning: dropped bad entries from cache file {cache}: E6 (")
     assert err.count("\n") == 1
-    write_cache(cache, {"E6": {"value": value}})  # compute rewrote it with E6 = 82
-    args = cli.build_parser().parse_args(["verify", "--cache", str(cache)])
-    ok, detail = dict(cli._verify_checks(args))["cache-consistency"]()
-    capsys.readouterr()
-    assert not ok and detail.startswith("ignored E6 (ValueError: ")
 
 
 def test_poisoned_cache_entry_is_not_printed(capsys, tmp_path):
@@ -596,18 +594,6 @@ def test_cache_entry_contradicting_its_terms_is_dropped(capsys, tmp_path, query,
     assert cache.read_bytes() == before
 
 
-def test_verify_names_every_bad_cache_entry(capsys, tmp_path):
-    cache = tmp_path / "c.json"
-    write_cache(cache, {"A3": {"value": "7", "terms": []},
-                        "B3": {"value": "y", "method": "summ1", "terms": []},
-                        "Q9": {"value": "1", "method": "base-case", "terms": []}})
-    args = cli.build_parser().parse_args(["verify", "--cache", str(cache)])
-    check = dict(cli._verify_checks(args))["cache-consistency"]
-    ok, detail = check()
-    assert not ok
-    assert "A3" in detail and "B3" in detail and "Q9" in detail
-
-
 def test_cache_write_uses_private_temp_file(capsys, tmp_path):
     cache = tmp_path / "c.json"
     # a leftover at the old shared temp name must not stop the write
@@ -657,12 +643,10 @@ def test_table_past_the_closed_forms_bound_is_a_usage_error(capsys, fmt):
 @pytest.mark.parametrize("method, line", [
     ("recursion", "past the recursion method's bound of 800"),
     ("closed", "past the closed method's bound of 2000"),
-    ("all", "past every method's bound: recursion 800, closed 2000, "
-            "bruteforce 100000 group elements"),
 ])
 def test_compute_past_the_rank_bounds_is_refused_at_once(capsys, method, line):
     """A rank sum past a method's bound is refused from the labels in one
-    error line, with exit 3; under --method all only when every method is."""
+    error line, with exit 3."""
     start = time.perf_counter()
     code, out, err = run(capsys, "compute", "D1000000", "--method", method)
     assert time.perf_counter() - start < 0.5
@@ -688,14 +672,69 @@ def test_compute_all_skips_the_methods_past_their_bounds(capsys, tmp_path):
     assert (code, out) == (cli.EXIT_OK, f"{cli.closed_form_value('A400xB400')}\n")
 
 
-def test_verify_refuses_a_cached_key_past_the_recursions_bound(capsys, tmp_path):
-    path = tmp_path / "k.json"
-    path.write_text(json.dumps({"engine_version": cli.ENGINE_VERSION,
-                                "results": {"D1000000": {"value": "5"}, "A3": {"value": "2"}}}))
-    code, out, _ = run(capsys, "verify", "--cache", str(path))
-    [line] = [l for l in out.splitlines() if "cache-consistency" in l]
-    assert code == cli.EXIT_FAIL and line.startswith("FAIL") and line.endswith(
-        "cached key 'D1000000' has rank sum 1000000, past the recursion method's bound of 800")
+A1_17 = "x".join(["A1"] * 17)
+HINT = "; use the recursion method instead"
+BRUTE_CAP = "error: group order of {} exceeds the element cap 100000"
+PAST = "error: {} has rank sum {}, past the {} method's bound of {}"
+# (spec, method) -> stderr of a refusal; every other pair runs with no stderr
+REFUSAL_LINES = {
+    ("E7", "bruteforce"): BRUTE_CAP.format("E7") + HINT,
+    ("I2(31)", "bruteforce"): "error: I2(31) exceeds the supported dihedral range (m <= 30)"
+                              + HINT,
+    ("D801", "recursion"): PAST.format("D801", 801, "recursion", 800),
+    ("D801", "bruteforce"): BRUTE_CAP.format("D801"),
+    ("D1000000", "recursion"): PAST.format("D1000000", 1000000, "recursion", 800),
+    ("D1000000", "bruteforce"): BRUTE_CAP.format("D1000000"),
+    ("D1000000", "closed"): PAST.format("D1000000", 1000000, "closed", 2000),
+    ("D1000000", "all"): "error: D1000000 has rank sum 1000000, past the recursion method's "
+                         "bound of 800; group order of D1000000 exceeds the element cap "
+                         "100000; D1000000 has rank sum 1000000, past the closed method's "
+                         "bound of 2000",
+    (A1_17, "bruteforce"): BRUTE_CAP.format(A1_17) + HINT,
+}
+
+
+@pytest.mark.parametrize("spec, method", [
+    pytest.param(spec, method, id=f"{'A1^17' if spec == A1_17 else spec}-{method}")
+    for spec in ("E7", "I2(31)", "D801", "D1000000", A1_17)
+    for method in ("recursion", "bruteforce", "closed", "all")])
+def test_compute_refusal_lines(capsys, spec, method):
+    """Every requested method refusing ends in one line, exit 3: the reasons
+    in the order --method all prints the methods, joined by "; ", and a hint
+    to the recursion only where the recursion admits the spec. Where a
+    requested method admits the spec, it runs and stderr stays empty."""
+    code, _, err = run(capsys, "compute", spec, "--method", method)
+    line = REFUSAL_LINES.get((spec, method))
+    assert (code, err) == ((cli.EXIT_UNSUPPORTED, line + "\n") if line else (cli.EXIT_OK, ""))
+
+
+class ReachedBuildModel(Exception):
+    pass
+
+
+def test_bruteforce_refuses_exactly_what_models_refuses(capsys, monkeypatch):
+    """Over every product of up to three labels from a set on both sides of
+    brute force's rule, compute --method bruteforce exits 3 exactly when
+    `models.bruteforce_refusal` refuses, and reaches `build_model` only when
+    it does not."""
+    def build_model(labels):
+        raise ReachedBuildModel
+
+    monkeypatch.setattr(cli, "build_model", build_model)
+    names = ["A1", "A3", "B5", "B3", "E7", "E8", "I2(31)", "D801"]
+    refused = 0
+    for k in (1, 2, 3):
+        for spec in map("x".join, itertools.product(names, repeat=k)):
+            reason = models.bruteforce_refusal(parse_labels(spec))
+            if reason is None:
+                with pytest.raises(ReachedBuildModel):
+                    cli.main(["compute", spec, "--method", "bruteforce"])
+                continue
+            code, out, err = run(capsys, "compute", spec, "--method", "bruteforce")
+            assert (code, out) == (cli.EXIT_UNSUPPORTED, ""), spec
+            assert err.startswith(f"error: {reason}") and err.count("\n") == 1, spec
+            refused += 1
+    assert 0 < refused < 8 + 8 ** 2 + 8 ** 3
 
 
 @pytest.mark.parametrize("command", [["compute", "A3"], ["verify"]])
@@ -707,6 +746,16 @@ def test_workers_flag_is_a_usage_error(capsys, command):
     err = capsys.readouterr().err
     assert exc.value.code == cli.EXIT_PARSE
     assert "unrecognized arguments: --workers 2" in err and "Traceback" not in err
+
+
+def test_verify_cache_flag_is_a_usage_error(capsys, tmp_path):
+    """Only compute reads a cache file: verify takes no --cache."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--cache", str(tmp_path / "k.json")])
+    err = capsys.readouterr().err
+    assert exc.value.code == cli.EXIT_PARSE
+    assert "unrecognized arguments: --cache" in err and "Traceback" not in err
+    assert not (tmp_path / "k.json").exists()
 
 
 def test_no_command_starts_a_worker_pool(capsys, monkeypatch):
