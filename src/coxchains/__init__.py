@@ -24,7 +24,6 @@ from .lattice import (
     build_lattice,
     build_lattice_with_action,
     count_chain_orbits,
-    count_maximal_chains,
     orbit_count_of_lines,
 )
 from .models import ReflectionModel, UnsupportedModelError, build_model

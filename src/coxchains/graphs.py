@@ -319,7 +319,7 @@ def longest_element_automorphism(t: TypeLabel) -> dict:
     perm = {i: i for i in range(1, n + 1)}
     if t.family == "A":
         perm = {i: n + 1 - i for i in range(1, n + 1)}
-    elif t.family == "D" and t.rank % 2 == 1 and t.rank >= 4:
+    elif t.family == "D" and t.rank % 2 == 1:
         perm[n - 1], perm[n] = n, n - 1
     elif t.family == "E" and t.rank == 6:
         perm = {1: 6, 6: 1, 3: 5, 5: 3, 2: 2, 4: 4}

@@ -35,13 +35,14 @@ Every command's brute force is `count_chain_orbits_lazily`; `verify` also
 walks the line orbits from the coatoms that scan closed
 (`count_chain_and_line_orbits_lazily`). That scan closes a flat only when
 it first reads its covers (`_Covers`), a product flat's joined from its
-factors' flats, each closed and certified once per distinct factor model,
-and certifies each state: the maximal chains above a flat, summed over its
+factors' flats, each closed and certified once per distinct factor model.
+The library's `count_chain_orbits` scans a whole lattice, built by orbit
+transport, in one process unless asked for workers. Either scan certifies
+each state alike: the maximal chains above a flat, summed over its
 canonical covers times their orbit lengths under the chain stabiliser, must
 agree between stabilisers, and the state's orbit sizes sum to |W| / |Stab|
-times them. The library's `count_chain_orbits` scans a whole lattice, built
-by orbit transport, in one process unless asked for workers, and certifies
-that the orbit sizes sum to its maximal chains.
+times them; the orbit sizes sum to |orbit| times the chains above each
+canonical atom.
 """
 
 from __future__ import annotations
@@ -489,20 +490,6 @@ def _lines(mask) -> list:
     return out
 
 
-def count_maximal_chains(l: IntersectionLattice) -> int:
-    """Maximal chains from the bottom to the top, walked in index order,
-    which every builder makes rank order; a lattice out of it raises."""
-    if any(map(operator.gt, l.rank, itertools.islice(l.rank, 1, None))):
-        raise AssertionError("lattice elements are not listed in rank order")
-    ways = [0] * len(l.elements)
-    ways[l.bottom] = 1
-    for w, ups in zip(ways, l.covers):  # ways[i] is complete when the walk reads it
-        if w:
-            for j in ups:
-                ways[j] += w
-    return ways[l.top]
-
-
 def _merged(counts):
     """The sum of {orbit size: multiplicity} counts."""
     total = {}
@@ -512,7 +499,7 @@ def _merged(counts):
     return total
 
 
-def _scan_atoms(covers, masks, orbits, blocks, orders, atoms, chains=None):
+def _scan_atoms(covers, masks, orbits, blocks, orders, atoms):
     """The orbit sizes of the canonical maximal chains through the atoms, as
     {orbit size: multiplicity}. At a flat x, the chain's stabiliser maps a
     cover d = x v a to the cover holding the image of a (`cover_of`), and
@@ -534,15 +521,18 @@ def _scan_atoms(covers, masks, orbits, blocks, orders, atoms, chains=None):
     divide |W|. The result holds one entry per orbit size, however many
     orbits the chains fall into: A1^16's 16! orbits are one entry.
 
-    With a dict `chains`, each state is also certified on its own, for a
-    scan that never sees the whole lattice: the length of each canonical
-    cover d's orbit under Stab(p) is counted as the distinct covers its
-    images reach, and these lengths must sum to x's cover count, so the
-    orbits partition the covers. chains[x] becomes f(x), the number of
-    maximal chains from x to the top, as the sum over the canonical covers
-    of f(d) times that length. A state that reaches x with another
-    stabiliser must give the same f(x), and the state's orbit sizes times
-    their multiplicities must sum to |W| / |Stab(p)| * f(x)."""
+    Each state is also certified on its own, so no check needs the whole
+    lattice: the length of each canonical cover d's orbit under
+    Stab(p) is counted as the distinct covers its images reach, and these
+    lengths must sum to x's cover count, so the orbits partition the covers.
+    chains[x] becomes f(x), the number of maximal chains from x to the top,
+    as the sum over the canonical covers of f(d) times that length. A state
+    that reaches x with another stabiliser must give the same f(x), and the
+    state's orbit sizes times their multiplicities must sum to
+    |W| / |Stab(p)| * f(x). Last, the orbit sizes must sum to |orbit| times
+    f over the canonical atoms, which fails atom-line orbits merged or
+    split; the scans of round-robin chunks of the atoms add up to this sum
+    over all of them."""
     n = len(blocks[0][0]) // 2
     block_of, own = {}, [0] * len(blocks)  # per root its block; per block its roots
     for b, gens in enumerate(blocks):
@@ -557,6 +547,7 @@ def _scan_atoms(covers, masks, orbits, blocks, orders, atoms, chains=None):
     order = math.prod(orders)
     parts, entered, narrowed = [], {}, {}  # part id -> elements; their ids by key
     memo = {}  # (flat, part id per block) -> {orbit size: multiplicity}
+    chains = {}  # flat -> its maximal chains to the top
 
     def enter(line):
         """|orbit| |Stab| of the line, closed in its block, and Stab's part
@@ -573,11 +564,9 @@ def _scan_atoms(covers, masks, orbits, blocks, orders, atoms, chains=None):
         if out is not None:
             return out
         ups = covers[x]
-        if chains is not None or not ups:
-            s = math.prod(w if p is None else len(parts[p]) for p, w in zip(stab, orders))
-            if not s or order % s:
-                raise AssertionError(
-                    f"chain stabiliser of order {s} does not divide |W| = {order}")
+        s = math.prod(w if p is None else len(parts[p]) for p, w in zip(stab, orders))
+        if not s or order % s:
+            raise AssertionError(f"chain stabiliser of order {s} does not divide |W| = {order}")
         if not ups:
             out, below = {order // s: 1}, []
         elif len(ups) == 1:  # whatever fixes x fixes its only cover
@@ -608,26 +597,24 @@ def _scan_atoms(covers, masks, orbits, blocks, orders, atoms, chains=None):
                         parts.append([*itertools.compress(parts[p], map(d.__eq__, ims))])
                     q = narrowed[key]
                 nexts.append((d, stab[:b] + (q,) + stab[b + 1:]))
-                if chains is not None:  # d's orbit: the covers its images reach
-                    below.append((len(set(ims)), d))
+                below.append((len(set(ims)), d))  # d's orbit: the covers its images reach
             out = _merged(itertools.starmap(extend, nexts))
-        if chains is not None:
-            held = sum(k for k, _ in below)
-            if held != len(ups):
-                raise AssertionError(
-                    f"flat {_lines(masks[x])}: the orbits of its canonical covers "
-                    f"hold {held} of its {len(ups)} covers")
-            ways = sum(k * chains[d] for k, d in below) if ups else 1
-            total = sum(map(operator.mul, out, out.values()))
-            if chains.setdefault(x, ways) != ways:
-                raise AssertionError(
-                    f"flat {_lines(masks[x])}: {ways} maximal chains above it under one "
-                    f"stabiliser, {chains[x]} under another")
-            if total * s != order * ways:
-                raise AssertionError(
-                    f"flat {_lines(masks[x])}: chain orbit sizes above it sum to {total}, "
-                    f"not |W| / |Stab| = {order // s} times the maximal chains above it, "
-                    f"{ways}")
+        held = sum(k for k, _ in below)
+        if held != len(ups):
+            raise AssertionError(
+                f"flat {_lines(masks[x])}: the orbits of its canonical covers "
+                f"hold {held} of its {len(ups)} covers")
+        ways = sum(k * chains[d] for k, d in below) if ups else 1
+        total = sum(map(operator.mul, out, out.values()))
+        if chains.setdefault(x, ways) != ways:
+            raise AssertionError(
+                f"flat {_lines(masks[x])}: {ways} maximal chains above it under one "
+                f"stabiliser, {chains[x]} under another")
+        if total * s != order * ways:
+            raise AssertionError(
+                f"flat {_lines(masks[x])}: chain orbit sizes above it sum to {total}, "
+                f"not |W| / |Stab| = {order // s} times the maximal chains above it, "
+                f"{ways}")
         memo[x, stab] = out
         return out
 
@@ -643,7 +630,11 @@ def _scan_atoms(covers, masks, orbits, blocks, orders, atoms, chains=None):
                 f"|W| = {orders[b]}")
         counts.append(extend(atom, unentered[:b] + (p,) + unentered[b + 1:]))
     del extend  # break its self-reference, so the memos go with this frame
-    return _merged(counts)
+    counts = _merged(counts)
+    if (sum(map(operator.mul, counts, counts.values()))
+            != sum(len(orbits[masks[a].bit_length() - 1]) * chains[a] for a in atoms)):
+        raise AssertionError("orbit sizes do not sum to the chains above the canonical atoms")
+    return counts
 
 
 def _in_workers(scan, args, items, workers):
@@ -764,7 +755,7 @@ def _line_orbits(blocks) -> dict:
     return {i: orbit for orbit in orbits for i in orbit}
 
 
-def _count_orbits(covers, masks, action, workers=1, total=None) -> ChainOrbitCount:
+def _count_orbits(covers, masks, action, workers=1) -> ChainOrbitCount:
     """Orbit count of the group action on maximal chains over the flats'
     covers and hypsets, flat 0 the bottom, each orbit counted once, at its
     canonical chain: the chain that equals its own lexicographically
@@ -774,18 +765,14 @@ def _count_orbits(covers, masks, action, workers=1, total=None) -> ChainOrbitCou
     Stab(p) maps d below d (canonical augmentation: B. D. McKay,
     "Isomorph-free exhaustive generation", J. Algorithms 26, 1998), and a
     canonical maximal chain c contributes the orbit size |W| / |Stab(c)|
-    (`_scan_atoms`). Besides the scan's own checks, the orbit sizes times
-    their multiplicities must sum to `total`, a built lattice's maximal
-    chains, or, given none, to |orbit| times the chains above each canonical
-    atom, certified state by state: either fails atom-line orbits merged or
-    split. Canonical atoms go round-robin to the workers, each with its own
-    memo, so the result is identical for any count."""
+    (`_scan_atoms`, which certifies each state and the sum over its atoms).
+    Canonical atoms go round-robin to the workers, each with its own memo,
+    so the result is identical for any count."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    chains = {} if total is None else None
     orbits = _line_orbits(action.blocks)
     lines = sorted({o[0] for o in orbits.values()})
-    counts, above = {1: 1}, 1  # rank 0: the bottom is the only chain
+    counts = {1: 1}  # rank 0: the bottom is the only chain
     if lines:
         atom = {masks[c].bit_length() - 1: c for c in covers[0]}
         if len(atom) != len(orbits):
@@ -793,36 +780,28 @@ def _count_orbits(covers, masks, action, workers=1, total=None) -> ChainOrbitCou
         atoms = [atom[i] for i in lines]
         args = (covers, masks, orbits, action.blocks, action.orders)
         if workers == 1 or len(atoms) == 1:
-            counts = _scan_atoms(*args, atoms, chains)
+            counts = _scan_atoms(*args, atoms)
         else:
             counts = _merged(_in_workers(_scan_atoms, args, atoms, workers))
-        if chains is not None:
-            above = sum(len(orbits[i]) * chains[c] for i, c in zip(lines, atoms))
-    found = sum(map(operator.mul, counts, counts.values()))
-    what = "the chain count"
-    if total is None:
-        total, what = above, "the chains above the canonical atoms"
-    if found != total:
-        raise AssertionError(f"orbit sizes do not sum to {what}")
-    return ChainOrbitCount(total_chains=found, orbit_count=sum(counts.values()),
+    return ChainOrbitCount(total_chains=sum(map(operator.mul, counts, counts.values())),
+                           orbit_count=sum(counts.values()),
                            size_counts=dict(sorted(counts.items())))
 
 
 def count_chain_orbits(l: IntersectionLattice, action: GeneratorAction,
                        workers: int = 1) -> ChainOrbitCount:
     """Orbit count of the group action on the maximal chains of a built
-    lattice (`_count_orbits`), whose orbit sizes must sum to its chains.
-    No command calls it: only perfbench, whose sweep sets `workers`."""
-    return _count_orbits(l.covers, l.hypsets, action, workers, count_maximal_chains(l))
+    lattice (`_count_orbits`), certified as the lazy scan's is. No command
+    calls it: only perfbench, whose sweep sets `workers`."""
+    return _count_orbits(l.covers, l.hypsets, action, workers)
 
 
 def count_chain_orbits_lazily(model) -> ChainOrbitCount:
     """Orbit count of the group action on maximal chains (`_count_orbits`)
     without building the lattice: the scan closes only the flats whose
     covers it reads (`_Covers`), so E6 closes 49 of its 4,598 flats, the
-    bottom among them, in one process with one memo. The chain-count sum
-    needs the whole lattice, so each state is certified on its own instead
-    (`_scan_atoms` with `chains`), and each distinct factor flat once
+    bottom among them, in one process with one memo. Each state is
+    certified on its own (`_scan_atoms`), and each distinct factor flat once
     (`_factor_covers`)."""
     covers = _Covers(_factors(model))
     return _count_orbits(covers, covers.masks, _action(model))

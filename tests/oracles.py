@@ -9,10 +9,12 @@ table composed along a breadth-first closure of the whole group, the
 lattice with every flat closed on integers by one null-vector test per
 cover, a product lattice folded pairwise from its factors, line
 stabilisers closed element by element, which the coset-by-coset listing
-must list, the chain scan that reaches every canonical chain, Zaslavsky's
-chamber count, which must be |W|, the gradedness check that the whole
-build's per-flat cover check implies, and the orbits of each rank from hypset
-images, whose coatom orbits the generators' line walk must count.
+must list, the chain scan that reaches every canonical chain, the maximal
+chains counted by one walk of the covers in rank order, which both chain
+scans' orbit sizes must sum to, Zaslavsky's chamber count, which must be
+|W|, the gradedness check that the whole build's per-flat cover check
+implies, and the orbits of each rank from hypset images, whose coatom
+orbits the generators' line walk must count.
 The recursion's label deletion rules are checked against deleting the
 vertex from the type's standard graph and classifying the components that
 remain. The series layer's integer EGF arithmetic is checked against
@@ -54,7 +56,6 @@ from coxchains.lattice import (
     _integer_lines,
     _lines,
     build_lattice_with_action,
-    count_maximal_chains,
 )
 from coxchains.models import (
     DEFAULT_ELEMENT_CAP,
@@ -288,6 +289,20 @@ def maximal_chains(l):
 
     walk(l.bottom, ())
     return out
+
+
+def count_maximal_chains(l: IntersectionLattice) -> int:
+    """Maximal chains from the bottom to the top, walked in index order,
+    which every builder makes rank order; a lattice out of it raises."""
+    if any(map(operator.gt, l.rank, itertools.islice(l.rank, 1, None))):
+        raise AssertionError("lattice elements are not listed in rank order")
+    ways = [0] * len(l.elements)
+    ways[l.bottom] = 1
+    for w, ups in zip(ways, l.covers):  # ways[i] is complete when the walk reads it
+        if w:
+            for j in ups:
+                ways[j] += w
+    return ways[l.top]
 
 
 def size_histogram(sizes) -> dict:

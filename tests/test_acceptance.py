@@ -10,11 +10,7 @@ import time
 import pytest
 
 from coxchains.graphs import parse_group_spec
-from coxchains.lattice import (
-    build_lattice_with_action,
-    count_chain_orbits,
-    count_maximal_chains,
-)
+from coxchains.lattice import build_lattice_with_action, count_chain_orbits
 from coxchains.models import build_model
 from coxchains.recursion import KCalculator
 from coxchains.series import (
@@ -28,7 +24,7 @@ from coxchains.series import (
     z,
     constant,
 )
-from oracles import set_partitions
+from oracles import count_maximal_chains, set_partitions
 
 REQUIRED_TIER = (
     ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "D4", "H3"]

@@ -255,6 +255,7 @@ def test_longest_element_automorphism_cases():
     assert longest_element_automorphism(TypeLabel("A", 4)) == {
         1: 4, 2: 3, 3: 2, 4: 1,
     }
+    assert longest_element_automorphism(TypeLabel("D", 3)) == {1: 1, 2: 3, 3: 2}
     d5 = longest_element_automorphism(TypeLabel("D", 5))
     assert d5 == {1: 1, 2: 2, 3: 3, 4: 5, 5: 4}
     assert is_identity(TypeLabel("D", 6))

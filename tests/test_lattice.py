@@ -29,7 +29,6 @@ from coxchains.lattice import (
     count_chain_and_line_orbits_lazily,
     count_chain_orbits,
     count_chain_orbits_lazily,
-    count_maximal_chains,
     lattice_to_json,
     orbit_count_of_lines,
 )
@@ -45,6 +44,7 @@ from oracles import (
     count_chain_orbits_enumerating,
     count_chain_orbits_table,
     count_chain_orbits_unionfind,
+    count_maximal_chains,
     dihedral_table,
     folded_lattice,
     full_space,
@@ -1125,8 +1125,11 @@ def lazily(spec):
 def test_lazy_scan_equals_full_scan(spec, workers):
     """Covers closed on demand, scanned once in one process, give the count
     of the whole lattice scanned with one or two workers, orbit sizes
-    included."""
-    assert lazily(spec) == count_chain_orbits(*lattice_of(spec), workers=workers)
+    included, and its chains are the whole lattice's maximal chains,
+    counted apart from any orbit."""
+    lattice, action = lattice_of(spec)
+    assert lazily(spec) == count_chain_orbits(lattice, action, workers=workers)
+    assert lazily(spec).total_chains == count_maximal_chains(lattice)
 
 
 def assert_compute_fails_a_certificate(capsys, spec):
@@ -1146,26 +1149,50 @@ def memo_keyed_by_the_flat_alone(monkeypatch):
     monkeypatch.setattr(lattice_module, "_scan_atoms", namespace["_scan_atoms"])
 
 
-@pytest.mark.parametrize("spec", ["A3", "B3", "E6", "B3xB3", "D5xB3"])
+def chain_sum(flat, found, quotient, chains):
+    return (f"flat {flat}: chain orbit sizes above it sum to {found}, not |W| / |Stab| = "
+            f"{quotient} times the maximal chains above it, {chains}")
+
+
+def hold(flat, held, covers):
+    return f"flat {flat}: the orbits of its canonical covers hold {held} of its {covers} covers"
+
+
+def assert_whole_scan_fails(spec, message, workers=(1, 2)):
+    """The whole lattice, scanned with each worker count, fails with
+    exactly `message`."""
+    for w in workers:
+        with pytest.raises(AssertionError) as failed:
+            count_chain_orbits(*lattice_of(spec), workers=w)
+        assert str(failed.value) == message
+
+
+# the one message a memo keyed by the flat alone raises on every path
+MEMO_MESSAGES = {
+    "A3": chain_sum([0, 2], 12, 6, 1),
+    "B3": chain_sum([1, 2, 3], 6, 12, 1),
+    "E6": chain_sum([0, 1, 2, 3, 5, 15, 16, 17, 18, 19, 35], 12960, 6480, 1),
+    "B3xB3": chain_sum([0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11, 12], 36, 72, 1),
+    "D5xB3": chain_sum([*range(20), 21, 22, 23], 5760, 11520, 1),
+}
+
+
+@pytest.mark.parametrize("spec", MEMO_MESSAGES)
 def test_memo_keyed_by_the_flat_alone_fails_the_chain_count(spec, monkeypatch):
     """A memo that forgets the chain stabiliser reuses one prefix's count for
-    another prefix with a different stabiliser, and the orbit sizes no
-    longer sum to the chain count."""
+    another prefix with a different stabiliser: on the whole lattice, with
+    one worker or two, the state above the reused count certifies that its
+    chain orbits no longer sum to |W| / |Stab| times the chains above it."""
     memo_keyed_by_the_flat_alone(monkeypatch)
-    with pytest.raises(AssertionError, match="^orbit sizes do not sum to the chain count$"):
-        count_chain_orbits(*lattice_of(spec))
+    assert_whole_scan_fails(spec, MEMO_MESSAGES[spec])
 
 
-@pytest.mark.parametrize("spec", ["A3", "B3", "E6", "B3xB3", "D5xB3"])
+@pytest.mark.parametrize("spec", MEMO_MESSAGES)
 def test_memo_keyed_by_the_flat_alone_fails_a_state_certificate(spec, monkeypatch, capsys):
-    """On covers closed on demand there is no chain count to sum to: the
-    state above the reused count certifies that its chain orbits no longer
-    sum to |W| / |Stab| times the chains above it, and compute ends in one
-    error line."""
+    """The same mutant fails the same state with the same message on covers
+    closed on demand, and compute ends in that one error line."""
     memo_keyed_by_the_flat_alone(monkeypatch)
-    with pytest.raises(AssertionError, match=r"^flat \[[\d, ]+\]: chain orbit sizes above it "):
-        count_chain_orbits_lazily(build_model(spec))
-    assert_compute_fails_a_certificate(capsys, spec)
+    assert_lazy_scan_fails(capsys, spec, f"^{re.escape(MEMO_MESSAGES[spec])}$")
 
 
 def test_scan_visits_each_state_once():
@@ -1254,9 +1281,18 @@ def wrong_line_orbits(change):
     return wrong
 
 
-WRONG_ORBITS = [("B3", "merge"), ("A2xA1", "merge"), ("B3xB3", "merge"), ("A3", "split"),
-                ("E6", "split"), ("A2xA1", "split"), ("A2xA2", "exchange"),
-                ("D4xD4", "exchange")]
+ATOM_SUM = "orbit sizes do not sum to the chains above the canonical atoms"
+# (spec, change) -> the one message it raises on every path
+WRONG_ORBITS = {
+    ("B3", "merge"): ATOM_SUM,
+    ("A2xA1", "merge"): hold([0], 1, 2),
+    ("B3xB3", "merge"): chain_sum([*range(9, 18)], 72, 6, 36),
+    ("A3", "split"): ATOM_SUM,
+    ("E6", "split"): ATOM_SUM,
+    ("A2xA1", "split"): chain_sum([3], 6, 1, 3),
+    ("A2xA2", "exchange"): hold([0, 1, 2], 0, 3),
+    ("D4xD4", "exchange"): hold([*range(12)], 0, 12),
+}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -1264,26 +1300,22 @@ WRONG_ORBITS = [("B3", "merge"), ("A2xA1", "merge"), ("B3xB3", "merge"), ("A3", 
 def test_wrong_atom_orbit_record_fails_the_chain_count(spec, change, workers, monkeypatch):
     """On a built lattice the atom-line orbits come from the generators as
     well. Merged, split or exchanging a line, they lose an orbit's canonical
-    atom or scan one twice, and the orbit sizes no longer sum to the chain
-    count."""
-    lattice, action = lattice_of(spec)
+    atom or scan one twice: the orbit sizes no longer sum to |orbit| times
+    the chains above each canonical atom, or a state's certificate fails
+    first, with the message the lazy scan raises, for any worker count."""
     monkeypatch.setattr(lattice_module, "_line_orbits", wrong_line_orbits(change))
-    with pytest.raises(AssertionError, match="^orbit sizes do not sum to the chain count$"):
-        count_chain_orbits(lattice, action, workers=workers)
+    assert_whole_scan_fails(spec, WRONG_ORBITS[spec, change], [workers])
 
 
 @pytest.mark.parametrize("spec, change", WRONG_ORBITS)
 def test_wrong_atom_orbit_record_fails_the_lazy_scan(spec, change, monkeypatch, capsys):
     """On covers closed on demand the atom-line orbits come from the
-    generators. Merged or split, the orbit sizes no longer sum to |orbit|
-    times the chains above each canonical atom. Two orbits of one size that
-    exchange a line across blocks leave a state whose canonical covers'
-    orbits do not hold all its covers. Either way compute ends in one error
-    line."""
+    generators, and the same mutants fail with the same messages. Two
+    orbits of one size that exchange a line across blocks leave a state
+    whose canonical covers' orbits do not hold all its covers. Compute ends
+    in the one error line."""
     monkeypatch.setattr(lattice_module, "_line_orbits", wrong_line_orbits(change))
-    with pytest.raises(AssertionError):
-        count_chain_orbits_lazily(build_model(spec))
-    assert_compute_fails_a_certificate(capsys, spec)
+    assert_lazy_scan_fails(capsys, spec, f"^{re.escape(WRONG_ORBITS[spec, change])}$")
 
 
 def scan_mutant(monkeypatch, old, new):
@@ -1501,9 +1533,9 @@ def test_lazy_line_orbits_equal_the_whole_lattice_count(spec):
 
 
 def test_chain_count_needs_elements_in_rank_order():
-    """The chain count walks elements in index order, so a lattice listing
-    an element before one of lower rank is refused, not miscounted: here
-    B2's lattice with its top listed second."""
+    """The oracle's chain count walks elements in index order, so a lattice
+    listing an element before one of lower rank is refused, not miscounted:
+    here B2's lattice with its top listed second."""
     lattice, _ = lattice_of("B2")
     order = [lattice.bottom, lattice.top] + [
         i for i in range(len(lattice.elements)) if i not in (lattice.bottom, lattice.top)]

@@ -9,6 +9,8 @@ import pytest
 
 from coxchains import cli, graphs, recursion
 from coxchains.graphs import TypeLabel, component_labels, make_graph, parse_group_spec
+from coxchains.lattice import count_chain_orbits_lazily
+from coxchains.models import build_model
 from coxchains.recursion import SWAP, KCalculator, multinomial
 from coxchains.series import (
     _d_closed_forms,
@@ -283,6 +285,27 @@ def test_memo_hits_and_products_classify_only_at_entry():
         graph = parse_group_spec(spec)
         assert _classified(KCalculator(), graph)[1] == len(component_labels(graph)), spec
         assert _classified(KCalculator(), spec)[1] == 0, spec
+
+
+ALIAS_LABELS = {"D2": TypeLabel("D", 2), "D3": TypeLabel("D", 3), "I2(3)": TypeLabel("I2", 3),
+                "I2(4)": TypeLabel("I2", 4)}
+
+
+@pytest.mark.parametrize("with_a1", [False, True], ids=["alone", "xA1"])
+@pytest.mark.parametrize("alias", ALIAS_LABELS)
+def test_hand_built_alias_labels_count_as_their_aliases(alias, with_a1):
+    """Labels built by hand skip the parser's aliasing (D2 to A1xA1, D3 to
+    A3, I2(3) to A2, I2(4) to B2), so each method meets D2, D3, I2(3) or
+    I2(4) as it is: the recursion, the closed form and brute force must
+    agree, alone and times A1, and equal the aliased spec's count. D3's
+    involution swaps its two forks; read as central, the recursion gave
+    K(D3) = 3 and K(D3xA1) = 12."""
+    labels = [ALIAS_LABELS[alias]] + [TypeLabel("A", 1)] * with_a1
+    spec = alias + "xA1" * with_a1
+    expected = KCalculator().k(spec).value
+    assert KCalculator().k_labels(labels).value == expected
+    assert cli.closed_form_value(labels) == expected
+    assert count_chain_orbits_lazily(build_model(labels)).orbit_count == expected
 
 
 RULE_TYPES = (
